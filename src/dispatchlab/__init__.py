@@ -68,14 +68,13 @@ from .simulate import (
     fit_inverse,
     run_ensemble,
 )
-from .states import DriverState, StateSpace, enumerate_states
+from .states import StateSpace
 
 __all__ = [
     "__version__",
     "ContractionFailure",
     "CouplingReport",
     "DispatchLabError",
-    "DriverState",
     "ErrorSeries",
     "FitFailureError",
     "Grid",
@@ -108,7 +107,6 @@ __all__ = [
     "check_irreducible",
     "dispatch",
     "distance_weights",
-    "enumerate_states",
     "error_curves",
     "estimate_rates",
     "exact_error_curves",

@@ -219,7 +219,7 @@ def build_transition_from_policy(space: StateSpace, model: RequestModel, policy:
                     iy = space.move_rank(x, k, v)
                     row[iy] = row.get(iy, zero) + pv * wgt
             else:
-                k = serving_location(x, (u, v), policy, grid)
+                k = serving_location(x, u, policy, grid)
                 if k is None or k == v or not can_serve(x, k, v, c):
                     continue
                 iy = space.move_rank(x, k, v)
@@ -748,16 +748,16 @@ class OccupancyPairChain:
 
     def gap(self, t, exact: bool = False):
         """Closed-form |P^t(s1, s4) - gamma| as a difference of two decay modes."""
+        if not exact:
+            return self._gap_float(t)
         n, m = self.n, self.m
         A = Fraction(2 * m * n - n - 2 * m * m, n * (n - 2))
         B = Fraction((m - 1) * (n - m - 1), (n - 1) * (n - 2))
         r1 = Fraction(n - 1, n)
         r2 = Fraction(n * n - 2 * n + 2, n * n)
-        if exact:
-            return A * r1**t - B * r2**t
-        return float(A) * float(r1) ** t - float(B) * float(r2) ** t
+        return A * r1**t - B * r2**t
 
-    def _gap_float(self, t: np.ndarray) -> np.ndarray:
+    def _gap_float(self, t):
         n, m = self.n, self.m
         A = (2 * m * n - n - 2 * m * m) / (n * (n - 2))
         B = (m - 1) * (n - m - 1) / ((n - 1) * (n - 2))
@@ -772,10 +772,6 @@ class OccupancyPairChain:
 
     def ratio_to_reference(self, t):
         return self._gap_float(np.asarray(t, dtype=float)) / self.decay_reference(t)
-
-    def profit_gap_asymptote(self, t, sum_w) -> float:
-        """Implied large-t profit-gap scale 2m sum_w / (n^3 e^{t/n})."""
-        return 2.0 * self.m * float(sum_w) / (self.n**3 * np.exp(np.asarray(t, dtype=float) / self.n))
 
     def matrix_gap_series(self, T: int) -> np.ndarray:
         """|P^t(s1, s4) - gamma| by repeated float multiplication (oracle for gap_series)."""

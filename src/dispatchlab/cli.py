@@ -213,6 +213,22 @@ def resolve_arrivals(spec: str, grid, weights_spec: str):
     raise ValueError(f"unknown arrivals spec {spec!r}; use uniform:p, model:FILE, or replay:FILE")
 
 
+def resolve_instance(options: dict, command: str):
+    """Grid, fleet, policy and arrivals of the exact, mixing, simulate and vi commands.
+
+    Returns (grid, m, c, policy, model, trace, inputs); policy is None for
+    a command without a --policy flag.  Only simulate may replay a trace.
+    """
+    has_policy = "policy" in options
+    require(options, "grid", "drivers", "capacity", "arrivals", *(("policy",) if has_policy else ()))
+    grid = build_grid(*options["grid"])
+    policy = parse_policy(options["policy"]) if has_policy else None
+    model, trace, inputs = resolve_arrivals(options["arrivals"], grid, options["weights"])
+    if trace is not None and command != "simulate":
+        raise ValueError(f"the {command} subcommand needs an arrival law, not a replay trace")
+    return grid, options["drivers"], options["capacity"], policy, model, trace, inputs
+
+
 def resolve_init(spec: str, grid, m: int, c: int) -> tuple[int, ...]:
     """Initial placement: a preset name, an inline count vector, or a file of one."""
     if spec in ("adversarial", "spread"):
@@ -365,16 +381,18 @@ def add_instance_flags(spec: SubSpec) -> None:
     spec.add("--capacity", type=int, help="per-location capacity c")
 
 
+def add_chain_flags(spec: SubSpec) -> None:
+    """Flags of the exact-chain commands, exact and mixing."""
+    spec.add("--policy", help="policy spec: nadap:A[:lost], rand:PERM, greedy[:pool]")
+    spec.add("--arrivals", help="uniform:p or model:FILE")
+    spec.add("--weights", default="const:1", help="const:X, distance, or file:PATH")
+    spec.add("--epsilons", default=DEFAULT_EPSILONS, help="mixing thresholds, comma separated")
+    spec.add("--tmax", type=int, default=100_000, help="mixing horizon cap")
+
+
 def cmd_exact(ns, argv) -> int:
     options = resolve_options(ns, ns.spec)
-    require(options, "grid", "drivers", "capacity", "arrivals", "policy")
-    rows, cols = options["grid"]
-    grid = build_grid(rows, cols)
-    m, c = options["drivers"], options["capacity"]
-    policy = parse_policy(options["policy"])
-    model, trace, inputs = resolve_arrivals(options["arrivals"], grid, options["weights"])
-    if trace is not None:
-        raise ValueError("the exact subcommand needs an arrival law, not a replay trace")
+    grid, m, c, policy, model, _trace, inputs = resolve_instance(options, "exact")
     space = StateSpace(grid, m, c)
     tm = build_chain(space, model, policy)
     stat = stationary_distribution(tm)
@@ -431,14 +449,7 @@ def cmd_exact(ns, argv) -> int:
 
 def cmd_mixing(ns, argv) -> int:
     options = resolve_options(ns, ns.spec)
-    require(options, "grid", "drivers", "capacity", "arrivals", "policy")
-    rows, cols = options["grid"]
-    grid = build_grid(rows, cols)
-    m, c = options["drivers"], options["capacity"]
-    policy = parse_policy(options["policy"])
-    model, trace, inputs = resolve_arrivals(options["arrivals"], grid, options["weights"])
-    if trace is not None:
-        raise ValueError("mixing analysis needs an arrival law, not a replay trace")
+    grid, m, c, policy, model, _trace, inputs = resolve_instance(options, "mixing")
     space = StateSpace(grid, m, c)
     tm = build_chain(space, model, policy)
     stat = stationary_distribution(tm)
@@ -527,12 +538,7 @@ def cmd_couple(ns, argv) -> int:
 
 def cmd_simulate(ns, argv) -> int:
     options = resolve_options(ns, ns.spec)
-    require(options, "grid", "drivers", "capacity", "policy", "arrivals")
-    rows, cols = options["grid"]
-    grid = build_grid(rows, cols)
-    m, c = options["drivers"], options["capacity"]
-    policy = parse_policy(options["policy"])
-    model, trace, inputs = resolve_arrivals(options["arrivals"], grid, options["weights"])
+    grid, m, c, policy, model, trace, inputs = resolve_instance(options, "simulate")
     estimator = options["estimator"]
     if estimator is None:
         estimator = "realized" if trace is not None else "conditional"
@@ -623,13 +629,7 @@ def cmd_simulate(ns, argv) -> int:
 
 def cmd_vi(ns, argv) -> int:
     options = resolve_options(ns, ns.spec)
-    require(options, "grid", "drivers", "capacity", "arrivals")
-    rows, cols = options["grid"]
-    grid = build_grid(rows, cols)
-    m, c = options["drivers"], options["capacity"]
-    model, trace, inputs = resolve_arrivals(options["arrivals"], grid, options["weights"])
-    if trace is not None:
-        raise ValueError("value iteration needs an arrival law, not a replay trace")
+    grid, m, c, _policy, model, _trace, inputs = resolve_instance(options, "vi")
     instance = MdpInstance(
         grid, m, c, model, discount=options["discount"], cap=options["cap"]
     )
@@ -809,20 +809,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     spec = new_sub("exact", "Stationary distribution, occupancy maps, and limiting objective.", cmd_exact)
     add_instance_flags(spec)
-    spec.add("--policy", help="policy spec: nadap:A[:lost], rand:PERM, greedy[:pool]")
-    spec.add("--arrivals", help="uniform:p or model:FILE")
-    spec.add("--weights", default="const:1", help="const:X, distance, or file:PATH")
-    spec.add("--epsilons", default=DEFAULT_EPSILONS, help="mixing thresholds, comma separated")
-    spec.add("--tmax", type=int, default=100_000, help="mixing horizon cap")
+    add_chain_flags(spec)
     add_common(spec)
 
     spec = new_sub("mixing", "Worst-start distance to stationarity and mixing times.", cmd_mixing)
     add_instance_flags(spec)
-    spec.add("--policy", help="policy spec")
-    spec.add("--arrivals", help="uniform:p or model:FILE")
-    spec.add("--weights", default="const:1", help="const:X, distance, or file:PATH")
-    spec.add("--epsilons", default=DEFAULT_EPSILONS, help="thresholds, comma separated")
-    spec.add("--tmax", type=int, default=100_000, help="horizon cap")
+    add_chain_flags(spec)
     spec.add("--starts", type=int, help="random start sample size (required above the exhaustive limit)")
     spec.add("--seed", type=int, help="seed for the start sample")
     add_common(spec)

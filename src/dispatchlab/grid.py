@@ -10,6 +10,7 @@ weight ``w``; leftover probability mass means "no request this round".
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -34,26 +35,31 @@ class Grid:
     """A rows x cols rectangular grid with 4-neighborhoods.
 
     Neighbor tuples are precomputed in clockwise order from North, which
-    downstream tie-breaking rules rely on.
+    downstream tie-breaking rules rely on, together with a per-cell
+    direction -> neighbor table (None where the direction leaves the grid).
     """
 
     rows: int
     cols: int
     _nbrs: tuple = field(init=False, repr=False, compare=False)
+    _toward: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.rows < 1 or self.cols < 1:
             raise ValueError(f"grid dimensions must be positive, got {self.rows}x{self.cols}")
         nbrs = []
+        toward = []
         for u in range(self.rows * self.cols):
             r, c = divmod(u, self.cols)
-            out = []
-            for dr, dc in OFFSETS.values():
+            row = {}
+            for direction, (dr, dc) in OFFSETS.items():
                 rr, cc = r + dr, c + dc
-                if 0 <= rr < self.rows and 0 <= cc < self.cols:
-                    out.append(rr * self.cols + cc)
-            nbrs.append(tuple(out))
+                inside = 0 <= rr < self.rows and 0 <= cc < self.cols
+                row[direction] = rr * self.cols + cc if inside else None
+            toward.append(row)
+            nbrs.append(tuple(k for k in row.values() if k is not None))
         object.__setattr__(self, "_nbrs", tuple(nbrs))
+        object.__setattr__(self, "_toward", tuple(toward))
 
     @property
     def n(self) -> int:
@@ -85,12 +91,7 @@ class Grid:
     def neighbor_toward(self, u: int, direction: str) -> int | None:
         """Neighbor of ``u`` in the given compass direction, or None if off-grid."""
         self.check_location(u)
-        dr, dc = OFFSETS[direction]
-        r, c = divmod(u, self.cols)
-        rr, cc = r + dr, c + dc
-        if 0 <= rr < self.rows and 0 <= cc < self.cols:
-            return rr * self.cols + cc
-        return None
+        return self._toward[u][direction]
 
     def direction_between(self, u: int, v: int) -> str:
         """Compass direction of adjacent ``v`` as seen from ``u``."""
@@ -127,10 +128,14 @@ def distance_weights(grid: Grid) -> np.ndarray:
 
 
 def _total(values) -> Fraction | float:
-    tot = 0
-    for v in values:
-        tot = tot + v
-    return tot
+    """Correctly rounded sum when any entry is a float, else the exact sum.
+
+    A naive float sum of many small entries drifts: 231^2 entries of
+    1/231^2 add up to 1 + 1.2e-12, past PROB_TOL.
+    """
+    if any(isinstance(v, float) for v in values):
+        return math.fsum(values)
+    return sum(values)
 
 
 @dataclass(frozen=True)

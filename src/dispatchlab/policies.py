@@ -143,41 +143,6 @@ def nadap_probe_weights(grid: Grid, origin: int, alpha, boundary: str = "renorma
     return out
 
 
-def dispatch_nadap(
-    state: Sequence[int],
-    request: tuple[int, int],
-    model: RequestModel,
-    alpha: float,
-    rng: np.random.Generator,
-    c: int,
-    boundary: str = "renormalize",
-) -> DispatchOutcome:
-    """Probe the origin with probability alpha, else one neighbor; no fallback.
-
-    One uniform draw decides the candidate.  In "lost" mode the four
-    compass directions get (1 - alpha) / 4 each and off-grid draws reject.
-    """
-    u, v = request
-    grid = model.grid
-    draw = rng.random()
-    if draw < alpha or alpha >= 1:
-        cand = u
-    else:
-        frac = (draw - alpha) / (1 - alpha)
-        if boundary == "renormalize":
-            nbrs = grid.neighbors(u)
-            if not nbrs:
-                return DispatchOutcome(None, False, 0.0)
-            cand = nbrs[min(int(frac * len(nbrs)), len(nbrs) - 1)]
-        else:
-            direction = DIRECTIONS[min(int(frac * 4), 3)]
-            cand = grid.neighbor_toward(u, direction)
-            if cand is None:
-                return DispatchOutcome(None, False, 0.0)
-    ok = can_serve(state, cand, v, c)
-    return DispatchOutcome(cand, ok, model.w[u, v] if ok else 0.0)
-
-
 def rand_scan_order(grid: Grid, origin: int, phi: Sequence[str]) -> list[int]:
     """In-grid neighbors of ``origin`` in phi order (off-grid directions skipped)."""
     out = []
@@ -186,29 +151,6 @@ def rand_scan_order(grid: Grid, origin: int, phi: Sequence[str]) -> list[int]:
         if k is not None:
             out.append(k)
     return out
-
-
-def dispatch_rand(
-    state: Sequence[int],
-    request: tuple[int, int],
-    model: RequestModel,
-    phi: Sequence[str],
-    c: int,
-) -> DispatchOutcome:
-    """Serve from the origin if occupied, else the first occupied neighbor in phi order."""
-    u, v = request
-    chosen = None
-    if state[u] >= 1:
-        chosen = u
-    else:
-        for k in rand_scan_order(model.grid, u, phi):
-            if state[k] >= 1:
-                chosen = k
-                break
-    if chosen is None:
-        return DispatchOutcome(None, False, 0.0)
-    ok = can_serve(state, chosen, v, c)
-    return DispatchOutcome(chosen, ok, model.w[u, v] if ok else 0.0)
 
 
 def greedy_candidates(grid: Grid, state: Sequence[int], origin: int, origin_first: bool = True) -> list[int]:
@@ -227,24 +169,39 @@ def greedy_candidates(grid: Grid, state: Sequence[int], origin: int, origin_firs
     return [k for k, _ in pool]
 
 
-def dispatch_greedy(
-    state: Sequence[int],
-    request: tuple[int, int],
-    model: RequestModel,
-    c: int,
-    origin_first: bool = True,
-) -> DispatchOutcome:
-    """Serve from the first occupied candidate in greedy order; no fallback on full destination."""
-    u, v = request
-    chosen = None
-    for k in greedy_candidates(model.grid, state, u, origin_first):
+def serving_location(state: Sequence[int], origin: int, policy: PolicySpec, grid: Grid, coin=None):
+    """The location ``policy`` serves a request from ``origin`` with, or None.
+
+    This is the one scalar statement of every policy's serving choice.
+    nadap maps its probe coin (uniform on [0, 1)) to the origin below
+    alpha, else to one of equal slices: the in-grid neighbors
+    ("renormalize") or the four compass directions ("lost", None off-grid).
+    It ignores the counts, so the probed location may be empty.  rand and
+    greedy ignore the coin and return their first occupied candidate.
+    """
+    if policy.kind == "nadap":
+        if coin is None:
+            raise ValueError("nadap needs a probe coin")
+        alpha = policy.alpha
+        if coin < alpha or alpha >= 1:
+            return origin
+        frac = (coin - alpha) / (1 - alpha)
+        if policy.boundary == "lost":
+            return grid.neighbor_toward(origin, DIRECTIONS[min(int(frac * 4), 3)])
+        nbrs = grid.neighbors(origin)
+        if not nbrs:
+            return None
+        return nbrs[min(int(frac * len(nbrs)), len(nbrs) - 1)]
+    if policy.kind == "rand":
+        if state[origin] >= 1:
+            return origin
+        candidates = rand_scan_order(grid, origin, policy.phi)
+    else:
+        candidates = greedy_candidates(grid, state, origin, policy.origin_first)
+    for k in candidates:
         if state[k] >= 1:
-            chosen = k
-            break
-    if chosen is None:
-        return DispatchOutcome(None, False, 0.0)
-    ok = can_serve(state, chosen, v, c)
-    return DispatchOutcome(chosen, ok, model.w[u, v] if ok else 0.0)
+            return k
+    return None
 
 
 def dispatch(
@@ -255,32 +212,16 @@ def dispatch(
     c: int,
     rng: np.random.Generator | None = None,
 ) -> DispatchOutcome:
-    """Offer one request to ``policy``; nadap needs a randomness source."""
-    if policy.kind == "nadap":
-        if rng is None:
-            raise ValueError("nadap dispatch needs a randomness source")
-        return dispatch_nadap(state, request, model, policy.alpha, rng, c, policy.boundary)
-    if policy.kind == "rand":
-        return dispatch_rand(state, request, model, policy.phi, c)
-    return dispatch_greedy(state, request, model, c, policy.origin_first)
+    """Offer one request to ``policy``; nadap draws one probe coin from ``rng``.
 
-
-def serving_location(state: Sequence[int], request: tuple[int, int], policy: PolicySpec, grid: Grid):
-    """Deterministic serving location for rand/greedy (None when all candidates empty)."""
-    u, _ = request
-    if policy.kind == "rand":
-        if state[u] >= 1:
-            return u
-        for k in rand_scan_order(grid, u, policy.phi):
-            if state[k] >= 1:
-                return k
-        return None
-    if policy.kind == "greedy":
-        for k in greedy_candidates(grid, state, u, policy.origin_first):
-            if state[k] >= 1:
-                return k
-        return None
-    raise ValueError("nadap has no deterministic serving location")
+    There is no fallback: a serving location that cannot take the trip
+    (see can_serve) rejects the request.
+    """
+    u, v = request
+    coin = rng.random() if policy.kind == "nadap" and rng is not None else None
+    chosen = serving_location(state, u, policy, model.grid, coin)
+    ok = chosen is not None and can_serve(state, chosen, v, c)
+    return DispatchOutcome(chosen, ok, model.w[u, v] if ok else 0.0)
 
 
 def expected_step_profit(state: Sequence[int], model: RequestModel, policy: PolicySpec, c: int):
@@ -307,7 +248,7 @@ def expected_step_profit(state: Sequence[int], model: RequestModel, policy: Poli
                         prob = prob + wgt
                 total = total + pv * row_w[v] * prob
         else:
-            chosen = serving_location(state, (u, u), policy, grid)
+            chosen = serving_location(state, u, policy, grid)
             if chosen is None:
                 continue
             for v in range(n):

@@ -14,8 +14,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import FitFailureError
-from .grid import DIRECTIONS, Grid, RequestModel
-from .policies import PolicySpec, expected_step_profit, greedy_candidates, rand_scan_order
+from .grid import Grid, RequestModel
+from .policies import PolicySpec, can_serve, expected_step_profit, serving_location
 from .rng import stream
 
 #: Trace entry: (round, origin, dest, weight).  Rounds may repeat (same-second
@@ -111,56 +111,15 @@ class ErrorSeries:
 
 
 def _iid_round_tables(config: SimConfig):
-    """Precompute request sampling and policy-resolution tables for IID mode."""
-    grid, model, policy = config.grid, config.model, config.policy
-    n = grid.n
-    flat_p = model.p.astype(float).ravel()
-    cum_p = np.cumsum(flat_p)
-    total = cum_p[-1] if len(cum_p) else 0.0
-    w = model.w.astype(float)
-    nbrs = [grid.neighbors(u) for u in range(n)]
-    toward = None
-    if policy.kind == "nadap" and policy.boundary == "lost":
-        toward = np.full((n, 4), -1, dtype=np.int64)
-        for u in range(n):
-            for j, d in enumerate(DIRECTIONS):
-                k = grid.neighbor_toward(u, d)
-                toward[u, j] = -1 if k is None else k
-    return cum_p, total, w, nbrs, toward
-
-
-def _resolve_candidate(config, counts, u, coin, nbrs, toward):
-    """Serving-location choice for one request, mirroring the dispatch rules."""
-    policy = config.policy
-    grid = config.grid
-    if policy.kind == "nadap":
-        alpha = float(policy.alpha)
-        if coin < alpha or alpha >= 1.0:
-            return u
-        frac = (coin - alpha) / (1.0 - alpha)
-        if policy.boundary == "renormalize":
-            row = nbrs[u]
-            if not row:
-                return -1
-            return row[min(int(frac * len(row)), len(row) - 1)]
-        slot = min(int(frac * 4), 3)
-        return int(toward[u, slot])
-    if policy.kind == "rand":
-        if counts[u] >= 1:
-            return u
-        for k in rand_scan_order(grid, u, policy.phi):
-            if counts[k] >= 1:
-                return k
-        return -1
-    for k in greedy_candidates(grid, counts, u, policy.origin_first):
-        if counts[k] >= 1:
-            return k
-    return -1
+    """Precompute the request-sampling table and float weights for IID mode."""
+    model = config.model
+    cum_p = np.cumsum(model.p.astype(float).ravel())
+    return cum_p, model.w.astype(float)
 
 
 def _run_single_iid(config: SimConfig, run_idx: int, tables, esp_cache: dict) -> np.ndarray:
     """One replication's per-round profit vector under IID arrivals."""
-    cum_p, total, w, nbrs, toward = tables
+    cum_p, w = tables
     grid, policy, c = config.grid, config.policy, config.c
     n = grid.n
     T = config.T
@@ -185,8 +144,8 @@ def _run_single_iid(config: SimConfig, run_idx: int, tables, esp_cache: dict) ->
         if r >= npairs:
             continue
         u, v = divmod(r, n)
-        k = _resolve_candidate(config, counts, u, coins[t], nbrs, toward)
-        if k < 0 or counts[k] < 1 or (k != v and counts[v] >= c):
+        k = serving_location(counts, u, policy, grid, coins[t])
+        if k is None or not can_serve(counts, k, v, c):
             continue
         if not conditional:
             profits[t] = w[u, v]
@@ -203,14 +162,6 @@ def _run_single_replay(config: SimConfig, run_idx: int) -> np.ndarray:
     grid, policy, c = config.grid, config.policy, config.c
     T = config.T
     rng = stream(config.seed, run_idx)
-    nbrs = [grid.neighbors(u) for u in range(grid.n)]
-    toward = None
-    if policy.kind == "nadap" and policy.boundary == "lost":
-        toward = np.full((grid.n, 4), -1, dtype=np.int64)
-        for u in range(grid.n):
-            for j, d in enumerate(DIRECTIONS):
-                k = grid.neighbor_toward(u, d)
-                toward[u, j] = -1 if k is None else k
     counts = list(config.initial_state)
     profits = np.zeros(T)
     last_round = -1
@@ -221,14 +172,15 @@ def _run_single_replay(config: SimConfig, run_idx: int) -> np.ndarray:
         last_round = rnd
         if rnd >= T:
             break
-        coin = rng.random() if policy.kind == "nadap" else 0.0
-        k = _resolve_candidate(config, counts, int(u), coin, nbrs, toward)
-        if k < 0 or counts[k] < 1 or (k != int(v) and counts[int(v)] >= c):
+        u, v = int(u), int(v)
+        coin = rng.random() if policy.kind == "nadap" else None
+        k = serving_location(counts, u, policy, grid, coin)
+        if k is None or not can_serve(counts, k, v, c):
             continue
         profits[rnd] += float(weight)
-        if k != int(v):
+        if k != v:
             counts[k] -= 1
-            counts[int(v)] += 1
+            counts[v] += 1
     return profits
 
 

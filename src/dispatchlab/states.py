@@ -7,7 +7,6 @@ vectors and addressed by dense ranks, so exact chains can use array rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -46,33 +45,6 @@ def parse_state(text: str) -> tuple[int, ...]:
         return tuple(int(part) for part in text.split(","))
     except ValueError as exc:
         raise ValueError(f"malformed state string {text!r}") from exc
-
-
-@dataclass(frozen=True)
-class DriverState:
-    """A validated driver-count vector with its per-location capacity."""
-
-    counts: tuple[int, ...]
-    c: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "counts", tuple(int(x) for x in self.counts))
-        if self.c < 1:
-            raise ValueError("capacity must be at least 1")
-        if any(x < 0 or x > self.c for x in self.counts):
-            raise ValueError(f"counts {self.counts} violate capacity {self.c}")
-        if sum(self.counts) < 1:
-            raise ValueError("state must place at least one driver")
-
-    @property
-    def m(self) -> int:
-        return sum(self.counts)
-
-    def move(self, u: int, v: int) -> "DriverState":
-        return DriverState(move(self.counts, u, v, self.c), self.c)
-
-    def __str__(self) -> str:
-        return format_state(self.counts)
 
 
 class StateSpace:
@@ -169,11 +141,6 @@ class StateSpace:
 
     def move_rank(self, counts: Sequence[int], u: int, v: int) -> int:
         return self.rank(move(counts, u, v, self.c))
-
-
-def enumerate_states(grid: Grid, m: int, c: int, cap: int = DEFAULT_STATE_CAP) -> StateSpace:
-    """Build the state space, refusing infeasible or oversized instances."""
-    return StateSpace(grid, m, c, cap=cap)
 
 
 class NeighborPair(NamedTuple):

@@ -7,6 +7,7 @@ import pytest
 
 from dispatchlab.errors import SchemaError
 from dispatchlab.grid import (
+    PROB_TOL,
     RequestModel,
     build_grid,
     check_hotspot,
@@ -95,6 +96,12 @@ def test_overfull_mass_rejected():
         uniform_request_model(g, 0.0626)  # 16 * p > 1
     with pytest.raises(ValueError):
         uniform_request_model(g, -0.01)
+
+
+def test_paper_scale_uniform_mass_is_summed_exactly():
+    # 231^2 entries of 1/231^2: a running float sum drifts to 1 + 1.2e-12
+    model = uniform_request_model(build_grid(21, 11), 1 / 231**2)
+    assert abs(model.total_mass - 1) <= PROB_TOL
 
 
 def test_model_shape_and_negativity_validation():

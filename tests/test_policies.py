@@ -1,6 +1,8 @@
 """Dispatch rules: probe laws, serving feasibility, and per-state expected profit."""
 
+from collections import Counter
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -145,9 +147,33 @@ def test_greedy_pool_ranks_origin_with_neighbors():
 
 def test_serving_location_deterministic_policies():
     g = build_grid(2, 2)
-    assert serving_location([0, 1, 1, 0], (0, 3), parse_policy("rand:NESW"), g) == 1
-    assert serving_location([0, 1, 2, 0], (0, 3), parse_policy("greedy"), g) == 2
-    assert serving_location([0, 0, 0, 1], (0, 3), parse_policy("greedy"), g) is None
+    assert serving_location([0, 1, 1, 0], 0, parse_policy("rand:NESW"), g) == 1
+    assert serving_location([0, 1, 2, 0], 0, parse_policy("greedy"), g) == 2
+    assert serving_location([0, 0, 0, 1], 0, parse_policy("greedy"), g) is None
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (1, 3), (1, 1)])
+def test_nadap_coin_map_matches_probe_weights(shape):
+    """The coin -> location map of nadap realizes nadap_probe_weights.
+
+    N evenly spaced midpoint coins land on each location (None included)
+    in the share its probe weight gives, up to the slice-edge rounding of
+    a few coins in N.
+    """
+    N, tol = 240_000, 1e-4
+    g = build_grid(*shape)
+    coins = [(i + 0.5) / N for i in range(N)]
+    state = [0] * g.n
+    for alpha in (0.6, 0.8, 1.0):
+        for boundary in ("renormalize", "lost"):
+            policy = PolicySpec("nadap", alpha=alpha, boundary=boundary)
+            for u in range(g.n):
+                hits = Counter(map(partial(serving_location, state, u, policy, g), coins))
+                expected = Counter()
+                for loc, wgt in nadap_probe_weights(g, u, alpha, boundary):
+                    expected[loc] += wgt
+                for loc in set(hits) | set(expected):
+                    assert abs(hits[loc] / N - expected[loc]) <= tol, (alpha, boundary, u, loc)
 
 
 def test_nadap_dispatch_uses_single_coin():
@@ -168,6 +194,11 @@ def test_nadap_dispatch_uses_single_coin():
     # coin in the first neighbor slice probes that neighbor
     out = dispatch([1, 1, 0, 0], (0, 1), model, policy, c=2, rng=FixedRng(0.85))
     assert out.chosen == g.neighbors(0)[0]
+    # without a coin source nadap has no serving location
+    with pytest.raises(ValueError):
+        dispatch([1, 1, 0, 0], (0, 1), model, policy, c=2)
+    with pytest.raises(ValueError):
+        serving_location([1, 1, 0, 0], 0, policy, g)
 
 
 def test_expected_step_profit_closed_form_case():

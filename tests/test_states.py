@@ -9,7 +9,6 @@ from dispatchlab.errors import InfeasibleInstanceError, InfeasibleMoveError, Siz
 from dispatchlab.grid import build_grid
 from dispatchlab.states import (
     StateSpace,
-    enumerate_states,
     format_state,
     move,
     neighbor_pairs,
@@ -88,7 +87,7 @@ def test_infeasible_instances_rejected():
 def test_state_cap_enforced():
     g = build_grid(3, 3)
     with pytest.raises(SizeLimitError):
-        enumerate_states(g, 4, 4, cap=10)
+        StateSpace(g, 4, 4, cap=10)
 
 
 def test_move_semantics():
