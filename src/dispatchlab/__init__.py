@@ -16,6 +16,7 @@ from .chain import (
     TransitionMatrix,
     build_occupancy_pair_chain,
     build_transition_from_policy,
+    build_transition_greedy,
     build_transition_nadap,
     build_transition_rand,
     check_aperiodic,
@@ -101,6 +102,7 @@ __all__ = [
     "build_occupancy_pair_chain",
     "build_replay",
     "build_transition_from_policy",
+    "build_transition_greedy",
     "build_transition_nadap",
     "build_transition_rand",
     "check_aperiodic",

@@ -24,8 +24,8 @@ from .policies import (
     PolicySpec,
     can_serve,
     nadap_probe_weights,
-    rand_scan_order,
     serving_location,
+    serving_table,
 )
 from .states import StateSpace, neighbor_pairs
 
@@ -39,60 +39,105 @@ ROW_SUM_TOL = 1e-12
 MONOTONE_SLACK = 1e-10
 
 
-@dataclass
 class TransitionMatrix:
     """Sparse row-major transition kernel over a driver-count state space.
 
-    rows[i] maps destination rank -> probability (diagonal included).
-    Entries may be exact Fractions; ``exact`` records that.
+    Entries are stored once as CSR arrays (``indptr``, ``indices``,
+    ``data``), columns sorted within each row.  ``data`` holds floats, or
+    exact Fractions (object dtype) when ``exact`` is set.  The float CSR the
+    solvers use is built on first request and cached.
     """
 
-    space: StateSpace
-    rows: list[dict]
-    policy: PolicySpec | None = None
-    exact: bool = False
+    def __init__(self, space: StateSpace, rows: Sequence[dict], policy: PolicySpec | None = None,
+                 exact: bool = False):
+        """Kernel from per-state {destination rank: probability} mappings, taken as given."""
+        src = np.repeat(np.arange(len(rows), dtype=np.int64), [len(row) for row in rows])
+        dst = np.array([j for row in rows for j in row], dtype=np.int64)
+        val = np.array([p for row in rows for p in row.values()], dtype=object if exact else float)
+        self._store(space, src, dst, val, policy, exact)
+
+    @classmethod
+    def from_off_diagonal(cls, space: StateSpace, src, dst, val, policy: PolicySpec, exact: bool):
+        """Kernel from off-diagonal COO entries plus the mass-conserving diagonal.
+
+        Zero entries are dropped.  Each row's diagonal is one minus its
+        off-diagonal mass, summed in the order the entries are given.
+        """
+        keep = val != 0
+        src, dst, val = src[keep], dst[keep], val[keep]
+        _, one = _zero_one(exact)
+        diag = one - _row_totals(src, val, space.size, exact)
+        every = np.arange(space.size, dtype=np.int64)
+        tm = cls.__new__(cls)
+        tm._store(space, np.concatenate([src, every]), np.concatenate([dst, every]),
+                  np.concatenate([val, diag]), policy, exact)
+        return tm
+
+    def _store(self, space, src, dst, val, policy, exact) -> None:
+        self.space = space
+        self.policy = policy
+        self.exact = exact
+        order = np.argsort(src * space.size + dst)
+        self.indices = dst[order]
+        self.data = val[order]
+        self.indptr = np.zeros(space.size + 1, dtype=np.int64)
+        np.cumsum(np.bincount(src, minlength=space.size), out=self.indptr[1:])
+        self._csr: sp.csr_array | None = None
 
     @property
     def size(self) -> int:
         return self.space.size
 
+    def _row_of_entry(self) -> np.ndarray:
+        return np.repeat(np.arange(self.size, dtype=np.int64), np.diff(self.indptr))
+
+    @property
+    def rows(self) -> list[dict]:
+        """Per-state {destination rank: probability} dicts, built on each access."""
+        cols, vals, ptr = self.indices.tolist(), self.data.tolist(), self.indptr.tolist()
+        return [dict(zip(cols[a:b], vals[a:b])) for a, b in zip(ptr[:-1], ptr[1:])]
+
     def entry(self, x: int, y: int):
-        return self.rows[x].get(y, Fraction(0) if self.exact else 0.0)
+        a, b = self.indptr[x], self.indptr[x + 1]
+        j = a + np.searchsorted(self.indices[a:b], y)
+        if j < b and self.indices[j] == y:
+            return self.data[j]
+        return Fraction(0) if self.exact else 0.0
 
     def diagonal(self) -> np.ndarray:
-        return np.array([float(self.rows[i].get(i, 0)) for i in range(self.size)])
-
-    def to_dense(self) -> np.ndarray:
-        out = np.zeros((self.size, self.size))
-        for i, row in enumerate(self.rows):
-            for j, val in row.items():
-                out[i, j] = float(val)
+        out = np.zeros(self.size)
+        rows = self._row_of_entry()
+        on = self.indices == rows
+        out[rows[on]] = self.data[on].astype(float)
         return out
 
+    def to_dense(self) -> np.ndarray:
+        return self.to_csr().toarray()
+
     def to_csr(self) -> sp.csr_array:
-        indptr = [0]
-        indices: list[int] = []
-        data: list[float] = []
-        for row in self.rows:
-            for j in sorted(row):
-                indices.append(j)
-                data.append(float(row[j]))
-            indptr.append(len(indices))
-        return sp.csr_array(
-            (np.array(data), np.array(indices, dtype=np.int64), np.array(indptr, dtype=np.int64)),
-            shape=(self.size, self.size),
-        )
+        if self._csr is None:
+            self._csr = sp.csr_array(
+                (self.data.astype(float), self.indices, self.indptr), shape=(self.size, self.size)
+            )
+        return self._csr
 
     def row_sum_error(self) -> float:
-        worst = 0.0
-        for row in self.rows:
-            total = sum(row.values())
-            worst = max(worst, abs(float(total) - 1.0))
-        return worst
+        totals = _row_totals(self._row_of_entry(), self.data, self.size, self.exact)
+        return max((abs(float(t) - 1.0) for t in totals), default=0.0)
 
 
 def _zero_one(exact: bool):
     return (Fraction(0), Fraction(1)) if exact else (0.0, 1.0)
+
+
+def _row_totals(rows: np.ndarray, values: np.ndarray, size: int, exact: bool) -> np.ndarray:
+    """Per-row sums of ``values``, each accumulated in array order as a Python loop would."""
+    if not exact:
+        return np.bincount(rows, weights=values, minlength=size)
+    out = np.full(size, Fraction(0), dtype=object)
+    for i, val in zip(rows.tolist(), values.tolist()):
+        out[i] = out[i] + val
+    return out
 
 
 def _finish_rows(space: StateSpace, off_rows: list[dict], exact: bool) -> list[dict]:
@@ -145,13 +190,12 @@ def build_transition_nadap(
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
     exact = model.exact and isinstance(alpha, Fraction)
     q = probe_rate_matrix(space.grid, model, alpha, boundary)
-    off_rows: list[dict] = [{} for _ in range(space.size)]
-    for pair in neighbor_pairs(space):
-        val = q[pair.u][pair.v]
-        if val != 0:
-            off_rows[pair.x][pair.y] = val
+    q = np.array(q, dtype=object if exact else float)
+    pairs = neighbor_pairs(space)
     spec = PolicySpec("nadap", alpha=float(alpha), boundary=boundary)
-    return TransitionMatrix(space, _finish_rows(space, off_rows, exact), spec, exact)
+    return TransitionMatrix.from_off_diagonal(
+        space, pairs.x, pairs.y, q[pairs.u, pairs.v], spec, exact
+    )
 
 
 def build_transition_rand(space: StateSpace, model: RequestModel, phi) -> TransitionMatrix:
@@ -160,44 +204,68 @@ def build_transition_rand(space: StateSpace, model: RequestModel, phi) -> Transi
     The entry of a one-move pair (x, y) via u -> v collects the request
     mass the scan is certain to route through u: requests originating at u
     itself (u is occupied in x by construction) plus requests from each
-    empty neighbor k of u whose scan reaches u before any other occupied
-    location.
+    neighbor k of u, clockwise from North, that the serving table routes
+    to u in x (k is empty and its scan reaches u before any other
+    occupied location).
     """
-    phi = tuple(phi)
     grid = space.grid
-    exact = model.exact
-    zero, _ = _zero_one(exact)
-    scan = [rand_scan_order(grid, k, phi) for k in range(grid.n)]
+    spec = PolicySpec("rand", phi=tuple(phi))
+    serving = serving_table(space.as_array(), spec, grid)
+    pairs = neighbor_pairs(space)
+    p = model.p
+    mass = p[pairs.u, pairs.v]
+    nbrs = np.full((grid.n, 4), -1, dtype=np.int64)
+    for u in range(grid.n):
+        nbrs[u, : len(grid.neighbors(u))] = grid.neighbors(u)
+    for slot in range(4):
+        k = nbrs[pairs.u, slot]
+        routed = (k >= 0) & (serving[pairs.x, k] == pairs.u)
+        mass = mass + np.where(routed, p[k, pairs.v], 0)
+    return TransitionMatrix.from_off_diagonal(space, pairs.x, pairs.y, mass, spec, model.exact)
+
+
+def build_transition_greedy(
+    space: StateSpace, model: RequestModel, origin_first: bool = True
+) -> TransitionMatrix:
+    """Exact chain of the count-greedy policy, read off its serving table.
+
+    Mirrors build_transition_from_policy one request (u, v) at a time over
+    every state at once: the serving table names k, and a feasible move
+    k -> v adds p[u, v] to the entry of x -> move(x, k, v).  Each entry
+    sums its requests in (u, v) order, and each row's diagonal sums the
+    entries in the order the requests first reach them, as the
+    definitional builder does.
+    """
+    spec = PolicySpec("greedy", origin_first=origin_first)
     arr = space.as_array()
-    off_rows: list[dict] = [{} for _ in range(space.size)]
-    for pair in neighbor_pairs(space):
-        x = arr[pair.x]
-        u, v = pair.u, pair.v
-        mass = model.p[u, v]
-        for k in grid.neighbors(u):
-            if x[k] != 0:
-                continue
-            routed = True
-            for ahead in scan[k]:
-                if ahead == u:
-                    break
-                if x[ahead] >= 1:
-                    routed = False
-                    break
-            if routed:
-                mass = mass + model.p[k, v]
-        if mass != 0:
-            off_rows[pair.x][pair.y] = mass
-    spec = PolicySpec("rand", phi=phi)
-    return TransitionMatrix(space, _finish_rows(space, off_rows, exact), spec, exact)
+    size, c = space.size, space.c
+    serving = serving_table(arr, spec, space.grid)
+    none = np.empty(0, dtype=np.int64)
+    src, dst, val = [none], [none], [np.empty(0, dtype=model.p.dtype)]
+    for u, v in model.pairs():
+        k = serving[:, u]
+        idx = np.flatnonzero((k >= 0) & (k != v) & (arr[:, v] < c))
+        src.append(idx)
+        dst.append(space.move_ranks(idx, k[idx], v))
+        val.append(np.full(len(idx), model.p[u, v], dtype=model.p.dtype))
+    src = np.concatenate(src)
+    order = np.argsort(src, kind="stable")
+    key = src[order] * size + np.concatenate(dst)[order]
+    entries, first, which = np.unique(key, return_index=True, return_inverse=True)
+    mass = _row_totals(which, np.concatenate(val)[order], len(entries), model.exact)
+    by_first = np.argsort(first)
+    entries = entries[by_first]
+    return TransitionMatrix.from_off_diagonal(
+        space, entries // size, entries % size, mass[by_first], spec, model.exact
+    )
 
 
 def build_transition_from_policy(space: StateSpace, model: RequestModel, policy: PolicySpec) -> TransitionMatrix:
     """Definitional chain builder: accumulate every request's dispatch outcome.
 
-    Slower than the closed-form builders but policy-agnostic; it is the
-    reference the specialized constructions are tested against, and the
-    only exact builder for the greedy policy.
+    Slower than the array builders but policy-agnostic; it is the
+    reference the nadap, rand and greedy builders are tested against, and
+    nothing outside the tests calls it.
     """
     grid = space.grid
     c = space.c
@@ -360,14 +428,9 @@ def stationary_distribution(
 
 
 def _pattern(tm: TransitionMatrix) -> sp.csr_array:
-    rows, cols = [], []
-    for i, row in enumerate(tm.rows):
-        for j, val in row.items():
-            if val != 0:
-                rows.append(i)
-                cols.append(j)
-    data = np.ones(len(rows), dtype=np.int8)
-    return sp.csr_array((data, (rows, cols)), shape=(tm.size, tm.size))
+    on = tm.data != 0
+    rows, cols = tm._row_of_entry()[on], tm.indices[on]
+    return sp.csr_array((np.ones(len(rows), dtype=np.int8), (rows, cols)), shape=(tm.size, tm.size))
 
 
 def check_irreducible(tm: TransitionMatrix) -> bool:
@@ -548,28 +611,7 @@ def esp_profile(space: StateSpace, model: RequestModel, policy: PolicySpec) -> n
                     mask = occ[:, k] if k == v else occ[:, k] & (arr[:, v] < c)
                     out += float(coef) * mask
         return out
-    serving = np.full((space.size, n), -1, dtype=np.int64)
-    for u in range(n):
-        if policy.kind == "rand":
-            chosen = np.where(occ[:, u], u, -1)
-            for k in rand_scan_order(grid, u, policy.phi):
-                chosen = np.where((chosen < 0) & occ[:, k], k, chosen)
-        else:
-            nbrs = np.array(grid.neighbors(u), dtype=np.int64)
-            if policy.origin_first:
-                if len(nbrs):
-                    counts = arr[:, nbrs]
-                    best = nbrs[np.argmax(counts, axis=1)]
-                    fallback = np.where(counts.max(axis=1) >= 1, best, -1)
-                else:
-                    fallback = np.full(space.size, -1, dtype=np.int64)
-                chosen = np.where(occ[:, u], u, fallback)
-            else:
-                cols = np.concatenate(([u], nbrs))
-                counts = arr[:, cols]
-                best = cols[np.argmax(counts, axis=1)]
-                chosen = np.where(counts.max(axis=1) >= 1, best, -1)
-        serving[:, u] = chosen
+    serving = serving_table(arr, policy, grid)
     for u in range(n):
         sv = serving[:, u]
         has = sv >= 0

@@ -30,7 +30,7 @@ import numpy as np
 from . import __version__, ingest
 from .chain import (
     MIXING_SIZE_LIMIT,
-    build_transition_from_policy,
+    build_transition_greedy,
     build_transition_nadap,
     build_transition_rand,
     check_aperiodic,
@@ -58,6 +58,7 @@ from .states import StateSpace, format_state, parse_state
 
 THREADS_ENV = "DISPATCHLAB_THREADS"
 DEFAULT_EPSILONS = "0.25,0.01"
+WEIGHTS_HELP = "const:X, distance, or file:PATH (default: const:1, or a model file's own weights)"
 
 
 def g17(x) -> str:
@@ -188,21 +189,21 @@ def resolve_weights(spec: str, grid):
     raise ValueError(f"unknown weights spec {spec!r}; use const:X, distance, or file:PATH")
 
 
-def resolve_arrivals(spec: str, grid, weights_spec: str):
+def resolve_arrivals(spec: str, grid, weights_spec: str | None):
     """Arrival flag: uniform:p, model:FILE, or replay:FILE.
 
-    Returns (model, trace, input paths).  Weights apply to uniform
-    arrivals always and override a model file's weights only when the flag
-    is not the default.
+    Returns (model, trace, input paths).  An unset weight flag (None) means
+    const:1 for uniform arrivals and the model file's own weights for
+    model:FILE; any value given overrides both.
     """
     if spec.startswith("uniform:"):
         p = float(spec[len("uniform:") :])
-        weights = resolve_weights(weights_spec, grid)
+        weights = resolve_weights("const:1" if weights_spec is None else weights_spec, grid)
         return uniform_request_model(grid, p, weights=weights), None, []
     if spec.startswith("model:"):
         path = spec[len("model:") :]
         model = RequestModel.from_csv(path, grid)
-        if weights_spec != "const:1":
+        if weights_spec is not None:
             model = RequestModel(grid=grid, p=model.p, w=np.broadcast_to(
                 np.asarray(resolve_weights(weights_spec, grid), dtype=float), (grid.n, grid.n)
             ).copy())
@@ -243,7 +244,7 @@ def build_chain(space: StateSpace, model: RequestModel, policy: PolicySpec):
         return build_transition_nadap(space, model, policy.alpha, policy.boundary)
     if policy.kind == "rand":
         return build_transition_rand(space, model, policy.phi)
-    return build_transition_from_policy(space, model, policy)
+    return build_transition_greedy(space, model, policy.origin_first)
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +386,7 @@ def add_chain_flags(spec: SubSpec) -> None:
     """Flags of the exact-chain commands, exact and mixing."""
     spec.add("--policy", help="policy spec: nadap:A[:lost], rand:PERM, greedy[:pool]")
     spec.add("--arrivals", help="uniform:p or model:FILE")
-    spec.add("--weights", default="const:1", help="const:X, distance, or file:PATH")
+    spec.add("--weights", help=WEIGHTS_HELP)
     spec.add("--epsilons", default=DEFAULT_EPSILONS, help="mixing thresholds, comma separated")
     spec.add("--tmax", type=int, default=100_000, help="mixing horizon cap")
 
@@ -404,7 +405,7 @@ def cmd_exact(ns, argv) -> int:
     write_csv(
         outdir / "stationary.csv",
         ["state", "pi"],
-        ((format_state(space.unrank(i)), g17(stat.pi[i])) for i in range(space.size)),
+        ((format_state(x), g17(p)) for x, p in zip(space.as_array().tolist(), stat.pi)),
     )
     outputs.append("stationary.csv")
     write_csv(
@@ -646,16 +647,15 @@ def cmd_vi(ns, argv) -> int:
     outdir = make_outdir(options)
     outputs = []
 
-    def request_label(r: int) -> str:
-        return "none" if r == R else str(r)
-
+    states = [format_state(x) for x in space.as_array().tolist()]
+    requests = [str(r) for r in range(R)] + ["none"]
     write_csv(
         outdir / "values.csv",
         ["state", "request", "value"],
         (
-            (format_state(space.unrank(i)), request_label(r), g17(result.values[i, r]))
-            for i in range(space.size)
-            for r in range(R + 1)
+            (state, request, g17(value))
+            for state, row in zip(states, result.values.tolist())
+            for request, value in zip(requests, row)
         ),
     )
     outputs.append("values.csv")
@@ -663,9 +663,9 @@ def cmd_vi(ns, argv) -> int:
         outdir / "policy.csv",
         ["state", "request", "action"],
         (
-            (format_state(space.unrank(i)), request_label(r), int(result.policy[i, r]))
-            for i in range(space.size)
-            for r in range(R + 1)
+            (state, request, action)
+            for state, row in zip(states, result.policy.tolist())
+            for request, action in zip(requests, row)
         ),
     )
     outputs.append("policy.csv")
@@ -832,7 +832,7 @@ def build_parser() -> argparse.ArgumentParser:
     spec.add("--seed", type=int, help="master seed (random if omitted, recorded)")
     spec.add("--init", default="adversarial", help="adversarial, spread, counts, or a file")
     spec.add("--arrivals", help="uniform:p, model:FILE, or replay:FILE")
-    spec.add("--weights", default="const:1", help="const:X, distance, or file:PATH")
+    spec.add("--weights", help=WEIGHTS_HELP)
     spec.add("--estimator", choices=("conditional", "realized"),
              help="profit estimator (default: conditional, replay: realized)")
     add_common(spec)
@@ -840,7 +840,7 @@ def build_parser() -> argparse.ArgumentParser:
     spec = new_sub("vi", "Optimal dispatch by value iteration plus an episode heatmap.", cmd_vi)
     add_instance_flags(spec)
     spec.add("--arrivals", help="uniform:p or model:FILE")
-    spec.add("--weights", default="const:1", help="const:X, distance, or file:PATH")
+    spec.add("--weights", help=WEIGHTS_HELP)
     spec.add("--discount", type=float, default=0.9, help="discount factor in (0,1)")
     spec.add("--tol", type=float, default=1e-8, help="sup-norm convergence tolerance")
     spec.add("--cap", type=int, default=100_000, help="augmented state cap")

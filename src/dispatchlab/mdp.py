@@ -10,6 +10,7 @@ per-location activity measures used for occupancy heatmaps.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -68,6 +69,11 @@ class MdpInstance:
         slot = action - 2
         return nbrs[slot] if slot < len(nbrs) else None
 
+    @cached_property
+    def action_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only (next ranks, rewards) of ``_action_tables``, built on first use."""
+        return _action_tables(self)
+
     def request_probs(self) -> np.ndarray:
         """Arrival law over augmented request slots; the last slot is no-request."""
         q = np.empty(self.n_requests + 1)
@@ -92,30 +98,33 @@ class ViResult:
 
 
 def _action_tables(instance: MdpInstance):
-    """Next-placement ranks and rewards for every (request, action, placement)."""
+    """Next-placement ranks and rewards for every (request, action, placement).
+
+    Each (request, action) pair fills its row for every placement at once.
+    """
     space = instance.space
     c = instance.c
     n = instance.grid.n
-    size = space.size
     R = instance.n_requests
     A = instance.n_actions
     w = instance.model.w.astype(float)
-    nxt = np.empty((R + 1, A, size), dtype=np.int64)
-    rew = np.zeros((R + 1, A, size))
-    states = [space.unrank(i) for i in range(size)]
-    identity = np.arange(size, dtype=np.int64)
-    nxt[:] = identity
+    arr = space.as_array()
+    nxt = np.empty((R + 1, A, space.size), dtype=np.int64)
+    rew = np.zeros((R + 1, A, space.size))
+    nxt[:] = np.arange(space.size, dtype=np.int64)
     for r in range(R):
         u, v = divmod(r, n)
         for a in range(1, A):
             k = instance.action_location(r, a)
             if k is None:
                 continue
-            for i, x in enumerate(states):
-                if can_serve(x, k, v, c):
-                    rew[r, a, i] = w[u, v]
-                    if k != v:
-                        nxt[r, a, i] = space.move_rank(x, k, v)
+            ok = (arr[:, k] >= 1) & ((k == v) | (arr[:, v] < c))
+            rew[r, a, ok] = w[u, v]
+            if k != v:
+                moving = np.flatnonzero(ok)
+                nxt[r, a, moving] = space.move_ranks(moving, k, v)
+    nxt.flags.writeable = False
+    rew.flags.writeable = False
     return nxt, rew
 
 
@@ -126,7 +135,7 @@ def value_iteration(instance: MdpInstance, tol: float = 1e-8, max_sweeps: int = 
     maximizes reward plus discounted continuation over actions for every
     augmented state.
     """
-    nxt, rew = _action_tables(instance)
+    nxt, rew = instance.action_tables
     q = instance.request_probs()
     gamma = instance.discount
     size = instance.space.size
@@ -149,7 +158,7 @@ def value_iteration(instance: MdpInstance, tol: float = 1e-8, max_sweeps: int = 
 
 def bellman_residual(instance: MdpInstance, values: np.ndarray) -> float:
     """Sup-norm defect of one optimal backup applied to a value table."""
-    nxt, rew = _action_tables(instance)
+    nxt, rew = instance.action_tables
     q = instance.request_probs()
     vbar = values @ q
     Q = rew + instance.discount * vbar[nxt]
@@ -162,7 +171,7 @@ def policy_value(instance: MdpInstance, policy: np.ndarray) -> np.ndarray:
     The augmented chain under a fixed policy factorizes through the
     post-action placement, so the system solved is placement-sized.
     """
-    nxt, rew = _action_tables(instance)
+    nxt, rew = instance.action_tables
     q = instance.request_probs()
     size = instance.space.size
     R = instance.n_requests

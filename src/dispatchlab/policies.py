@@ -204,6 +204,41 @@ def serving_location(state: Sequence[int], origin: int, policy: PolicySpec, grid
     return None
 
 
+def serving_table(states: np.ndarray, policy: PolicySpec, grid: Grid) -> np.ndarray:
+    """serving_location of rand or greedy for every (state, origin); -1 where none serves.
+
+    ``states`` is a (batch, n) count array; the result has the same shape.
+    nadap has no table, since its serving location depends on the probe coin.
+    """
+    if policy.kind == "nadap":
+        raise ValueError("nadap's serving location depends on its probe coin")
+    occ = states >= 1
+    batch = len(states)
+    out = np.full(states.shape, -1, dtype=np.int64)
+    for u in range(grid.n):
+        if policy.kind == "rand":
+            chosen = np.where(occ[:, u], u, -1)
+            for k in rand_scan_order(grid, u, policy.phi):
+                chosen = np.where((chosen < 0) & occ[:, k], k, chosen)
+        else:
+            nbrs = np.array(grid.neighbors(u), dtype=np.int64)
+            if policy.origin_first:
+                if len(nbrs):
+                    counts = states[:, nbrs]
+                    best = nbrs[np.argmax(counts, axis=1)]
+                    fallback = np.where(counts.max(axis=1) >= 1, best, -1)
+                else:
+                    fallback = np.full(batch, -1, dtype=np.int64)
+                chosen = np.where(occ[:, u], u, fallback)
+            else:
+                cols = np.concatenate(([u], nbrs))
+                counts = states[:, cols]
+                best = cols[np.argmax(counts, axis=1)]
+                chosen = np.where(counts.max(axis=1) >= 1, best, -1)
+        out[:, u] = chosen
+    return out
+
+
 def dispatch(
     state: Sequence[int],
     request: tuple[int, int],

@@ -7,6 +7,7 @@ vectors and addressed by dense ranks, so exact chains can use array rows.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -82,6 +83,8 @@ class StateSpace:
                 "use the Monte-Carlo simulator for instances this large"
             )
         self._array: np.ndarray | None = None
+        self._prefix_table: np.ndarray | None = None
+        self._moves: tuple | None = None
 
     @property
     def n(self) -> int:
@@ -124,13 +127,97 @@ class StateSpace:
         return tuple(out)
 
     def as_array(self) -> np.ndarray:
-        """Dense (size, n) int32 table of all states, cached."""
+        """Dense (size, n) int32 table of all states in rank order, cached.
+
+        Built one location at a time: every prefix, in lexicographic order,
+        is extended by each count the remaining locations can complete.
+        """
         if self._array is None:
-            arr = np.empty((self.size, self.n), dtype=np.int32)
-            for i in range(self.size):
-                arr[i] = self.unrank(i)
+            n, c = self.n, self.c
+            arr = np.zeros((1, 0), dtype=np.int32)
+            rem = np.array([self.m])
+            for i in range(n):
+                lo = np.maximum(rem - c * (n - i - 1), 0)
+                width = np.minimum(rem, c) - lo + 1
+                parent = np.repeat(np.arange(len(rem)), width)
+                start = np.cumsum(width) - width
+                t = np.arange(len(parent)) - np.repeat(start - lo, width)
+                arr = np.column_stack([arr[parent], t]).astype(np.int32)
+                rem = rem[parent] - t
             self._array = arr
         return self._array
+
+    def _prefix(self) -> np.ndarray:
+        """Prefix table R[i, rem, t], cached: the rank offset of t drivers at location i.
+
+        R[i, rem, t] counts the ways to fill locations i.. with rem drivers
+        while putting fewer than t at i, so rank(x) is the sum of
+        R[i, rem_i, x_i] with rem_i the drivers not placed before i.  Entries
+        above ``size`` are unreachable and clipped so the table fits int64;
+        the extra plane rem = m + 1 (also what index -1 reads) stays zero.
+        """
+        if self._prefix_table is None:
+            n, m, c = self.n, self.m, self.c
+            table = self._table
+            R = np.zeros((n, m + 2, c + 1), dtype=np.int64)
+            for i in range(n):
+                for rem in range(m + 1):
+                    acc = 0
+                    for t in range(1, c + 1):
+                        if rem - t + 1 >= 0:
+                            acc += table[i + 1][rem - t + 1]
+                        R[i, rem, t] = min(acc, self.size)
+            self._prefix_table = R
+        return self._prefix_table
+
+    def ranks(self, counts: np.ndarray) -> np.ndarray:
+        """Ranks of a (batch, n) array of valid states, vectorized ``rank``."""
+        counts = np.asarray(counts)
+        rem = self.m - np.cumsum(counts, axis=1) + counts
+        return self._prefix()[np.arange(self.n), rem, counts].sum(axis=1)
+
+    def _move_tables(self):
+        """Per-state remainders and running rank shifts that ``move_ranks`` reads, cached.
+
+        shift[1, s, i] (shift[0, s, i]) sums, over locations before i, the
+        change in state s's rank terms when one more (one fewer) driver is
+        left to place there.
+        """
+        if self._moves is None:
+            R = self._prefix()
+            X = self.as_array()
+            cols = np.arange(self.n)
+            rem = self.m - np.cumsum(X, axis=1, dtype=np.int64) + X
+            base = R[cols, rem, X]
+            shift = np.zeros((2, self.size, self.n + 1), dtype=np.int64)
+            np.cumsum(R[cols, rem - 1, X] - base, axis=1, out=shift[0, :, 1:])
+            np.cumsum(R[cols, rem + 1, X] - base, axis=1, out=shift[1, :, 1:])
+            self._moves = (rem, shift)
+        return self._moves
+
+    def move_ranks(self, idx, u, v) -> np.ndarray:
+        """Ranks after moving one driver u -> v (u != v) in the states ranked ``idx``.
+
+        Vectorized ``move_rank``: ``u`` and ``v`` are locations or arrays
+        aligned with ``idx``, and every state must hold a driver at u and
+        have room at v.  Only the terms of locations between u and v change:
+        the two endpoints take new counts, and the locations strictly
+        between see one driver more (u < v) or fewer left to place, which is
+        a difference of running sums.  Each rank costs O(1).
+        """
+        R = self._prefix()
+        X = self.as_array()
+        rem, shift = self._move_tables()
+        idx = np.asarray(idx, dtype=np.int64)
+        xu, xv, ru, rv = X[idx, u], X[idx, v], rem[idx, u], rem[idx, v]
+        fwd = np.asarray(u < v, dtype=np.int64)
+        between = shift[fwd, idx, np.maximum(u, v)] - shift[fwd, idx, np.minimum(u, v) + 1]
+        return (
+            idx
+            + R[u, ru - 1 + fwd, xu - 1] - R[u, ru, xu]
+            + R[v, rv + fwd, xv + 1] - R[v, rv, xv]
+            + between
+        )
 
     def __iter__(self) -> Iterator[tuple[int, ...]]:
         for i in range(self.size):
@@ -152,25 +239,48 @@ class NeighborPair(NamedTuple):
     v: int
 
 
-def neighbor_pairs(space: StateSpace) -> list[NeighborPair]:
+@dataclass(frozen=True)
+class NeighborPairs:
+    """Every one-move pair as parallel arrays, ordered by (x, u, v).
+
+    Iterating yields NeighborPair tuples of Python ints.
+    """
+
+    x: np.ndarray
+    y: np.ndarray
+    u: np.ndarray
+    v: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.x)
+
+    def __iter__(self) -> Iterator[NeighborPair]:
+        for row in zip(self.x.tolist(), self.y.tolist(), self.u.tolist(), self.v.tolist()):
+            yield NeighborPair(*row)
+
+
+def neighbor_pairs(space: StateSpace) -> NeighborPairs:
     """All ordered state pairs that differ by a single feasible driver move.
 
     The defining move may relocate a driver between any two distinct
-    locations; grid adjacency plays no role here.
+    locations; grid adjacency plays no role here.  Pairs are found one move
+    (u, v) at a time over every state with a driver at u and room at v.
     """
-    out = []
     arr = space.as_array()
     n, c = space.n, space.c
-    for ix in range(space.size):
-        x = arr[ix]
-        occupied = [u for u in range(n) if x[u] >= 1]
-        roomy = [v for v in range(n) if x[v] < c]
-        for u in occupied:
-            for v in roomy:
-                if v == u:
-                    continue
-                y = x.copy()
-                y[u] -= 1
-                y[v] += 1
-                out.append(NeighborPair(ix, space.rank(y.tolist()), u, v))
-    return out
+    occupied = [np.flatnonzero(arr[:, u] >= 1) for u in range(n)]
+    none = np.empty(0, dtype=np.int64)
+    xs, ys, moves, counts = [none], [none], [], []
+    for u in range(n):
+        for v in range(n):
+            if v == u:
+                continue
+            idx = occupied[u][arr[occupied[u], v] < c]
+            xs.append(idx)
+            ys.append(space.move_ranks(idx, u, v))
+            moves.append(u * n + v)
+            counts.append(len(idx))
+    x = np.concatenate(xs)
+    order = np.argsort(x, kind="stable")
+    u, v = np.divmod(np.repeat(np.array(moves, dtype=np.int64), counts)[order], n)
+    return NeighborPairs(x[order], np.concatenate(ys)[order], u, v)

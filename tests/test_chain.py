@@ -1,6 +1,5 @@
 """Exact chain construction, stationary analysis, mixing, and closed forms."""
 
-import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -8,7 +7,6 @@ import pytest
 
 from dispatchlab.chain import (
     MIXING_SIZE_LIMIT,
-    OccupancyPairChain,
     TransitionMatrix,
     build_occupancy_pair_chain,
     build_transition_from_policy,

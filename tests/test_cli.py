@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from dispatchlab.cli import main
+from dispatchlab.grid import build_grid, uniform_request_model
 
 
 def run(args, tmp_path, sub=None):
@@ -311,3 +312,19 @@ def test_weights_flag_changes_objective(tmp_path):
     code, out3 = run(EXACT_ARGS + ["--weights", "distance"], tmp_path, "dist")
     assert code == 0
     assert abs(read_json(out3 / "report.json")["objective"] - 0.4) < 1e-10
+
+
+def test_explicit_unit_weights_override_model_file(tmp_path):
+    grid = build_grid(2, 2)
+    model_path = tmp_path / "model.csv"
+    uniform_request_model(grid, 0.0625, weights=3.0).to_csv(model_path)
+    args = ["exact", "--grid", "2x2", "--drivers", "2", "--capacity", "2",
+            "--arrivals", f"model:{model_path}", "--policy", "nadap:0.8"]
+    # unset, the model file keeps its own weights: three times the unit objective
+    code, out = run(args, tmp_path, "own")
+    assert code == 0
+    assert abs(read_json(out / "report.json")["objective"] - 1.2) < 1e-10
+    # an explicit const:1 is a value like any other and replaces them
+    code, out = run(args + ["--weights", "const:1"], tmp_path, "unit")
+    assert code == 0
+    assert abs(read_json(out / "report.json")["objective"] - 0.4) < 1e-10

@@ -3,11 +3,9 @@
 import math
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from dispatchlab.coupling import (
-    CouplingReport,
     apply_request,
     coupled_step_distribution,
     pair_distance,

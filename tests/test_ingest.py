@@ -5,7 +5,6 @@ import datetime as dt
 import hashlib
 import random
 
-import numpy as np
 import pytest
 
 from dispatchlab.errors import SchemaError

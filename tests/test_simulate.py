@@ -9,7 +9,6 @@ import pytest
 from dispatchlab.chain import (
     build_transition_nadap,
     exact_error_curves,
-    limiting_objective,
     stationary_distribution,
 )
 from dispatchlab.errors import FitFailureError
