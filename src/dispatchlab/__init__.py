@@ -15,10 +15,8 @@ from .chain import (
     StationaryResult,
     TransitionMatrix,
     build_occupancy_pair_chain,
+    build_transition,
     build_transition_from_policy,
-    build_transition_greedy,
-    build_transition_nadap,
-    build_transition_rand,
     check_aperiodic,
     check_irreducible,
     exact_error_curves,
@@ -101,10 +99,8 @@ __all__ = [
     "build_grid",
     "build_occupancy_pair_chain",
     "build_replay",
+    "build_transition",
     "build_transition_from_policy",
-    "build_transition_greedy",
-    "build_transition_nadap",
-    "build_transition_rand",
     "check_aperiodic",
     "check_irreducible",
     "dispatch",

@@ -19,13 +19,15 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
 from .errors import HorizonTooShortError, IterationLimitError, SizeLimitError
-from .grid import Grid, RequestModel
+from .grid import RequestModel
 from .policies import (
+    SLOTS,
     PolicySpec,
     can_serve,
     nadap_probe_weights,
+    policy_table,
     serving_location,
-    serving_table,
+    step_profit,
 )
 from .states import StateSpace, neighbor_pairs
 
@@ -64,7 +66,8 @@ class TransitionMatrix:
         off-diagonal mass, summed in the order the entries are given.
         """
         keep = val != 0
-        src, dst, val = src[keep], dst[keep], val[keep]
+        if not keep.all():
+            src, dst, val = src[keep], dst[keep], val[keep]
         _, one = _zero_one(exact)
         diag = one - _row_totals(src, val, space.size, exact)
         every = np.arange(space.size, dtype=np.int64)
@@ -154,118 +157,68 @@ def _finish_rows(space: StateSpace, off_rows: list[dict], exact: bool) -> list[d
     return rows
 
 
-def probe_rate_matrix(grid: Grid, model: RequestModel, alpha, boundary: str = "renormalize"):
-    """Per-round rate q[u, v] of a successful probe moving a driver from u to v.
+def build_transition(space: StateSpace, model: RequestModel, policy: PolicySpec) -> TransitionMatrix:
+    """Exact chain of any policy, read off its policy table.
 
-    A driver at u is asked to serve destination v when the request (u, v)
-    arrives and the origin probe fires, or when a request (k, v) arrives at
-    a neighbor k of u and the neighbor probe lands on u.  The landing
-    weight is (1 - alpha) split over k's in-grid neighbors (renormalize
-    boundary) or (1 - alpha)/4 per compass direction (lost boundary).
-    """
-    n = grid.n
-    exact = model.exact and isinstance(alpha, Fraction)
-    zero, one = _zero_one(exact)
-    rest = one - alpha
-    q = [[zero] * n for _ in range(n)]
-    for u in range(n):
-        for v in range(n):
-            acc = alpha * model.p[u, v]
-            for k in grid.neighbors(u):
-                wgt = rest / len(grid.neighbors(k)) if boundary == "renormalize" else rest / 4
-                acc = acc + wgt * model.p[k, v]
-            q[u][v] = acc
-    return q
-
-
-def build_transition_nadap(
-    space: StateSpace, model: RequestModel, alpha, boundary: str = "renormalize"
-) -> TransitionMatrix:
-    """Exact chain of the origin-probing policy, assembled from per-pair probe rates.
-
-    Probe rates are state-independent, so the off-diagonal entry of every
-    feasible one-move pair (x, y) via u -> v is exactly q[u, v].
-    """
-    if not (0 < float(alpha) <= 1):
-        raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
-    exact = model.exact and isinstance(alpha, Fraction)
-    q = probe_rate_matrix(space.grid, model, alpha, boundary)
-    q = np.array(q, dtype=object if exact else float)
-    pairs = neighbor_pairs(space)
-    spec = PolicySpec("nadap", alpha=float(alpha), boundary=boundary)
-    return TransitionMatrix.from_off_diagonal(
-        space, pairs.x, pairs.y, q[pairs.u, pairs.v], spec, exact
-    )
-
-
-def build_transition_rand(space: StateSpace, model: RequestModel, phi) -> TransitionMatrix:
-    """Exact chain of the fixed-scan policy via its supportive-origin mass.
-
-    The entry of a one-move pair (x, y) via u -> v collects the request
-    mass the scan is certain to route through u: requests originating at u
-    itself (u is occupied in x by construction) plus requests from each
-    neighbor k of u, clockwise from North, that the serving table routes
-    to u in x (k is empty and its scan reaches u before any other
-    occupied location).
+    Every one-move pair (x, y) via k -> v collects p[u, v] times the weight
+    with which origin u is served from k in x, over the origins u in k's
+    closed neighborhood in ascending order, as build_transition_from_policy
+    adds them request by request.  Each row's diagonal sums the row's
+    entries in the order that builder first reaches them: by (first
+    origin, v, slot).  The result equals that builder's entry for entry.
     """
     grid = space.grid
-    spec = PolicySpec("rand", phi=tuple(phi))
-    serving = serving_table(space.as_array(), spec, grid)
+    n = grid.n
+    exact = model.exact and (policy.kind != "nadap" or isinstance(policy.alpha, Fraction))
+    dtype = object if exact else float
+    loc, wgt = policy_table(space.as_array(), policy, grid)
+    origins = np.full((n, SLOTS), -1, dtype=np.int64)
+    for k in range(n):
+        origins[k, : 1 + len(grid.neighbors(k))] = sorted(grid.closed_neighborhood(k))
+    near = np.maximum(origins, 0)
+    # hits[b, k, j, s]: slot s of origin origins[k, j] serves from k in state b; at most one s does
+    hits = (origins >= 0)[:, :, None] & (loc[:, near] == np.arange(n)[:, None, None])
+    land = np.where(hits, wgt[:, near], 0).sum(axis=3).astype(dtype)
+    slot = hits.argmax(axis=3)
     pairs = neighbor_pairs(space)
-    p = model.p
-    mass = p[pairs.u, pairs.v]
-    nbrs = np.full((grid.n, 4), -1, dtype=np.int64)
-    for u in range(grid.n):
-        nbrs[u, : len(grid.neighbors(u))] = grid.neighbors(u)
-    for slot in range(4):
-        k = nbrs[pairs.u, slot]
-        routed = (k >= 0) & (serving[pairs.x, k] == pairs.u)
-        mass = mass + np.where(routed, p[k, pairs.v], 0)
-    return TransitionMatrix.from_off_diagonal(space, pairs.x, pairs.y, mass, spec, model.exact)
+    if len(loc) > 1:  # the slots depend on the state: one entry per pair
+        b, k, v, at = pairs.x, pairs.u, pairs.v, slice(None)
+    else:  # state-independent slots: one entry per move k -> v, shared by every pair making it
+        k, v = np.divmod(np.arange(n * n), n)
+        b, at = 0, pairs.u * n + pairs.v
+    val, minor = _entries(model.p.astype(dtype), land, slot, origins, b, k, v)
+    # a row's diagonal adds its entries in the order the definitional builder first reaches them
+    order = np.argsort(pairs.x * (n * n * SLOTS) + minor[at])
+    src, dst, val = pairs.x[order], pairs.y[order], val[at][order]
+    del pairs, order, minor  # pair-sized arrays; free them before the kernel is assembled
+    return TransitionMatrix.from_off_diagonal(space, src, dst, val, policy, exact)
 
 
-def build_transition_greedy(
-    space: StateSpace, model: RequestModel, origin_first: bool = True
-) -> TransitionMatrix:
-    """Exact chain of the count-greedy policy, read off its serving table.
+def _entries(p, land, slot, origins, b, k, v):
+    """Kernel entries of moves k -> v in states b, with a key ordering each row's entries.
 
-    Mirrors build_transition_from_policy one request (u, v) at a time over
-    every state at once: the serving table names k, and a feasible move
-    k -> v adds p[u, v] to the entry of x -> move(x, k, v).  Each entry
-    sums its requests in (u, v) order, and each row's diagonal sums the
-    entries in the order the requests first reach them, as the
-    definitional builder does.
+    An entry adds p[u, v] * land[b, k, j] over the origins u = origins[k, j]
+    in ascending order; the key is (first origin, v, slot) of the first
+    request-slot with a nonzero term.
     """
-    spec = PolicySpec("greedy", origin_first=origin_first)
-    arr = space.as_array()
-    size, c = space.size, space.c
-    serving = serving_table(arr, spec, space.grid)
-    none = np.empty(0, dtype=np.int64)
-    src, dst, val = [none], [none], [np.empty(0, dtype=model.p.dtype)]
-    for u, v in model.pairs():
-        k = serving[:, u]
-        idx = np.flatnonzero((k >= 0) & (k != v) & (arr[:, v] < c))
-        src.append(idx)
-        dst.append(space.move_ranks(idx, k[idx], v))
-        val.append(np.full(len(idx), model.p[u, v], dtype=model.p.dtype))
-    src = np.concatenate(src)
-    order = np.argsort(src, kind="stable")
-    key = src[order] * size + np.concatenate(dst)[order]
-    entries, first, which = np.unique(key, return_index=True, return_inverse=True)
-    mass = _row_totals(which, np.concatenate(val)[order], len(entries), model.exact)
-    by_first = np.argsort(first)
-    entries = entries[by_first]
-    return TransitionMatrix.from_off_diagonal(
-        space, entries // size, entries % size, mass[by_first], spec, model.exact
-    )
+    n = len(p)
+    kv, bk = k * n + v, b * n + k
+    val = np.zeros(len(k), dtype=p.dtype)
+    first = np.full(len(k), SLOTS)
+    for j in range(SLOTS):
+        term = p[origins[:, j]].ravel()[kv] * land[:, :, j].ravel()[bk]
+        val = val + term
+        first[(term != 0) & (first == SLOTS)] = j
+    first = np.minimum(first, SLOTS - 1)
+    return val, (origins.ravel()[k * SLOTS + first] * n + v) * SLOTS + slot.ravel()[bk * SLOTS + first]
 
 
 def build_transition_from_policy(space: StateSpace, model: RequestModel, policy: PolicySpec) -> TransitionMatrix:
     """Definitional chain builder: accumulate every request's dispatch outcome.
 
-    Slower than the array builders but policy-agnostic; it is the
-    reference the nadap, rand and greedy builders are tested against, and
-    nothing outside the tests calls it.
+    Slower than build_transition but stated request by request through
+    serving_location; it is the reference build_transition is tested
+    against, and nothing outside the tests calls it.
     """
     grid = space.grid
     c = space.c
@@ -587,43 +540,6 @@ def mixing_analysis(
 # Per-state expected profit and limiting objectives
 
 
-def esp_profile(space: StateSpace, model: RequestModel, policy: PolicySpec) -> np.ndarray:
-    """Expected one-round profit of every state, as a dense float vector.
-
-    Matches expected_step_profit pointwise; vectorized over states so exact
-    curves and objectives stay cheap on enumerated spaces.
-    """
-    grid = space.grid
-    n = grid.n
-    c = space.c
-    arr = space.as_array()
-    occ = arr >= 1
-    out = np.zeros(space.size)
-    if policy.kind == "nadap":
-        for u in range(n):
-            for k, wgt in nadap_probe_weights(grid, u, policy.alpha, policy.boundary):
-                if k is None or wgt == 0:
-                    continue
-                for v in range(n):
-                    coef = model.p[u, v] * model.w[u, v] * wgt
-                    if coef == 0:
-                        continue
-                    mask = occ[:, k] if k == v else occ[:, k] & (arr[:, v] < c)
-                    out += float(coef) * mask
-        return out
-    serving = serving_table(arr, policy, grid)
-    for u in range(n):
-        sv = serving[:, u]
-        has = sv >= 0
-        for v in range(n):
-            coef = model.p[u, v] * model.w[u, v]
-            if coef == 0:
-                continue
-            ok = has & ((sv == v) | (arr[:, v] < c))
-            out += float(coef) * ok
-    return out
-
-
 def limiting_objective(stationary: StationaryResult, model: RequestModel, policy: PolicySpec):
     """Long-run per-round profit under the stationary law of the policy's chain.
 
@@ -651,7 +567,8 @@ def limiting_objective(stationary: StationaryResult, model: RequestModel, policy
                         served += float(wgt) * gamma[k, v]
                 total += float(coef) * served
         return total
-    esp = esp_profile(stationary.space, model, policy)
+    space = stationary.space
+    esp = step_profit(space.as_array(), model, policy, space.c)
     return float(stationary.pi @ esp)
 
 
@@ -737,7 +654,7 @@ def exact_error_curves(
     space = tm.space
     if stationary is None:
         stationary = stationary_distribution(tm)
-    esp = esp_profile(space, model, policy)
+    esp = step_profit(space.as_array(), model, policy, space.c)
     limit = float(stationary.pi @ esp)
     P = tm.to_csr()
     mu = np.zeros(space.size)

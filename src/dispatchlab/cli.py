@@ -30,9 +30,8 @@ import numpy as np
 from . import __version__, ingest
 from .chain import (
     MIXING_SIZE_LIMIT,
-    build_transition_greedy,
-    build_transition_nadap,
-    build_transition_rand,
+    MixingReport,
+    build_transition,
     check_aperiodic,
     check_irreducible,
     limiting_objective,
@@ -43,8 +42,15 @@ from .chain import (
 from .coupling import verify_contraction
 from .errors import DispatchLabError
 from .grid import RequestModel, build_grid, distance_weights, uniform_request_model
-from .mdp import MdpInstance, bellman_residual, simulate_optimal_episode, value_iteration
-from .policies import PolicySpec, parse_policy
+from .mdp import (
+    DEFAULT_DISCOUNT,
+    DEFAULT_STATE_CAP,
+    MdpInstance,
+    bellman_residual,
+    simulate_optimal_episode,
+    value_iteration,
+)
+from .policies import parse_policy
 from .rng import stream
 from .simulate import (
     SimConfig,
@@ -239,14 +245,6 @@ def resolve_init(spec: str, grid, m: int, c: int) -> tuple[int, ...]:
     return parse_state(spec)
 
 
-def build_chain(space: StateSpace, model: RequestModel, policy: PolicySpec):
-    if policy.kind == "nadap":
-        return build_transition_nadap(space, model, policy.alpha, policy.boundary)
-    if policy.kind == "rand":
-        return build_transition_rand(space, model, policy.phi)
-    return build_transition_greedy(space, model, policy.origin_first)
-
-
 # ---------------------------------------------------------------------------
 # Config resolution: flags > config file > defaults
 
@@ -391,11 +389,21 @@ def add_chain_flags(spec: SubSpec) -> None:
     spec.add("--tmax", type=int, default=100_000, help="mixing horizon cap")
 
 
+def write_mixing(outdir: Path, mixing: MixingReport, report: dict) -> str:
+    """Write mixing.csv and add the tau and envelope keys to ``report``."""
+    write_csv(outdir / "mixing.csv", ["t", "d_t"], ((t, g17(d)) for t, d in enumerate(mixing.d_curve)))
+    report["tau"] = {g17(e): t for e, t in sorted(mixing.tau.items())}
+    if mixing.envelope is not None:
+        report["envelope"] = {"C": mixing.envelope[0], "beta": mixing.envelope[1]}
+        report["under_envelope"] = mixing.under_envelope()
+    return "mixing.csv"
+
+
 def cmd_exact(ns, argv) -> int:
     options = resolve_options(ns, ns.spec)
     grid, m, c, policy, model, _trace, inputs = resolve_instance(options, "exact")
     space = StateSpace(grid, m, c)
-    tm = build_chain(space, model, policy)
+    tm = build_transition(space, model, policy)
     stat = stationary_distribution(tm)
     objective = float(limiting_objective(stat, model, policy))
     irreducible = check_irreducible(tm)
@@ -423,22 +431,12 @@ def cmd_exact(ns, argv) -> int:
         "method": stat.method,
         "policy": policy.label(),
     }
-    uniform = options["arrivals"].startswith("uniform:")
-    envelope = uniform_decay_envelope(grid.n, m) if uniform else None
     if space.size <= MIXING_SIZE_LIMIT:
+        envelope = uniform_decay_envelope(grid.n, m) if options["arrivals"].startswith("uniform:") else None
         mixing = mixing_analysis(
             tm, stat.pi, parse_epsilons(options["epsilons"]), options["tmax"], envelope=envelope
         )
-        write_csv(
-            outdir / "mixing.csv",
-            ["t", "d_t"],
-            ((t, g17(d)) for t, d in enumerate(mixing.d_curve)),
-        )
-        outputs.append("mixing.csv")
-        report["tau"] = {g17(e): t for e, t in sorted(mixing.tau.items())}
-        if envelope is not None:
-            report["envelope"] = {"C": envelope[0], "beta": envelope[1]}
-            report["under_envelope"] = mixing.under_envelope()
+        outputs.append(write_mixing(outdir, mixing, report))
     else:
         report["mixing"] = f"skipped: {space.size} states exceed the exhaustive limit"
     outputs.append(write_report(outdir, "report", report, options["format"]))
@@ -452,7 +450,7 @@ def cmd_mixing(ns, argv) -> int:
     options = resolve_options(ns, ns.spec)
     grid, m, c, policy, model, _trace, inputs = resolve_instance(options, "mixing")
     space = StateSpace(grid, m, c)
-    tm = build_chain(space, model, policy)
+    tm = build_transition(space, model, policy)
     stat = stationary_distribution(tm)
     start_ranks = None
     if options["starts"] is not None:
@@ -461,8 +459,7 @@ def cmd_mixing(ns, argv) -> int:
             raise ValueError(f"--starts must lie in [1, {space.size}]")
         seed = resolve_seed(options)
         start_ranks = stream(seed, 7).choice(space.size, size=k, replace=False)
-    uniform = options["arrivals"].startswith("uniform:")
-    envelope = uniform_decay_envelope(grid.n, m) if uniform else None
+    envelope = uniform_decay_envelope(grid.n, m) if options["arrivals"].startswith("uniform:") else None
     mixing = mixing_analysis(
         tm,
         stat.pi,
@@ -472,23 +469,13 @@ def cmd_mixing(ns, argv) -> int:
         envelope=envelope,
     )
     outdir = make_outdir(options)
-    outputs = []
-    write_csv(
-        outdir / "mixing.csv",
-        ["t", "d_t"],
-        ((t, g17(d)) for t, d in enumerate(mixing.d_curve)),
-    )
-    outputs.append("mixing.csv")
     report = {
         "states": space.size,
-        "tau": {g17(e): t for e, t in sorted(mixing.tau.items())},
         "exhaustive": mixing.exhaustive,
         "start_count": mixing.start_count,
         "policy": policy.label(),
     }
-    if envelope is not None:
-        report["envelope"] = {"C": envelope[0], "beta": envelope[1]}
-        report["under_envelope"] = mixing.under_envelope()
+    outputs = [write_mixing(outdir, mixing, report)]
     outputs.append(write_report(outdir, "report", report, options["format"]))
     finish_run(outdir, "mixing", argv, options, outputs, inputs)
     taus = ", ".join(f"tau({e})={t}" for e, t in report["tau"].items())
@@ -569,7 +556,7 @@ def cmd_simulate(ns, argv) -> int:
         try:
             space = StateSpace(grid, m, c)
             if space.size <= MIXING_SIZE_LIMIT:
-                stat = stationary_distribution(build_chain(space, model, policy))
+                stat = stationary_distribution(build_transition(space, model, policy))
                 target = float(limiting_objective(stat, model, policy))
                 target_note = "exact stationary objective"
         except DispatchLabError:
@@ -841,9 +828,9 @@ def build_parser() -> argparse.ArgumentParser:
     add_instance_flags(spec)
     spec.add("--arrivals", help="uniform:p or model:FILE")
     spec.add("--weights", help=WEIGHTS_HELP)
-    spec.add("--discount", type=float, default=0.9, help="discount factor in (0,1)")
+    spec.add("--discount", type=float, default=DEFAULT_DISCOUNT, help="discount factor in (0,1)")
     spec.add("--tol", type=float, default=1e-8, help="sup-norm convergence tolerance")
-    spec.add("--cap", type=int, default=100_000, help="augmented state cap")
+    spec.add("--cap", type=int, default=DEFAULT_STATE_CAP, help="augmented state cap")
     spec.add("--periods", type=int, default=1000, help="episode length")
     spec.add("--seed", type=int, help="episode seed")
     spec.add("--init", help="episode start: adversarial, spread, counts, or a file")

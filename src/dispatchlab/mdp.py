@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import SizeLimitError
 from .grid import Grid, RequestModel
-from .policies import PolicySpec, can_serve, dispatch
+from .policies import PolicySpec, can_serve, serving_location
 from .rng import stream
 from .simulate import initial_state_preset
 from .states import StateSpace
@@ -339,19 +339,14 @@ def compare_policies(
     """
     space = instance.space
     grid = instance.grid
-    model = instance.model
-    c = instance.c
 
     def optimal_act(counts, r, _rng):
         return instance.action_location(r, int(result.policy[space.rank(counts), r]))
 
     def baseline_act(policy):
-        n = grid.n
-
         def act(counts, r, coin_rng):
-            u, v = divmod(r, n)
-            out = dispatch(counts, (u, v), model, policy, c, rng=coin_rng)
-            return out.chosen
+            coin = coin_rng.random() if policy.kind == "nadap" else None
+            return serving_location(counts, r // grid.n, policy, grid, coin)
 
         return act
 

@@ -1,4 +1,4 @@
-"""Dispatch policies: probing rules, single-request outcomes, and exact per-state profit.
+"""Dispatch policies: the serving rule, its array table, and exact per-state profit.
 
 All policies see a request ``(u, v)`` and pick a serving location near the
 origin ``u``.  A dispatch from serving location ``k`` succeeds when ``k``
@@ -204,39 +204,77 @@ def serving_location(state: Sequence[int], origin: int, policy: PolicySpec, grid
     return None
 
 
-def serving_table(states: np.ndarray, policy: PolicySpec, grid: Grid) -> np.ndarray:
-    """serving_location of rand or greedy for every (state, origin); -1 where none serves.
+#: Slots of a policy table per (state, origin): at most the origin and its four neighbors.
+SLOTS = 5
 
-    ``states`` is a (batch, n) count array; the result has the same shape.
-    nadap has no table, since its serving location depends on the probe coin.
+#: Rough element budget of one step_profit chunk of (states, origins, destinations).
+_PROFIT_CHUNK = 1 << 18
+
+
+def policy_table(states: np.ndarray, policy: PolicySpec, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """Every policy's serving choice as arrays of (location, weight) slots.
+
+    Returns ``(loc, wgt)`` of shape (batch, n, slots): a request from origin
+    u in state b is served from ``loc[b, u, s]`` (-1 for none) with
+    probability ``wgt[b, u, s]``.  rand and greedy have one slot of weight
+    1, serving_location's choice in each state of the (batch, n) count
+    array ``states``.  nadap's slots are its probe weights without the
+    off-grid mass; they ignore the counts, so its batch axis has length 1.
     """
+    n = grid.n
     if policy.kind == "nadap":
-        raise ValueError("nadap's serving location depends on its probe coin")
-    occ = states >= 1
-    batch = len(states)
-    out = np.full(states.shape, -1, dtype=np.int64)
-    for u in range(grid.n):
-        if policy.kind == "rand":
-            chosen = np.where(occ[:, u], u, -1)
-            for k in rand_scan_order(grid, u, policy.phi):
-                chosen = np.where((chosen < 0) & occ[:, k], k, chosen)
-        else:
-            nbrs = np.array(grid.neighbors(u), dtype=np.int64)
-            if policy.origin_first:
-                if len(nbrs):
-                    counts = states[:, nbrs]
-                    best = nbrs[np.argmax(counts, axis=1)]
-                    fallback = np.where(counts.max(axis=1) >= 1, best, -1)
-                else:
-                    fallback = np.full(batch, -1, dtype=np.int64)
-                chosen = np.where(occ[:, u], u, fallback)
-            else:
-                cols = np.concatenate(([u], nbrs))
-                counts = states[:, cols]
-                best = cols[np.argmax(counts, axis=1)]
-                chosen = np.where(counts.max(axis=1) >= 1, best, -1)
-        out[:, u] = chosen
-    return out
+        loc = np.full((1, n, SLOTS), -1, dtype=np.int64)
+        wgt = np.zeros((1, n, SLOTS), dtype=object if isinstance(policy.alpha, Fraction) else float)
+        for u in range(n):
+            probes = nadap_probe_weights(grid, u, policy.alpha, policy.boundary)
+            for s, (k, w) in enumerate((k, w) for k, w in probes if k is not None):
+                loc[0, u, s], wgt[0, u, s] = k, w
+        return loc, wgt
+    cand = np.full((n, SLOTS), -1, dtype=np.int64)
+    for u in range(n):
+        scan = rand_scan_order(grid, u, policy.phi) if policy.kind == "rand" else grid.neighbors(u)
+        cand[u, : 1 + len(scan)] = (u, *scan)
+    score = np.where(cand >= 0, states[:, np.maximum(cand, 0)], -1)
+    if policy.kind == "rand":
+        score = score >= 1
+    elif policy.origin_first:
+        score[:, :, 0] = np.where(score[:, :, 0] >= 1, score.max() + 1, -1)
+    # the first best candidate serves: rand's scan order, greedy's neighbor order
+    pick = score.argmax(axis=2)
+    best = np.take_along_axis(score, pick[:, :, None], axis=2)[:, :, 0]
+    loc = np.where(best >= 1, cand[np.arange(n), pick], -1)[:, :, None]
+    return loc, np.ones(loc.shape, dtype=np.int64)
+
+
+def step_profit(states: np.ndarray, model: RequestModel, policy: PolicySpec, c: int) -> np.ndarray:
+    """expected_step_profit of every state in a (batch, n) count array, as floats.
+
+    Read off the policy table and summed as the scalar oracle sums: for each
+    origin the weights of the slots that can serve each destination add up
+    in slot order, then the profit terms add one at a time in (u, v) order.
+    Float models therefore give the oracle's value bit for bit; exact models
+    are summed exactly and rounded once.
+    """
+    states = np.asarray(states)
+    n = model.grid.n
+    loc, wgt = policy_table(states, policy, model.grid)
+    dtype = object if model.exact else float
+    coef = (model.p * model.w).astype(dtype)
+    dest = np.arange(n)
+    out = np.empty(len(states), dtype=dtype)
+    chunk = max(1, _PROFIT_CHUNK // (n * n))
+    for a in range(0, len(states), chunk):
+        X = states[a : a + chunk]
+        L, W = (loc, wgt) if len(loc) == 1 else (loc[a : a + chunk], wgt[a : a + chunk])
+        occupied = (L >= 0) & (X[np.arange(len(X))[:, None, None], np.maximum(L, 0)] >= 1)
+        room = (X < c)[:, None, :]
+        prob = 0
+        for s in range(L.shape[2]):
+            serves = occupied[:, :, s, None] & ((L[:, :, s, None] == dest) | room)
+            prob = prob + np.where(serves, W[:, :, s, None], 0)
+        terms = (coef * prob).reshape(len(X), n * n)
+        out[a : a + chunk] = np.cumsum(terms, axis=1)[:, -1]
+    return out.astype(float)
 
 
 def dispatch(

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import FitFailureError
 from .grid import Grid, RequestModel
-from .policies import PolicySpec, can_serve, expected_step_profit, serving_location
+from .policies import PolicySpec, can_serve, serving_location, step_profit
 from .rng import stream
 
 #: Trace entry: (round, origin, dest, weight).  Rounds may repeat (same-second
@@ -137,7 +137,7 @@ def _run_single_iid(config: SimConfig, run_idx: int, tables, esp_cache: dict) ->
         if conditional:
             esp = esp_cache.get(key)
             if esp is None:
-                esp = float(expected_step_profit(counts, model, policy, c))
+                esp = step_profit(np.array([counts]), model, policy, c)[0]
                 esp_cache[key] = esp
             profits[t] = esp
         r = int(req[t])

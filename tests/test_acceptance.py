@@ -26,9 +26,8 @@ import numpy as np
 from dispatchlab.chain import (
     TransitionMatrix,
     build_occupancy_pair_chain,
+    build_transition,
     build_transition_from_policy,
-    build_transition_nadap,
-    build_transition_rand,
     check_aperiodic,
     check_irreducible,
     exact_error_curves,
@@ -82,7 +81,7 @@ def _square_uniform_instance():
 def test_criterion_01_closed_form_limit():
     t0 = time.perf_counter()
     g, space, model = _square_uniform_instance()
-    tm = build_transition_nadap(space, model, 0.8)
+    tm = build_transition(space, model, PolicySpec("nadap", alpha=0.8))
     res = stationary_distribution(tm)
     obj = float(limiting_objective(res, model, parse_policy("nadap:0.8")))
     pi_err = float(np.abs(res.pi - 1.0 / space.size).max())
@@ -102,7 +101,7 @@ def test_criterion_01_closed_form_limit():
 
 
 def test_criterion_02_transition_construction_oracle():
-    """Closed-form row constructions equal per-request policy simulation, rationally."""
+    """The array builder's rows equal per-request policy simulation, rationally."""
     t0 = time.perf_counter()
     mismatches = []
     instances = 0
@@ -124,7 +123,7 @@ def test_criterion_02_transition_construction_oracle():
                 space = StateSpace(g, m=m, c=c)
                 instances += 1
                 for alpha in (Fraction(1, 2), Fraction(1)):
-                    fast = build_transition_nadap(space, model, alpha)
+                    fast = build_transition(space, model, PolicySpec("nadap", alpha=alpha))
                     slow = build_transition_from_policy(
                         space, model, PolicySpec("nadap", alpha=alpha)
                     )
@@ -133,7 +132,7 @@ def test_criterion_02_transition_construction_oracle():
                         mismatches.append((rows, cols, m, c, "nadap", alpha))
                     compared += 1
                 for phi in ALL_PHIS:
-                    fast = build_transition_rand(space, model, phi)
+                    fast = build_transition(space, model, PolicySpec("rand", phi=tuple(phi)))
                     slow = build_transition_from_policy(
                         space, model, PolicySpec("rand", phi=tuple(phi))
                     )
@@ -167,7 +166,7 @@ def test_criterion_03_coupling_contraction_and_mixing_bound():
                 if not (rep.p == Fraction(1, n * n) and worst <= 1 - 1 / n**2 + 1e-12):
                     failures.append(("contraction", rows, cols, c, m, worst))
                 space = StateSpace(g, m=m, c=c)
-                tm = build_transition_nadap(space, model, Fraction(1))
+                tm = build_transition(space, model, PolicySpec("nadap", alpha=Fraction(1)))
                 res = stationary_distribution(tm)
                 bound = uniform_mixing_bound(n, m, 0.01)
                 mix = mixing_analysis(tm, res.pi, [0.01], t_max=math.ceil(bound) + 1)
@@ -230,7 +229,7 @@ def test_criterion_05_profit_gap_envelopes():
     t0 = time.perf_counter()
     g, space, model = _square_uniform_instance()
     spec = parse_policy("nadap:0.8")
-    tm = build_transition_nadap(space, model, 0.8)
+    tm = build_transition(space, model, PolicySpec("nadap", alpha=0.8))
     res = stationary_distribution(tm)
     horizon = 10_001  # rounds 0..10^4 inclusive
     curves = exact_error_curves(
@@ -270,7 +269,7 @@ def test_criterion_06_monte_carlo_convergence():
     series = run_ensemble(config)
     sigma_off = abs(series.obj - 0.4) / series.obj_stderr
 
-    tm = build_transition_nadap(space, model, 0.8)
+    tm = build_transition(space, model, PolicySpec("nadap", alpha=0.8))
     res = stationary_distribution(tm)
     curves = exact_error_curves(tm, model, spec, start, 10_000, stationary=res)
     # the exact curve is meaningful only above the double-precision floor it
@@ -318,8 +317,8 @@ def test_criterion_07_structural_guarantees():
                 continue
             models += 1
             for label, tm in (
-                ("nadap", build_transition_nadap(space, model, 0.8)),
-                ("rand", build_transition_rand(space, model, ("N", "E", "S", "W"))),
+                ("nadap", build_transition(space, model, PolicySpec("nadap", alpha=0.8))),
+                ("rand", build_transition(space, model, PolicySpec("rand", phi=("N", "E", "S", "W")))),
             ):
                 if not (check_irreducible(tm) and check_aperiodic(tm)):
                     failures.append((label, rows, cols, u_star))

@@ -9,18 +9,15 @@ from dispatchlab.chain import (
     MIXING_SIZE_LIMIT,
     TransitionMatrix,
     build_occupancy_pair_chain,
+    build_transition,
     build_transition_from_policy,
-    build_transition_nadap,
-    build_transition_rand,
     check_aperiodic,
     check_irreducible,
-    esp_profile,
     eta_map,
     exact_error_curves,
     gamma_map,
     limiting_objective,
     mixing_analysis,
-    probe_rate_matrix,
     same_transitions,
     stationary_distribution,
     tv_distance,
@@ -33,7 +30,7 @@ from dispatchlab.chain import (
 )
 from dispatchlab.errors import HorizonTooShortError, SizeLimitError
 from dispatchlab.grid import build_grid, request_model_from_pairs, uniform_request_model
-from dispatchlab.policies import PolicySpec, expected_step_profit, parse_policy
+from dispatchlab.policies import PolicySpec, expected_step_profit, parse_policy, step_profit
 from dispatchlab.rng import stream
 from dispatchlab.states import StateSpace
 
@@ -43,7 +40,7 @@ def toy_two_cell_chain():
     g = build_grid(1, 2)
     space = StateSpace(g, m=1, c=1)
     model = uniform_request_model(g, Fraction(1, 4), weights=Fraction(1))
-    tm = build_transition_nadap(space, model, Fraction(1))
+    tm = build_transition(space, model, PolicySpec("nadap", alpha=Fraction(1)))
     return space, model, tm
 
 
@@ -88,17 +85,29 @@ def test_gamma_eta_maps_on_asymmetric_law():
 
 
 def test_probe_rate_matrix_renormalize_and_lost():
+    """nadap's probe rates, read off the chain of one unit-capacity driver.
+
+    With m = c = 1 a state is the driver's location, so the entry u -> v is
+    the rate q[u, v] at which a probe moves the driver from u to v.
+    """
     g = build_grid(2, 2)
+    space = StateSpace(g, m=1, c=1)
     model = uniform_request_model(g, Fraction(1, 16), weights=Fraction(1))
-    q = probe_rate_matrix(g, model, Fraction(4, 5), "renormalize")
+    at = [space.rank([int(k == u) for k in range(g.n)]) for u in range(g.n)]
+
+    def rates(boundary):
+        policy = PolicySpec("nadap", alpha=Fraction(4, 5), boundary=boundary)
+        tm = build_transition(space, model, policy)
+        return {tm.entry(at[u], at[v]) for u in range(g.n) for v in range(g.n) if u != v}
+
     # q[u, v] = alpha p[u, v] + sum over neighbors k of u of (1 - alpha)/|N(k)| p[k, v]
     expect = Fraction(4, 5) * Fraction(1, 16) + 2 * Fraction(1, 5, ) / 2 * Fraction(1, 16)
-    assert q[0][1] == expect
-    # total successful-probe mass is the full arrival mass under renormalize
-    assert sum(sum(row) for row in q) == 1
-    q_lost = probe_rate_matrix(g, model, Fraction(4, 5), "lost")
+    assert rates("renormalize") == {expect}
+    # all 16 rates are equal, so the total successful-probe mass is the full arrival mass
+    assert 16 * expect == 1
+    (lost,) = rates("lost")
     # every cell of the 2x2 grid loses two compass directions
-    assert sum(sum(row) for row in q_lost) == 1 - Fraction(1, 5) * Fraction(1, 2)
+    assert 16 * lost == 1 - Fraction(1, 5) * Fraction(1, 2)
 
 
 def test_nadap_builder_matches_definitional_builder_exactly():
@@ -107,8 +116,8 @@ def test_nadap_builder_matches_definitional_builder_exactly():
         space = StateSpace(g, m=m, c=c)
         model = uniform_request_model(g, Fraction(1, g.n * g.n * 2), weights=Fraction(1))
         for alpha, boundary in ((Fraction(1, 2), "renormalize"), (Fraction(1), "renormalize"), (Fraction(4, 5), "lost")):
-            fast = build_transition_nadap(space, model, alpha, boundary)
             spec = PolicySpec("nadap", alpha=alpha, boundary=boundary)
+            fast = build_transition(space, model, spec)
             slow = build_transition_from_policy(space, model, spec)
             assert fast.exact and slow.exact
             assert same_transitions(fast, slow, tol=0), (rows, cols, m, c, alpha, boundary)
@@ -121,8 +130,9 @@ def test_rand_builder_matches_definitional_builder_exactly():
     space = StateSpace(g, m=2, c=2)
     model = uniform_request_model(g, Fraction(1, 16), weights=Fraction(1))
     for phi in ALL_PHIS[:6] + (("N", "E", "S", "W"), ("W", "S", "E", "N")):
-        fast = build_transition_rand(space, model, phi)
-        slow = build_transition_from_policy(space, model, PolicySpec("rand", phi=tuple(phi)))
+        spec = PolicySpec("rand", phi=tuple(phi))
+        fast = build_transition(space, model, spec)
+        slow = build_transition_from_policy(space, model, spec)
         assert same_transitions(fast, slow, tol=0), phi
 
 
@@ -137,7 +147,7 @@ def test_builders_agree_on_nonuniform_model():
     }
     weights = {(0, 1): 2, (1, 0): 1, (2, 3): 3, (3, 0): 5}
     model = request_model_from_pairs(g, rates, weights=weights)
-    fast = build_transition_nadap(space, model, Fraction(3, 4))
+    fast = build_transition(space, model, PolicySpec("nadap", alpha=Fraction(3, 4)))
     slow = build_transition_from_policy(space, model, PolicySpec("nadap", alpha=Fraction(3, 4)))
     assert same_transitions(fast, slow, tol=0)
 
@@ -146,7 +156,7 @@ def test_uniform_square_instance_has_uniform_stationary_law():
     g = build_grid(2, 2)
     space = StateSpace(g, m=2, c=2)
     model = uniform_request_model(g, Fraction(1, 16), weights=1)
-    tm = build_transition_nadap(space, model, 0.8)
+    tm = build_transition(space, model, PolicySpec("nadap", alpha=0.8))
     res = stationary_distribution(tm)
     assert space.size == 10
     assert np.abs(res.pi - 0.1).max() < 1e-10
@@ -167,7 +177,7 @@ def test_stationary_matches_eigenvector_oracle():
     model = request_model_from_pairs(
         g, {(u, v): p[u, v] for u in range(4) for v in range(4)}, weights=w
     )
-    tm = build_transition_nadap(space, model, 0.7)
+    tm = build_transition(space, model, PolicySpec("nadap", alpha=0.7))
     res = stationary_distribution(tm)
     P = tm.to_dense()
     vals, vecs = np.linalg.eig(P.T)
@@ -183,10 +193,10 @@ def test_limiting_objective_routes_match_across_policies():
     g = build_grid(2, 2)
     space = StateSpace(g, m=2, c=2)
     model = uniform_request_model(g, 0.05, weights=1)
-    tm = build_transition_nadap(space, model, 0.8)
+    tm = build_transition(space, model, PolicySpec("nadap", alpha=0.8))
     res = stationary_distribution(tm)
     via_gamma = limiting_objective(res, model, parse_policy("nadap:0.8"))
-    esp = esp_profile(space, model, parse_policy("nadap:0.8"))
+    esp = step_profit(space.as_array(), model, parse_policy("nadap:0.8"), space.c)
     assert abs(via_gamma - float(res.pi @ esp)) < 1e-12
 
 
@@ -208,10 +218,10 @@ def test_esp_profile_matches_pointwise_profit():
     )
     for label in ("nadap:0.6", "nadap:0.6:lost", "rand:SENW", "greedy", "greedy:pool"):
         policy = parse_policy(label)
-        prof = esp_profile(space, model, policy)
+        prof = step_profit(space.as_array(), model, policy, space.c)
         for ix in range(space.size):
             direct = float(expected_step_profit(space.unrank(ix), model, policy, space.c))
-            assert abs(prof[ix] - direct) < 1e-12, (label, ix)
+            assert prof[ix] == direct, (label, ix)
 
 
 def test_irreducible_and_aperiodic_for_supported_models():
@@ -269,7 +279,7 @@ def test_mixing_start_sample_flagged_non_exhaustive():
     g = build_grid(2, 2)
     space = StateSpace(g, m=2, c=2)
     model = uniform_request_model(g, 0.0625, weights=1)
-    tm = build_transition_nadap(space, model, 0.8)
+    tm = build_transition(space, model, PolicySpec("nadap", alpha=0.8))
     res = stationary_distribution(tm)
     full = mixing_analysis(tm, res.pi, [0.01], t_max=1000)
     part = mixing_analysis(tm, res.pi, [0.01], t_max=1000, start_ranks=[0, 3])
@@ -283,7 +293,7 @@ def test_mixing_envelope_check():
     g = build_grid(2, 2)
     space = StateSpace(g, m=2, c=2)
     model = uniform_request_model(g, 0.0625, weights=1)
-    tm = build_transition_nadap(space, model, 0.8)
+    tm = build_transition(space, model, PolicySpec("nadap", alpha=0.8))
     res = stationary_distribution(tm)
     env = uniform_decay_envelope(g.n, 2)
     assert env == (4.0, pytest.approx(np.exp(-1 / 16)))
@@ -322,7 +332,7 @@ def test_exact_error_curves_against_dense_propagation():
     space = StateSpace(g, m=2, c=2)
     model = uniform_request_model(g, 0.0625, weights=1)
     policy = parse_policy("nadap:0.8")
-    tm = build_transition_nadap(space, model, 0.8)
+    tm = build_transition(space, model, policy)
     res = stationary_distribution(tm)
     x0 = (2, 0, 0, 0)
     T = 60
@@ -330,7 +340,7 @@ def test_exact_error_curves_against_dense_propagation():
     assert len(curves.w_t) == T
     # oracle: propagate the start row against the dense kernel directly
     P = tm.to_dense()
-    esp = esp_profile(space, model, policy)
+    esp = step_profit(space.as_array(), model, policy, space.c)
     row = np.zeros(space.size)
     row[space.rank(x0)] = 1.0
     for t in range(T):
@@ -355,7 +365,7 @@ def test_exact_error_curves_store_maps():
     space = StateSpace(g, m=2, c=2)
     model = uniform_request_model(g, 0.0625, weights=1)
     policy = parse_policy("nadap:0.8")
-    tm = build_transition_nadap(space, model, 0.8)
+    tm = build_transition(space, model, policy)
     curves = exact_error_curves(tm, model, policy, (2, 0, 0, 0), 5, store_maps=True)
     assert curves.gamma_t.shape == (5, 4, 4)
     assert curves.eta_t.shape == (5, 4, 4)

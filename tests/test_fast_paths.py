@@ -5,27 +5,32 @@ with derandomized draws and fixed example counts, so the suite stays
 deterministic.
 """
 
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dispatchlab.chain import (
-    build_transition_from_policy,
-    build_transition_greedy,
-    build_transition_nadap,
-    build_transition_rand,
-    same_transitions,
-)
+from dispatchlab.chain import build_transition, build_transition_from_policy, same_transitions
 from dispatchlab.coupling import _coupled_distance_totals, coupled_step_distribution, pair_distance
 from dispatchlab.grid import RequestModel, build_grid, uniform_request_model
 from dispatchlab.mdp import MdpInstance, _action_tables
-from dispatchlab.policies import ALL_PHIS, PolicySpec, can_serve, serving_location, serving_table
+from dispatchlab.policies import (
+    ALL_PHIS,
+    PolicySpec,
+    can_serve,
+    expected_step_profit,
+    policy_table,
+    serving_location,
+    step_profit,
+)
 from dispatchlab.states import StateSpace, move, neighbor_pairs
 
 FAST = settings(derandomize=True, max_examples=40, deadline=None)
 SLOW = settings(derandomize=True, max_examples=25, deadline=None)
+# one test covers all three policy kinds, so about 25 draws each
+BUILDERS = settings(derandomize=True, max_examples=75, deadline=None)
 # the largest grid and fleet the strategies draw, always among the examples
 LARGEST = StateSpace(build_grid(3, 3), 4, 2)
 
@@ -83,6 +88,23 @@ def test_neighbor_pair_arrays_match_brute_force(space):
     assert [tuple(p) for p in pairs] == expect
 
 
+@st.composite
+def policies(draw):
+    """Any policy, nadap with an exact alpha."""
+    kind = draw(st.sampled_from(["nadap", "rand", "greedy"]))
+    if kind == "nadap":
+        alpha = draw(st.sampled_from([Fraction(1), Fraction(3, 4), Fraction(1, 3)]))
+        return PolicySpec("nadap", alpha=alpha, boundary=draw(st.sampled_from(["renormalize", "lost"])))
+    if kind == "rand":
+        return PolicySpec("rand", phi=ALL_PHIS[draw(st.integers(0, 23))])
+    return PolicySpec("greedy", origin_first=draw(st.booleans()))
+
+
+def float_alpha(policy: PolicySpec) -> PolicySpec:
+    """The policy as the command line builds it: a float nadap alpha."""
+    return replace(policy, alpha=float(policy.alpha)) if policy.kind == "nadap" else policy
+
+
 @FAST
 @given(spaces(), st.integers(0, 23), st.booleans())
 def test_serving_table_matches_serving_location(space, phi, origin_first):
@@ -91,49 +113,42 @@ def test_serving_table_matches_serving_location(space, phi, origin_first):
     rand = PolicySpec("rand", phi=ALL_PHIS[phi])
     greedy = PolicySpec("greedy", origin_first=origin_first)
     for policy in (rand, greedy):
-        table = serving_table(arr, policy, grid)
+        loc, wgt = policy_table(arr, policy, grid)
+        assert loc.shape == wgt.shape == (space.size, grid.n, 1) and (wgt == 1).all()
         expect = [
             [serving_location(x, u, policy, grid) for u in range(grid.n)] for x in arr.tolist()
         ]
-        assert table.tolist() == [[-1 if k is None else k for k in row] for row in expect]
+        assert loc[:, :, 0].tolist() == [[-1 if k is None else k for k in row] for row in expect]
 
 
-@SLOW
-@given(spaces(), st.integers(0, 2**16), st.sampled_from(["renormalize", "lost"]),
-       st.sampled_from([Fraction(1), Fraction(3, 4), Fraction(1, 3)]))
-@example(LARGEST, 1, "lost", Fraction(3, 4))
-def test_nadap_builder_matches_oracle_exactly(space, seed, boundary, alpha):
+@BUILDERS
+@given(spaces(), st.integers(0, 2**16), policies())
+@example(LARGEST, 1, PolicySpec("nadap", alpha=Fraction(3, 4), boundary="lost"))
+@example(LARGEST, 2, PolicySpec("rand", phi=ALL_PHIS[5]))
+@example(LARGEST, 3, PolicySpec("greedy"))
+@example(LARGEST, 4, PolicySpec("greedy", origin_first=False))
+def test_builder_matches_oracle_exactly(space, seed, policy):
     model = fraction_model(space.grid, seed)
-    fast = build_transition_nadap(space, model, alpha, boundary)
-    policy = PolicySpec("nadap", alpha=alpha, boundary=boundary)
-    slow = build_transition_from_policy(space, model, policy)
-    assert fast.exact and same_transitions(fast, slow, tol=0)
-
-
-@SLOW
-@given(spaces(), st.integers(0, 2**16), st.integers(0, 23))
-@example(LARGEST, 2, 5)
-def test_rand_builder_matches_oracle_exactly(space, seed, phi):
-    model = fraction_model(space.grid, seed)
-    fast = build_transition_rand(space, model, ALL_PHIS[phi])
-    slow = build_transition_from_policy(space, model, PolicySpec("rand", phi=ALL_PHIS[phi]))
-    assert fast.exact and same_transitions(fast, slow, tol=0)
-
-
-@SLOW
-@given(spaces(), st.integers(0, 2**16), st.booleans())
-@example(LARGEST, 3, True)
-@example(LARGEST, 4, False)
-def test_greedy_builder_matches_oracle_exactly(space, seed, origin_first):
-    policy = PolicySpec("greedy", origin_first=origin_first)
-    model = fraction_model(space.grid, seed)
-    fast = build_transition_greedy(space, model, origin_first)
+    fast = build_transition(space, model, policy)
     assert fast.exact
     assert same_transitions(fast, build_transition_from_policy(space, model, policy), tol=0)
     # floats too: entries and diagonals are summed in the definitional order
-    model = float_model(space.grid, seed)
-    fast = build_transition_greedy(space, model, origin_first)
+    model, policy = float_model(space.grid, seed), float_alpha(policy)
+    fast = build_transition(space, model, policy)
+    assert not fast.exact
     assert same_transitions(fast, build_transition_from_policy(space, model, policy), tol=0)
+
+
+@SLOW
+@given(spaces(), st.integers(0, 2**16), policies())
+@example(LARGEST, 6, PolicySpec("nadap", alpha=Fraction(3, 4)))
+def test_step_profit_matches_oracle_bit_for_bit(space, seed, policy):
+    arr = space.as_array()
+    # float models add in the oracle's order; exact ones are summed exactly and rounded once
+    for model, pol in ((float_model(space.grid, seed), float_alpha(policy)),
+                       (fraction_model(space.grid, seed), policy)):
+        want = [float(expected_step_profit(x, model, pol, space.c)) for x in arr.tolist()]
+        assert step_profit(arr, model, pol, space.c).tolist() == want
 
 
 @SLOW

@@ -17,7 +17,7 @@ from dispatchlab.mdp import (
     summarize_returns,
     value_iteration,
 )
-from dispatchlab.policies import parse_policy
+from dispatchlab.policies import dispatch, parse_policy
 from dispatchlab.rng import stream
 
 
@@ -246,6 +246,24 @@ def test_compare_policies_pairs_runs_and_dominates_baselines():
     again = compare_policies(inst, result, baselines, episodes=120, periods=120, seed=6)
     for label, vals in returns.items():
         assert np.array_equal(vals, again[label])
+
+
+def test_compare_policies_baselines_match_dispatch_oracle():
+    """Each baseline's returns equal episodes that offer every request to dispatch."""
+    g = build_grid(2, 3)
+    inst = MdpInstance(grid=g, m=3, c=2, model=uniform_request_model(g, 0.025, weights=None))
+    result = value_iteration(inst)
+    baselines = [parse_policy(label) for label in ("nadap:0.6:lost", "rand:WSEN", "greedy:pool")]
+    returns = compare_policies(inst, result, baselines, episodes=8, periods=150, seed=12)
+    n = inst.grid.n
+    for policy in baselines:
+
+        def act(counts, r, coin_rng, policy=policy):
+            return dispatch(counts, divmod(r, n), inst.model, policy, inst.c, rng=coin_rng).chosen
+
+        for e in range(8):
+            _, log = simulate_policy_episode(inst, act, 150, 12, episode_key=(e,))
+            assert returns[policy.label()][e] == discounted_return(log, inst.discount)
 
 
 def test_summarize_returns_degenerate_sample():

@@ -7,13 +7,13 @@ import numpy as np
 import pytest
 
 from dispatchlab.chain import (
-    build_transition_nadap,
+    build_transition,
     exact_error_curves,
     stationary_distribution,
 )
 from dispatchlab.errors import FitFailureError
 from dispatchlab.grid import build_grid, uniform_request_model
-from dispatchlab.policies import parse_policy
+from dispatchlab.policies import PolicySpec, parse_policy
 from dispatchlab.simulate import (
     ErrorSeries,
     SimConfig,
@@ -110,7 +110,7 @@ def test_conditional_estimator_tracks_exact_curve():
     series = run_ensemble(config)
     from dispatchlab.states import StateSpace
 
-    tm = build_transition_nadap(StateSpace(g, space_m, 2), model, 0.8)
+    tm = build_transition(StateSpace(g, space_m, 2), model, policy)
     exact = exact_error_curves(tm, model, policy, (2, 0, 0, 0), T)
     checkpoints = np.linspace(0, T - 1, 20, dtype=int)
     for t in checkpoints:
@@ -256,7 +256,7 @@ def test_fit_exponential_on_exact_toy_chain_gap():
     space = StateSpace(g, 1, 1)
     model = uniform_request_model(g, Fraction(1, 4), weights={(0, 1): 2})
     policy = parse_policy("nadap:1.0")
-    tm = build_transition_nadap(space, model, Fraction(1))
+    tm = build_transition(space, model, PolicySpec("nadap", alpha=Fraction(1)))
     curves = exact_error_curves(tm, model, policy, (1, 0), 30)
     # closed form: delta(t) = (1/4) (1/2)^t
     t = np.arange(30)
@@ -303,7 +303,7 @@ def test_fit_goodness_on_exact_mixing_curve():
     g = build_grid(2, 2)
     space = StateSpace(g, 2, 2)
     model = uniform_request_model(g, 0.0625, weights=1)
-    tm = build_transition_nadap(space, model, 0.8)
+    tm = build_transition(space, model, PolicySpec("nadap", alpha=0.8))
     res = stationary_distribution(tm)
     report = mixing_analysis(tm, res.pi, [1e-6], t_max=10_000)
     fit = fit_exponential(np.arange(len(report.d_curve)), report.d_curve)
