@@ -29,8 +29,6 @@ from dispatchlab.states import StateSpace, move, neighbor_pairs
 
 FAST = settings(derandomize=True, max_examples=40, deadline=None)
 SLOW = settings(derandomize=True, max_examples=25, deadline=None)
-# one test covers all three policy kinds, so about 25 draws each
-BUILDERS = settings(derandomize=True, max_examples=75, deadline=None)
 # the largest grid and fleet the strategies draw, always among the examples
 LARGEST = StateSpace(build_grid(3, 3), 4, 2)
 
@@ -121,13 +119,7 @@ def test_serving_table_matches_serving_location(space, phi, origin_first):
         assert loc[:, :, 0].tolist() == [[-1 if k is None else k for k in row] for row in expect]
 
 
-@BUILDERS
-@given(spaces(), st.integers(0, 2**16), policies())
-@example(LARGEST, 1, PolicySpec("nadap", alpha=Fraction(3, 4), boundary="lost"))
-@example(LARGEST, 2, PolicySpec("rand", phi=ALL_PHIS[5]))
-@example(LARGEST, 3, PolicySpec("greedy"))
-@example(LARGEST, 4, PolicySpec("greedy", origin_first=False))
-def test_builder_matches_oracle_exactly(space, seed, policy):
+def assert_builder_matches_oracle(space, seed, policy):
     model = fraction_model(space.grid, seed)
     fast = build_transition(space, model, policy)
     assert fast.exact
@@ -137,6 +129,29 @@ def test_builder_matches_oracle_exactly(space, seed, policy):
     fast = build_transition(space, model, policy)
     assert not fast.exact
     assert same_transitions(fast, build_transition_from_policy(space, model, policy), tol=0)
+
+
+@SLOW
+@given(spaces(), st.integers(0, 2**16), st.sampled_from(["renormalize", "lost"]),
+       st.sampled_from([Fraction(1), Fraction(3, 4), Fraction(1, 3)]))
+@example(LARGEST, 1, "lost", Fraction(3, 4))
+def test_nadap_builder_matches_oracle_exactly(space, seed, boundary, alpha):
+    assert_builder_matches_oracle(space, seed, PolicySpec("nadap", alpha=alpha, boundary=boundary))
+
+
+@SLOW
+@given(spaces(), st.integers(0, 2**16), st.integers(0, 23))
+@example(LARGEST, 2, 5)
+def test_rand_builder_matches_oracle_exactly(space, seed, phi):
+    assert_builder_matches_oracle(space, seed, PolicySpec("rand", phi=ALL_PHIS[phi]))
+
+
+@SLOW
+@given(spaces(), st.integers(0, 2**16), st.booleans())
+@example(LARGEST, 3, True)
+@example(LARGEST, 4, False)
+def test_greedy_builder_matches_oracle_exactly(space, seed, origin_first):
+    assert_builder_matches_oracle(space, seed, PolicySpec("greedy", origin_first=origin_first))
 
 
 @SLOW
