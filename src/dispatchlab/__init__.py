@@ -16,7 +16,6 @@ from .chain import (
     TransitionMatrix,
     build_occupancy_pair_chain,
     build_transition,
-    build_transition_from_policy,
     check_aperiodic,
     check_irreducible,
     exact_error_curves,
@@ -32,7 +31,6 @@ from .errors import (
     FitFailureError,
     HorizonTooShortError,
     InfeasibleInstanceError,
-    InfeasibleMoveError,
     IterationLimitError,
     OutOfScopeError,
     SchemaError,
@@ -58,7 +56,7 @@ from .ingest import (
     subsample_cars,
 )
 from .mdp import MdpInstance, OccupancyReport, ViResult, value_iteration
-from .policies import PolicySpec, dispatch, expected_step_profit, parse_policy
+from .policies import PolicySpec, parse_policy
 from .simulate import (
     ErrorSeries,
     SimConfig,
@@ -79,7 +77,6 @@ __all__ = [
     "Grid",
     "HorizonTooShortError",
     "InfeasibleInstanceError",
-    "InfeasibleMoveError",
     "IterationLimitError",
     "MdpInstance",
     "MixingReport",
@@ -100,15 +97,12 @@ __all__ = [
     "build_occupancy_pair_chain",
     "build_replay",
     "build_transition",
-    "build_transition_from_policy",
     "check_aperiodic",
     "check_irreducible",
-    "dispatch",
     "distance_weights",
     "error_curves",
     "estimate_rates",
     "exact_error_curves",
-    "expected_step_profit",
     "filter_bbox",
     "fit_exponential",
     "fit_inverse",

@@ -20,15 +20,7 @@ from scipy.sparse.csgraph import connected_components
 
 from .errors import HorizonTooShortError, IterationLimitError, SizeLimitError
 from .grid import RequestModel
-from .policies import (
-    SLOTS,
-    PolicySpec,
-    can_serve,
-    nadap_probe_weights,
-    policy_table,
-    serving_location,
-    step_profit,
-)
+from .policies import SLOTS, PolicySpec, nadap_probe_weights, policy_table, step_profit
 from .states import StateSpace, neighbor_pairs
 
 #: At or below this many states, stationary solves are direct (elimination).
@@ -50,13 +42,17 @@ class TransitionMatrix:
     solvers use is built on first request and cached.
     """
 
-    def __init__(self, space: StateSpace, rows: Sequence[dict], policy: PolicySpec | None = None,
-                 exact: bool = False):
-        """Kernel from per-state {destination rank: probability} mappings, taken as given."""
-        src = np.repeat(np.arange(len(rows), dtype=np.int64), [len(row) for row in rows])
-        dst = np.array([j for row in rows for j in row], dtype=np.int64)
-        val = np.array([p for row in rows for p in row.values()], dtype=object if exact else float)
-        self._store(space, src, dst, val, policy, exact)
+    def __init__(self, space: StateSpace, src, dst, val, policy: PolicySpec | None, exact: bool):
+        """Kernel from COO entries (row ``src``, column ``dst``, value ``val``), taken as given."""
+        self.space = space
+        self.policy = policy
+        self.exact = exact
+        order = np.argsort(src * space.size + dst)
+        self.indices = dst[order]
+        self.data = val[order]
+        self.indptr = np.zeros(space.size + 1, dtype=np.int64)
+        np.cumsum(np.bincount(src, minlength=space.size), out=self.indptr[1:])
+        self._csr: sp.csr_array | None = None
 
     @classmethod
     def from_off_diagonal(cls, space: StateSpace, src, dst, val, policy: PolicySpec, exact: bool):
@@ -71,21 +67,8 @@ class TransitionMatrix:
         _, one = _zero_one(exact)
         diag = one - _row_totals(src, val, space.size, exact)
         every = np.arange(space.size, dtype=np.int64)
-        tm = cls.__new__(cls)
-        tm._store(space, np.concatenate([src, every]), np.concatenate([dst, every]),
-                  np.concatenate([val, diag]), policy, exact)
-        return tm
-
-    def _store(self, space, src, dst, val, policy, exact) -> None:
-        self.space = space
-        self.policy = policy
-        self.exact = exact
-        order = np.argsort(src * space.size + dst)
-        self.indices = dst[order]
-        self.data = val[order]
-        self.indptr = np.zeros(space.size + 1, dtype=np.int64)
-        np.cumsum(np.bincount(src, minlength=space.size), out=self.indptr[1:])
-        self._csr: sp.csr_array | None = None
+        return cls(space, np.concatenate([src, every]), np.concatenate([dst, every]),
+                   np.concatenate([val, diag]), policy, exact)
 
     @property
     def size(self) -> int:
@@ -93,12 +76,6 @@ class TransitionMatrix:
 
     def _row_of_entry(self) -> np.ndarray:
         return np.repeat(np.arange(self.size, dtype=np.int64), np.diff(self.indptr))
-
-    @property
-    def rows(self) -> list[dict]:
-        """Per-state {destination rank: probability} dicts, built on each access."""
-        cols, vals, ptr = self.indices.tolist(), self.data.tolist(), self.indptr.tolist()
-        return [dict(zip(cols[a:b], vals[a:b])) for a, b in zip(ptr[:-1], ptr[1:])]
 
     def entry(self, x: int, y: int):
         a, b = self.indptr[x], self.indptr[x + 1]
@@ -143,29 +120,16 @@ def _row_totals(rows: np.ndarray, values: np.ndarray, size: int, exact: bool) ->
     return out
 
 
-def _finish_rows(space: StateSpace, off_rows: list[dict], exact: bool) -> list[dict]:
-    """Attach the mass-conserving diagonal to per-state off-diagonal rows."""
-    zero, one = _zero_one(exact)
-    rows = []
-    for i, off in enumerate(off_rows):
-        row = {j: val for j, val in off.items() if val != 0}
-        total = zero
-        for val in row.values():
-            total = total + val
-        row[i] = one - total
-        rows.append(row)
-    return rows
-
-
 def build_transition(space: StateSpace, model: RequestModel, policy: PolicySpec) -> TransitionMatrix:
     """Exact chain of any policy, read off its policy table.
 
     Every one-move pair (x, y) via k -> v collects p[u, v] times the weight
     with which origin u is served from k in x, over the origins u in k's
-    closed neighborhood in ascending order, as build_transition_from_policy
-    adds them request by request.  Each row's diagonal sums the row's
-    entries in the order that builder first reaches them: by (first
-    origin, v, slot).  The result equals that builder's entry for entry.
+    closed neighborhood in ascending order, as the definitional builder in
+    tests/oracles.py adds them request by request.  Each row's diagonal
+    sums the row's entries in the order that builder first reaches them:
+    by (first origin, v, slot).  The result equals that builder's entry for
+    entry.
     """
     grid = space.grid
     n = grid.n
@@ -211,58 +175,6 @@ def _entries(p, land, slot, origins, b, k, v):
         first[(term != 0) & (first == SLOTS)] = j
     first = np.minimum(first, SLOTS - 1)
     return val, (origins.ravel()[k * SLOTS + first] * n + v) * SLOTS + slot.ravel()[bk * SLOTS + first]
-
-
-def build_transition_from_policy(space: StateSpace, model: RequestModel, policy: PolicySpec) -> TransitionMatrix:
-    """Definitional chain builder: accumulate every request's dispatch outcome.
-
-    Slower than build_transition but stated request by request through
-    serving_location; it is the reference build_transition is tested
-    against, and nothing outside the tests calls it.
-    """
-    grid = space.grid
-    c = space.c
-    exact = model.exact and (policy.kind != "nadap" or isinstance(policy.alpha, Fraction))
-    zero, _ = _zero_one(exact)
-    probe = None
-    if policy.kind == "nadap":
-        probe = [nadap_probe_weights(grid, u, policy.alpha, policy.boundary) for u in range(grid.n)]
-    off_rows: list[dict] = [{} for _ in range(space.size)]
-    for ix in range(space.size):
-        x = space.unrank(ix)
-        row = off_rows[ix]
-        for u, v in model.pairs():
-            pv = model.p[u, v]
-            if policy.kind == "nadap":
-                for k, wgt in probe[u]:
-                    if k is None or wgt == 0 or k == v or not can_serve(x, k, v, c):
-                        continue
-                    iy = space.move_rank(x, k, v)
-                    row[iy] = row.get(iy, zero) + pv * wgt
-            else:
-                k = serving_location(x, u, policy, grid)
-                if k is None or k == v or not can_serve(x, k, v, c):
-                    continue
-                iy = space.move_rank(x, k, v)
-                row[iy] = row.get(iy, zero) + pv
-    return TransitionMatrix(space, _finish_rows(space, off_rows, exact), policy, exact)
-
-
-def same_transitions(a: TransitionMatrix, b: TransitionMatrix, tol=0) -> bool:
-    """Entrywise equality of two kernels; tol=0 demands exact equality."""
-    if a.size != b.size:
-        return False
-    for ra, rb in zip(a.rows, b.rows):
-        keys = set(ra) | set(rb)
-        for j in keys:
-            da = ra.get(j, 0)
-            db = rb.get(j, 0)
-            if tol == 0:
-                if da != db:
-                    return False
-            elif abs(float(da) - float(db)) > tol:
-                return False
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -710,11 +710,7 @@ def cmd_ingest(ns, argv) -> int:
         "dates": [d.isoformat() for d in dates],
     }
     if options["emit"] == "model":
-        pairs = (
-            ingest.bin_to_grid(r, rows, cols, bbox) for d in dates for r in parts[d]
-        )
-        slots = ingest.segment_seconds(segment) * len(dates)
-        estimate = ingest.estimate_rates(pairs, slots, rows, cols)
+        estimate = ingest.estimate_segment_rates(segmented, segment, dates, rows, cols, bbox)
         estimate.model.to_csv(outdir / "model.csv")
         outputs.append("model.csv")
         stats.update(

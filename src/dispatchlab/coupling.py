@@ -14,58 +14,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 import numpy as np
 
 from .errors import ContractionFailure, OutOfScopeError
-from .grid import Grid, RequestModel
+from .grid import Grid
 from .states import NeighborPairs, StateSpace, neighbor_pairs
-
-
-def pair_distance(x: Sequence[int], y: Sequence[int]) -> int:
-    """Count metric: total drivers that would have to move to turn x into y."""
-    if len(x) != len(y):
-        raise ValueError("states live on different location sets")
-    return sum(abs(int(a) - int(b)) for a, b in zip(x, y))
-
-
-def apply_request(counts: tuple, a: int, b: int, c: int) -> tuple:
-    """One feasibility-rule round: move a driver a -> b when legal, else no change."""
-    if a == b or counts[a] < 1 or counts[b] >= c:
-        return counts
-    out = list(counts)
-    out[a] -= 1
-    out[b] += 1
-    return tuple(out)
-
-
-def coupled_step_distribution(x, y, model: RequestModel, c: int) -> dict:
-    """Joint one-round law of two copies driven by the same request draw.
-
-    Only defined on pairs one driver move apart (the pairs contraction is
-    stated over).  Returns {(x', y'): probability}; any idle mass stays put.
-    """
-    x = tuple(int(v) for v in x)
-    y = tuple(int(v) for v in y)
-    if pair_distance(x, y) != 2:
-        raise ValueError(f"{x} and {y} are not one driver move apart")
-    n = model.n
-    out: dict = {}
-    total = Fraction(0) if model.exact else 0.0
-    for a in range(n):
-        for b in range(n):
-            pr = model.p[a, b]
-            if pr == 0:
-                continue
-            key = (apply_request(x, a, b, c), apply_request(y, a, b, c))
-            out[key] = out.get(key, 0) + pr
-            total = total + pr
-    idle = (Fraction(1) if model.exact else 1.0) - total
-    if idle != 0:
-        key = (x, y)
-        out[key] = out.get(key, 0) + idle
-    return out
 
 
 @dataclass

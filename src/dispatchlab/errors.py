@@ -9,10 +9,6 @@ class InfeasibleInstanceError(DispatchLabError, ValueError):
     """Instance parameters admit no valid state (e.g. more drivers than total capacity)."""
 
 
-class InfeasibleMoveError(DispatchLabError, ValueError):
-    """A driver move violates occupancy or capacity; dispatch callers treat it as a rejection."""
-
-
 class SizeLimitError(DispatchLabError, RuntimeError):
     """State-space or matrix size exceeds the configured cap."""
 

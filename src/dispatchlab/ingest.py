@@ -33,11 +33,6 @@ DEFAULT_GRID_COLS = 11
 #: Daily analysis segments as half-open [start, end) hours of the pickup time.
 SEGMENTS = {"morning": (7, 11), "afternoon": (11, 15), "evening": (15, 19)}
 
-#: Replay-mode experiment scale: fleet size and per-cell congestion capacity.
-REPLAY_DRIVERS = 5000
-REPLAY_CAPACITY = 50
-DEFAULT_SUBSAMPLE = 5000
-
 DEFAULT_COLUMNS: dict[str, str] = {
     "car_id": "medallion",
     "pickup_time": "pickup_datetime",
@@ -250,19 +245,18 @@ def estimate_rates(
 def estimate_segment_rates(
     segmented: SegmentResult,
     segment: str,
+    dates: Sequence[dt.date],
     rows: int = DEFAULT_GRID_ROWS,
     cols: int = DEFAULT_GRID_COLS,
     bbox: Bbox = DEFAULT_BBOX,
 ) -> RateEstimate:
-    """Rates for one segment across all its dates, trips binned on the fly."""
+    """Rates for one segment over the given dates (one window each), trips binned on the fly."""
     segment = segment.lower()
     parts = segmented.parts[segment]
-    if not parts:
+    if not dates:
         raise ValueError(f"no trips fall in the {segment} segment")
-    records = [r for date in sorted(parts) for r in parts[date]]
-    slots = segment_seconds(segment) * len(parts)
-    pairs = (bin_to_grid(r, rows, cols, bbox) for r in records)
-    return estimate_rates(pairs, slots, rows, cols)
+    pairs = (bin_to_grid(r, rows, cols, bbox) for date in dates for r in parts[date])
+    return estimate_rates(pairs, segment_seconds(segment) * len(dates), rows, cols)
 
 
 def subsample_cars(records: Sequence[TripRecord], k: int, seed: int) -> list[TripRecord]:

@@ -244,6 +244,8 @@ def simulate_policy_episode(
     stream and policy coins from (seed, *episode_key, 1), so different
     rules face the identical arrival sequence.
     """
+    if periods < 1:
+        raise ValueError("an episode needs at least one period")
     grid = instance.grid
     n = grid.n
     c = instance.c

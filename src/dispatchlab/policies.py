@@ -99,15 +99,6 @@ def parse_policy(text: str) -> PolicySpec:
     raise ValueError(f"unknown policy {text!r}")
 
 
-@dataclass(frozen=True)
-class DispatchOutcome:
-    """Result of offering one request to a policy in one state."""
-
-    chosen: int | None
-    success: bool
-    profit: float
-
-
 def can_serve(counts: Sequence[int], serving: int, dest: int, c: int) -> bool:
     """Feasibility of dispatching a driver at ``serving`` to ``dest``.
 
@@ -247,13 +238,14 @@ def policy_table(states: np.ndarray, policy: PolicySpec, grid: Grid) -> tuple[np
 
 
 def step_profit(states: np.ndarray, model: RequestModel, policy: PolicySpec, c: int) -> np.ndarray:
-    """expected_step_profit of every state in a (batch, n) count array, as floats.
+    """Expected one-round profit E[sum_r p_r w_r success_r] of every state, as floats.
 
-    Read off the policy table and summed as the scalar oracle sums: for each
-    origin the weights of the slots that can serve each destination add up
-    in slot order, then the profit terms add one at a time in (u, v) order.
-    Float models therefore give the oracle's value bit for bit; exact models
-    are summed exactly and rounded once.
+    ``states`` is a (batch, n) count array.  The policy table is summed as
+    the per-request oracle in tests/oracles.py sums: for each origin the
+    weights of the slots that can serve each destination add up in slot
+    order, then the profit terms add one at a time in (u, v) order.  Float
+    models therefore give the oracle's value bit for bit; exact models are
+    summed exactly and rounded once.
     """
     states = np.asarray(states)
     n = model.grid.n
@@ -275,59 +267,3 @@ def step_profit(states: np.ndarray, model: RequestModel, policy: PolicySpec, c: 
         terms = (coef * prob).reshape(len(X), n * n)
         out[a : a + chunk] = np.cumsum(terms, axis=1)[:, -1]
     return out.astype(float)
-
-
-def dispatch(
-    state: Sequence[int],
-    request: tuple[int, int],
-    model: RequestModel,
-    policy: PolicySpec,
-    c: int,
-    rng: np.random.Generator | None = None,
-) -> DispatchOutcome:
-    """Offer one request to ``policy``; nadap draws one probe coin from ``rng``.
-
-    There is no fallback: a serving location that cannot take the trip
-    (see can_serve) rejects the request.
-    """
-    u, v = request
-    coin = rng.random() if policy.kind == "nadap" and rng is not None else None
-    chosen = serving_location(state, u, policy, model.grid, coin)
-    ok = chosen is not None and can_serve(state, chosen, v, c)
-    return DispatchOutcome(chosen, ok, model.w[u, v] if ok else 0.0)
-
-
-def expected_step_profit(state: Sequence[int], model: RequestModel, policy: PolicySpec, c: int):
-    """Exact expected profit of one round in ``state``: E[sum_r p_r w_r success_r].
-
-    Averages over the request draw and, for nadap, the probe coin.  Exact
-    (Fraction) model entries keep the result exact.
-    """
-    grid = model.grid
-    n = grid.n
-    total = 0
-    for u in range(n):
-        row_p = model.p[u]
-        row_w = model.w[u]
-        if policy.kind == "nadap":
-            cands = nadap_probe_weights(grid, u, policy.alpha, policy.boundary)
-            for v in range(n):
-                pv = row_p[v]
-                if pv == 0 or row_w[v] == 0:
-                    continue
-                prob = 0
-                for k, wgt in cands:
-                    if k is not None and can_serve(state, k, v, c):
-                        prob = prob + wgt
-                total = total + pv * row_w[v] * prob
-        else:
-            chosen = serving_location(state, u, policy, grid)
-            if chosen is None:
-                continue
-            for v in range(n):
-                pv = row_p[v]
-                if pv == 0 or row_w[v] == 0:
-                    continue
-                if can_serve(state, chosen, v, c):
-                    total = total + pv * row_w[v]
-    return total

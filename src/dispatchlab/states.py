@@ -12,29 +12,11 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import InfeasibleInstanceError, InfeasibleMoveError, SizeLimitError
+from .errors import InfeasibleInstanceError, SizeLimitError
 from .grid import Grid
 
 #: Refuse to enumerate spaces larger than this by default.
 DEFAULT_STATE_CAP = 5_000_000
-
-
-def move(counts: Sequence[int], u: int, v: int, c: int) -> tuple[int, ...]:
-    """Move one driver from ``u`` to ``v``; a self-move returns the state unchanged.
-
-    Raises InfeasibleMoveError when ``u`` is empty or ``v`` is full; callers
-    that model rejection should catch it or test feasibility first.
-    """
-    if counts[u] < 1:
-        raise InfeasibleMoveError(f"no driver at location {u} in state {tuple(counts)}")
-    if u == v:
-        return tuple(counts)
-    if counts[v] >= c:
-        raise InfeasibleMoveError(f"location {v} already at capacity {c} in state {tuple(counts)}")
-    out = list(counts)
-    out[u] -= 1
-    out[v] += 1
-    return tuple(out)
 
 
 def format_state(counts: Sequence[int]) -> str:
@@ -198,12 +180,12 @@ class StateSpace:
     def move_ranks(self, idx, u, v) -> np.ndarray:
         """Ranks after moving one driver u -> v (u != v) in the states ranked ``idx``.
 
-        Vectorized ``move_rank``: ``u`` and ``v`` are locations or arrays
-        aligned with ``idx``, and every state must hold a driver at u and
-        have room at v.  Only the terms of locations between u and v change:
-        the two endpoints take new counts, and the locations strictly
-        between see one driver more (u < v) or fewer left to place, which is
-        a difference of running sums.  Each rank costs O(1).
+        ``u`` and ``v`` are locations or arrays aligned with ``idx``, and
+        every state must hold a driver at u and have room at v.  Only the
+        terms of locations between u and v change: the two endpoints take
+        new counts, and the locations strictly between see one driver more
+        (u < v) or fewer left to place, which is a difference of running
+        sums.  Each rank costs O(1).
         """
         R = self._prefix()
         X = self.as_array()
@@ -225,9 +207,6 @@ class StateSpace:
 
     def __len__(self) -> int:
         return self.size
-
-    def move_rank(self, counts: Sequence[int], u: int, v: int) -> int:
-        return self.rank(move(counts, u, v, self.c))
 
 
 class NeighborPair(NamedTuple):

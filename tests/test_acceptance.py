@@ -24,16 +24,13 @@ from fractions import Fraction
 import numpy as np
 
 from dispatchlab.chain import (
-    TransitionMatrix,
     build_occupancy_pair_chain,
     build_transition,
-    build_transition_from_policy,
     check_aperiodic,
     check_irreducible,
     exact_error_curves,
     limiting_objective,
     mixing_analysis,
-    same_transitions,
     stationary_distribution,
     uniform_mixing_bound,
     uniform_profit_gap_bound,
@@ -62,6 +59,7 @@ from dispatchlab.policies import ALL_PHIS, PolicySpec, parse_policy
 from dispatchlab.rng import stream
 from dispatchlab.simulate import SimConfig, fit_exponential, initial_state_preset, run_ensemble
 from dispatchlab.states import StateSpace
+from oracles import build_transition_from_policy, kernel_from_rows, same_transitions
 
 
 def _verdict(num: str, ok: bool, detail: str) -> None:
@@ -324,7 +322,7 @@ def test_criterion_07_structural_guarantees():
                     failures.append((label, rows, cols, u_star))
     # a perfect two-state swap is irreducible but periodic and must be caught
     swap_space = StateSpace(build_grid(1, 2), m=1, c=1)
-    swap = TransitionMatrix(swap_space, [{1: 1.0}, {0: 1.0}])
+    swap = kernel_from_rows(swap_space, [{1: 1.0}, {0: 1.0}], None, False)
     if not check_irreducible(swap) or check_aperiodic(swap):
         failures.append(("period-2 swap escaped detection",))
     elapsed = time.perf_counter() - t0

@@ -229,6 +229,18 @@ def test_vi_subcommand(tmp_path):
         assert 0 <= float(row["start_pct"]) <= float(row["drop_rate"]) + 1e-12
 
 
+def test_vi_rejects_an_episode_without_periods(tmp_path, capsys):
+    for periods in ("0", "-3"):
+        code, out = run(
+            ["vi", "--grid", "2x2", "--drivers", "1", "--capacity", "2",
+             "--arrivals", "uniform:0.0625", "--seed", "2", "--periods", periods],
+            tmp_path, sub=f"periods{periods}",
+        )
+        assert code == 1, periods
+        assert "at least one period" in capsys.readouterr().err
+        assert not (out / "heatmap.csv").exists()
+
+
 def test_fit_subcommand(tmp_path):
     data = tmp_path / "curve.csv"
     with open(data, "w", newline="") as fh:

@@ -5,15 +5,11 @@ from fractions import Fraction
 
 import pytest
 
-from dispatchlab.coupling import (
-    apply_request,
-    coupled_step_distribution,
-    pair_distance,
-    verify_contraction,
-)
+from dispatchlab.coupling import verify_contraction
 from dispatchlab.errors import OutOfScopeError
 from dispatchlab.grid import build_grid, uniform_request_model
 from dispatchlab.states import StateSpace, neighbor_pairs
+from oracles import apply_request, coupled_step_distribution, pair_distance
 
 
 def test_pair_distance():

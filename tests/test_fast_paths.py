@@ -12,20 +12,28 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dispatchlab.chain import build_transition, build_transition_from_policy, same_transitions
-from dispatchlab.coupling import _coupled_distance_totals, coupled_step_distribution, pair_distance
+from dispatchlab.chain import build_transition
+from dispatchlab.coupling import _coupled_distance_totals
 from dispatchlab.grid import RequestModel, build_grid, uniform_request_model
 from dispatchlab.mdp import MdpInstance, _action_tables
 from dispatchlab.policies import (
     ALL_PHIS,
     PolicySpec,
     can_serve,
-    expected_step_profit,
     policy_table,
     serving_location,
     step_profit,
 )
-from dispatchlab.states import StateSpace, move, neighbor_pairs
+from dispatchlab.states import StateSpace, neighbor_pairs
+from oracles import (
+    build_transition_from_policy,
+    coupled_step_distribution,
+    expected_step_profit,
+    move,
+    move_rank,
+    pair_distance,
+    same_transitions,
+)
 
 FAST = settings(derandomize=True, max_examples=40, deadline=None)
 SLOW = settings(derandomize=True, max_examples=25, deadline=None)
@@ -81,7 +89,7 @@ def test_neighbor_pair_arrays_match_brute_force(space):
         for u in range(space.n):
             for v in range(space.n):
                 if u != v and x[u] >= 1 and x[v] < space.c:
-                    expect.append((ix, space.move_rank(x, u, v), u, v))
+                    expect.append((ix, move_rank(space, x, u, v), u, v))
     assert len(pairs) == len(expect)
     assert [tuple(p) for p in pairs] == expect
 

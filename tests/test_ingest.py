@@ -219,13 +219,13 @@ def test_estimate_rates_rescales_overfull_mass():
 
 def test_estimate_segment_rates_single_trip():
     seg = segment_by_time([trip(pickup="2013-01-14 08:30:00")])
-    est = estimate_segment_rates(seg, "morning", rows=21, cols=11)
+    est = estimate_segment_rates(seg, "morning", seg.dates("morning"), rows=21, cols=11)
     # one request over one four-hour date window
     assert est.slots == 14400
     cell = 10 * 11 + 5
     assert est.model.p[cell, cell] == pytest.approx(1 / 14400)
     with pytest.raises(ValueError):
-        estimate_segment_rates(seg, "evening")
+        estimate_segment_rates(seg, "evening", seg.dates("evening"))
 
 
 def test_estimate_segment_rates_pools_dates():
@@ -233,9 +233,13 @@ def test_estimate_segment_rates_pools_dates():
         trip(pickup="2013-01-14 08:30:00"),
         trip(pickup="2013-01-16 09:30:00"),
     ]
-    est = estimate_segment_rates(segment_by_time(records), "morning")
+    seg = segment_by_time(records)
+    est = estimate_segment_rates(seg, "morning", seg.dates("morning"))
     assert est.slots == 2 * 14400
     assert est.requests == 2
+    # only the chosen dates' trips and windows count
+    est = estimate_segment_rates(seg, "morning", seg.dates("morning")[1:])
+    assert (est.slots, est.requests) == (14400, 1)
 
 
 def test_subsample_cars_behaviour():
@@ -344,7 +348,7 @@ def test_fixture_feeds_the_whole_pipeline(tmp_path):
     make_fixture(path, trips=400, seed=0)
     records = filter_bbox(parse_trips(path).records)
     seg = segment_by_time(records)
-    est = estimate_segment_rates(seg, "morning")
+    est = estimate_segment_rates(seg, "morning", seg.dates("morning"))
     assert est.rescale == 1.0
     assert 0 < float(est.model.p.sum()) < 1
     date = seg.dates("morning")[0]

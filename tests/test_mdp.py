@@ -17,8 +17,9 @@ from dispatchlab.mdp import (
     summarize_returns,
     value_iteration,
 )
-from dispatchlab.policies import dispatch, parse_policy
+from dispatchlab.policies import parse_policy
 from dispatchlab.rng import stream
+from oracles import dispatch
 
 
 def tiny_instance(**overrides):

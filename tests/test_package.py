@@ -1,0 +1,31 @@
+"""The package surface: what dispatchlab exports, and that the test oracles stay out of it."""
+
+import ast
+from pathlib import Path
+
+import dispatchlab
+import oracles
+
+
+def top_level_names(path) -> set[str]:
+    """Functions, classes and variables a module defines at its top level."""
+    names = set()
+    for node in ast.parse(Path(path).read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.add(node.target.id)
+    return names
+
+
+def test_package_surface_holds_no_oracle():
+    for name in dispatchlab.__all__:
+        assert hasattr(dispatchlab, name), name
+    oracle_names = top_level_names(oracles.__file__)
+    assert oracle_names >= {"build_transition_from_policy", "dispatch", "move"}
+    assert not oracle_names & set(dispatchlab.__all__)
+    # one implementation per layer: no oracle is forked back into the package
+    for path in sorted(Path(dispatchlab.__file__).parent.glob("*.py")):
+        assert not oracle_names & top_level_names(path), path.name

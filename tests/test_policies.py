@@ -13,14 +13,13 @@ from dispatchlab.policies import (
     PHI_CLOCKWISE,
     PolicySpec,
     can_serve,
-    dispatch,
-    expected_step_profit,
     greedy_candidates,
     nadap_probe_weights,
     parse_policy,
     rand_scan_order,
     serving_location,
 )
+from oracles import dispatch, expected_step_profit
 
 
 def test_parse_policy_grammar():
