@@ -46,7 +46,7 @@ from .grid import (
 )
 from .ingest import (
     ReplayTrace,
-    TripRecord,
+    TripTable,
     build_replay,
     estimate_rates,
     filter_bbox,
@@ -91,7 +91,7 @@ __all__ = [
     "StateSpace",
     "StationaryResult",
     "TransitionMatrix",
-    "TripRecord",
+    "TripTable",
     "ViResult",
     "build_grid",
     "build_occupancy_pair_chain",

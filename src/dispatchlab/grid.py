@@ -13,6 +13,7 @@ import csv
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterator, Mapping
 
@@ -119,12 +120,8 @@ def manhattan_distance(grid: Grid, u: int, v: int) -> int:
 
 def distance_weights(grid: Grid) -> np.ndarray:
     """Weight matrix w[u, v] = Manhattan distance (so self-pairs weigh 0)."""
-    n = grid.n
-    w = np.zeros((n, n))
-    for u in range(n):
-        for v in range(n):
-            w[u, v] = grid.manhattan(u, v)
-    return w
+    row, col = np.divmod(np.arange(grid.n), grid.cols)
+    return (np.abs(row[:, None] - row) + np.abs(col[:, None] - col)).astype(np.float64)
 
 
 def _total(values) -> Fraction | float:
@@ -206,29 +203,33 @@ class RequestModel:
 
     def to_csv(self, path: str | Path) -> None:
         """Write rows ``origin,dest,p,w`` for pairs with nonzero p or w."""
+        u, v = np.nonzero((self.p != 0) | (self.w != 0))
+        p, w = (np.asarray(a, dtype=float)[u, v].tolist() for a in (self.p, self.w))
+        # csv.writer's bytes: no integer or %g field ever needs quoting
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["origin", "dest", "p", "w"])
-            for u in range(self.n):
-                for v in range(self.n):
-                    if self.p[u, v] != 0 or self.w[u, v] != 0:
-                        writer.writerow([u, v, f"{float(self.p[u, v]):.17g}", f"{float(self.w[u, v]):.17g}"])
+            fh.write("origin,dest,p,w\r\n")
+            fh.writelines(
+                f"{a},{b},{x:.17g},{y:.17g}\r\n" for a, b, x, y in zip(u.tolist(), v.tolist(), p, w)
+            )
 
     @classmethod
     def from_csv(cls, path: str | Path, grid: Grid) -> "RequestModel":
         n = grid.n
         p = np.zeros((n, n))
         w = np.zeros((n, n))
+        names = ("origin", "dest", "p", "w")
         with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            required = {"origin", "dest", "p", "w"}
-            if reader.fieldnames is None or not required.issubset(reader.fieldnames):
+            reader = csv.reader(fh)
+            header = next(reader, [])
+            if not set(names).issubset(header):
                 raise SchemaError(f"{path}: expected columns origin,dest,p,w")
-            for row in reader:
+            # a repeated column name reads as its last occurrence, as csv.DictReader does
+            get = itemgetter(*(len(header) - 1 - header[::-1].index(c) for c in names))
+            for row in filter(None, reader):
                 try:
-                    u, v = int(row["origin"]), int(row["dest"])
-                    pv, wv = float(row["p"]), float(row["w"])
-                except (TypeError, ValueError) as exc:
+                    u, v, pv, wv = get(row)
+                    u, v, pv, wv = int(u), int(v), float(pv), float(wv)
+                except (IndexError, ValueError) as exc:
                     raise SchemaError(f"{path}: malformed row {row}") from exc
                 grid.check_location(u)
                 grid.check_location(v)

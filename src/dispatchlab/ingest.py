@@ -2,23 +2,28 @@
 
 The pipeline turns raw trip CSVs (NYC-yellow-cab-style schema) into either a
 fitted arrival model (IID mode) or a per-second replay trace (replay mode).
-All steps are pure transforms; the only randomness is the seeded car
-subsample.  A deterministic fixture generator produces schema-identical
-synthetic files so the pipeline is testable without the real dataset.
+Trips travel as a ``TripTable`` of numpy columns, and every step works over
+whole columns.  All steps are pure transforms; the only randomness is the
+seeded car subsample.  A deterministic fixture generator produces
+schema-identical synthetic files so the pipeline is testable without the
+real dataset.
 """
 
 from __future__ import annotations
 
 import csv
 import datetime as dt
-import math
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+import gc
+from contextlib import suppress
+from dataclasses import dataclass, fields
+from itertools import compress, count, islice
+from operator import itemgetter
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .errors import SchemaError
-from .grid import RequestModel, build_grid, distance_weights, manhattan_distance
+from .grid import RequestModel, build_grid, distance_weights
 from .rng import stream
 from .simulate import TraceEntry
 
@@ -43,16 +48,38 @@ DEFAULT_COLUMNS: dict[str, str] = {
     "dropoff_lon": "dropoff_longitude",
 }
 
+#: Rows converted per step of ``parse_trips``; only one chunk's strings are alive at a time.
+PARSE_CHUNK_ROWS = 4096
 
-@dataclass(frozen=True)
-class TripRecord:
-    car_id: str
-    pickup_time: dt.datetime
-    dropoff_time: dt.datetime
-    pickup_lat: float
-    pickup_lon: float
-    dropoff_lat: float
-    dropoff_lon: float
+# A canonical timestamp's character codes, and how far above them each
+# character may lie: 0-9 in digit slots, 0 in separators.
+_STAMP = np.frombuffer("0000-00-00 00:00:00".encode("utf-32-le"), dtype=np.uint32)
+_SPAN = np.where(_STAMP == ord("0"), 9, 0).astype(np.uint32)
+
+
+@dataclass(frozen=True, eq=False)
+class TripTable:
+    """Trips as numpy columns, one row per trip in input order.
+
+    car holds codes into car_ids, the sorted distinct car ids (a table taken
+    from another keeps its ids); times are ``datetime64[s]``.
+    """
+
+    car_ids: np.ndarray
+    car: np.ndarray
+    pickup_time: np.ndarray
+    dropoff_time: np.ndarray
+    pickup_lat: np.ndarray
+    pickup_lon: np.ndarray
+    dropoff_lat: np.ndarray
+    dropoff_lon: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.car)
+
+    def take(self, rows) -> TripTable:
+        """The trips a boolean mask or an index array selects, in its order."""
+        return TripTable(self.car_ids, *(getattr(self, f.name)[rows] for f in fields(self)[1:]))
 
 
 @dataclass(frozen=True)
@@ -68,9 +95,11 @@ class Bbox:
         if not (self.lat_min < self.lat_max and self.lon_min < self.lon_max):
             raise ValueError("bounding box must have positive extent")
 
-    def contains(self, lat: float, lon: float) -> bool:
+    def contains(self, lat, lon):
+        """Whether each point lies in the box; scalars or arrays."""
         return (
-            self.lat_min <= lat < self.lat_max and self.lon_min <= lon < self.lon_max
+            (self.lat_min <= lat) & (lat < self.lat_max)
+            & (self.lon_min <= lon) & (lon < self.lon_max)
         )
 
 
@@ -81,18 +110,58 @@ DEFAULT_BBOX = Bbox(*DEFAULT_BBOX_BOUNDS)
 class ParseResult:
     """Parsed trips plus a count of rows dropped as malformed."""
 
-    records: list[TripRecord]
+    records: TripTable
     skipped: int
 
 
-def parse_trips(path, column_mapping: Mapping[str, str] | None = None) -> ParseResult:
-    """Read trip records from a headered CSV, skipping malformed rows.
+def _timestamps(texts: Sequence[str]) -> np.ndarray:
+    """``strptime(text, TIMESTAMP_FORMAT)`` of each string as datetime64[s], NaT where it fails.
 
-    column_mapping sends TripRecord field names to CSV column names;
-    unmapped fields use the stock yellow-cab names.  A row is malformed if
-    any mapped value is missing, a timestamp does not match
-    ``YYYY-MM-DD HH:MM:SS`` exactly, a coordinate is not a finite number,
-    or the dropoff precedes the pickup.
+    numpy parses canonical ``YYYY-MM-DD HH:MM:SS`` strings with a nonzero
+    year as strptime does, but rejects a field out of range (``02-30``,
+    second 60) for the whole array; then the chunk falls back to strptime,
+    as any other string (unpadded, ``T``-separated, with a NUL) always does.
+    """
+    n = len(texts)
+    stamps = np.array(texts, dtype="<U19")
+    offset = stamps.view(np.uint32).reshape(n, 19) - _STAMP
+    fast = (np.fromiter(map(len, texts), np.int64, n) == 19) & (offset <= _SPAN).all(axis=1)
+    fast &= offset[:, :4].any(axis=1)
+    out = np.full(n, np.datetime64("NaT"), dtype="datetime64[s]")
+    try:
+        out[fast] = stamps[fast].astype("datetime64[s]")
+    except ValueError:
+        fast[:] = False
+    for i in np.flatnonzero(~fast).tolist():
+        with suppress(ValueError):
+            out[i] = dt.datetime.strptime(texts[i], TIMESTAMP_FORMAT)
+    return out
+
+
+def _floats(texts: Sequence[str]) -> np.ndarray:
+    """``float(text)`` of each string, NaN where it fails (such a row is skipped either way)."""
+    try:
+        return np.fromiter(map(float, texts), np.float64, len(texts))
+    except ValueError:
+        out = np.full(len(texts), np.nan)
+        for i, text in enumerate(texts):
+            with suppress(ValueError):
+                out[i] = float(text)
+        return out
+
+
+def parse_trips(path, column_mapping: Mapping[str, str] | None = None) -> ParseResult:
+    """Read trips from a headered CSV into a ``TripTable``, skipping malformed rows.
+
+    column_mapping sends ``TripTable`` column names (the keys of
+    ``DEFAULT_COLUMNS``) to CSV column names; unmapped ones use the stock
+    yellow-cab names.  A row is malformed if any mapped value is missing, a
+    timestamp fails ``datetime.strptime(text, TIMESTAMP_FORMAT)`` (which
+    also accepts unpadded fields such as ``2013-1-5 7:5:3`` and runs of
+    whitespace between date and time), a coordinate is not a finite
+    ``float()``, or the dropoff precedes the pickup.  Blank lines are not
+    rows.  Rows are read ``PARSE_CHUNK_ROWS`` at a time; the table keeps
+    input order.
     """
     mapping = dict(DEFAULT_COLUMNS)
     if column_mapping:
@@ -100,68 +169,82 @@ def parse_trips(path, column_mapping: Mapping[str, str] | None = None) -> ParseR
         if unknown:
             raise SchemaError(f"unknown trip fields in column mapping: {sorted(unknown)}")
         mapping.update(column_mapping)
-    records: list[TripRecord] = []
+    ids: dict[str, int] = {}
+    columns = [(np.zeros(0, np.int64), *[np.zeros(0, "datetime64[s]")] * 2, *[np.zeros(0)] * 4)]
     skipped = 0
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        missing = [col for col in mapping.values() if col not in header]
-        if missing:
-            raise SchemaError(f"input is missing mapped columns: {missing}")
-        for row in reader:
-            try:
-                pickup = dt.datetime.strptime(row[mapping["pickup_time"]], TIMESTAMP_FORMAT)
-                dropoff = dt.datetime.strptime(row[mapping["dropoff_time"]], TIMESTAMP_FORMAT)
-                coords = [
-                    float(row[mapping[name]])
-                    for name in ("pickup_lat", "pickup_lon", "dropoff_lat", "dropoff_lon")
-                ]
-                car = row[mapping["car_id"]]
-                if car is None or any(not math.isfinite(x) for x in coords):
-                    raise ValueError("bad field")
-                if dropoff < pickup:
-                    raise ValueError("dropoff precedes pickup")
-            except (ValueError, TypeError, KeyError):
-                skipped += 1
-                continue
-            records.append(TripRecord(car, pickup, dropoff, *coords))
-    return ParseResult(records=records, skipped=skipped)
+    # chunk rows hold no reference cycles; pausing the collector spares it
+    # re-walking them on every allocation burst
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, [])
+            missing = [col for col in mapping.values() if col not in header]
+            if missing:
+                raise SchemaError(f"input is missing mapped columns: {missing}")
+            # a repeated column name reads as its last occurrence, as csv.DictReader does
+            where = [len(header) - 1 - header[::-1].index(mapping[f]) for f in DEFAULT_COLUMNS]
+            get, width = itemgetter(*where), max(where) + 1
+            while chunk := list(islice(reader, PARSE_CHUNK_ROWS)):
+                rows = [get(row) for row in chunk if len(row) >= width]
+                skipped += sum(1 for row in chunk if row) - len(rows)
+                if not rows:
+                    continue
+                cars, *cols = zip(*rows)
+                pickup, dropoff, *coords = *map(_timestamps, cols[:2]), *map(_floats, cols[2:])
+                keep = (dropoff >= pickup) & np.isfinite(coords).all(axis=0)
+                skipped += len(rows) - int(keep.sum())
+                cars = list(compress(cars, keep))
+                ids.update(zip(set(cars).difference(ids), count(len(ids))))
+                car = np.fromiter(map(ids.__getitem__, cars), np.int64, len(cars))
+                columns.append((car, *(col[keep] for col in (pickup, dropoff, *coords))))
+    finally:
+        if collecting:
+            gc.enable()
+    # ids holds each car's code in insertion order; its sort order gives the final codes
+    car_ids, rank = np.unique(np.array(list(ids), dtype=object), return_inverse=True)
+    car, *rest = (np.concatenate(col) for col in zip(*columns))
+    table = TripTable(car_ids, rank[car], *rest)
+    return ParseResult(records=table, skipped=skipped)
 
 
-def filter_bbox(records: Iterable[TripRecord], bbox: Bbox = DEFAULT_BBOX) -> list[TripRecord]:
+def filter_bbox(trips: TripTable, bbox: Bbox = DEFAULT_BBOX) -> TripTable:
     """Keep trips whose pickup and dropoff both fall inside the box."""
-    return [
-        r
-        for r in records
-        if bbox.contains(r.pickup_lat, r.pickup_lon)
-        and bbox.contains(r.dropoff_lat, r.dropoff_lon)
-    ]
+    return trips.take(
+        bbox.contains(trips.pickup_lat, trips.pickup_lon)
+        & bbox.contains(trips.dropoff_lat, trips.dropoff_lon)
+    )
 
 
 def bin_point(
-    lat: float,
-    lon: float,
+    lat,
+    lon,
     rows: int = DEFAULT_GRID_ROWS,
     cols: int = DEFAULT_GRID_COLS,
     bbox: Bbox = DEFAULT_BBOX,
-) -> tuple[int, int]:
-    """Equal-width bin of an in-box coordinate; the top edge clamps into the last bin."""
-    if not bbox.contains(lat, lon):
+):
+    """Equal-width bins of in-box coordinates, scalars or arrays.
+
+    The top edge clamps into the last bin.
+    """
+    lat, lon = np.asarray(lat), np.asarray(lon)
+    if not np.all(bbox.contains(lat, lon)):
         raise ValueError(f"point ({lat}, {lon}) lies outside the bounding box")
-    row = int((lat - bbox.lat_min) / (bbox.lat_max - bbox.lat_min) * rows)
-    col = int((lon - bbox.lon_min) / (bbox.lon_max - bbox.lon_min) * cols)
-    return min(row, rows - 1), min(col, cols - 1)
+    row = ((lat - bbox.lat_min) / (bbox.lat_max - bbox.lat_min) * rows).astype(np.int64)
+    col = ((lon - bbox.lon_min) / (bbox.lon_max - bbox.lon_min) * cols).astype(np.int64)
+    return np.minimum(row, rows - 1), np.minimum(col, cols - 1)
 
 
 def bin_to_grid(
-    record: TripRecord,
+    trips: TripTable,
     rows: int = DEFAULT_GRID_ROWS,
     cols: int = DEFAULT_GRID_COLS,
     bbox: Bbox = DEFAULT_BBOX,
-) -> tuple[int, int]:
-    """Map a trip to a request: row-major cell indices of its endpoints."""
-    pr, pc = bin_point(record.pickup_lat, record.pickup_lon, rows, cols, bbox)
-    dr, dc = bin_point(record.dropoff_lat, record.dropoff_lon, rows, cols, bbox)
+) -> tuple[np.ndarray, np.ndarray]:
+    """Map trips to requests: row-major cell indices of their endpoints."""
+    pr, pc = bin_point(trips.pickup_lat, trips.pickup_lon, rows, cols, bbox)
+    dr, dc = bin_point(trips.dropoff_lat, trips.dropoff_lon, rows, cols, bbox)
     return pr * cols + pc, dr * cols + dc
 
 
@@ -169,26 +252,29 @@ def bin_to_grid(
 class SegmentResult:
     """Trips partitioned by (segment, pickup date); out-of-segment trips counted."""
 
-    parts: dict[str, dict[dt.date, list[TripRecord]]]
+    parts: dict[str, dict[dt.date, TripTable]]
     dropped: int
 
     def dates(self, segment: str) -> list[dt.date]:
         return sorted(self.parts[segment.lower()])
 
 
-def segment_by_time(records: Iterable[TripRecord]) -> SegmentResult:
-    """Assign trips to daily segments by pickup hour, one part per date."""
-    parts: dict[str, dict[dt.date, list[TripRecord]]] = {name: {} for name in SEGMENTS}
-    dropped = 0
-    for r in records:
-        hour = r.pickup_time.hour
-        for name, (start, end) in SEGMENTS.items():
-            if start <= hour < end:
-                parts[name].setdefault(r.pickup_time.date(), []).append(r)
-                break
-        else:
-            dropped += 1
-    return SegmentResult(parts=parts, dropped=dropped)
+def segment_by_time(trips: TripTable) -> SegmentResult:
+    """Assign trips to daily segments by pickup hour, one part per date in input order."""
+    day = trips.pickup_time.astype("datetime64[D]")
+    hour = (trips.pickup_time - day).astype(np.int64) // 3600
+    parts: dict[str, dict[dt.date, TripTable]] = {}
+    kept = 0
+    for name, (start, end) in SEGMENTS.items():
+        rows = np.flatnonzero((start <= hour) & (hour < end))
+        rows = rows[np.argsort(day[rows], kind="stable")]
+        dates, first = np.unique(day[rows], return_index=True)
+        parts[name] = {
+            date: trips.take(part)
+            for date, part in zip(dates.tolist(), np.split(rows, first[1:]))
+        }
+        kept += len(rows)
+    return SegmentResult(parts=parts, dropped=len(trips) - kept)
 
 
 def segment_seconds(segment: str) -> int:
@@ -213,33 +299,32 @@ class RateEstimate:
 
 
 def estimate_rates(
-    requests: Iterable[tuple[int, int]],
+    requests,
     slots: int,
     rows: int = DEFAULT_GRID_ROWS,
     cols: int = DEFAULT_GRID_COLS,
 ) -> RateEstimate:
     """Empirical per-second arrival frequencies with distance weights.
 
-    requests are binned (origin cell, destination cell) pairs; slots is the
-    total count of per-second rounds the sample spans (window seconds times
-    number of dates).
+    requests are binned (origin cell, destination cell) pairs, as a
+    sequence of pairs or a (k, 2) array; slots is the total count of
+    per-second rounds the sample spans (window seconds times number of
+    dates).
     """
     if slots < 1:
         raise ValueError("rate estimation needs at least one per-second slot")
     grid = build_grid(rows, cols)
     n = grid.n
-    counts = np.zeros((n, n))
-    total = 0
-    for u, v in requests:
-        grid.check_location(u)
-        grid.check_location(v)
-        counts[u, v] += 1
-        total += 1
+    pairs = np.asarray(requests, dtype=np.int64).reshape(-1, 2)
+    outside = pairs[(pairs < 0) | (pairs >= n)]
+    if len(outside):
+        grid.check_location(int(outside[0]))
+    counts = np.bincount(pairs[:, 0] * n + pairs[:, 1], minlength=n * n).reshape(n, n)
     p = counts / slots
     rescale = max(1.0, float(p.sum()))
     p /= rescale
     model = RequestModel(grid=grid, p=p, w=distance_weights(grid))
-    return RateEstimate(model=model, rescale=rescale, requests=total, slots=slots)
+    return RateEstimate(model=model, rescale=rescale, requests=len(pairs), slots=slots)
 
 
 def estimate_segment_rates(
@@ -255,22 +340,21 @@ def estimate_segment_rates(
     parts = segmented.parts[segment]
     if not dates:
         raise ValueError(f"no trips fall in the {segment} segment")
-    pairs = (bin_to_grid(r, rows, cols, bbox) for date in dates for r in parts[date])
-    return estimate_rates(pairs, segment_seconds(segment) * len(dates), rows, cols)
+    pairs = [np.column_stack(bin_to_grid(parts[date], rows, cols, bbox)) for date in dates]
+    return estimate_rates(np.concatenate(pairs), segment_seconds(segment) * len(dates), rows, cols)
 
 
-def subsample_cars(records: Sequence[TripRecord], k: int, seed: int) -> list[TripRecord]:
+def subsample_cars(trips: TripTable, k: int, seed: int) -> TripTable:
     """Keep the trips of k distinct cars drawn uniformly without replacement.
 
-    The candidate ids are sorted before sampling, so the result depends
-    only on (set of ids, k, seed), not on record order.
+    The candidates are the cars present, in sorted id order, so the result
+    depends only on (set of ids, k, seed), not on trip order.
     """
-    ids = sorted({r.car_id for r in records})
-    if k < 0 or k > len(ids):
-        raise ValueError(f"cannot sample {k} cars from {len(ids)} distinct ids")
-    rng = stream(seed)
-    chosen = set(rng.choice(np.array(ids, dtype=object), size=k, replace=False)) if k else set()
-    return [r for r in records if r.car_id in chosen]
+    present = np.unique(trips.car)
+    if k < 0 or k > len(present):
+        raise ValueError(f"cannot sample {k} cars from {len(present)} distinct ids")
+    chosen = present[stream(seed).choice(len(present), size=k, replace=False)]
+    return trips.take(np.isin(trips.car, chosen))
 
 
 @dataclass
@@ -293,7 +377,7 @@ class ReplayTrace:
 
 
 def build_replay(
-    records: Sequence[TripRecord],
+    trips: TripTable,
     segment: str,
     date: dt.date | None = None,
     rows: int = DEFAULT_GRID_ROWS,
@@ -306,24 +390,23 @@ def build_replay(
     Manhattan distance between its binned endpoints.
     """
     segment = segment.lower()
-    start_hour, end_hour = SEGMENTS[segment]
+    start_hour = SEGMENTS[segment][0]
     if date is None:
-        dates = {r.pickup_time.date() for r in records}
+        dates = np.unique(trips.pickup_time.astype("datetime64[D]")).tolist()
         if len(dates) != 1:
             raise ValueError(f"records span {len(dates)} dates; pass one date per trace")
         (date,) = dates
-    grid = build_grid(rows, cols)
-    window_start = dt.datetime.combine(date, dt.time(hour=start_hour))
-    rounds = segment_seconds(segment)
-    stamped = []
-    for r in records:
-        if r.pickup_time.date() != date or not (start_hour <= r.pickup_time.hour < end_hour):
-            raise ValueError(f"trip at {r.pickup_time} lies outside {segment} of {date}")
-        rnd = int((r.pickup_time - window_start).total_seconds())
-        u, v = bin_to_grid(r, rows, cols, bbox)
-        stamped.append((rnd, u, v, float(manhattan_distance(grid, u, v))))
-    stamped.sort(key=lambda e: e[0])
-    return ReplayTrace(entries=stamped, rounds=rounds, segment=segment, date=date)
+    window_start = np.datetime64(date, "s") + np.timedelta64(start_hour * 3600, "s")
+    rnd = (trips.pickup_time - window_start).astype(np.int64)
+    outside = np.flatnonzero((rnd < 0) | (rnd >= segment_seconds(segment)))
+    if len(outside):
+        when = trips.pickup_time[outside[0]].item()
+        raise ValueError(f"trip at {when} lies outside {segment} of {date}")
+    u, v = bin_to_grid(trips, rows, cols, bbox)
+    weight = distance_weights(build_grid(rows, cols))[u, v]
+    order = np.argsort(rnd, kind="stable")
+    entries = list(zip(*(a[order].tolist() for a in (rnd, u, v, weight))))
+    return ReplayTrace(entries=entries, rounds=segment_seconds(segment), segment=segment, date=date)
 
 
 def write_replay(path, trace: ReplayTrace) -> None:

@@ -45,7 +45,6 @@ from dispatchlab.grid import (
 )
 from dispatchlab.ingest import (
     DEFAULT_BBOX,
-    TripRecord,
     build_replay,
     bin_point,
     estimate_rates,
@@ -59,7 +58,14 @@ from dispatchlab.policies import ALL_PHIS, PolicySpec, parse_policy
 from dispatchlab.rng import stream
 from dispatchlab.simulate import SimConfig, fit_exponential, initial_state_preset, run_ensemble
 from dispatchlab.states import StateSpace
-from oracles import build_transition_from_policy, kernel_from_rows, same_transitions
+from oracles import (
+    TripRecord,
+    build_transition_from_policy,
+    kernel_from_rows,
+    records_from_table,
+    same_transitions,
+    table_from_records,
+)
 
 
 def _verdict(num: str, ok: bool, detail: str) -> None:
@@ -424,11 +430,11 @@ def test_criterion_09_ingestion_pipeline(tmp_path):
     kept = filter_bbox(parsed.records)
     by_hand = [
         r
-        for r in parsed.records
+        for r in records_from_table(parsed.records)
         if DEFAULT_BBOX.contains(r.pickup_lat, r.pickup_lon)
         and DEFAULT_BBOX.contains(r.dropoff_lat, r.dropoff_lon)
     ]
-    checks["bbox"] = kept == by_hand and 0 < len(kept) < 1000
+    checks["bbox"] = records_from_table(kept) == by_hand and 0 < len(kept) < 1000
 
     # binning: the box midpoint lands in cell (10, 5)
     b = DEFAULT_BBOX
@@ -439,15 +445,18 @@ def test_criterion_09_ingestion_pipeline(tmp_path):
     day = dt.date(2013, 1, 15)
     at = lambda h, mi=0, s=0: dt.datetime.combine(day, dt.time(h, mi, s))
     seg = segment_by_time(
-        [
-            _trip("w1", at(7), (0, 0), (0, 3)),
-            _trip("w2", at(11), (0, 0), (0, 3)),
-            _trip("w3", at(6, 59, 59), (0, 0), (0, 3)),
-        ]
+        table_from_records(
+            [
+                _trip("w1", at(7), (0, 0), (0, 3)),
+                _trip("w2", at(11), (0, 0), (0, 3)),
+                _trip("w3", at(6, 59, 59), (0, 0), (0, 3)),
+            ]
+        )
     )
+    cars = lambda part: [r.car_id for r in records_from_table(part)] if part else []
     checks["segments"] = (
-        [r.car_id for r in seg.parts["morning"].get(day, [])] == ["w1"]
-        and [r.car_id for r in seg.parts["afternoon"].get(day, [])] == ["w2"]
+        cars(seg.parts["morning"].get(day)) == ["w1"]
+        and cars(seg.parts["afternoon"].get(day)) == ["w2"]
         and seg.dropped == 1
     )
 
@@ -466,7 +475,7 @@ def test_criterion_09_ingestion_pipeline(tmp_path):
         _trip("c2", at(7, 0, 5), (5, 5), (5, 6)),   # round 5, weight 1, no driver: lost
         _trip("c3", at(7, 1, 0), (0, 3), (2, 3)),   # round 60, weight 2, served from cell 3
     ]
-    trace = build_replay(trips, "morning")
+    trace = build_replay(table_from_records(trips), "morning")
     grid = build_grid(21, 11)
     start = (1,) + (0,) * (grid.n - 1)
     series = run_ensemble(

@@ -8,8 +8,18 @@ import os
 import numpy as np
 import pytest
 
-from dispatchlab.cli import main
+from dispatchlab.cli import main, write_json
 from dispatchlab.grid import build_grid, uniform_request_model
+from oracles import (
+    build_replay_rows,
+    estimate_segment_rates_rows,
+    filter_bbox_rows,
+    parse_trips_rows,
+    segment_rows,
+    subsample_rows,
+    write_model_rows,
+    write_replay_rows,
+)
 
 
 def run(args, tmp_path, sub=None):
@@ -300,6 +310,59 @@ def test_fixture_and_ingest_subcommands(tmp_path):
     assert code == 0
     rows = read_csv(replay_out / "replay.csv")
     assert all(0 <= int(r["round"]) < 14400 for r in rows)
+
+
+def test_ingest_outputs_match_the_record_pipeline_byte_for_byte(tmp_path):
+    """Every ingest output equals, byte for byte, a rerun and the record-by-record pipeline."""
+    code, fix = run(["fixture", "--trips", "3000", "--cars", "40", "--seed", "7"], tmp_path, "fix")
+    assert code == 0
+    trips = fix / "trips.csv"
+    parsed = parse_trips_rows(trips)
+    kept = filter_bbox_rows(parsed.records)
+    jobs = {
+        "model": (["--emit", "model"], kept),
+        "replay": (["--emit", "replay", "--dates", "2013-01-14"], kept),
+        "subsample": (["--emit", "model", "--subsample", "12", "--seed", "3"],
+                      subsample_rows(kept, 12, 3)),
+    }
+    for name, (flags, records) in jobs.items():
+        args = ["ingest", "--input", str(trips), "--segment", "morning", *flags]
+        outs = []
+        for rerun in ("a", "b"):
+            code, out = run(args, tmp_path, f"{name}_{rerun}")
+            assert code == 0
+            outs.append(out)
+        seg = segment_rows(records)
+        dates = seg.dates("morning")
+        if name == "replay":
+            dates = [d for d in dates if d.isoformat() == "2013-01-14"]
+        expected = tmp_path / f"{name}_oracle"
+        expected.mkdir()
+        stats = {
+            "parsed": len(parsed.records),
+            "skipped": parsed.skipped,
+            "in_bbox": len(records),
+            "outside_segments": seg.dropped,
+            "segment": "morning",
+            "dates": [d.isoformat() for d in dates],
+        }
+        if name == "replay":
+            data = "replay.csv"
+            trace = build_replay_rows(seg.parts["morning"][dates[0]], "morning", dates[0])
+            write_replay_rows(expected / data, trace)
+            stats.update({"entries": len(trace), "rounds": trace.rounds})
+        else:
+            data = "model.csv"
+            est = estimate_segment_rates_rows(seg, "morning", dates)
+            write_model_rows(expected / data, est.model)
+            stats.update({"requests": est.requests, "slots": est.slots, "rescale": est.rescale})
+        write_json(expected / "report.json", stats)
+        for filename in (data, "report.json"):
+            want = (expected / filename).read_bytes()
+            assert [(out / filename).read_bytes() for out in outs] == [want, want], (name, filename)
+        digests = [read_json(out / "manifest.json")["outputs"] for out in outs]
+        assert digests[0] == digests[1] == {data: sha(expected / data),
+                                            "report.json": sha(expected / "report.json")}
 
 
 def test_csv_report_format(tmp_path):

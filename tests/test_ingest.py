@@ -4,9 +4,16 @@ import csv
 import datetime as dt
 import hashlib
 import random
+import tempfile
+from pathlib import Path
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from dispatchlab import ingest
 from dispatchlab.errors import SchemaError
 from dispatchlab.grid import build_grid, manhattan_distance
 from dispatchlab.ingest import (
@@ -15,7 +22,6 @@ from dispatchlab.ingest import (
     FIXTURE_COLUMNS,
     FIXTURE_DATES,
     Bbox,
-    TripRecord,
     bin_point,
     bin_to_grid,
     build_replay,
@@ -29,6 +35,18 @@ from dispatchlab.ingest import (
     segment_seconds,
     subsample_cars,
     write_replay,
+)
+from oracles import (
+    TripRecord,
+    bin_point_scalar,
+    build_replay_rows,
+    estimate_segment_rates_rows,
+    filter_bbox_rows,
+    parse_trips_rows,
+    records_from_table,
+    segment_rows,
+    subsample_rows,
+    table_from_records,
 )
 
 MID_LAT = (DEFAULT_BBOX_BOUNDS[0] + DEFAULT_BBOX_BOUNDS[1]) / 2
@@ -84,7 +102,7 @@ def test_parse_trips_roundtrip(tmp_path):
     result = parse_trips(path)
     assert result.skipped == 0
     assert len(result.records) == 2
-    first = result.records[0]
+    first = records_from_table(result.records)[0]
     assert first.car_id == "A"
     assert first.pickup_time == dt.datetime(2013, 1, 14, 7, 0, 0)
     assert first.dropoff_time == dt.datetime(2013, 1, 14, 7, 10, 0)
@@ -107,7 +125,7 @@ def test_parse_trips_skips_malformed_rows(tmp_path):
         ],
     )
     result = parse_trips(path)
-    assert [r.car_id for r in result.records] == ["A"]
+    assert [r.car_id for r in records_from_table(result.records)] == ["A"]
     assert result.skipped == 5
 
 
@@ -126,7 +144,7 @@ def test_parse_trips_schema_errors(tmp_path):
     with pytest.raises(SchemaError):
         parse_trips(good, column_mapping={"vehicle": "cab"})
     result = parse_trips(good, column_mapping={"car_id": "cab"})
-    assert result.records[0].car_id == "A"
+    assert records_from_table(result.records)[0].car_id == "A"
 
 
 def test_bbox_is_half_open():
@@ -145,8 +163,8 @@ def test_filter_bbox_requires_both_endpoints_inside():
     inside = trip()
     pickup_out = trip(plat=DEFAULT_BBOX.lat_max + 0.01)
     dropoff_out = trip(dlon=DEFAULT_BBOX.lon_min - 0.01)
-    kept = filter_bbox([inside, pickup_out, dropoff_out])
-    assert kept == [inside]
+    kept = filter_bbox(table_from_records([inside, pickup_out, dropoff_out]))
+    assert records_from_table(kept) == [inside]
 
 
 def test_bin_point_examples():
@@ -165,9 +183,9 @@ def test_bin_point_examples():
 
 def test_bin_to_grid_row_major():
     box = Bbox(0.0, 1.0, 0.0, 1.0)
-    r = trip(plat=0.1, plon=0.1, dlat=0.9, dlon=0.9)
-    assert bin_to_grid(r, rows=2, cols=2, bbox=box) == (0, 3)
-    assert bin_to_grid(r, rows=3, cols=3, bbox=box) == (0, 8)
+    r = table_from_records([trip(plat=0.1, plon=0.1, dlat=0.9, dlon=0.9)])
+    assert [a.tolist() for a in bin_to_grid(r, rows=2, cols=2, bbox=box)] == [[0], [3]]
+    assert [a.tolist() for a in bin_to_grid(r, rows=3, cols=3, bbox=box)] == [[0], [8]]
 
 
 def test_segmentation_boundaries():
@@ -181,7 +199,7 @@ def test_segmentation_boundaries():
         trip(pickup="2013-01-15 18:59:59", dropoff="2013-01-15 19:10:00"),
         trip(pickup="2013-01-15 19:00:00", dropoff="2013-01-15 19:10:00"),
     ]
-    seg = segment_by_time(records)
+    seg = segment_by_time(table_from_records(records))
     assert seg.dropped == 2  # 06:59:59 and 19:00:00
     day1 = dt.date(2013, 1, 14)
     day2 = dt.date(2013, 1, 15)
@@ -218,7 +236,7 @@ def test_estimate_rates_rescales_overfull_mass():
 
 
 def test_estimate_segment_rates_single_trip():
-    seg = segment_by_time([trip(pickup="2013-01-14 08:30:00")])
+    seg = segment_by_time(table_from_records([trip(pickup="2013-01-14 08:30:00")]))
     est = estimate_segment_rates(seg, "morning", seg.dates("morning"), rows=21, cols=11)
     # one request over one four-hour date window
     assert est.slots == 14400
@@ -233,7 +251,7 @@ def test_estimate_segment_rates_pools_dates():
         trip(pickup="2013-01-14 08:30:00"),
         trip(pickup="2013-01-16 09:30:00"),
     ]
-    seg = segment_by_time(records)
+    seg = segment_by_time(table_from_records(records))
     est = estimate_segment_rates(seg, "morning", seg.dates("morning"))
     assert est.slots == 2 * 14400
     assert est.requests == 2
@@ -243,20 +261,22 @@ def test_estimate_segment_rates_pools_dates():
 
 
 def test_subsample_cars_behaviour():
-    records = [trip(car=f"CAR{i:05d}") for i in range(12) for _ in range(2)]
-    assert subsample_cars(records, 0, seed=1) == []
-    assert subsample_cars(records, 12, seed=1) == records
-    sample = subsample_cars(records, 5, seed=7)
+    rows = [trip(car=f"CAR{i:05d}") for i in range(12) for _ in range(2)]
+    records = table_from_records(rows)
+    assert records_from_table(subsample_cars(records, 0, seed=1)) == []
+    assert records_from_table(subsample_cars(records, 12, seed=1)) == rows
+    sample = records_from_table(subsample_cars(records, 5, seed=7))
     ids = {r.car_id for r in sample}
     assert len(ids) == 5
     assert len(sample) == 10  # both trips of each chosen car survive
     # deterministic in the seed, insensitive to record order
-    again = subsample_cars(records, 5, seed=7)
+    again = records_from_table(subsample_cars(records, 5, seed=7))
     assert sample == again
-    shuffled = records[:]
+    shuffled = rows[:]
     random.Random(3).shuffle(shuffled)
-    assert {r.car_id for r in subsample_cars(shuffled, 5, seed=7)} == ids
-    assert {r.car_id for r in subsample_cars(records, 5, seed=8)} != ids
+    chosen = lambda table: {r.car_id for r in records_from_table(table)}
+    assert chosen(subsample_cars(table_from_records(shuffled), 5, seed=7)) == ids
+    assert chosen(subsample_cars(records, 5, seed=8)) != ids
     with pytest.raises(ValueError):
         subsample_cars(records, 13, seed=1)
     with pytest.raises(ValueError):
@@ -270,7 +290,7 @@ def test_build_replay_rounds_and_weights():
         trip(pickup="2013-01-14 07:00:00"),
         trip(pickup="2013-01-14 07:00:00", car="CAR00002"),
     ]
-    trace = build_replay(records, "morning")
+    trace = build_replay(table_from_records(records), "morning")
     assert trace.rounds == 14400
     assert trace.segment == "morning" and trace.date == dt.date(2013, 1, 14)
     rounds = [e[0] for e in trace.entries]
@@ -285,19 +305,22 @@ def test_build_replay_rounds_and_weights():
 
 
 def test_build_replay_date_handling():
-    mixed = [trip(pickup="2013-01-14 08:00:00"), trip(pickup="2013-01-15 08:00:00")]
+    mixed = table_from_records(
+        [trip(pickup="2013-01-14 08:00:00"), trip(pickup="2013-01-15 08:00:00")]
+    )
     with pytest.raises(ValueError):
         build_replay(mixed, "morning")
-    only_day2 = build_replay(mixed[1:], "morning", date=dt.date(2013, 1, 15))
+    only_day2 = build_replay(mixed.take([1]), "morning", date=dt.date(2013, 1, 15))
     assert only_day2.date == dt.date(2013, 1, 15)
 
 
 def test_build_replay_rejects_out_of_window_trips():
     with pytest.raises(ValueError):
-        build_replay([trip(pickup="2013-01-14 12:00:00")], "morning")
+        build_replay(table_from_records([trip(pickup="2013-01-14 12:00:00")]), "morning")
     with pytest.raises(ValueError):
         build_replay(
-            [trip(pickup="2013-01-14 08:00:00")], "morning", date=dt.date(2013, 1, 15)
+            table_from_records([trip(pickup="2013-01-14 08:00:00")]), "morning",
+            date=dt.date(2013, 1, 15),
         )
 
 
@@ -306,7 +329,7 @@ def test_replay_csv_roundtrip(tmp_path):
         trip(pickup="2013-01-14 07:00:03"),
         trip(pickup="2013-01-14 09:10:11"),
     ]
-    trace = build_replay(records, "morning")
+    trace = build_replay(table_from_records(records), "morning")
     path = tmp_path / "replay.csv"
     write_replay(path, trace)
     back = read_replay(path)
@@ -336,7 +359,7 @@ def test_fixture_is_deterministic_and_parseable(tmp_path):
     parsed = parse_trips(a)
     assert parsed.skipped == 0
     assert len(parsed.records) == 200
-    dates = {r.pickup_time.date() for r in parsed.records}
+    dates = {r.pickup_time.date() for r in records_from_table(parsed.records)}
     assert dates.issubset(set(FIXTURE_DATES))
     # some trips leave the analysis box, so the geofence has work to do
     kept = filter_bbox(parsed.records)
@@ -355,3 +378,174 @@ def test_fixture_feeds_the_whole_pipeline(tmp_path):
     trace = build_replay(seg.parts["morning"][date], "morning", date=date)
     assert trace.rounds == 14400
     assert all(0 <= e[0] < 14400 for e in trace.entries)
+
+
+# ---------------------------------------------------------------------------
+# The columnar pipeline against the record-by-record oracles
+
+DIFF = settings(derandomize=True, max_examples=60, deadline=None)
+
+COLUMNS = ["medallion", "pickup_datetime", "dropoff_datetime", "pickup_latitude",
+           "pickup_longitude", "dropoff_latitude", "dropoff_longitude"]
+GOOD_STAMPS = ["2012-02-29 12:00:00", "2013-01-14 07:00:00", "2013-01-14 07:00:01",
+               "2013-01-14 10:59:59", "2013-01-15 23:59:59", "0001-01-01 08:00:00",
+               "1969-12-31 18:59:59"]
+ODD_STAMPS = [
+    "2013-1-14 7:5:3",          # unpadded: strptime accepts, datetime64 does not
+    "2013-01-14  07:05:03",     # double space: strptime accepts
+    "2013-01-14\t07:05:03",     # any whitespace run: strptime accepts
+    "2013-01-14T07:05:03",      # datetime64 accepts these four, strptime does not
+    "2013-01-14 07:05",
+    " 2013-01-14 07:05:03",
+    "2013-01-14 07:05:03 ",
+    "2013-02-30 07:00:00",      # out of range: both reject
+    "2013-01-14 07:00:60",
+    "2013-01-14 24:00:00",
+    "2013-13-01 07:00:00",
+    "0000-01-01 00:00:00",      # datetime64 accepts year 0, strptime does not
+    "2013-01-14 07:00:00\x00",  # datetime64 strings drop trailing NULs
+    "2013-01-14 07:0\x00:00",
+    "２０１３-01-14 07:00:00",  # non-ASCII digits
+    "2013/01/14 07:00:00",
+    "",
+]
+GOOD_COORDS = ["40.75", "-74.0", "40.7014", "-73.9552", "40.8024", "41", "4e1", "-0", ".5"]
+ODD_COORDS = ["nan", "inf", "-inf", "1_0", " 1.5 ", "", "forty", "1.5\x00", "0x1p3", "1e999"]
+CARS = ["A", "B", "", "A\x00", "a", "Ä", " A", "CAR00001"]
+
+
+@st.composite
+def trip_rows(draw):
+    """One CSV row: good, with one odd field, short, long, blank, or ending before it starts."""
+    pickup, dropoff = sorted(draw(st.lists(st.sampled_from(GOOD_STAMPS), min_size=2, max_size=2)))
+    coords = draw(st.lists(st.sampled_from(GOOD_COORDS), min_size=4, max_size=4))
+    row = [draw(st.sampled_from(CARS)), pickup, dropoff, *coords]
+    kind = draw(st.sampled_from(["good", "odd stamp", "odd coord", "short", "long", "reversed"]))
+    if kind == "odd stamp":
+        row[draw(st.sampled_from([1, 2]))] = draw(st.sampled_from(ODD_STAMPS))
+    elif kind == "odd coord":
+        row[draw(st.integers(3, 6))] = draw(st.sampled_from(ODD_COORDS))
+    elif kind == "short":  # zero fields is a blank line
+        row = row[: draw(st.integers(0, 6))]
+    elif kind == "long":
+        row += draw(st.lists(st.sampled_from(["x", "", "40.7"]), min_size=1, max_size=3))
+    elif kind == "reversed":
+        row[1], row[2] = dropoff, pickup
+    return row
+
+
+def parse_both(rows, columns=COLUMNS):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "trips.csv"
+        write_rows(path, rows, columns)
+        return parse_trips(path), parse_trips_rows(path)
+
+
+def assert_same_parse(new, old):
+    assert records_from_table(new.records) == old.records
+    assert new.skipped == old.skipped
+    assert new.records.car_ids.tolist() == sorted({r.car_id for r in old.records})
+    assert_same_segments(segment_by_time(new.records), segment_rows(old.records))
+
+
+def assert_same_segments(seg, seg_rows):
+    assert seg.dropped == seg_rows.dropped
+    for name in ingest.SEGMENTS:
+        assert seg.dates(name) == seg_rows.dates(name)
+        for date in seg.dates(name):
+            assert records_from_table(seg.parts[name][date]) == seg_rows.parts[name][date]
+
+
+@DIFF
+@given(st.lists(trip_rows(), max_size=40), st.integers(1, 7))
+@example([["A", "2013-01-14 07:00:00\x00", "2013-01-14 08:00:00", "40.75", "-74", "40.75", "-74"],
+          ["A\x00", "2013-01-14 07:00:00", "2013-01-14 08:00:00", "1.5\x00", "-74", "40.75", "-74"],
+          ["A\x00", "2013-01-14 07:00:00", "2013-01-14 08:00:00", "40.75", "-74", "40.75", "-74"],
+          ["A", "2013-01-14 07:00:00", "2013-01-14 08:00:00", "40.75", "-74", "40.75", "-74"]], 2)
+def test_parse_trips_matches_the_row_rule(rows, chunk_rows):
+    """Row for row, including skips, blank lines and bad rows on chunk boundaries."""
+    with mock.patch.object(ingest, "PARSE_CHUNK_ROWS", chunk_rows):
+        new, old = parse_both(rows)
+    assert_same_parse(new, old)
+
+
+def test_parse_trips_matches_the_row_rule_across_full_chunks():
+    """Over two full chunks, with odd rows either side of each boundary and a chunk with no good row."""
+    chunk = ingest.PARSE_CHUNK_ROWS
+    good = ["CAR1", "2013-01-14 07:00:00", "2013-01-14 11:30:00", "40.75", "-74.0", "40.76", "-73.99"]
+    rows = [good[:1] + [f"2013-01-14 {7 + i % 4:02d}:{i % 60:02d}:{i % 59:02d}"] + good[2:]
+            for i in range(2 * chunk + 5)]
+    odd = {
+        chunk - 1: ["CAR2", "2013-1-14 8:0:0", *good[2:]],
+        chunk: [],
+        chunk + 1: ["CAR2", "2013-02-30 07:00:00", *good[2:]],
+        2 * chunk - 1: good[:3],
+        2 * chunk: ["CAR3", *good[1:3], "nan", *good[4:]],
+        2 * chunk + 1: ["CAR\x00", *good[1:]],
+    }
+    for i, row in odd.items():
+        rows[i] = row
+    new, old = parse_both(rows)
+    assert_same_parse(new, old)
+    # the unpadded stamp and the NUL car are good rows, the blank line is no row
+    assert old.skipped == 3 and len(old.records) == 2 * chunk + 1
+    # a chunk of nothing but skipped and blank rows
+    with mock.patch.object(ingest, "PARSE_CHUNK_ROWS", 2):
+        assert_same_parse(*parse_both([good, [], good[:2], good[:3], good]))
+
+
+@DIFF
+@given(st.lists(trip_rows(), max_size=20))
+def test_parse_trips_reads_a_repeated_column_as_its_last(rows):
+    """As csv.DictReader does: the last column of a name wins, and a row too short for it is skipped."""
+    rows = [row + ["LAST"] if i % 3 else row for i, row in enumerate(rows)]
+    assert_same_parse(*parse_both(rows, COLUMNS + ["medallion"]))
+
+
+@DIFF
+@given(st.lists(st.sampled_from(CARS + ["Z", "b", "é"]), min_size=1, max_size=30),
+       st.integers(0, 2**16), st.data())
+def test_subsample_cars_matches_the_oracle_draw(cars, seed, data):
+    """Drawing on car codes picks the cars that rng.choice over the sorted ids picks."""
+    rows = [trip(car=car) for car in cars]
+    k = data.draw(st.integers(0, len(set(cars))))
+    sample = subsample_cars(table_from_records(rows), k, seed)
+    assert records_from_table(sample) == subsample_rows(rows, k, seed)
+
+
+@DIFF
+@given(st.floats(0, 1), st.floats(0, 1), st.integers(1, 25), st.integers(1, 25))
+@example(1.0, 1.0, 21, 11)
+def test_bin_point_arrays_match_the_scalar_expression(x, y, rows, cols):
+    box = DEFAULT_BBOX
+    lat = np.array([box.lat_min + x * (box.lat_max - box.lat_min), box.lat_min, MID_LAT])
+    lon = np.array([box.lon_min + y * (box.lon_max - box.lon_min), box.lon_min, MID_LON])
+    lat, lon = np.minimum(lat, np.nextafter(box.lat_max, 0)), np.minimum(lon, np.nextafter(box.lon_max, -100))
+    r, c = bin_point(lat, lon, rows, cols)
+    expected = [bin_point_scalar(a, b, rows, cols, box) for a, b in zip(lat.tolist(), lon.tolist())]
+    assert list(zip(r.tolist(), c.tolist())) == expected
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_pipeline_matches_the_record_pipeline(tmp_path, seed):
+    """filter, segment, rates, subsample and replay over columns equal the record-by-record chain."""
+    path = tmp_path / "trips.csv"
+    make_fixture(path, trips=1500, seed=seed, cars=30)
+    table, records = parse_trips(path).records, parse_trips_rows(path).records
+    kept, kept_rows = filter_bbox(table), filter_bbox_rows(records)
+    assert records_from_table(kept) == kept_rows
+    for k in (0, 7, 30):
+        assert records_from_table(subsample_cars(kept, k, seed)) == subsample_rows(kept_rows, k, seed)
+    seg, seg_rows = segment_by_time(kept), segment_rows(kept_rows)
+    assert_same_segments(seg, seg_rows)
+    for name in ingest.SEGMENTS:
+        for date in seg.dates(name):
+            part, part_rows = seg.parts[name][date], seg_rows.parts[name][date]
+            trace, trace_rows = build_replay(part, name), build_replay_rows(part_rows, name)
+            assert (trace.entries, trace.rounds, trace.date) == (trace_rows.entries, trace_rows.rounds, trace_rows.date)
+            assert all(type(x) is t for e in trace.entries for x, t in zip(e, (int, int, int, float)))
+        est, est_rows = (f(s, name, seg.dates(name)) for f, s in
+                         ((estimate_segment_rates, seg), (estimate_segment_rates_rows, seg_rows)))
+        assert np.array_equal(est.model.p, est_rows.model.p)
+        assert np.array_equal(est.model.w, est_rows.model.w)
+        assert (est.rescale, est.requests, est.slots) == (est_rows.rescale, est_rows.requests, est_rows.slots)
