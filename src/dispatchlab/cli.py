@@ -8,8 +8,9 @@ platforms.  Configuration precedence is flags, then ``--config`` file
 (flat ``key=value`` lines, ``#`` comments), then built-in defaults.
 
 ``--threads`` (default from ``DISPATCHLAB_THREADS``, else 1) is accepted
-and recorded for scheduling budgets; all computations run serially and
-deterministically regardless of its value.
+and recorded but changes nothing: one process steps all runs of an
+ensemble in lockstep and reduces them in run order, so there is no
+per-run loop to shard and no output depends on it.
 """
 
 from __future__ import annotations
@@ -368,7 +369,7 @@ def add_common(spec: SubSpec) -> None:
         "--threads",
         type=int,
         default=_default_threads(),
-        help="recorded thread budget; execution is serial either way",
+        help="recorded only: one process steps all runs in lockstep and reduces them in run order",
     )
     spec.parser.add_argument("--config", dest="config", default=None,
                              help="flat key=value config file; flags win over it")
@@ -626,7 +627,7 @@ def cmd_vi(ns, argv) -> int:
     init = None
     if options["init"] is not None:
         init = resolve_init(options["init"], grid, m, c)
-    report, _log = simulate_optimal_episode(
+    report = simulate_optimal_episode(
         instance, result, periods=options["periods"], seed=seed, initial_state=init
     )
     space = instance.space

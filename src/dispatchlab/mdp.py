@@ -17,9 +17,9 @@ import numpy as np
 
 from .errors import SizeLimitError
 from .grid import Grid, RequestModel
-from .policies import PolicySpec, can_serve, serving_location
+from .policies import PolicySpec
 from .rng import stream
-from .simulate import initial_state_preset
+from .simulate import _SCHEDULE_ELEMENTS, _spans, initial_state_preset, lockstep, policy_serving
 from .states import StateSpace
 
 #: Action indices: 0 rejects, 1 serves from the request origin, 2.. serve from
@@ -175,21 +175,18 @@ def policy_value(instance: MdpInstance, policy: np.ndarray) -> np.ndarray:
     q = instance.request_probs()
     size = instance.space.size
     R = instance.n_requests
-    rows = np.arange(size)
+    rows = np.arange(size)[:, None]
     # placement i with pending slot r moves to placement nxt[r, a_ir, i] earning rew[r, a_ir, i]
-    a = policy
-    moved = np.empty((size, R + 1), dtype=np.int64)
-    earned = np.empty((size, R + 1))
-    for r in range(R + 1):
-        moved[:, r] = nxt[r, a[:, r], rows]
-        earned[:, r] = rew[r, a[:, r], rows]
+    slot = (np.arange(R + 1), policy, rows)
+    moved = nxt[slot]
+    earned = rew[slot]
     # u[i] = expected discounted return from placement i just before arrivals
-    # u = sum_r q_r (earned + gamma * u[moved]) -> (I - gamma * M) u = b
+    # u = sum_r q_r (earned + gamma * u[moved]) -> (I - gamma * M) u = b;
+    # each entry of M and b adds its terms in ascending r (the + 0.0 keeps
+    # an all-zero row's b at +0.0, as a sum started from zero gives)
     M = np.zeros((size, size))
-    b = np.zeros(size)
-    for r in range(R + 1):
-        np.add.at(M, (rows, moved[:, r]), q[r])
-        b += q[r] * earned[:, r]
+    np.add.at(M, (rows, moved), q)
+    b = np.cumsum(q * earned, axis=1)[:, -1] + 0.0
     u = np.linalg.solve(np.eye(size) - instance.discount * M, b)
     values = earned + instance.discount * u[moved]
     return values
@@ -211,96 +208,70 @@ class OccupancyReport:
     served: int
 
 
-@dataclass
-class EpisodeStep:
-    """One period of an episode log: the request seen, choice made, and outcome."""
-
-    period: int
-    state: tuple
-    request: tuple | None
-    action: int
-    serving: int | None
-    success: bool
-    profit: float
+def _action_locations(instance: MdpInstance) -> np.ndarray:
+    """The serving location every (request slot, action) names, -1 for reject or off-grid."""
+    locs = [[instance.action_location(r, a) for a in range(instance.n_actions)]
+            for r in range(instance.n_requests + 1)]
+    return np.array([[-1 if k is None else k for k in row] for row in locs], dtype=np.int64)
 
 
-def _draw_request(q_cum: np.ndarray, u01: float) -> int:
-    """Index of the arrival slot a uniform draw lands in; past-the-end is none."""
-    return int(np.searchsorted(q_cum, u01, side="right"))
-
-
-def simulate_policy_episode(
+def _episodes(
     instance: MdpInstance,
-    act,
+    rule: PolicySpec | ViResult,
     periods: int,
     seed: int,
-    initial_state: Sequence[int] | None = None,
-    episode_key: tuple = (),
-) -> tuple[OccupancyReport, list[EpisodeStep]]:
-    """Roll one seeded episode under an arbitrary action rule and log every period.
+    keys: Sequence[tuple],
+    initial_state: Sequence[int] | None,
+) -> tuple[OccupancyReport, np.ndarray]:
+    """Step one episode per key in lockstep and measure them.
 
-    ``act(counts, request_index, coin_stream)`` returns the serving
-    location or None.  Requests draw from the (seed, *episode_key, 0)
-    stream and policy coins from (seed, *episode_key, 1), so different
-    rules face the identical arrival sequence.
+    ``rule`` is a dispatch policy or a value-iteration result, whose policy
+    table picks the action.  Episode ``key`` draws its requests from the
+    (seed, *key, 0) stream and nadap's probe coins from (seed, *key, 1),
+    one per arriving request, so every rule faces the identical arrival
+    sequence.  Returns the occupancy report over all the episodes' periods
+    and each episode's discounted return, summed period by period.
     """
     if periods < 1:
         raise ValueError("an episode needs at least one period")
-    grid = instance.grid
-    n = grid.n
-    c = instance.c
-    R = instance.n_requests
-    counts = list(
-        initial_state
-        if initial_state is not None
-        else initial_state_preset(grid, instance.m, c, "adversarial")
-    )
-    instance.space.check_counts(counts)
-    req_rng = stream(seed, *episode_key, 0)
-    coin_rng = stream(seed, *episode_key, 1)
-    flat_p = instance.model.p.astype(float).ravel()
-    q_cum = np.cumsum(flat_p)
-    w = instance.model.w.astype(float)
-    covered = np.zeros(n)
-    starts = np.zeros(n)
-    drops = np.zeros(n)
-    served = 0
-    log: list[EpisodeStep] = []
-    draws = req_rng.random(periods)
-    for t in range(periods):
-        state_before = tuple(counts)
-        for u in range(n):
-            if counts[u] >= 1:
-                covered[u] += 1
-        r = _draw_request(q_cum, draws[t])
-        if r >= R:
-            log.append(EpisodeStep(t, state_before, None, REJECT, None, False, 0.0))
-            continue
-        u, v = divmod(r, n)
-        k = act(counts, r, coin_rng)
-        success = k is not None and can_serve(counts, k, v, c)
-        profit = w[u, v] if success else 0.0
-        if success:
-            served += 1
-            starts[u] += 1
-            drops[u] += 1
-            if v != u:
-                drops[v] += 1
-            if k != v:
-                counts[k] -= 1
-                counts[v] += 1
-        action = REJECT
-        if k is not None:
-            action = 1 if k == u else 2 + grid.neighbors(u).index(k)
-        log.append(EpisodeStep(t, state_before, (u, v), action, k, success, profit))
-    report = OccupancyReport(
-        time_covered=100.0 * covered / periods,
-        drop_rate=100.0 * drops / periods,
-        start_pct=100.0 * starts / periods,
-        periods=periods,
-        served=served,
-    )
-    return report, log
+    grid, c = instance.grid, instance.c
+    n, R = grid.n, instance.n_requests
+    start = initial_state_preset(grid, instance.m, c, "adversarial") if initial_state is None else initial_state
+    instance.space.check_counts(start)
+    counts = np.tile(np.array(start, dtype=np.int64), (len(keys), 1))
+    q_cum = np.cumsum(instance.model.p.astype(float).ravel())
+    w = instance.model.w.astype(float).ravel()
+    optimal = isinstance(rule, ViResult)
+    if optimal:
+        locs, table, ranks = _action_locations(instance), rule.policy, instance.space.ranks
+    req_rngs = [stream(seed, *key, 0) for key in keys]
+    coin_rngs = [stream(seed, *key, 1) for key in keys] if not optimal and rule.kind == "nadap" else []
+    covered, starts, drops = np.zeros(n), np.zeros(n), np.zeros(n)
+    served_total = 0
+    returns = np.zeros(len(keys))
+    for a, b in _spans(periods, _SCHEDULE_ELEMENTS // len(keys)):
+        req = np.searchsorted(q_cum, np.stack([g.random(b - a) for g in req_rngs], axis=1), side="right")
+        arrived = req < R
+        origins = np.where(arrived, req // n, -1)
+        dests = req % n
+        if optimal:
+            def serving(t, counts, req=req):
+                return locs[req[t], table[ranks(counts), req[t]]]
+        else:
+            coins = np.zeros(req.shape)
+            for j, g in enumerate(coin_rngs):
+                coins[arrived[:, j], j] = g.random(int(arrived[:, j].sum()))
+            serving = policy_serving(rule, grid, origins, coins)
+        for t, served in lockstep(counts, origins, dests, serving, c):
+            covered += (counts >= 1).sum(axis=0)
+            u, v = origins[t, served], dests[t, served]
+            starts += np.bincount(u, minlength=n)
+            drops += np.bincount(u, minlength=n) + np.bincount(v[v != u], minlength=n)
+            served_total += len(u)
+            returns += np.where(served, w[np.minimum(req[t], R - 1)], 0.0) * instance.discount ** (a + t)
+    total = periods * len(keys)
+    return OccupancyReport(time_covered=100.0 * covered / total, drop_rate=100.0 * drops / total,
+                           start_pct=100.0 * starts / total, periods=total, served=served_total), returns
 
 
 def simulate_optimal_episode(
@@ -309,18 +280,12 @@ def simulate_optimal_episode(
     periods: int = 1000,
     seed: int = 0,
     initial_state: Sequence[int] | None = None,
-) -> tuple[OccupancyReport, list[EpisodeStep]]:
-    """Episode under the value-iteration policy, with its occupancy measures."""
-    space = instance.space
+) -> OccupancyReport:
+    """Occupancy measures of one episode under the value-iteration policy.
 
-    def act(counts, r, _coin_rng):
-        return instance.action_location(r, int(result.policy[space.rank(counts), r]))
-
-    return simulate_policy_episode(instance, act, periods, seed, initial_state)
-
-
-def discounted_return(log: list[EpisodeStep], gamma: float) -> float:
-    return sum(step.profit * gamma**step.period for step in log)
+    The episode draws its requests from the (seed, 0) stream.
+    """
+    return _episodes(instance, result, periods, seed, [()], initial_state)[0]
 
 
 def compare_policies(
@@ -339,32 +304,14 @@ def compare_policies(
     pair up across policies.  Returns label -> per-episode return array,
     with the value-iteration policy under the label "optimal".
     """
-    space = instance.space
-    grid = instance.grid
-
-    def optimal_act(counts, r, _rng):
-        return instance.action_location(r, int(result.policy[space.rank(counts), r]))
-
-    def baseline_act(policy):
-        def act(counts, r, coin_rng):
-            coin = coin_rng.random() if policy.kind == "nadap" else None
-            return serving_location(counts, r // grid.n, policy, grid, coin)
-
-        return act
-
-    rules = {"optimal": optimal_act}
+    keys = [(e,) for e in range(episodes)]
+    rules = {"optimal": result}
     for policy in baselines:
-        rules[policy.label()] = baseline_act(policy)
-    out = {}
-    for label, rule in rules.items():
-        returns = np.empty(episodes)
-        for e in range(episodes):
-            _, log = simulate_policy_episode(
-                instance, rule, periods, seed, initial_state, episode_key=(e,)
-            )
-            returns[e] = discounted_return(log, instance.discount)
-        out[label] = returns
-    return out
+        rules[policy.label()] = policy
+    return {
+        label: _episodes(instance, rule, periods, seed, keys, initial_state)[1]
+        for label, rule in rules.items()
+    }
 
 
 def summarize_returns(returns: np.ndarray) -> tuple[float, float]:

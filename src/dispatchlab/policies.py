@@ -9,10 +9,10 @@ capacity check is vacuous there and a driver at ``v`` suffices.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 import numpy as np
 
@@ -99,15 +99,6 @@ def parse_policy(text: str) -> PolicySpec:
     raise ValueError(f"unknown policy {text!r}")
 
 
-def can_serve(counts: Sequence[int], serving: int, dest: int, c: int) -> bool:
-    """Feasibility of dispatching a driver at ``serving`` to ``dest``.
-
-    A self-dispatch (serving == dest) moves nothing, so only driver
-    presence matters; otherwise the destination must be below capacity.
-    """
-    return counts[serving] >= 1 and (serving == dest or counts[dest] < c)
-
-
 def nadap_probe_weights(grid: Grid, origin: int, alpha, boundary: str = "renormalize"):
     """Candidate serving locations and their probe probabilities for nadap.
 
@@ -134,72 +125,81 @@ def nadap_probe_weights(grid: Grid, origin: int, alpha, boundary: str = "renorma
     return out
 
 
-def rand_scan_order(grid: Grid, origin: int, phi: Sequence[str]) -> list[int]:
-    """In-grid neighbors of ``origin`` in phi order (off-grid directions skipped)."""
-    out = []
-    for direction in phi:
-        k = grid.neighbor_toward(origin, direction)
-        if k is not None:
-            out.append(k)
-    return out
-
-
-def greedy_candidates(grid: Grid, state: Sequence[int], origin: int, origin_first: bool = True) -> list[int]:
-    """Candidate order for greedy: origin first, then neighbors by falling count.
-
-    Count ties break clockwise from North (the grid's neighbor order).
-    With origin_first=False the origin joins the count-sorted pool and wins
-    ties.
-    """
-    nbrs = grid.neighbors(origin)
-    if origin_first:
-        ranked = sorted(range(len(nbrs)), key=lambda i: (-state[nbrs[i]], i))
-        return [origin] + [nbrs[i] for i in ranked]
-    pool = [(origin, -1)] + [(k, i) for i, k in enumerate(nbrs)]
-    pool.sort(key=lambda item: (-state[item[0]], item[1]))
-    return [k for k, _ in pool]
-
-
-def serving_location(state: Sequence[int], origin: int, policy: PolicySpec, grid: Grid, coin=None):
-    """The location ``policy`` serves a request from ``origin`` with, or None.
-
-    This is the one scalar statement of every policy's serving choice.
-    nadap maps its probe coin (uniform on [0, 1)) to the origin below
-    alpha, else to one of equal slices: the in-grid neighbors
-    ("renormalize") or the four compass directions ("lost", None off-grid).
-    It ignores the counts, so the probed location may be empty.  rand and
-    greedy ignore the coin and return their first occupied candidate.
-    """
-    if policy.kind == "nadap":
-        if coin is None:
-            raise ValueError("nadap needs a probe coin")
-        alpha = policy.alpha
-        if coin < alpha or alpha >= 1:
-            return origin
-        frac = (coin - alpha) / (1 - alpha)
-        if policy.boundary == "lost":
-            return grid.neighbor_toward(origin, DIRECTIONS[min(int(frac * 4), 3)])
-        nbrs = grid.neighbors(origin)
-        if not nbrs:
-            return None
-        return nbrs[min(int(frac * len(nbrs)), len(nbrs) - 1)]
-    if policy.kind == "rand":
-        if state[origin] >= 1:
-            return origin
-        candidates = rand_scan_order(grid, origin, policy.phi)
-    else:
-        candidates = greedy_candidates(grid, state, origin, policy.origin_first)
-    for k in candidates:
-        if state[k] >= 1:
-            return k
-    return None
-
-
 #: Slots of a policy table per (state, origin): at most the origin and its four neighbors.
 SLOTS = 5
 
 #: Rough element budget of one step_profit chunk of (states, origins, destinations).
 _PROFIT_CHUNK = 1 << 18
+
+
+@functools.cache
+def candidate_table(policy: PolicySpec, grid: Grid) -> np.ndarray:
+    """Each origin's serving candidates in slot order: a read-only (n, SLOTS) array.
+
+    Slot 0 is the origin and the rest are its neighbors: in phi order for
+    rand (its scan), clockwise from North for greedy (ranked by count when
+    serving) and for nadap's renormalized probes, and one slot per compass
+    direction (-1 off-grid) for nadap's lost probes.  nadap pads with -1;
+    rand and greedy repeat the origin, which never wins over slot 0.  It
+    is built once per (policy, grid).
+    """
+    lost = policy.kind == "nadap" and policy.boundary == "lost"
+    cand = np.full((grid.n, SLOTS), -1, dtype=np.int64)
+    if policy.kind != "nadap":
+        cand[:] = np.arange(grid.n)[:, None]
+    for u in range(grid.n):
+        if policy.kind == "rand":
+            scan = [k for k in (grid.neighbor_toward(u, d) for d in policy.phi) if k is not None]
+        elif lost:
+            scan = [-1 if k is None else k for k in (grid.neighbor_toward(u, d) for d in DIRECTIONS)]
+        else:
+            scan = grid.neighbors(u)
+        cand[u, : 1 + len(scan)] = [u, *scan]
+    cand.flags.writeable = False
+    return cand
+
+
+def _first_best(policy: PolicySpec, cand: np.ndarray, origin, held: np.ndarray) -> np.ndarray:
+    """The candidate scan of rand and greedy: the first best candidate of ``origin``, -1 for none.
+
+    ``held[..., s]`` is the driver count at candidate ``cand[origin, s]``.
+    rand scores occupancy, so its scan order decides; greedy scores the
+    count, ties going to the earlier slot, and an occupied origin comes
+    first unless it is pooled.  A candidate serves only if it holds a driver.
+    """
+    score = held
+    if policy.kind == "rand":
+        score = score >= 1
+    elif policy.origin_first:
+        score = score.copy()
+        score[..., 0] = np.where(score[..., 0] >= 1, score.max() + 1, -1)
+    pick = score.argmax(axis=-1)
+    return np.where(score.max(axis=-1) >= 1, cand[origin, pick], -1)
+
+
+def serving_locations(policy: PolicySpec, grid: Grid, counts, origin, coin=None) -> np.ndarray:
+    """The serving location of a request from ``origin`` in each count row, -1 for none.
+
+    This is the one statement of every policy's serving choice.  nadap
+    maps its probe coin (uniform on [0, 1)) to the origin below alpha,
+    else to one of equal slices: the in-grid neighbors ("renormalize") or
+    the four compass directions ("lost", -1 off-grid).  It ignores the
+    counts, which may be None, so the probed location may be empty; origin
+    and coin are arrays of any shape that broadcast.  rand and greedy
+    ignore the coin and scan ``candidate_table`` for their first best
+    occupied candidate in each row of the (rows, n) ``counts``, with
+    ``origin`` one location per row or one for all rows.
+    """
+    cand = candidate_table(policy, grid)
+    if policy.kind != "nadap":
+        held = counts[np.arange(len(counts))[:, None], cand[origin]]
+        return _first_best(policy, cand, origin, held)
+    rest = float(1 - policy.alpha)
+    frac = (coin - float(policy.alpha)) / rest if rest > 0 else np.zeros(np.shape(coin))
+    width = 4 if policy.boundary == "lost" else np.maximum((cand[:, 1:] >= 0).sum(axis=1), 1)[origin]
+    # a cell without neighbors reads its empty first neighbor slot: no serving location
+    slot = np.clip((frac * width).astype(np.int64), 0, np.subtract(width, 1))
+    return np.where(coin < float(policy.alpha), origin, cand[origin, 1 + slot])
 
 
 def policy_table(states: np.ndarray, policy: PolicySpec, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
@@ -208,9 +208,9 @@ def policy_table(states: np.ndarray, policy: PolicySpec, grid: Grid) -> tuple[np
     Returns ``(loc, wgt)`` of shape (batch, n, slots): a request from origin
     u in state b is served from ``loc[b, u, s]`` (-1 for none) with
     probability ``wgt[b, u, s]``.  rand and greedy have one slot of weight
-    1, serving_location's choice in each state of the (batch, n) count
-    array ``states``.  nadap's slots are its probe weights without the
-    off-grid mass; they ignore the counts, so its batch axis has length 1.
+    1, their candidate scan in each state of the (batch, n) count array
+    ``states``.  nadap's slots are its probe weights without the off-grid
+    mass; they ignore the counts, so its batch axis has length 1.
     """
     n = grid.n
     if policy.kind == "nadap":
@@ -221,19 +221,8 @@ def policy_table(states: np.ndarray, policy: PolicySpec, grid: Grid) -> tuple[np
             for s, (k, w) in enumerate((k, w) for k, w in probes if k is not None):
                 loc[0, u, s], wgt[0, u, s] = k, w
         return loc, wgt
-    cand = np.full((n, SLOTS), -1, dtype=np.int64)
-    for u in range(n):
-        scan = rand_scan_order(grid, u, policy.phi) if policy.kind == "rand" else grid.neighbors(u)
-        cand[u, : 1 + len(scan)] = (u, *scan)
-    score = np.where(cand >= 0, states[:, np.maximum(cand, 0)], -1)
-    if policy.kind == "rand":
-        score = score >= 1
-    elif policy.origin_first:
-        score[:, :, 0] = np.where(score[:, :, 0] >= 1, score.max() + 1, -1)
-    # the first best candidate serves: rand's scan order, greedy's neighbor order
-    pick = score.argmax(axis=2)
-    best = np.take_along_axis(score, pick[:, :, None], axis=2)[:, :, 0]
-    loc = np.where(best >= 1, cand[np.arange(n), pick], -1)[:, :, None]
+    cand = candidate_table(policy, grid)
+    loc = _first_best(policy, cand, np.arange(n), states[:, cand])[:, :, None]
     return loc, np.ones(loc.shape, dtype=np.int64)
 
 

@@ -2,7 +2,9 @@
 
 Each replication owns the random stream addressed by (seed, run index), so
 ensembles are reproducible and insensitive to execution order; aggregation
-is a fixed-order reduction over run indices.
+is a fixed-order reduction over run indices.  ``lockstep`` is the one round
+step: it advances every replication of an ensemble, or every episode of an
+MDP comparison, through its request schedule at once.
 """
 
 from __future__ import annotations
@@ -15,12 +17,40 @@ import numpy as np
 
 from .errors import FitFailureError
 from .grid import Grid, RequestModel
-from .policies import PolicySpec, can_serve, serving_location, step_profit
+from .policies import PolicySpec, serving_locations, step_profit
 from .rng import stream
 
 #: Trace entry: (round, origin, dest, weight).  Rounds may repeat (same-second
 #: arrivals are processed sequentially inside their round) but never decrease.
 TraceEntry = tuple[int, int, int, float]
+
+#: Element budgets that keep memory flat whatever the run count and horizon:
+#: a block of runs holds at most _BLOCK_ELEMENTS (run, round) profits, and
+#: draws its request schedule _SCHEDULE_ELEMENTS (run, step) entries at a time.
+_BLOCK_ELEMENTS = 1 << 18
+_SCHEDULE_ELEMENTS = 1 << 13
+
+
+def _trace_columns(trace: Sequence[TraceEntry], grid: Grid) -> tuple[np.ndarray, ...]:
+    """A replay trace as (round, origin, dest, weight) arrays, checked entry by entry.
+
+    Raises ValueError naming the first entry that is off the grid, has a
+    negative round, or comes before the round of the entry preceding it.
+    """
+    cols = np.asarray(trace, dtype=float).reshape(len(trace), 4).T
+    rounds, origin, dest = cols[:3].astype(np.int64)
+    off_grid = (np.minimum(origin, dest) < 0) | (np.maximum(origin, dest) >= grid.n)
+    earlier = np.r_[False, rounds[1:] < rounds[:-1]]
+    bad = np.flatnonzero(off_grid | (rounds < 0) | earlier)
+    if len(bad):
+        i = bad[0]
+        entry = f"entry {i} {tuple(trace[i])}"
+        if off_grid[i]:
+            raise ValueError(f"trace {entry} is off the {grid.rows}x{grid.cols} grid")
+        if rounds[i] < 0:
+            raise ValueError(f"trace {entry} has a negative round")
+        raise ValueError(f"trace rounds must be non-decreasing: {entry} follows round {rounds[i - 1]}")
+    return rounds, origin, dest, cols[3]
 
 
 def initial_state_preset(grid: Grid, m: int, c: int, name: str) -> tuple[int, ...]:
@@ -79,6 +109,8 @@ class SimConfig:
             raise ValueError(f"unknown estimator {self.estimator!r}")
         if self.trace is not None and self.estimator == "conditional":
             raise ValueError("replay mode has no arrival law; use the realized estimator")
+        if self.trace is not None:
+            _trace_columns(self.trace, self.grid)
         counts = tuple(int(v) for v in self.initial_state)
         if len(counts) != self.grid.n:
             raise ValueError(f"initial state has {len(counts)} entries, expected {self.grid.n}")
@@ -110,104 +142,133 @@ class ErrorSeries:
     delta_hat: np.ndarray | None = None
 
 
-def _iid_round_tables(config: SimConfig):
-    """Precompute the request-sampling table and float weights for IID mode."""
-    model = config.model
-    cum_p = np.cumsum(model.p.astype(float).ravel())
-    return cum_p, model.w.astype(float)
+def _spans(total: int, size: int) -> list[tuple[int, int]]:
+    """Consecutive [start, stop) ranges of at most ``size`` covering ``range(total)``."""
+    size = max(1, size)
+    return [(a, min(a + size, total)) for a in range(0, total, size)]
 
 
-def _run_single_iid(config: SimConfig, run_idx: int, tables, esp_cache: dict) -> np.ndarray:
-    """One replication's per-round profit vector under IID arrivals."""
-    cum_p, w = tables
-    grid, policy, c = config.grid, config.policy, config.c
-    n = grid.n
-    T = config.T
-    conditional = config.estimator == "conditional"
-    rng = stream(config.seed, run_idx)
-    draws = rng.random((T, 2))
-    req = np.searchsorted(cum_p, draws[:, 0], side="right")
-    coins = draws[:, 1]
-    npairs = n * n
-    counts = list(config.initial_state)
-    key = tuple(counts)
-    profits = np.zeros(T)
-    model = config.model
-    for t in range(T):
-        if conditional:
-            esp = esp_cache.get(key)
-            if esp is None:
-                esp = step_profit(np.array([counts]), model, policy, c)[0]
-                esp_cache[key] = esp
-            profits[t] = esp
-        r = int(req[t])
-        if r >= npairs:
+def lockstep(counts: np.ndarray, origins: np.ndarray, dests: np.ndarray, serving, c: int):
+    """Advance every run's driver counts through a request schedule, all runs at once.
+
+    ``counts`` is a C-contiguous (runs, n) integer array, changed in place.
+    Step t offers run b the request ``origins[t, b] -> dests[t, b]`` (origin
+    -1: none; a row of width 1 offers every run the same request), served
+    from ``serving(t, counts)[b]`` (-1: none) when that location holds a
+    driver and the destination has room or is that location.  Each step
+    yields ``(t, served)`` while ``counts`` still hold the state it starts
+    from; when resumed, each served run moves a driver to the destination.
+    """
+    flat = counts.reshape(-1)
+    base = np.arange(len(counts)) * counts.shape[1]
+    asked = origins >= 0
+    offered = asked.any(axis=1)
+    idle = np.zeros(len(counts), dtype=bool)
+    for t in range(len(origins)):
+        if not offered[t]:
+            yield t, idle
             continue
-        u, v = divmod(r, n)
-        k = serving_location(counts, u, policy, grid, coins[t])
-        if k is None or not can_serve(counts, k, v, c):
-            continue
-        if not conditional:
-            profits[t] = w[u, v]
-        if k != v:
-            counts[k] -= 1
-            counts[v] += 1
-            key = tuple(counts)
-            assert 0 <= counts[k] and counts[v] <= c
-    return profits
+        v = dests[t]
+        k = serving(t, counts)
+        at_k = base + np.maximum(k, 0)
+        at_v = base + v
+        served = asked[t] & (k >= 0) & (flat[at_k] >= 1) & ((k == v) | (flat[at_v] < c))
+        yield t, served
+        moving = served & (k != v)
+        flat[at_k] -= moving
+        flat[at_v] += moving
 
 
-def _run_single_replay(config: SimConfig, run_idx: int) -> np.ndarray:
-    """One replication's realized profits while replaying a recorded arrival trace."""
-    grid, policy, c = config.grid, config.policy, config.c
-    T = config.T
-    rng = stream(config.seed, run_idx)
-    counts = list(config.initial_state)
-    profits = np.zeros(T)
-    last_round = -1
-    for rnd, u, v, weight in config.trace:
-        rnd = int(rnd)
-        if rnd < last_round:
-            raise ValueError("trace rounds must be non-decreasing")
-        last_round = rnd
-        if rnd >= T:
-            break
-        u, v = int(u), int(v)
-        coin = rng.random() if policy.kind == "nadap" else None
-        k = serving_location(counts, u, policy, grid, coin)
-        if k is None or not can_serve(counts, k, v, c):
-            continue
-        profits[rnd] += float(weight)
-        if k != v:
-            counts[k] -= 1
-            counts[v] += 1
+def policy_serving(policy: PolicySpec, grid: Grid, origins: np.ndarray, coins):
+    """The ``serving`` argument of ``lockstep`` for a dispatch policy over one schedule.
+
+    ``coins`` holds nadap's probe coins aligned with the schedule; the
+    other policies read none.
+    """
+    if policy.kind == "nadap":
+        # the probe-coin map ignores the counts: map the whole schedule at once
+        chosen = serving_locations(policy, grid, None, origins, coins)
+        return lambda t, counts: chosen[t]
+    return lambda t, counts: serving_locations(policy, grid, counts, origins[t])
+
+
+def _memo_profit(rows: np.ndarray, memo: dict, config: SimConfig) -> list[float]:
+    """Expected step profit of each row of a C-contiguous count array, through the shared memo.
+
+    The memo is keyed by a row's bytes; the rows it misses go to
+    ``step_profit`` in one batch.
+    """
+    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel().tolist()
+    try:
+        return [memo[key] for key in keys]
+    except KeyError:
+        todo = {key: i for i, key in enumerate(keys) if key not in memo}
+        fresh = step_profit(rows[list(todo.values())], config.model, config.policy, config.c)
+        memo.update(zip(todo, fresh.tolist()))
+        return [memo[key] for key in keys]
+
+
+def _block(config: SimConfig, runs: range, memo: dict, trace: tuple | None) -> np.ndarray:
+    """Per-round profits (runs, T) of a block of replications stepped in lockstep.
+
+    Run r draws from ``stream(seed, r)``, a schedule chunk at a time: under
+    IID arrivals ``random((T, 2))``, a request and a probe coin per round;
+    in replay, where every run meets the trace entries in order, nadap's
+    one probe coin per entry.  The conditional estimator records the
+    expected profit of the state each round starts from, the realized one
+    the weight of each served request in its round.
+    """
+    grid, policy, n = config.grid, config.policy, config.grid.n
+    counts = np.tile(np.array(config.initial_state, dtype=np.int64), (len(runs), 1))
+    profits = np.zeros((len(runs), config.T))
+    gens = [stream(config.seed, r) for r in runs]
+    if trace is None:
+        cum_p = np.cumsum(config.model.p.astype(float).ravel())
+        w = config.model.w.astype(float).ravel()
+    for a, b in _spans(config.T if trace is None else len(trace[0]), _SCHEDULE_ELEMENTS // len(runs)):
+        if trace is None:
+            draws = np.stack([g.random((b - a, 2)) for g in gens], axis=1)
+            req = np.searchsorted(cum_p, draws[:, :, 0], side="right")
+            origins, dests, coins = np.where(req < n * n, req // n, -1), req % n, draws[:, :, 1]
+            rounds, gains = range(a, b), w[np.minimum(req, n * n - 1)]
+        else:
+            coins = np.stack([g.random(b - a) for g in gens], axis=1) if policy.kind == "nadap" else None
+            origins, dests = trace[1][a:b, None], trace[2][a:b, None]
+            rounds, gains = trace[0][a:b], np.broadcast_to(trace[3][a:b, None], (b - a, len(runs)))
+        serving = policy_serving(policy, grid, origins, coins)
+        for t, served in lockstep(counts, origins, dests, serving, config.c):
+            if config.estimator == "conditional":
+                profits[:, rounds[t]] = _memo_profit(counts, memo, config)
+            else:
+                profits[served, rounds[t]] += gains[t, served]
     return profits
 
 
 def run_ensemble(config: SimConfig) -> ErrorSeries:
     """Run all replications and aggregate per-round means, spreads, and objectives.
 
-    Replication r draws from the (seed, r) stream; the reduction is a fixed
-    pass in run-index order, so results are identical however the runs are
-    scheduled.
+    Replication r draws from the (seed, r) stream.  Runs step in lockstep
+    in blocks that fit ``_BLOCK_ELEMENTS``, and the reduction is a fixed
+    pass in run-index order, so results do not depend on the blocking.
+    The conditional estimator's memo is shared by all runs.
     """
     T, runs = config.T, config.runs
     sum_w = np.zeros(T)
     sumsq_w = np.zeros(T)
     sum_obj = 0.0
     sumsq_obj = 0.0
-    tables = _iid_round_tables(config) if config.model is not None else None
-    esp_cache: dict = {}
-    for r in range(runs):
-        if config.model is not None:
-            profits = _run_single_iid(config, r, tables, esp_cache)
-        else:
-            profits = _run_single_replay(config, r)
-        sum_w += profits
-        sumsq_w += profits * profits
-        obj_r = float(profits.mean())
-        sum_obj += obj_r
-        sumsq_obj += obj_r * obj_r
+    memo: dict = {}
+    trace = None
+    if config.trace is not None:
+        trace = _trace_columns(config.trace, config.grid)
+        trace = tuple(col[: np.searchsorted(trace[0], T)] for col in trace)
+    for a, b in _spans(runs, _BLOCK_ELEMENTS // T):
+        for row in _block(config, range(a, b), memo, trace):
+            sum_w += row
+            sumsq_w += row * row
+            obj_r = float(row.mean())
+            sum_obj += obj_r
+            sumsq_obj += obj_r * obj_r
     w_mean = sum_w / runs
     if runs > 1:
         var = np.maximum(sumsq_w - runs * w_mean**2, 0.0) / (runs - 1)

@@ -1,10 +1,10 @@
 """Definitional oracles: each exact layer stated request by request.
 
 The package computes every layer below through its policy table, pair
-arrays and CSR kernels, and ingests trips as whole columns.  These
-functions state the same quantities the slow, literal way, one state, one
-request or one trip record at a time, and the tests pin the package to
-them.  Nothing in ``dispatchlab`` imports this module.
+arrays and CSR kernels, steps ensembles and episodes in lockstep, and
+ingests trips as whole columns.  These functions state the same
+quantities the slow, literal way, one state, one request, one run or one
+trip record at a time, and the tests pin the package to them.  Nothing in ``dispatchlab`` imports this module.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 
 from dispatchlab.chain import TransitionMatrix, _zero_one
 from dispatchlab.errors import DispatchLabError, SchemaError
-from dispatchlab.grid import RequestModel, build_grid, distance_weights, manhattan_distance
+from dispatchlab.grid import DIRECTIONS, Grid, RequestModel, build_grid, distance_weights, manhattan_distance
 from dispatchlab.ingest import (
     DEFAULT_BBOX,
     DEFAULT_COLUMNS,
@@ -36,8 +36,10 @@ from dispatchlab.ingest import (
     TripTable,
     segment_seconds,
 )
-from dispatchlab.policies import PolicySpec, can_serve, nadap_probe_weights, serving_location
+from dispatchlab.mdp import REJECT, MdpInstance, OccupancyReport, ViResult
+from dispatchlab.policies import PolicySpec, nadap_probe_weights, step_profit
 from dispatchlab.rng import stream
+from dispatchlab.simulate import ErrorSeries, SimConfig, initial_state_preset
 from dispatchlab.states import StateSpace
 
 # ---------------------------------------------------------------------------
@@ -69,6 +71,80 @@ def move(counts: Sequence[int], u: int, v: int, c: int) -> tuple[int, ...]:
 def move_rank(space: StateSpace, counts: Sequence[int], u: int, v: int) -> int:
     """Rank of the state reached by moving one driver u -> v (scalar ``move_ranks``)."""
     return space.rank(move(counts, u, v, space.c))
+
+
+# ---------------------------------------------------------------------------
+# The serving rule, one state and one request at a time
+
+
+def can_serve(counts: Sequence[int], serving: int, dest: int, c: int) -> bool:
+    """Feasibility of dispatching a driver at ``serving`` to ``dest``.
+
+    A self-dispatch (serving == dest) moves nothing, so only driver
+    presence matters; otherwise the destination must be below capacity.
+    """
+    return counts[serving] >= 1 and (serving == dest or counts[dest] < c)
+
+
+def rand_scan_order(grid: Grid, origin: int, phi: Sequence[str]) -> list[int]:
+    """In-grid neighbors of ``origin`` in phi order (off-grid directions skipped)."""
+    out = []
+    for direction in phi:
+        k = grid.neighbor_toward(origin, direction)
+        if k is not None:
+            out.append(k)
+    return out
+
+
+def greedy_candidates(grid: Grid, state: Sequence[int], origin: int, origin_first: bool = True) -> list[int]:
+    """Candidate order for greedy: origin first, then neighbors by falling count.
+
+    Count ties break clockwise from North (the grid's neighbor order).
+    With origin_first=False the origin joins the count-sorted pool and wins
+    ties.
+    """
+    nbrs = grid.neighbors(origin)
+    if origin_first:
+        ranked = sorted(range(len(nbrs)), key=lambda i: (-state[nbrs[i]], i))
+        return [origin] + [nbrs[i] for i in ranked]
+    pool = [(origin, -1)] + [(k, i) for i, k in enumerate(nbrs)]
+    pool.sort(key=lambda item: (-state[item[0]], item[1]))
+    return [k for k, _ in pool]
+
+
+def serving_location(state: Sequence[int], origin: int, policy: PolicySpec, grid: Grid, coin=None):
+    """The location ``policy`` serves a request from ``origin`` with, or None.
+
+    This is the one scalar statement of every policy's serving choice.
+    nadap maps its probe coin (uniform on [0, 1)) to the origin below
+    alpha, else to one of equal slices: the in-grid neighbors
+    ("renormalize") or the four compass directions ("lost", None off-grid).
+    It ignores the counts, so the probed location may be empty.  rand and
+    greedy ignore the coin and return their first occupied candidate.
+    """
+    if policy.kind == "nadap":
+        if coin is None:
+            raise ValueError("nadap needs a probe coin")
+        alpha = policy.alpha
+        if coin < alpha or alpha >= 1:
+            return origin
+        frac = (coin - alpha) / (1 - alpha)
+        if policy.boundary == "lost":
+            return grid.neighbor_toward(origin, DIRECTIONS[min(int(frac * 4), 3)])
+        nbrs = grid.neighbors(origin)
+        if not nbrs:
+            return None
+        return nbrs[min(int(frac * len(nbrs)), len(nbrs) - 1)]
+    if policy.kind == "rand":
+        if state[origin] >= 1:
+            return origin
+        candidates = rand_scan_order(grid, origin, policy.phi)
+    else:
+        candidates = greedy_candidates(grid, state, origin, policy.origin_first)
+    for k in candidates:
+        if state[k] >= 1:
+            return k
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -271,6 +347,327 @@ def coupled_step_distribution(x, y, model: RequestModel, c: int) -> dict:
     if idle != 0:
         key = (x, y)
         out[key] = out.get(key, 0) + idle
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Ensembles and episodes, one run and one round at a time
+
+
+def _iid_round_tables(config: SimConfig):
+    """Precompute the request-sampling table and float weights for IID mode."""
+    model = config.model
+    cum_p = np.cumsum(model.p.astype(float).ravel())
+    return cum_p, model.w.astype(float)
+
+
+def _run_single_iid(config: SimConfig, run_idx: int, tables, esp_cache: dict) -> np.ndarray:
+    """One replication's per-round profit vector under IID arrivals."""
+    cum_p, w = tables
+    grid, policy, c = config.grid, config.policy, config.c
+    n = grid.n
+    T = config.T
+    conditional = config.estimator == "conditional"
+    rng = stream(config.seed, run_idx)
+    draws = rng.random((T, 2))
+    req = np.searchsorted(cum_p, draws[:, 0], side="right")
+    coins = draws[:, 1]
+    npairs = n * n
+    counts = list(config.initial_state)
+    key = tuple(counts)
+    profits = np.zeros(T)
+    model = config.model
+    for t in range(T):
+        if conditional:
+            esp = esp_cache.get(key)
+            if esp is None:
+                esp = step_profit(np.array([counts]), model, policy, c)[0]
+                esp_cache[key] = esp
+            profits[t] = esp
+        r = int(req[t])
+        if r >= npairs:
+            continue
+        u, v = divmod(r, n)
+        k = serving_location(counts, u, policy, grid, coins[t])
+        if k is None or not can_serve(counts, k, v, c):
+            continue
+        if not conditional:
+            profits[t] = w[u, v]
+        if k != v:
+            counts[k] -= 1
+            counts[v] += 1
+            key = tuple(counts)
+            assert 0 <= counts[k] and counts[v] <= c
+    return profits
+
+
+def _run_single_replay(config: SimConfig, run_idx: int) -> np.ndarray:
+    """One replication's realized profits while replaying a recorded arrival trace."""
+    grid, policy, c = config.grid, config.policy, config.c
+    T = config.T
+    rng = stream(config.seed, run_idx)
+    counts = list(config.initial_state)
+    profits = np.zeros(T)
+    last_round = -1
+    for rnd, u, v, weight in config.trace:
+        rnd = int(rnd)
+        if rnd < last_round:
+            raise ValueError("trace rounds must be non-decreasing")
+        last_round = rnd
+        if rnd >= T:
+            break
+        u, v = int(u), int(v)
+        coin = rng.random() if policy.kind == "nadap" else None
+        k = serving_location(counts, u, policy, grid, coin)
+        if k is None or not can_serve(counts, k, v, c):
+            continue
+        profits[rnd] += float(weight)
+        if k != v:
+            counts[k] -= 1
+            counts[v] += 1
+    return profits
+
+
+def run_ensemble_scalar(config: SimConfig) -> ErrorSeries:
+    """The ensemble reduction over the scalar run loops: the reference for ``run_ensemble``.
+
+    Replication r draws from the (seed, r) stream; the reduction is a fixed
+    pass in run-index order, so results are identical however the runs are
+    scheduled.
+    """
+    T, runs = config.T, config.runs
+    sum_w = np.zeros(T)
+    sumsq_w = np.zeros(T)
+    sum_obj = 0.0
+    sumsq_obj = 0.0
+    tables = _iid_round_tables(config) if config.model is not None else None
+    esp_cache: dict = {}
+    for r in range(runs):
+        if config.model is not None:
+            profits = _run_single_iid(config, r, tables, esp_cache)
+        else:
+            profits = _run_single_replay(config, r)
+        sum_w += profits
+        sumsq_w += profits * profits
+        obj_r = float(profits.mean())
+        sum_obj += obj_r
+        sumsq_obj += obj_r * obj_r
+    w_mean = sum_w / runs
+    if runs > 1:
+        var = np.maximum(sumsq_w - runs * w_mean**2, 0.0) / (runs - 1)
+        w_stderr = np.sqrt(var / runs)
+        obj_var = max(sumsq_obj - runs * (sum_obj / runs) ** 2, 0.0) / (runs - 1)
+        obj_stderr = math.sqrt(obj_var / runs)
+    else:
+        w_stderr = np.zeros(T)
+        obj_stderr = 0.0
+    obj_running = np.cumsum(w_mean) / np.arange(1, T + 1)
+    return ErrorSeries(
+        t=np.arange(T),
+        w_mean=w_mean,
+        w_stderr=w_stderr,
+        obj_running=obj_running,
+        obj=float(obj_running[-1]),
+        obj_stderr=obj_stderr,
+        runs=runs,
+        estimator=config.estimator,
+    )
+
+
+@dataclass
+class EpisodeStep:
+    """One period of an episode log: the request seen, choice made, and outcome."""
+
+    period: int
+    state: tuple
+    request: tuple | None
+    action: int
+    serving: int | None
+    success: bool
+    profit: float
+
+
+def _draw_request(q_cum: np.ndarray, u01: float) -> int:
+    """Index of the arrival slot a uniform draw lands in; past-the-end is none."""
+    return int(np.searchsorted(q_cum, u01, side="right"))
+
+
+def simulate_policy_episode(
+    instance: MdpInstance,
+    act,
+    periods: int,
+    seed: int,
+    initial_state: Sequence[int] | None = None,
+    episode_key: tuple = (),
+) -> tuple[OccupancyReport, list[EpisodeStep]]:
+    """Roll one seeded episode under an arbitrary action rule and log every period.
+
+    ``act(counts, request_index, coin_stream)`` returns the serving
+    location or None.  Requests draw from the (seed, *episode_key, 0)
+    stream and policy coins from (seed, *episode_key, 1), so different
+    rules face the identical arrival sequence.
+    """
+    if periods < 1:
+        raise ValueError("an episode needs at least one period")
+    grid = instance.grid
+    n = grid.n
+    c = instance.c
+    R = instance.n_requests
+    counts = list(
+        initial_state
+        if initial_state is not None
+        else initial_state_preset(grid, instance.m, c, "adversarial")
+    )
+    instance.space.check_counts(counts)
+    req_rng = stream(seed, *episode_key, 0)
+    coin_rng = stream(seed, *episode_key, 1)
+    flat_p = instance.model.p.astype(float).ravel()
+    q_cum = np.cumsum(flat_p)
+    w = instance.model.w.astype(float)
+    covered = np.zeros(n)
+    starts = np.zeros(n)
+    drops = np.zeros(n)
+    served = 0
+    log: list[EpisodeStep] = []
+    draws = req_rng.random(periods)
+    for t in range(periods):
+        state_before = tuple(counts)
+        for u in range(n):
+            if counts[u] >= 1:
+                covered[u] += 1
+        r = _draw_request(q_cum, draws[t])
+        if r >= R:
+            log.append(EpisodeStep(t, state_before, None, REJECT, None, False, 0.0))
+            continue
+        u, v = divmod(r, n)
+        k = act(counts, r, coin_rng)
+        success = k is not None and can_serve(counts, k, v, c)
+        profit = w[u, v] if success else 0.0
+        if success:
+            served += 1
+            starts[u] += 1
+            drops[u] += 1
+            if v != u:
+                drops[v] += 1
+            if k != v:
+                counts[k] -= 1
+                counts[v] += 1
+        action = REJECT
+        if k is not None:
+            action = 1 if k == u else 2 + grid.neighbors(u).index(k)
+        log.append(EpisodeStep(t, state_before, (u, v), action, k, success, profit))
+    report = OccupancyReport(
+        time_covered=100.0 * covered / periods,
+        drop_rate=100.0 * drops / periods,
+        start_pct=100.0 * starts / periods,
+        periods=periods,
+        served=served,
+    )
+    return report, log
+
+
+def discounted_return(log: list[EpisodeStep], gamma: float) -> float:
+    return sum(step.profit * gamma**step.period for step in log)
+
+
+def optimal_act(instance: MdpInstance, result: ViResult):
+    """The value-iteration policy as a scalar episode action rule."""
+    space = instance.space
+
+    def act(counts, r, _coin_rng):
+        return instance.action_location(r, int(result.policy[space.rank(counts), r]))
+
+    return act
+
+
+def optimal_episode(
+    instance: MdpInstance,
+    result: ViResult,
+    periods: int = 1000,
+    seed: int = 0,
+    initial_state: Sequence[int] | None = None,
+) -> tuple[OccupancyReport, list[EpisodeStep]]:
+    """Episode under the value-iteration policy, with its occupancy measures and log."""
+    return simulate_policy_episode(instance, optimal_act(instance, result), periods, seed, initial_state)
+
+
+def policy_value_loop(instance: MdpInstance, policy: np.ndarray) -> np.ndarray:
+    """``policy_value`` with one gather and one ``np.add.at`` per request slot.
+
+    The augmented chain under a fixed policy factorizes through the
+    post-action placement, so the system solved is placement-sized.
+    """
+    nxt, rew = instance.action_tables
+    q = instance.request_probs()
+    size = instance.space.size
+    R = instance.n_requests
+    rows = np.arange(size)
+    # placement i with pending slot r moves to placement nxt[r, a_ir, i] earning rew[r, a_ir, i]
+    a = policy
+    moved = np.empty((size, R + 1), dtype=np.int64)
+    earned = np.empty((size, R + 1))
+    for r in range(R + 1):
+        moved[:, r] = nxt[r, a[:, r], rows]
+        earned[:, r] = rew[r, a[:, r], rows]
+    # u[i] = expected discounted return from placement i just before arrivals
+    # u = sum_r q_r (earned + gamma * u[moved]) -> (I - gamma * M) u = b
+    M = np.zeros((size, size))
+    b = np.zeros(size)
+    for r in range(R + 1):
+        np.add.at(M, (rows, moved[:, r]), q[r])
+        b += q[r] * earned[:, r]
+    u = np.linalg.solve(np.eye(size) - instance.discount * M, b)
+    values = earned + instance.discount * u[moved]
+    return values
+
+
+def same_report(a: OccupancyReport, b: OccupancyReport) -> bool:
+    """Two occupancy reports agree bit for bit."""
+    return (
+        a.periods == b.periods
+        and a.served == b.served
+        and all(np.array_equal(getattr(a, f), getattr(b, f))
+                for f in ("time_covered", "drop_rate", "start_pct"))
+    )
+
+
+def compare_policies_scalar(
+    instance: MdpInstance,
+    result: ViResult,
+    baselines: Sequence[PolicySpec],
+    episodes: int = 1000,
+    periods: int = 200,
+    seed: int = 0,
+    initial_state: Sequence[int] | None = None,
+) -> dict[str, np.ndarray]:
+    """Per-episode returns from the scalar episode loop: the reference for ``compare_policies``.
+
+    Every policy replays the identical request streams (common random
+    numbers), episode e drawing from (seed, e), so per-episode returns
+    pair up across policies.  Returns label -> per-episode return array,
+    with the value-iteration policy under the label "optimal".
+    """
+    grid = instance.grid
+
+    def baseline_act(policy):
+        def act(counts, r, coin_rng):
+            coin = coin_rng.random() if policy.kind == "nadap" else None
+            return serving_location(counts, r // grid.n, policy, grid, coin)
+
+        return act
+
+    rules = {"optimal": optimal_act(instance, result)}
+    for policy in baselines:
+        rules[policy.label()] = baseline_act(policy)
+    out = {}
+    for label, rule in rules.items():
+        returns = np.empty(episodes)
+        for e in range(episodes):
+            _, log = simulate_policy_episode(
+                instance, rule, periods, seed, initial_state, episode_key=(e,)
+            )
+            returns[e] = discounted_return(log, instance.discount)
+        out[label] = returns
     return out
 
 

@@ -251,6 +251,30 @@ def test_vi_rejects_an_episode_without_periods(tmp_path, capsys):
         assert not (out / "heatmap.csv").exists()
 
 
+def test_simulate_rejects_a_replay_entry_off_the_grid(tmp_path, capsys):
+    """Every policy refuses a bad trace entry by name, before it writes anything."""
+    bad_entries = {
+        "0,7,1,1.0": "trace entry 1 (0, 7, 1, 1.0) is off the 2x2 grid",
+        "0,-1,1,1.0": "trace entry 1 (0, -1, 1, 1.0) is off the 2x2 grid",
+        "1,0,-2,1.0": "trace entry 1 (1, 0, -2, 1.0) is off the 2x2 grid",
+        "-1,0,1,1.0": "trace entry 1 (-1, 0, 1, 1.0) has a negative round",
+        "0,1,0,1.0": "trace rounds must be non-decreasing: entry 1 (0, 1, 0, 1.0) follows round 2",
+    }
+    for i, (entry, message) in enumerate(bad_entries.items()):
+        trace = tmp_path / f"replay{i}.csv"
+        first = "2,0,1,1.0" if "non-decreasing" in message else "0,0,1,1.0"
+        trace.write_text(f"round,origin,dest,weight\n{first}\n{entry}\n3,1,0,1.0\n")
+        for policy in ("nadap:0.8", "rand:NESW", "greedy"):
+            code, out = run(
+                ["simulate", "--grid", "2x2", "--drivers", "1", "--capacity", "1",
+                 "--arrivals", f"replay:{trace}", "--policy", policy, "--runs", "2", "--seed", "1"],
+                tmp_path, sub=f"out{i}-{policy.replace(':', '-')}",
+            )
+            assert code == 1, (entry, policy)
+            assert capsys.readouterr().err.strip() == f"error (ValueError): {message}"
+            assert not out.exists()
+
+
 def test_fit_subcommand(tmp_path):
     data = tmp_path / "curve.csv"
     with open(data, "w", newline="") as fh:

@@ -16,23 +16,18 @@ from dispatchlab.chain import build_transition
 from dispatchlab.coupling import _coupled_distance_totals
 from dispatchlab.grid import RequestModel, build_grid, uniform_request_model
 from dispatchlab.mdp import MdpInstance, _action_tables
-from dispatchlab.policies import (
-    ALL_PHIS,
-    PolicySpec,
-    can_serve,
-    policy_table,
-    serving_location,
-    step_profit,
-)
+from dispatchlab.policies import ALL_PHIS, PolicySpec, policy_table, step_profit
 from dispatchlab.states import StateSpace, neighbor_pairs
 from oracles import (
     build_transition_from_policy,
+    can_serve,
     coupled_step_distribution,
     expected_step_profit,
     move,
     move_rank,
     pair_distance,
     same_transitions,
+    serving_location,
 )
 
 FAST = settings(derandomize=True, max_examples=40, deadline=None)

@@ -1,0 +1,147 @@
+"""The lockstep round engine, pinned bit for bit to the scalar loops it replaced.
+
+Ensembles (IID and replay), optimal-policy episodes and policy comparisons
+run every replication at once; tests/oracles.py keeps the one-run,
+one-round loops.  Random small instances with derandomized draws, and
+block budgets small enough to split runs into blocks and schedules into
+chunks.
+"""
+
+from contextlib import contextmanager
+from unittest import mock
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from dispatchlab import simulate
+from dispatchlab.grid import RequestModel, build_grid
+from dispatchlab.mdp import MdpInstance, compare_policies, simulate_optimal_episode, value_iteration
+from dispatchlab.policies import ALL_PHIS, PolicySpec
+from dispatchlab.rng import stream
+from dispatchlab.simulate import SimConfig, initial_state_preset, run_ensemble
+from oracles import compare_policies_scalar, optimal_episode, run_ensemble_scalar, same_report
+
+ENGINE = settings(derandomize=True, max_examples=30, deadline=None)
+
+# (_BLOCK_ELEMENTS, _SCHEDULE_ELEMENTS): the package's own, then budgets
+# that split the runs into blocks and the schedule into short chunks
+BUDGETS = [None, (7, 5), (1, 1)]
+
+
+@contextmanager
+def budgets(sizes):
+    if sizes is None:
+        yield
+        return
+    with mock.patch.object(simulate, "_BLOCK_ELEMENTS", sizes[0]), \
+            mock.patch.object(simulate, "_SCHEDULE_ELEMENTS", sizes[1]):
+        yield
+
+
+@st.composite
+def instances(draw):
+    """A grid up to 3x3, a fleet, a capacity and a legal start."""
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    grid = build_grid(rows, cols)
+    c = draw(st.integers(1, 3))
+    m = draw(st.integers(1, min(4, c * grid.n)))
+    start = initial_state_preset(grid, m, c, draw(st.sampled_from(["adversarial", "spread"]))) \
+        if m <= grid.n else initial_state_preset(grid, m, c, "adversarial")
+    return grid, m, c, start
+
+
+@st.composite
+def policies(draw):
+    """Every serving rule: nadap (float alpha, both boundaries), rand in any order, greedy both ways."""
+    kind = draw(st.sampled_from(["nadap", "rand", "greedy"]))
+    if kind == "nadap":
+        alpha = draw(st.sampled_from([1.0, 0.8, 0.7, 1 / 3]))
+        return PolicySpec("nadap", alpha=alpha, boundary=draw(st.sampled_from(["renormalize", "lost"])))
+    if kind == "rand":
+        return PolicySpec("rand", phi=ALL_PHIS[draw(st.integers(0, 23))])
+    return PolicySpec("greedy", origin_first=draw(st.booleans()))
+
+
+def float_model(grid, seed: int, mass: float) -> RequestModel:
+    """Random arrivals, some pairs absent, with total mass ``mass``."""
+    n = grid.n
+    rng = np.random.default_rng(seed)
+    p = rng.random((n, n)) * (rng.random((n, n)) < 0.7)
+    return RequestModel(grid, mass * p / max(p.sum(), 1e-9), rng.random((n, n)))
+
+
+def assert_same_series(a, b):
+    for name in ("t", "w_mean", "w_stderr", "obj_running"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    assert (a.obj, a.obj_stderr, a.runs, a.estimator) == (b.obj, b.obj_stderr, b.runs, b.estimator)
+
+
+@ENGINE
+@given(instances(), policies(), st.sampled_from(["conditional", "realized"]), st.integers(0, 2**16),
+       st.integers(1, 6), st.integers(1, 60), st.sampled_from([0.5, 1.0]), st.sampled_from(BUDGETS))
+@example((build_grid(3, 3), 4, 2, (2, 2, 0, 0, 0, 0, 0, 0, 0)), PolicySpec("greedy", origin_first=False),
+         "conditional", 1, 5, 60, 0.5, (7, 5))
+def test_iid_ensemble_matches_scalar_runs(inst, policy, estimator, seed, runs, T, mass, sizes):
+    grid, m, c, start = inst
+    config = SimConfig(grid=grid, m=m, c=c, T=T, runs=runs, seed=seed, policy=policy,
+                       model=float_model(grid, seed, mass), initial_state=start, estimator=estimator)
+    with budgets(sizes):
+        got = run_ensemble(config)
+    assert_same_series(got, run_ensemble_scalar(config))
+
+
+@st.composite
+def traces(draw, grid):
+    """Entries in non-decreasing rounds, several often sharing one second."""
+    size = draw(st.integers(0, 40))
+    steps = draw(st.lists(st.sampled_from([0, 0, 1, 2]), min_size=size, max_size=size))
+    cells = st.integers(0, grid.n - 1)
+    weights = st.sampled_from([0.5, 1.0, 2.25, 3.0])
+    return [(int(r), draw(cells), draw(cells), draw(weights)) for r in np.cumsum(steps)]
+
+
+@ENGINE
+@given(instances(), policies(), st.data(), st.integers(0, 2**16), st.integers(1, 6),
+       st.sampled_from(BUDGETS))
+def test_replay_ensemble_matches_scalar_runs(inst, policy, data, seed, runs, sizes):
+    grid, m, c, start = inst
+    trace = data.draw(traces(grid))
+    last = trace[-1][0] if trace else 0
+    # horizons shorter than the trace cut it; longer ones leave empty rounds
+    T = data.draw(st.integers(1, last + 3))
+    config = SimConfig(grid=grid, m=m, c=c, T=T, runs=runs, seed=seed, policy=policy, trace=trace,
+                       initial_state=start, estimator="realized")
+    with budgets(sizes):
+        got = run_ensemble(config)
+    assert_same_series(got, run_ensemble_scalar(config))
+
+
+@settings(derandomize=True, max_examples=12, deadline=None)
+@given(instances(), st.lists(policies(), min_size=1, max_size=3), st.integers(0, 2**16),
+       st.integers(1, 8), st.integers(1, 40), st.sampled_from([None, (1, 1)]))
+def test_mdp_episodes_match_scalar_episodes(inst, baselines, seed, episodes, periods, sizes):
+    grid, m, c, start = inst
+    instance = MdpInstance(grid, m, c, float_model(grid, seed, 0.9))
+    result = value_iteration(instance)
+    with budgets(sizes):
+        report = simulate_optimal_episode(instance, result, periods, seed, start)
+        got = compare_policies(instance, result, baselines, episodes, periods, seed, start)
+    assert same_report(report, optimal_episode(instance, result, periods, seed, start)[0])
+    want = compare_policies_scalar(instance, result, baselines, episodes, periods, seed, start)
+    assert list(got) == list(want)
+    for label in want:
+        assert np.array_equal(got[label], want[label]), label
+
+
+def test_vector_draws_equal_scalar_draws():
+    """One vector draw, or several chunks of one, equals the scalar draws it replaces."""
+    scalar = stream(9, 4, 1)
+    want = [scalar.random() for _ in range(1000)]
+    assert stream(9, 4, 1).random(1000).tolist() == want
+    chunked = stream(9, 4, 1)
+    assert np.concatenate([chunked.random(k) for k in (1, 0, 299, 700)]).tolist() == want
+    pairs = stream(9, 4).random((500, 2))
+    chunked = stream(9, 4)
+    assert np.array_equal(np.concatenate([chunked.random((k, 2)) for k in (3, 497)]), pairs)
+    assert pairs.ravel().tolist() == stream(9, 4).random(1000).tolist()

@@ -10,16 +10,21 @@ from dispatchlab.mdp import (
     MdpInstance,
     bellman_residual,
     compare_policies,
-    discounted_return,
     policy_value,
     simulate_optimal_episode,
-    simulate_policy_episode,
     summarize_returns,
     value_iteration,
 )
 from dispatchlab.policies import parse_policy
 from dispatchlab.rng import stream
-from oracles import dispatch
+from oracles import (
+    discounted_return,
+    dispatch,
+    optimal_episode,
+    policy_value_loop,
+    same_report,
+    simulate_policy_episode,
+)
 
 
 def tiny_instance(**overrides):
@@ -110,6 +115,19 @@ def test_vi_beats_seeded_random_policies():
         assert (vals <= result.values + 1e-8).all()
 
 
+def test_policy_value_matches_the_per_slot_loop():
+    """One gather and one np.add.at give the per-slot loop's values to the last bit and sign."""
+    rng = np.random.default_rng(8)
+    g23 = build_grid(2, 3)
+    for inst in (tiny_instance(), square_instance(),
+                 MdpInstance(grid=g23, m=3, c=2, model=uniform_request_model(g23, 0.025, weights=None))):
+        shape = (inst.space.size, inst.n_requests + 1)
+        tables = [np.zeros(shape, dtype=np.int64), value_iteration(inst).policy]
+        tables += [rng.integers(0, inst.n_actions, shape) for _ in range(20)]
+        for table in tables:
+            assert policy_value(inst, table).tobytes() == policy_value_loop(inst, table).tobytes()
+
+
 def test_bellman_residual_certifies_convergence():
     inst = square_instance()
     result = value_iteration(inst, tol=1e-9)
@@ -141,9 +159,11 @@ def test_zero_weights_make_rejection_optimal():
 def test_episode_is_deterministic_and_legal():
     inst = square_instance()
     result = value_iteration(inst)
-    rep1, log1 = simulate_optimal_episode(inst, result, periods=300, seed=11)
-    rep2, log2 = simulate_optimal_episode(inst, result, periods=300, seed=11)
-    rep3, _ = simulate_optimal_episode(inst, result, periods=300, seed=12)
+    rep1 = simulate_optimal_episode(inst, result, periods=300, seed=11)
+    rep2 = simulate_optimal_episode(inst, result, periods=300, seed=11)
+    rep3 = simulate_optimal_episode(inst, result, periods=300, seed=12)
+    _, log1 = optimal_episode(inst, result, periods=300, seed=11)
+    _, log2 = optimal_episode(inst, result, periods=300, seed=11)
     assert log1 == log2
     assert np.array_equal(rep1.time_covered, rep2.time_covered)
     assert rep1.served == rep2.served
@@ -154,11 +174,12 @@ def test_episode_is_deterministic_and_legal():
 
 
 def test_episode_report_matches_log_replay_oracle():
-    """Recomputing every occupancy measure from the raw log reproduces the report."""
+    """Recomputing every occupancy measure from the oracle episode's log reproduces the report."""
     inst = square_instance()
     result = value_iteration(inst)
     periods = 400
-    report, log = simulate_optimal_episode(inst, result, periods=periods, seed=3)
+    report = simulate_optimal_episode(inst, result, periods=periods, seed=3)
+    _, log = optimal_episode(inst, result, periods=periods, seed=3)
     n = inst.grid.n
     covered = np.zeros(n)
     starts = np.zeros(n)
@@ -188,7 +209,8 @@ def test_single_location_is_always_covered():
     g = build_grid(1, 1)
     inst = MdpInstance(grid=g, m=1, c=1, model=uniform_request_model(g, 0.5, weights=1))
     result = value_iteration(inst)
-    report, log = simulate_optimal_episode(inst, result, periods=200, seed=1)
+    report = simulate_optimal_episode(inst, result, periods=200, seed=1)
+    _, log = optimal_episode(inst, result, periods=200, seed=1)
     assert report.time_covered[0] == 100.0
     # self-trips both start and end at the only cell
     assert report.start_pct[0] == report.drop_rate[0]
@@ -199,7 +221,8 @@ def test_no_arrivals_mean_no_rides():
     g = build_grid(2, 2)
     inst = MdpInstance(grid=g, m=1, c=2, model=uniform_request_model(g, 0.0, weights=1))
     result = value_iteration(inst)
-    report, log = simulate_optimal_episode(inst, result, periods=100, seed=5)
+    report = simulate_optimal_episode(inst, result, periods=100, seed=5)
+    _, log = optimal_episode(inst, result, periods=100, seed=5)
     assert report.served == 0
     assert (report.drop_rate == 0).all() and (report.start_pct == 0).all()
     # the adversarial start parks the single driver at the first cell
@@ -218,12 +241,18 @@ def test_custom_initial_state_and_action_rule():
     assert log[0].state == (0, 0, 0, 1)
     with pytest.raises(ValueError):
         simulate_policy_episode(inst, act, periods=10, seed=2, initial_state=(2, 0, 0, 0))
+    # the package's episode starts where it is told, and checks the start too
+    result = value_iteration(inst)
+    report = simulate_optimal_episode(inst, result, periods=50, seed=2, initial_state=(0, 0, 0, 1))
+    assert same_report(report, optimal_episode(inst, result, 50, 2, (0, 0, 0, 1))[0])
+    with pytest.raises(ValueError):
+        simulate_optimal_episode(inst, result, periods=10, seed=2, initial_state=(2, 0, 0, 0))
 
 
 def test_discounted_return_hand_check():
     inst = square_instance()
     result = value_iteration(inst)
-    _, log = simulate_optimal_episode(inst, result, periods=60, seed=8)
+    _, log = optimal_episode(inst, result, periods=60, seed=8)
     expect = sum(step.profit * 0.9**step.period for step in log)
     assert discounted_return(log, 0.9) == pytest.approx(expect)
     assert discounted_return([], 0.9) == 0.0

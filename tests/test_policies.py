@@ -12,14 +12,19 @@ from dispatchlab.policies import (
     ALL_PHIS,
     PHI_CLOCKWISE,
     PolicySpec,
-    can_serve,
-    greedy_candidates,
+    candidate_table,
     nadap_probe_weights,
     parse_policy,
+    serving_locations,
+)
+from oracles import (
+    can_serve,
+    dispatch,
+    expected_step_profit,
+    greedy_candidates,
     rand_scan_order,
     serving_location,
 )
-from oracles import dispatch, expected_step_profit
 
 
 def test_parse_policy_grammar():
@@ -100,6 +105,10 @@ def test_rand_scan_order_lists_neighbors_in_phi_order():
     assert rand_scan_order(g, 0, ("N", "E", "S", "W")) == [1, 2]
     assert rand_scan_order(g, 3, ("S", "W", "E", "N")) == [2, 1]
     assert rand_scan_order(build_grid(1, 1), 0, ("N", "E", "S", "W")) == []
+    # the package's candidate rows: the origin, then the same scan, padded with the origin
+    assert candidate_table(PolicySpec("rand", phi=("N", "E", "S", "W")), g)[0].tolist() == [0, 1, 2, 0, 0]
+    assert candidate_table(PolicySpec("rand", phi=("S", "W", "E", "N")), g)[3].tolist() == [3, 2, 1, 3, 3]
+    assert candidate_table(PolicySpec("rand", phi=PHI_CLOCKWISE), build_grid(1, 1)).tolist() == [[0] * 5]
 
 
 def test_rand_dispatch_takes_first_occupied():
@@ -149,6 +158,10 @@ def test_serving_location_deterministic_policies():
     assert serving_location([0, 1, 1, 0], 0, parse_policy("rand:NESW"), g) == 1
     assert serving_location([0, 1, 2, 0], 0, parse_policy("greedy"), g) == 2
     assert serving_location([0, 0, 0, 1], 0, parse_policy("greedy"), g) is None
+    # the array form, one row per state
+    counts = np.array([[0, 1, 1, 0], [0, 1, 2, 0], [0, 0, 0, 1]])
+    assert serving_locations(parse_policy("rand:NESW"), g, counts[:1], 0).tolist() == [1]
+    assert serving_locations(parse_policy("greedy"), g, counts[1:], 0).tolist() == [2, -1]
 
 
 @pytest.mark.parametrize("shape", [(3, 3), (1, 3), (1, 1)])
@@ -173,6 +186,24 @@ def test_nadap_coin_map_matches_probe_weights(shape):
                     expected[loc] += wgt
                 for loc in set(hits) | set(expected):
                     assert abs(hits[loc] / N - expected[loc]) <= tol, (alpha, boundary, u, loc)
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (1, 3), (1, 1)])
+def test_nadap_coin_map_arrays_match_the_scalar_map(shape):
+    """The array coin map is the scalar map's float expression, slice edges included."""
+    g = build_grid(*shape)
+    spaced = np.linspace(0.0, 1.0, 4001)[:-1]
+    for alpha in (0.6, 0.8, 0.7, 1.0, Fraction(3, 4)):
+        a = float(alpha)
+        edges = [a + (1 - a) * i / d for d in (1, 2, 3, 4) for i in range(d)]
+        near = [np.nextafter(x, y) for x in edges for y in (0.0, 1.0)]
+        coins = np.array([x for x in [*spaced, *edges, *near] if 0 <= x < 1])
+        for boundary in ("renormalize", "lost"):
+            policy = PolicySpec("nadap", alpha=alpha, boundary=boundary)
+            for u in range(g.n):
+                got = serving_locations(policy, g, None, np.full(len(coins), u), coins)
+                want = [serving_location([0] * g.n, u, policy, g, coin) for coin in coins.tolist()]
+                assert got.tolist() == [-1 if k is None else k for k in want], (alpha, boundary, u)
 
 
 def test_nadap_dispatch_uses_single_coin():

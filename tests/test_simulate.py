@@ -1,6 +1,7 @@
 """Monte-Carlo ensembles: estimators, replay, gap curves, and rate fits."""
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -69,6 +70,8 @@ def test_sim_config_validation():
         make_config(estimator="bogus")
     with pytest.raises(ValueError):
         make_config(model=None, trace=[(0, 0, 1, 1.0)], estimator="conditional")
+    with pytest.raises(ValueError):
+        make_config(model=None, trace=[(0, 0, 1)] * 4, estimator="realized")  # entries of three fields
     with pytest.raises(ValueError):
         make_config(initial_state=(2, 0, 0))
     with pytest.raises(ValueError):
@@ -166,13 +169,35 @@ def test_replay_hand_trace_is_exact():
 
 def test_replay_rejects_unsorted_rounds():
     g = build_grid(2, 2)
-    config = SimConfig(
-        grid=g, m=1, c=1, T=5, runs=1, seed=0,
-        policy=parse_policy("greedy"), trace=[(3, 0, 1, 1.0), (1, 0, 1, 1.0)],
-        initial_state=(1, 0, 0, 0), estimator="realized",
-    )
-    with pytest.raises(ValueError):
-        run_ensemble(config)
+    # the trace is checked when the ensemble is configured, before any run
+    with pytest.raises(ValueError, match="trace rounds must be non-decreasing: entry 1"):
+        SimConfig(
+            grid=g, m=1, c=1, T=5, runs=1, seed=0,
+            policy=parse_policy("greedy"), trace=[(3, 0, 1, 1.0), (1, 0, 1, 1.0)],
+            initial_state=(1, 0, 0, 0), estimator="realized",
+        )
+
+
+@pytest.mark.parametrize("label", ["nadap:0.8", "rand:NESW", "greedy"])
+def test_replay_rejects_entries_off_the_grid_or_before_round_zero(label):
+    """Negative cells and rounds would wrap around in array indexing; they are refused."""
+    g = build_grid(2, 2)
+    good = (0, 0, 1, 1.0)
+    cases = {
+        (0, 7, 1, 1.0): "is off the 2x2 grid",
+        (0, 0, 4, 1.0): "is off the 2x2 grid",
+        (0, -1, 1, 1.0): "is off the 2x2 grid",
+        (1, 0, -2, 1.0): "is off the 2x2 grid",
+        (-1, 0, 1, 1.0): "has a negative round",
+    }
+    for bad, why in cases.items():
+        # second, after a good entry, and first, where no earlier round precedes it
+        for trace, at in (([good, bad, good], 1), ([bad, good], 0)):
+            with pytest.raises(ValueError, match=re.escape(f"trace entry {at} {bad} ") + why):
+                SimConfig(
+                    grid=g, m=1, c=1, T=5, runs=1, seed=0, policy=parse_policy(label),
+                    trace=trace, initial_state=(1, 0, 0, 0), estimator="realized",
+                )
 
 
 def test_replay_truncates_at_horizon():
