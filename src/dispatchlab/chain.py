@@ -31,6 +31,7 @@ MIXING_SIZE_LIMIT = 2000
 
 ROW_SUM_TOL = 1e-12
 MONOTONE_SLACK = 1e-10
+_GTH_BLOCK = 64  # elimination pivots per block; only a block's own rows and columns see them one by one
 
 
 class TransitionMatrix:
@@ -200,18 +201,24 @@ class StationaryResult:
     residual: float
     method: str
     policy: PolicySpec | None = None
+    iterations: int = 0  # power steps taken; 0 for elimination
 
 
 def _gth_solve(P: np.ndarray) -> np.ndarray:
     """Stationary vector by state elimination (no subtractions, so no cancellation)."""
     A = P.astype(float).copy()
     size = A.shape[0]
-    for k in range(size - 1, 0, -1):
-        s = A[k, :k].sum()
-        if s <= 0:
-            raise ValueError("chain is reducible: elimination hit an absorbing block")
-        A[:k, k] /= s
-        A[:k, :k] += np.outer(A[:k, k], A[k, :k])
+    for p in range(size, 1, -_GTH_BLOCK):
+        k0 = max(p - _GTH_BLOCK, 1)
+        for k in range(p - 1, k0 - 1, -1):
+            s = A[k, :k].sum()
+            if s <= 0:
+                raise ValueError("chain is reducible: elimination hit an absorbing block")
+            A[:k, k] /= s
+            A[k0:k, :k] += np.outer(A[k0:k, k], A[k, :k])
+            A[:k0, k0:k] += np.outer(A[:k0, k], A[k, k0:k])
+        # the block's rank-1 updates reach the leading square as one product of non-negative terms
+        A[:k0, :k0] += A[:k0, k0:p] @ A[k0:p, :k0]
     pi = np.zeros(size)
     pi[0] = 1.0
     for k in range(1, size):
@@ -255,16 +262,15 @@ def stationary_distribution(
     iteration-limit error carrying the last residual.
     """
     size = tm.size
+    P = tm.to_csr()
     if size <= DENSE_SOLVE_LIMIT:
         pi = _gth_solve(tm.to_dense())
-        P = tm.to_csr()
         residual = float(np.abs(pi @ P - pi).sum())
-        method = "elimination"
+        method, iterations = "elimination", 0
     else:
-        P = tm.to_csr()
         pi = np.full(size, 1.0 / size)
         residual = math.inf
-        for _ in range(max_iter):
+        for iterations in range(1, max_iter + 1):
             nxt = pi @ P
             nxt /= nxt.sum()
             residual = float(np.abs(nxt - pi).sum())
@@ -285,6 +291,7 @@ def stationary_distribution(
         residual=residual,
         method=method,
         policy=tm.policy,
+        iterations=iterations,
     )
 
 
@@ -398,8 +405,8 @@ def mixing_analysis(
 ) -> MixingReport:
     """Track the worst start's distance to stationary until every threshold is met.
 
-    All starts are propagated together (one dense block against the sparse
-    kernel per round).  Above the exhaustive-size limit a start sample must
+    All starts are propagated together (one column per start, stepped against
+    the transposed kernel).  Above the exhaustive-size limit a start sample must
     be supplied, and the curve is a lower bound flagged non-exhaustive.
     """
     if t_max < 1:
@@ -417,21 +424,27 @@ def mixing_analysis(
         starts = np.arange(size)
         exhaustive = True
     else:
-        starts = np.asarray(sorted(set(int(s) for s in start_ranks)))
+        ranks = [int(s) for s in start_ranks]
+        outside = [s for s in ranks if not 0 <= s < size]
+        if not ranks or outside:
+            raise ValueError(f"start rank {outside[0]} is outside [0, {size})" if outside else "empty start sample")
+        starts = np.asarray(sorted(set(ranks)))
         exhaustive = bool(len(starts) == size)
-    P = tm.to_csr()
-    D = np.zeros((len(starts), size))
-    D[np.arange(len(starts)), starts] = 1.0
-    d_curve = [0.5 * float(np.abs(D - pi).sum(axis=1).max())]
+    PT = tm.to_csr().T.tocsr()
+    E = (np.arange(size)[:, None] == starts).astype(float)  # E[y, s]: Pr[state y after t rounds from start s]
+    # d(0) row-sums a start-major copy: the pairwise order of the row-block oracle loop's first round
+    d_curve = [0.5 * float(np.abs(E.T.copy() - pi).sum(axis=1).max())]
+    gap, dist = np.empty_like(E), np.empty(len(starts))
     tau: dict = {}
     for e in eps:
         if d_curve[0] <= e:
             tau.setdefault(e, 0)
     t = 0
     while len(tau) < len(eps) and t < t_max:
-        D = D @ P
+        E = PT @ E
         t += 1
-        dt = 0.5 * float(np.abs(D - pi).sum(axis=1).max())
+        np.abs(np.subtract(E, pi[:, None], out=gap), out=gap).sum(axis=0, out=dist)
+        dt = 0.5 * float(dist.max())
         if dt > d_curve[-1] + MONOTONE_SLACK:
             raise RuntimeError(f"distance to stationary increased at t={t}: {d_curve[-1]} -> {dt}")
         d_curve.append(dt)

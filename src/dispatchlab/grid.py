@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
+from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import itemgetter
@@ -215,9 +216,8 @@ class RequestModel:
     @classmethod
     def from_csv(cls, path: str | Path, grid: Grid) -> "RequestModel":
         n = grid.n
-        p = np.zeros((n, n))
-        w = np.zeros((n, n))
         names = ("origin", "dest", "p", "w")
+        cells, values, error = [], array("d"), None
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
             header = next(reader, [])
@@ -225,17 +225,22 @@ class RequestModel:
                 raise SchemaError(f"{path}: expected columns origin,dest,p,w")
             # a repeated column name reads as its last occurrence, as csv.DictReader does
             get = itemgetter(*(len(header) - 1 - header[::-1].index(c) for c in names))
-            for row in filter(None, reader):
-                try:
+            try:
+                for row in filter(None, reader):
                     u, v, pv, wv = get(row)
-                    u, v, pv, wv = int(u), int(v), float(pv), float(wv)
-                except (IndexError, ValueError) as exc:
-                    raise SchemaError(f"{path}: malformed row {row}") from exc
-                grid.check_location(u)
-                grid.check_location(v)
-                p[u, v] = pv
-                w[u, v] = wv
-        return cls(grid, p, w)
+                    values.extend((float(pv), float(wv)))  # first, so a malformed row adds no cell
+                    cells += int(u), int(v)
+            except (IndexError, ValueError) as exc:
+                error = exc
+        if cells and not 0 <= min(cells) <= max(cells) < n:  # an off-grid row before a malformed one decides
+            grid.check_location(next(c for c in cells if not 0 <= c < n))  # file order, origin first
+        if error is not None:
+            raise SchemaError(f"{path}: malformed row {row}") from error
+        cell = np.array(cells, dtype=np.int64).reshape(-1, 2) @ np.array([n, 1])
+        last = len(cell) - 1 - np.unique(cell[::-1], return_index=True)[1]  # a repeated cell keeps its last row
+        p, w = np.zeros(n * n), np.zeros(n * n)
+        p[cell[last]], w[cell[last]] = np.frombuffer(values).reshape(-1, 2)[last].T
+        return cls(grid, p.reshape(n, n), w.reshape(n, n))
 
 
 def _as_weight_matrix(grid: Grid, weights) -> np.ndarray:

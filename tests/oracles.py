@@ -1,8 +1,8 @@
 """Definitional oracles: each exact layer stated request by request.
 
 The package computes every layer below through its policy table, pair
-arrays and CSR kernels, steps ensembles and episodes in lockstep, and
-ingests trips as whole columns.  These functions state the same
+arrays and CSR kernels, solves and mixes chains in blocks, steps ensembles
+and episodes in lockstep, and ingests trips as whole columns.  These functions state the same
 quantities the slow, literal way, one state, one request, one run or one
 trip record at a time, and the tests pin the package to them.  Nothing in ``dispatchlab`` imports this module.
 """
@@ -18,8 +18,8 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from dispatchlab.chain import TransitionMatrix, _zero_one
-from dispatchlab.errors import DispatchLabError, SchemaError
+from dispatchlab.chain import MIXING_SIZE_LIMIT, MONOTONE_SLACK, MixingReport, TransitionMatrix, _zero_one
+from dispatchlab.errors import DispatchLabError, HorizonTooShortError, SchemaError, SizeLimitError
 from dispatchlab.grid import DIRECTIONS, Grid, RequestModel, build_grid, distance_weights, manhattan_distance
 from dispatchlab.ingest import (
     DEFAULT_BBOX,
@@ -299,6 +299,87 @@ def same_transitions(a: TransitionMatrix, b: TransitionMatrix, tol=0) -> bool:
             elif abs(float(da) - float(db)) > tol:
                 return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# Stationary solve and mixing curve, one pivot and one row block at a time
+
+
+def gth_solve_scalar(P: np.ndarray) -> np.ndarray:
+    """Stationary vector by state elimination (no subtractions, so no cancellation)."""
+    A = P.astype(float).copy()
+    size = A.shape[0]
+    for k in range(size - 1, 0, -1):
+        s = A[k, :k].sum()
+        if s <= 0:
+            raise ValueError("chain is reducible: elimination hit an absorbing block")
+        A[:k, k] /= s
+        A[:k, :k] += np.outer(A[:k, k], A[k, :k])
+    pi = np.zeros(size)
+    pi[0] = 1.0
+    for k in range(1, size):
+        pi[k] = pi[:k] @ A[:k, k]
+    return pi / pi.sum()
+
+
+def mixing_curve_loop(
+    tm: TransitionMatrix,
+    pi: np.ndarray,
+    epsilons: Sequence[float],
+    t_max: int,
+    start_ranks: Sequence[int] | None = None,
+    envelope: tuple | None = None,
+) -> MixingReport:
+    """Track the worst start's distance to stationary until every threshold is met.
+
+    All starts are propagated together (one dense block against the sparse
+    kernel per round).  Above the exhaustive-size limit a start sample must
+    be supplied, and the curve is a lower bound flagged non-exhaustive.
+    """
+    if t_max < 1:
+        raise ValueError("t_max must be at least 1")
+    eps = sorted(set(float(e) for e in epsilons), reverse=True)
+    if not eps or eps[-1] <= 0:
+        raise ValueError("thresholds must be positive")
+    size = tm.size
+    if start_ranks is None:
+        if size > MIXING_SIZE_LIMIT:
+            raise SizeLimitError(
+                f"{size} states exceeds the exhaustive mixing limit {MIXING_SIZE_LIMIT}; "
+                "pass an explicit start sample"
+            )
+        starts = np.arange(size)
+        exhaustive = True
+    else:
+        starts = np.asarray(sorted(set(int(s) for s in start_ranks)))
+        exhaustive = bool(len(starts) == size)
+    P = tm.to_csr()
+    D = np.zeros((len(starts), size))
+    D[np.arange(len(starts)), starts] = 1.0
+    d_curve = [0.5 * float(np.abs(D - pi).sum(axis=1).max())]
+    tau: dict = {}
+    for e in eps:
+        if d_curve[0] <= e:
+            tau.setdefault(e, 0)
+    t = 0
+    while len(tau) < len(eps) and t < t_max:
+        D = D @ P
+        t += 1
+        dt = 0.5 * float(np.abs(D - pi).sum(axis=1).max())
+        if dt > d_curve[-1] + MONOTONE_SLACK:
+            raise RuntimeError(f"distance to stationary increased at t={t}: {d_curve[-1]} -> {dt}")
+        d_curve.append(dt)
+        for e in eps:
+            if e not in tau and dt <= e:
+                tau[e] = t
+    curve = np.array(d_curve)
+    if len(tau) < len(eps):
+        missing = [e for e in eps if e not in tau]
+        raise HorizonTooShortError(
+            f"d({t_max}) = {curve[-1]:.3e} still above thresholds {missing}",
+            d_curve=curve,
+        )
+    return MixingReport(curve, tau, envelope=envelope, exhaustive=exhaustive, start_count=len(starts))
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from dispatchlab.chain import (
+    DENSE_SOLVE_LIMIT,
     MIXING_SIZE_LIMIT,
     build_occupancy_pair_chain,
     build_transition,
@@ -25,7 +26,7 @@ from dispatchlab.chain import (
     uniform_mixing_bound,
     uniform_profit_gap_bound,
 )
-from dispatchlab.errors import HorizonTooShortError, SizeLimitError
+from dispatchlab.errors import HorizonTooShortError, IterationLimitError, SizeLimitError
 from dispatchlab.grid import build_grid, request_model_from_pairs, uniform_request_model
 from dispatchlab.policies import PolicySpec, parse_policy, step_profit
 from dispatchlab.rng import stream
@@ -191,6 +192,21 @@ def test_stationary_matches_eigenvector_oracle():
     assert res.residual < 1e-12
 
 
+def test_stationary_reports_power_iterations():
+    g = build_grid(4, 4)
+    tm = build_transition(StateSpace(g, m=4, c=2), uniform_request_model(g, 0.00390625), parse_policy("nadap:0.8"))
+    assert tm.size > DENSE_SOLVE_LIMIT
+    res = stationary_distribution(tm)
+    assert res.method == "power" and res.iterations > 1
+    # exactly that many steps: one fewer falls short of the tolerance
+    again = stationary_distribution(tm, max_iter=res.iterations)
+    assert (again.iterations, again.pi.tobytes()) == (res.iterations, res.pi.tobytes())
+    with pytest.raises(IterationLimitError):
+        stationary_distribution(tm, max_iter=res.iterations - 1)
+    small = stationary_distribution(toy_two_cell_chain()[2])
+    assert (small.method, small.iterations) == ("elimination", 0)
+
+
 def test_limiting_objective_routes_match_across_policies():
     """The gamma-map closed path equals direct pi-weighted per-state profit.
 
@@ -334,6 +350,19 @@ def test_mixing_rejects_bad_arguments():
         mixing_analysis(tm, res.pi, [], t_max=10)
     with pytest.raises(ValueError):
         mixing_analysis(tm, res.pi, [0.25, -0.1], t_max=10)
+
+
+def test_mixing_rejects_start_ranks_outside_the_space():
+    g = build_grid(2, 2)
+    tm = build_transition(StateSpace(g, m=2, c=2), uniform_request_model(g, 0.0625), parse_policy("nadap:0.8"))
+    assert tm.size == 10
+    pi = stationary_distribution(tm).pi
+    for ranks, message in (([-1], r"start rank -1 is outside \[0, 10\)"),
+                           ([3, 10, 12], r"start rank 10 is outside \[0, 10\)"),
+                           ([], "empty start sample"),
+                           (range(-10, 10), r"start rank -10 is outside \[0, 10\)")):
+        with pytest.raises(ValueError, match=message):
+            mixing_analysis(tm, pi, [0.25], t_max=10, start_ranks=ranks)
 
 
 def test_exact_error_curves_against_dense_propagation():

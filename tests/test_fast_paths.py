@@ -2,27 +2,32 @@
 
 Random small instances (grid up to 3x3, up to 4 drivers, capacity up to 3)
 with derandomized draws and fixed example counts, so the suite stays
-deterministic.
+deterministic; the blocked elimination solve is also checked on random
+chains across block edges and on the benchmark's 800-state chains.
 """
 
 from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
-from hypothesis import example, given, settings
+import pytest
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from dispatchlab.chain import build_transition
+from dispatchlab.chain import _gth_solve, build_transition, check_irreducible, mixing_analysis
 from dispatchlab.coupling import _coupled_distance_totals
+from dispatchlab.errors import HorizonTooShortError
 from dispatchlab.grid import RequestModel, build_grid, uniform_request_model
 from dispatchlab.mdp import MdpInstance, _action_tables
-from dispatchlab.policies import ALL_PHIS, PolicySpec, policy_table, step_profit
+from dispatchlab.policies import ALL_PHIS, PolicySpec, parse_policy, policy_table, step_profit
 from dispatchlab.states import StateSpace, neighbor_pairs
 from oracles import (
     build_transition_from_policy,
     can_serve,
     coupled_step_distribution,
     expected_step_profit,
+    gth_solve_scalar,
+    mixing_curve_loop,
     move,
     move_rank,
     pair_distance,
@@ -219,3 +224,85 @@ def test_action_tables_match_scalar_loop(space, seed):
     assert np.array_equal(nxt, want_nxt)
     assert np.array_equal(rew, want_rew)
     assert instance.action_tables is instance.action_tables
+
+
+def random_chain(size: int, seed: int, density: float = 0.1) -> np.ndarray:
+    """Random sparse stochastic matrix with a cycle through every state (irreducible)."""
+    rng = np.random.default_rng(seed)
+    P = rng.random((size, size)) * (rng.random((size, size)) < density)
+    P[np.arange(size), (np.arange(size) + 1) % size] += 0.5
+    return P / P.sum(axis=1, keepdims=True)
+
+
+def block_chain(a: np.ndarray, b: np.ndarray, coupling: float) -> np.ndarray:
+    """Two chains side by side, linked one way and back with probability ``coupling`` each."""
+    k = len(a)
+    P = np.zeros((k + len(b), k + len(b)))
+    P[:k, :k], P[k:, k:] = a, b
+    P[k - 1, k] = P[-1, 0] = coupling
+    return P / P.sum(axis=1, keepdims=True)
+
+
+def assert_gth_matches_scalar(P: np.ndarray) -> None:
+    want = gth_solve_scalar(P)
+    got = _gth_solve(P)
+    assert np.all(np.abs(got - want) <= 1e-13 * want)
+
+
+@pytest.mark.parametrize("size", [1, 2, 63, 64, 65, 130])
+def test_blocked_gth_matches_scalar_elimination(size):
+    assert_gth_matches_scalar(random_chain(size, seed=size))
+
+
+def test_blocked_gth_matches_scalar_on_bench_chains():
+    grid = build_grid(4, 4)
+    model = uniform_request_model(grid, 0.00390625)
+    for label in ("nadap:0.8", "rand:NESW", "greedy"):
+        tm = build_transition(StateSpace(grid, 3, 2), model, parse_policy(label))
+        assert tm.size == 800
+        assert_gth_matches_scalar(tm.to_dense())
+
+
+def test_blocked_gth_matches_scalar_on_exact_and_nearly_decomposable_chains():
+    space = StateSpace(build_grid(2, 2), 2, 2)
+    tm = build_transition(space, fraction_model(space.grid, 11), PolicySpec("nadap", alpha=Fraction(3, 4)))
+    assert tm.exact
+    assert_gth_matches_scalar(tm.to_dense())
+    assert_gth_matches_scalar(block_chain(random_chain(60, 1), random_chain(60, 2), 1e-13))
+
+
+def test_blocked_gth_refuses_reducible_chain_as_scalar_does():
+    for P in (block_chain(random_chain(70, 3), random_chain(70, 4), 0.0), np.eye(3)):
+        for solve in (gth_solve_scalar, _gth_solve):
+            with pytest.raises(ValueError, match="chain is reducible: elimination hit an absorbing block"):
+                solve(P)
+
+
+@SLOW
+@given(spaces(), st.integers(0, 2**16), policies(), st.integers(1, 150), st.booleans())
+@example(LARGEST, 7, PolicySpec("greedy"), 150, False)
+@example(LARGEST, 8, PolicySpec("rand", phi=ALL_PHIS[0]), 150, True)
+@example(LARGEST, 9, PolicySpec("nadap", alpha=Fraction(3, 4)), 2, True)
+def test_mixing_sweep_matches_row_block_loop_byte_for_byte(space, seed, policy, t_max, sampled):
+    n = space.n
+    p = np.random.default_rng(seed).random((n, n)) + 0.05
+    model = RequestModel(space.grid, 0.8 * p / p.sum(), np.ones((n, n)))
+    tm = build_transition(space, model, float_alpha(policy))
+    assume(check_irreducible(tm))
+    pi = gth_solve_scalar(tm.to_dense())
+    starts = None
+    if sampled:  # duplicates and any order, as a caller may pass them
+        starts = np.random.default_rng(seed).integers(0, space.size, size=1 + seed % 7).tolist()
+    args = (tm, pi, [0.3, 0.02, 1e-4], t_max)
+    try:
+        want = mixing_curve_loop(*args, start_ranks=starts)
+    except HorizonTooShortError as short:
+        with pytest.raises(HorizonTooShortError) as info:
+            mixing_analysis(*args, start_ranks=starts)
+        assert info.value.d_curve.tobytes() == short.d_curve.tobytes()
+        assert str(info.value) == str(short)
+        return
+    got = mixing_analysis(*args, start_ranks=starts)
+    assert got.d_curve.tobytes() == want.d_curve.tobytes()
+    assert got.tau == want.tau
+    assert (got.exhaustive, got.start_count) == (want.exhaustive, want.start_count)

@@ -146,6 +146,32 @@ def test_csv_missing_columns_rejected(tmp_path):
         RequestModel.from_csv(path, build_grid(1, 2))
 
 
+def test_csv_cells_checked_in_file_order(tmp_path):
+    g = build_grid(2, 2)
+    path = tmp_path / "model.csv"
+
+    def load(*rows):
+        path.write_text("origin,dest,p,w\n" + "".join(row + "\n" for row in rows))
+        return RequestModel.from_csv(path, g)
+
+    with pytest.raises(ValueError, match="location 7 outside grid with 4 cells"):
+        load("0,1,0.1,1", "1,7,0.1,1", "-1,2,0.1,1")
+    with pytest.raises(ValueError, match="location -1 outside"):  # origin before destination
+        load("0,1,0.1,1", "-1,9,0.1,1")
+    with pytest.raises(ValueError, match="location 9{30} outside"):  # no fixed-width overflow
+        load("0,1,0.1,1", "0," + "9" * 30 + ",0.1,1")
+    with pytest.raises(ValueError, match="location 9 outside"):  # an off-grid row before a malformed one
+        load("0,9,0.1,1", "0,x,0.1,1")
+    with pytest.raises(SchemaError, match=r"malformed row \['0', 'x', '0.1', '1'\]"):
+        load("0,1,0.1,1", "0,x,0.1,1", "0,9,0.1,1")
+    model = load("0,1,0.1,2", "3,2,-0.0,5", "", "0,1,0.25,3")
+    # a repeated cell keeps its last row; every other cell stays zero
+    assert (model.p[0, 1], model.w[0, 1]) == (0.25, 3.0)
+    assert np.signbit(model.p[3, 2]) and model.w[3, 2] == 5.0
+    assert np.count_nonzero(model.p) == 1 and np.count_nonzero(model.w) == 2
+    assert load().p.tolist() == np.zeros((4, 4)).tolist()
+
+
 def test_pairs_iterator_covers_support():
     g = build_grid(1, 2)
     model = request_model_from_pairs(g, {(0, 1): 0.25, (1, 0): 0.5}, weights=3)
