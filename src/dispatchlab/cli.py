@@ -1,6 +1,7 @@
 """Command-line entry point: one binary, eight subcommands, reproducible outputs.
 
-Every run writes its data files plus a ``manifest.json`` into ``--out``:
+Each subcommand computes a ``Run``; only once it has succeeded does one
+runner write its data files plus a ``manifest.json`` into ``--out``:
 the resolved configuration, the seed actually used, digests of all inputs
 and outputs, and an argv that replays the run exactly.  Numeric CSV cells
 use 17 significant digits so byte-level diffs are meaningful across
@@ -31,7 +32,6 @@ import numpy as np
 from . import __version__, ingest
 from .chain import (
     MIXING_SIZE_LIMIT,
-    MixingReport,
     build_transition,
     check_aperiodic,
     check_irreducible,
@@ -183,15 +183,12 @@ def resolve_weights(spec: str, grid):
     if spec.startswith("const:"):
         return float(spec[len("const:") :])
     if spec.startswith("file:"):
-        path = spec[len("file:") :]
         w = np.zeros((grid.n, grid.n))
-        with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            needed = {"origin", "dest", "w"}
-            if not needed.issubset(reader.fieldnames or []):
-                raise ValueError(f"weight file needs columns {sorted(needed)}")
-            for row in reader:
-                w[int(row["origin"]), int(row["dest"])] = float(row["w"])
+        for u, v, value in ingest.read_columns(spec[len("file:") :], ("origin", "dest", "w"),
+                                               (int, int, float), "weight file"):
+            grid.check_location(u)
+            grid.check_location(v)
+            w[u, v] = value
         return w
     raise ValueError(f"unknown weights spec {spec!r}; use const:X, distance, or file:PATH")
 
@@ -350,6 +347,39 @@ def make_outdir(options: dict) -> Path:
     return outdir
 
 
+@dataclasses.dataclass
+class Run:
+    """What a subcommand computed, written out only once all of it has succeeded.
+
+    ``tables`` maps a CSV name to its header and rows, ``files`` maps any
+    other output name to a writer taking its path, and ``report`` (None for
+    none) is written as ``report_name`` in the ``--format`` asked for.
+    """
+
+    line: str
+    report: dict | None
+    tables: dict = dataclasses.field(default_factory=dict)
+    files: dict = dataclasses.field(default_factory=dict)
+    inputs: list = dataclasses.field(default_factory=list)
+    report_name: str = "report"
+    summary: dict | None = None
+
+
+def write_run(command: str, argv: list[str], options: dict, run: Run) -> int:
+    """Write a run's files, report and manifest into ``--out``, then print its line."""
+    outdir = make_outdir(options)
+    for name, (header, rows) in run.tables.items():
+        write_csv(outdir / name, header, rows)
+    for name, writer in run.files.items():
+        writer(outdir / name)
+    outputs = [*run.tables, *run.files]
+    if run.report is not None:
+        outputs.append(write_report(outdir, run.report_name, run.report, options["format"]))
+    finish_run(outdir, command, argv, options, outputs, run.inputs, run.summary)
+    print(run.line)
+    return 0
+
+
 # ---------------------------------------------------------------------------
 # Subcommand handlers
 
@@ -390,18 +420,20 @@ def add_chain_flags(spec: SubSpec) -> None:
     spec.add("--tmax", type=int, default=100_000, help="mixing horizon cap")
 
 
-def write_mixing(outdir: Path, mixing: MixingReport, report: dict) -> str:
-    """Write mixing.csv and add the tau and envelope keys to ``report``."""
-    write_csv(outdir / "mixing.csv", ["t", "d_t"], ((t, g17(d)) for t, d in enumerate(mixing.d_curve)))
-    report["tau"] = {g17(e): t for e, t in sorted(mixing.tau.items())}
+def mixing_outputs(options: dict, tm, pi, n: int, m: int, start_ranks=None) -> tuple:
+    """A chain's mixing analysis, its mixing.csv table, and the tau and envelope keys of its report."""
+    envelope = uniform_decay_envelope(n, m) if options["arrivals"].startswith("uniform:") else None
+    mixing = mixing_analysis(tm, pi, parse_epsilons(options["epsilons"]), options["tmax"],
+                             start_ranks=start_ranks, envelope=envelope)
+    table = {"mixing.csv": (["t", "d_t"], ((t, g17(d)) for t, d in enumerate(mixing.d_curve)))}
+    keys = {"tau": {g17(e): t for e, t in sorted(mixing.tau.items())}}
     if mixing.envelope is not None:
-        report["envelope"] = {"C": mixing.envelope[0], "beta": mixing.envelope[1]}
-        report["under_envelope"] = mixing.under_envelope()
-    return "mixing.csv"
+        keys["envelope"] = {"C": mixing.envelope[0], "beta": mixing.envelope[1]}
+        keys["under_envelope"] = mixing.under_envelope()
+    return mixing, table, keys
 
 
-def cmd_exact(ns, argv) -> int:
-    options = resolve_options(ns, ns.spec)
+def cmd_exact(options) -> Run:
     grid, m, c, policy, model, _trace, inputs = resolve_instance(options, "exact")
     space = StateSpace(grid, m, c)
     tm = build_transition(space, model, policy)
@@ -409,20 +441,16 @@ def cmd_exact(ns, argv) -> int:
     objective = float(limiting_objective(stat, model, policy))
     irreducible = check_irreducible(tm)
     aperiodic = check_aperiodic(tm)
-    outdir = make_outdir(options)
-    outputs = []
-    write_csv(
-        outdir / "stationary.csv",
-        ["state", "pi"],
-        ((format_state(x), g17(p)) for x, p in zip(space.as_array().tolist(), stat.pi)),
-    )
-    outputs.append("stationary.csv")
-    write_csv(
-        outdir / "gamma.csv",
-        ["u", "v", "gamma"],
-        ((u, v, g17(stat.gamma[u, v])) for u in range(grid.n) for v in range(grid.n)),
-    )
-    outputs.append("gamma.csv")
+    tables = {
+        "stationary.csv": (
+            ["state", "pi"],
+            ((format_state(x), g17(p)) for x, p in zip(space.as_array().tolist(), stat.pi)),
+        ),
+        "gamma.csv": (
+            ["u", "v", "gamma"],
+            ((u, v, g17(stat.gamma[u, v])) for u in range(grid.n) for v in range(grid.n)),
+        ),
+    }
     report = {
         "states": space.size,
         "objective": objective,
@@ -433,22 +461,18 @@ def cmd_exact(ns, argv) -> int:
         "policy": policy.label(),
     }
     if space.size <= MIXING_SIZE_LIMIT:
-        envelope = uniform_decay_envelope(grid.n, m) if options["arrivals"].startswith("uniform:") else None
-        mixing = mixing_analysis(
-            tm, stat.pi, parse_epsilons(options["epsilons"]), options["tmax"], envelope=envelope
-        )
-        outputs.append(write_mixing(outdir, mixing, report))
+        _mixing, table, keys = mixing_outputs(options, tm, stat.pi, grid.n, m)
+        tables.update(table)
+        report.update(keys)
     else:
         report["mixing"] = f"skipped: {space.size} states exceed the exhaustive limit"
-    outputs.append(write_report(outdir, "report", report, options["format"]))
-    finish_run(outdir, "exact", argv, options, outputs, inputs)
-    print(f"objective={g17(objective)} states={space.size} "
-          f"irreducible={irreducible} aperiodic={aperiodic}")
-    return 0
+    return Run(
+        f"objective={g17(objective)} states={space.size} irreducible={irreducible} aperiodic={aperiodic}",
+        report, tables, inputs=inputs,
+    )
 
 
-def cmd_mixing(ns, argv) -> int:
-    options = resolve_options(ns, ns.spec)
+def cmd_mixing(options) -> Run:
     grid, m, c, policy, model, _trace, inputs = resolve_instance(options, "mixing")
     space = StateSpace(grid, m, c)
     tm = build_transition(space, model, policy)
@@ -460,49 +484,30 @@ def cmd_mixing(ns, argv) -> int:
             raise ValueError(f"--starts must lie in [1, {space.size}]")
         seed = resolve_seed(options)
         start_ranks = stream(seed, 7).choice(space.size, size=k, replace=False)
-    envelope = uniform_decay_envelope(grid.n, m) if options["arrivals"].startswith("uniform:") else None
-    mixing = mixing_analysis(
-        tm,
-        stat.pi,
-        parse_epsilons(options["epsilons"]),
-        options["tmax"],
-        start_ranks=start_ranks,
-        envelope=envelope,
-    )
-    outdir = make_outdir(options)
+    mixing, table, keys = mixing_outputs(options, tm, stat.pi, grid.n, m, start_ranks)
     report = {
         "states": space.size,
         "exhaustive": mixing.exhaustive,
         "start_count": mixing.start_count,
         "policy": policy.label(),
+        **keys,
     }
-    outputs = [write_mixing(outdir, mixing, report)]
-    outputs.append(write_report(outdir, "report", report, options["format"]))
-    finish_run(outdir, "mixing", argv, options, outputs, inputs)
-    taus = ", ".join(f"tau({e})={t}" for e, t in report["tau"].items())
-    print(f"states={space.size} {taus}")
-    return 0
+    taus = ", ".join(f"tau({e})={t}" for e, t in keys["tau"].items())
+    return Run(f"states={space.size} {taus}", report, table, inputs=inputs)
 
 
-def cmd_couple(ns, argv) -> int:
-    options = resolve_options(ns, ns.spec)
+def cmd_couple(options) -> Run:
     require(options, "grid", "drivers", "capacity")
-    rows, cols = options["grid"]
-    grid = build_grid(rows, cols)
-    m, c = options["drivers"], options["capacity"]
+    grid = build_grid(*options["grid"])
     eps = options["eps"]
-    report = verify_contraction(grid, m, c, eps=eps)
-    outdir = make_outdir(options)
-    outputs = []
-    write_csv(
-        outdir / "coupling.csv",
+    report = verify_contraction(grid, options["drivers"], options["capacity"], eps=eps)
+    table = (
         ["pair_rank_x", "pair_rank_y", "expected_d_prime", "ratio"],
         (
             (r.x, r.y, g17(r.expected_distance), g17(r.ratio))
             for r in report.records
         ),
     )
-    outputs.append("coupling.csv")
     payload = {
         "n": report.n,
         "m": report.m,
@@ -516,17 +521,14 @@ def cmd_couple(ns, argv) -> int:
         "eps": eps,
         "tau_bound": report.tau_bound(eps),
     }
-    outputs.append(write_report(outdir, "report", payload, options["format"]))
-    finish_run(outdir, "couple", argv, options, outputs, summary=payload)
-    print(
+    line = (
         f"worst_beta={report.worst_beta} (target {report.target}) "
         f"tau_bound({g17(eps)})={g17(report.tau_bound(eps))} over {report.pair_count} pairs"
     )
-    return 0
+    return Run(line, payload, {"coupling.csv": table}, summary=payload)
 
 
-def cmd_simulate(ns, argv) -> int:
-    options = resolve_options(ns, ns.spec)
+def cmd_simulate(options) -> Run:
     grid, m, c, policy, model, trace, inputs = resolve_instance(options, "simulate")
     estimator = options["estimator"]
     if estimator is None:
@@ -563,32 +565,26 @@ def cmd_simulate(ns, argv) -> int:
         except DispatchLabError:
             pass
     series = error_curves(series, target=target)
-    outdir = make_outdir(options)
-    outputs = []
-    write_csv(
-        outdir / "wt.csv",
-        ["t", "mean", "stderr"],
-        (
-            (t, g17(series.w_mean[t]), g17(series.w_stderr[t]))
-            for t in range(len(series.w_mean))
+    tables = {
+        "wt.csv": (
+            ["t", "mean", "stderr"],
+            (
+                (t, g17(series.w_mean[t]), g17(series.w_stderr[t]))
+                for t in range(len(series.w_mean))
+            ),
         ),
-    )
-    outputs.append("wt.csv")
-    write_csv(
-        outdir / "obj.csv",
-        ["T", "running_avg"],
-        ((t + 1, g17(series.obj_running[t])) for t in range(len(series.obj_running))),
-    )
-    outputs.append("obj.csv")
-    write_csv(
-        outdir / "error.csv",
-        ["t", "delta", "delta_hat"],
-        (
-            (t, g17(series.delta[t]), g17(series.delta_hat[t]))
-            for t in range(len(series.delta))
+        "obj.csv": (
+            ["T", "running_avg"],
+            ((t + 1, g17(series.obj_running[t])) for t in range(len(series.obj_running))),
         ),
-    )
-    outputs.append("error.csv")
+        "error.csv": (
+            ["t", "delta", "delta_hat"],
+            (
+                (t, g17(series.delta[t]), g17(series.delta_hat[t]))
+                for t in range(len(series.delta))
+            ),
+        ),
+    }
     t_axis = np.arange(len(series.delta))
     fits: dict = {
         "target": series.target,
@@ -597,27 +593,30 @@ def cmd_simulate(ns, argv) -> int:
         "objective": series.obj,
         "objective_stderr": series.obj_stderr,
     }
-    try:
-        efit = fit_exponential(t_axis, series.delta)
-        fits["exponential"] = {"a": efit.a, "b": efit.b, "r2": efit.r2, "dropped": efit.dropped}
-    except DispatchLabError as exc:
-        fits["exponential"] = {"error": str(exc)}
-    try:
-        ifit = fit_inverse(t_axis + 1, series.delta_hat)
-        fits["inverse"] = {"a": ifit.a, "r2": ifit.r2, "dropped": ifit.dropped}
-    except DispatchLabError as exc:
-        fits["inverse"] = {"error": str(exc)}
-    outputs.append(write_report(outdir, "fit", fits, options["format"]))
-    finish_run(outdir, "simulate", argv, options, outputs, inputs)
-    print(
+    for key, fit, t, values in (("exponential", fit_exponential, t_axis, series.delta),
+                                ("inverse", fit_inverse, t_axis + 1, series.delta_hat)):
+        try:
+            fits[key] = dataclasses.asdict(fit(t, values))
+        except DispatchLabError as exc:
+            fits[key] = {"error": str(exc)}
+    line = (
         f"objective={g17(series.obj)} stderr={g17(series.obj_stderr)} "
         f"runs={series.runs} rounds={config.T} estimator={series.estimator}"
     )
-    return 0
+    return Run(line, fits, tables, inputs=inputs, report_name="fit")
 
 
-def cmd_vi(ns, argv) -> int:
-    options = resolve_options(ns, ns.spec)
+def state_request_table(column: str, states: list, requests: list, table: np.ndarray, cell) -> tuple:
+    """A per-state, per-request array as a (state, request, column) CSV table."""
+    rows = (
+        (state, request, cell(x))
+        for state, row in zip(states, table.tolist())
+        for request, x in zip(requests, row)
+    )
+    return ["state", "request", column], rows
+
+
+def cmd_vi(options) -> Run:
     grid, m, c, _policy, model, _trace, inputs = resolve_instance(options, "vi")
     instance = MdpInstance(
         grid, m, c, model, discount=options["discount"], cap=options["cap"]
@@ -630,42 +629,19 @@ def cmd_vi(ns, argv) -> int:
     report = simulate_optimal_episode(
         instance, result, periods=options["periods"], seed=seed, initial_state=init
     )
-    space = instance.space
-    R = instance.n_requests
-    outdir = make_outdir(options)
-    outputs = []
-
-    states = [format_state(x) for x in space.as_array().tolist()]
-    requests = [str(r) for r in range(R)] + ["none"]
-    write_csv(
-        outdir / "values.csv",
-        ["state", "request", "value"],
-        (
-            (state, request, g17(value))
-            for state, row in zip(states, result.values.tolist())
-            for request, value in zip(requests, row)
+    states = [format_state(x) for x in instance.space.as_array().tolist()]
+    requests = [str(r) for r in range(instance.n_requests)] + ["none"]
+    tables = {
+        "values.csv": state_request_table("value", states, requests, result.values, g17),
+        "policy.csv": state_request_table("action", states, requests, result.policy, int),
+        "heatmap.csv": (
+            ["location", "time_covered", "drop_rate", "start_pct"],
+            (
+                (u, g17(report.time_covered[u]), g17(report.drop_rate[u]), g17(report.start_pct[u]))
+                for u in range(grid.n)
+            ),
         ),
-    )
-    outputs.append("values.csv")
-    write_csv(
-        outdir / "policy.csv",
-        ["state", "request", "action"],
-        (
-            (state, request, action)
-            for state, row in zip(states, result.policy.tolist())
-            for request, action in zip(requests, row)
-        ),
-    )
-    outputs.append("policy.csv")
-    write_csv(
-        outdir / "heatmap.csv",
-        ["location", "time_covered", "drop_rate", "start_pct"],
-        (
-            (u, g17(report.time_covered[u]), g17(report.drop_rate[u]), g17(report.start_pct[u]))
-            for u in range(grid.n)
-        ),
-    )
-    outputs.append("heatmap.csv")
+    }
     payload = {
         "augmented_states": instance.state_count,
         "sweeps": result.sweeps,
@@ -675,17 +651,14 @@ def cmd_vi(ns, argv) -> int:
         "episode_periods": report.periods,
         "episode_served": report.served,
     }
-    outputs.append(write_report(outdir, "report", payload, options["format"]))
-    finish_run(outdir, "vi", argv, options, outputs, inputs, summary=payload)
-    print(
+    line = (
         f"augmented_states={instance.state_count} sweeps={result.sweeps} "
         f"residual={result.residual:.3e} served={report.served}/{report.periods}"
     )
-    return 0
+    return Run(line, payload, tables, inputs=inputs, summary=payload)
 
 
-def cmd_ingest(ns, argv) -> int:
-    options = resolve_options(ns, ns.spec)
+def cmd_ingest(options) -> Run:
     require(options, "input", "segment", "emit")
     rows, cols = options["grid"]
     bbox = options["bbox"]
@@ -700,8 +673,6 @@ def cmd_ingest(ns, argv) -> int:
     dates = sorted(d for d in parts if dates_match(options["dates"], d))
     if not dates:
         raise ValueError(f"no trips fall in the {segment} segment for the requested dates")
-    outdir = make_outdir(options)
-    outputs = []
     stats = {
         "parsed": len(parsed.records),
         "skipped": parsed.skipped,
@@ -712,8 +683,7 @@ def cmd_ingest(ns, argv) -> int:
     }
     if options["emit"] == "model":
         estimate = ingest.estimate_segment_rates(segmented, segment, dates, rows, cols, bbox)
-        estimate.model.to_csv(outdir / "model.csv")
-        outputs.append("model.csv")
+        files = {"model.csv": estimate.model.to_csv}
         stats.update(
             {"requests": estimate.requests, "slots": estimate.slots, "rescale": estimate.rescale}
         )
@@ -723,54 +693,32 @@ def cmd_ingest(ns, argv) -> int:
                 f"a replay trace covers one date; {len(dates)} match (pass --dates)"
             )
         trace = ingest.build_replay(parts[dates[0]], segment, dates[0], rows, cols, bbox)
-        ingest.write_replay(outdir / "replay.csv", trace)
-        outputs.append("replay.csv")
+        files = {"replay.csv": lambda path: ingest.write_replay(path, trace)}
         stats.update({"entries": len(trace), "rounds": trace.rounds})
-    outputs.append(write_report(outdir, "report", stats, options["format"]))
-    finish_run(outdir, "ingest", argv, options, outputs, [options["input"]], summary=stats)
-    print(
+    line = (
         f"parsed={stats['parsed']} skipped={stats['skipped']} in_bbox={stats['in_bbox']} "
         f"emit={options['emit']} dates={len(dates)}"
     )
-    return 0
+    return Run(line, stats, files=files, inputs=[options["input"]], summary=stats)
 
 
-def cmd_fit(ns, argv) -> int:
-    options = resolve_options(ns, ns.spec)
+def cmd_fit(options) -> Run:
     require(options, "input")
-    t: list[float] = []
-    values: list[float] = []
-    with open(options["input"], newline="") as fh:
-        reader = csv.DictReader(fh)
-        needed = {options["t_column"], options["value_column"]}
-        if not needed.issubset(reader.fieldnames or []):
-            raise ValueError(f"fit input needs columns {sorted(needed)}")
-        for row in reader:
-            t.append(float(row[options["t_column"]]))
-            values.append(float(row[options["value_column"]]))
-    if options["kind"] == "exp":
-        fit = fit_exponential(t, values)
-        payload = {"kind": "exp", "a": fit.a, "b": fit.b, "r2": fit.r2, "dropped": fit.dropped}
-    else:
-        fit = fit_inverse(t, values)
-        payload = {"kind": "inverse", "a": fit.a, "r2": fit.r2, "dropped": fit.dropped}
-    outdir = make_outdir(options)
-    outputs = [write_report(outdir, "fit", payload, options["format"])]
-    finish_run(outdir, "fit", argv, options, outputs, [options["input"]], summary=payload)
-    print(" ".join(f"{k}={v}" for k, v in payload.items()))
-    return 0
+    rows = ingest.read_columns(options["input"], (options["t_column"], options["value_column"]),
+                               (float, float), "fit input")
+    t, values = np.array(rows, dtype=float).reshape(-1, 2).T
+    fit = fit_exponential if options["kind"] == "exp" else fit_inverse
+    payload = {"kind": options["kind"], **dataclasses.asdict(fit(t, values))}
+    line = " ".join(f"{k}={v}" for k, v in payload.items())
+    return Run(line, payload, inputs=[options["input"]], report_name="fit", summary=payload)
 
 
-def cmd_fixture(ns, argv) -> int:
-    options = resolve_options(ns, ns.spec)
-    resolve_seed(options)
-    outdir = make_outdir(options)
-    count = ingest.make_fixture(
-        outdir / "trips.csv", trips=options["trips"], seed=options["seed"], cars=options["cars"]
-    )
-    finish_run(outdir, "fixture", argv, options, ["trips.csv"], summary={"rows": count})
-    print(f"wrote {count} rows to {outdir / 'trips.csv'}")
-    return 0
+def cmd_fixture(options) -> Run:
+    seed = resolve_seed(options)
+    trips, cars = options["trips"], options["cars"]
+    files = {"trips.csv": lambda path: ingest.make_fixture(path, trips=trips, seed=seed, cars=cars)}
+    line = f"wrote {trips} rows to {Path(options['out'] or 'out') / 'trips.csv'}"
+    return Run(line, None, files=files, summary={"rows": trips})
 
 
 # ---------------------------------------------------------------------------
@@ -875,11 +823,9 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return 2
     try:
-        return ns.handler(ns, argv)
-    except DispatchLabError as exc:
-        print(f"error ({type(exc).__name__}): {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:
+        options = resolve_options(ns, ns.spec)
+        return write_run(ns.command, argv, options, ns.handler(options))
+    except (DispatchLabError, ValueError, OSError) as exc:
         print(f"error ({type(exc).__name__}): {exc}", file=sys.stderr)
         return 1
 

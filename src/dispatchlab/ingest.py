@@ -417,18 +417,27 @@ def write_replay(path, trace: ReplayTrace) -> None:
             writer.writerow([rnd, u, v, f"{w:.17g}"])
 
 
-def read_replay(path) -> ReplayTrace:
-    """Load a replay CSV; the round count is inferred from the last entry."""
-    entries: list[TraceEntry] = []
+def read_columns(path, names: Sequence[str], types: Sequence, what: str) -> list[tuple]:
+    """The named cells of every row of a CSV file, each converted by its column's type.
+
+    A file without the columns, or a short or malformed row, raises ``SchemaError``.
+    """
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
-        needed = {"round", "origin", "dest", "weight"}
-        if not needed.issubset(reader.fieldnames or []):
-            raise SchemaError(f"replay file needs columns {sorted(needed)}")
+        if not set(names).issubset(reader.fieldnames or []):
+            raise SchemaError(f"{what} needs columns {sorted(set(names))}")
+        rows = []
         for row in reader:
-            entries.append(
-                (int(row["round"]), int(row["origin"]), int(row["dest"]), float(row["weight"]))
-            )
+            try:
+                rows.append(tuple(typ(row[name]) for typ, name in zip(types, names)))
+            except (TypeError, ValueError) as exc:  # a short row's missing cells read as None
+                raise SchemaError(f"{path}: malformed row {row}") from exc
+    return rows
+
+
+def read_replay(path) -> ReplayTrace:
+    """Load a replay CSV; the round count is inferred from the last entry."""
+    entries = read_columns(path, ("round", "origin", "dest", "weight"), (int, int, int, float), "replay file")
     rounds = entries[-1][0] + 1 if entries else 0
     return ReplayTrace(entries=entries, rounds=rounds)
 

@@ -427,3 +427,84 @@ def test_explicit_unit_weights_override_model_file(tmp_path):
     code, out = run(args + ["--weights", "const:1"], tmp_path, "unit")
     assert code == 0
     assert abs(read_json(out / "report.json")["objective"] - 0.4) < 1e-10
+
+
+def test_weights_file_cells_are_checked(tmp_path, capsys):
+    good = tmp_path / "weights.csv"
+    good.write_text("origin,dest,w\n" + "".join(f"{u},{v},2\n" for u in range(4) for v in range(4)))
+    code, out = run(EXACT_ARGS + ["--weights", f"file:{good}"], tmp_path, "good")
+    assert code == 0
+    assert abs(read_json(out / "report.json")["objective"] - 0.8) < 1e-10  # as const:2
+    bad_rows = {
+        "4,0,1": "error (ValueError): location 4 outside grid with 4 cells",
+        "0,-1,7": "error (ValueError): location -1 outside grid with 4 cells",
+        "-1,0,7": "error (ValueError): location -1 outside grid with 4 cells",
+        "0,1": "error (SchemaError): {path}: malformed row {{'origin': '0', 'dest': '1', 'w': None}}",
+        "0,1,x": "error (SchemaError): {path}: malformed row {{'origin': '0', 'dest': '1', 'w': 'x'}}",
+    }
+    for i, (row, message) in enumerate(bad_rows.items()):
+        path = tmp_path / f"weights{i}.csv"
+        path.write_text(f"origin,dest,w\n0,1,2\n{row}\n")
+        code, out = run(EXACT_ARGS + ["--weights", f"file:{path}"], tmp_path, f"bad{i}")
+        assert code == 1, row
+        assert capsys.readouterr().err.strip() == message.format(path=path)
+        assert not out.exists()
+
+
+def test_fit_and_replay_inputs_reject_short_rows(tmp_path, capsys):
+    curve = tmp_path / "curve.csv"
+    curve.write_text("t,delta\n0,1.0\n1\n2,0.5\n3,0.25\n")
+    code, out = run(["fit", "--input", str(curve)], tmp_path, "fit")
+    assert code == 1
+    row = {"t": "1", "delta": None}
+    assert capsys.readouterr().err.strip() == f"error (SchemaError): {curve}: malformed row {row}"
+    assert not out.exists()
+    trace = tmp_path / "replay.csv"
+    trace.write_text("round,origin,dest,weight\n0,0,1,1.0\n1,0,1\n")
+    code, out = run(
+        ["simulate", "--grid", "2x2", "--drivers", "1", "--capacity", "1",
+         "--arrivals", f"replay:{trace}", "--policy", "greedy", "--runs", "1", "--seed", "1"],
+        tmp_path, "replay",
+    )
+    assert code == 1
+    row = {"round": "1", "origin": "0", "dest": "1", "weight": None}
+    assert capsys.readouterr().err.strip() == f"error (SchemaError): {trace}: malformed row {row}"
+    assert not out.exists()
+
+
+def test_failed_run_writes_nothing(tmp_path, capsys):
+    # the chain is solved before the mixing horizon runs out, but no file may be left behind
+    code, out = run(EXACT_ARGS + ["--tmax", "2"], tmp_path)
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error (HorizonTooShortError): d(2) = ")
+    assert not out.exists()
+
+
+def test_manifest_outputs_are_the_files_written(tmp_path):
+    code, fix = run(["fixture", "--trips", "300", "--seed", "6"], tmp_path, "fix")
+    assert code == 0
+    trips = str(fix / "trips.csv")
+    curve = tmp_path / "curve.csv"
+    curve.write_text("t,delta\n" + "".join(f"{t},{2.0 * float(np.exp(-0.1 * t))}\n" for t in range(40)))
+    base = ["--grid", "2x2", "--drivers", "2", "--capacity", "2", "--arrivals", "uniform:0.0625"]
+    cases = {
+        "exact": ["exact", *base, "--policy", "nadap:0.8"],
+        "exact-csv": ["exact", *base, "--policy", "greedy", "--format", "csv"],
+        "mixing": ["mixing", *base, "--policy", "rand:NESW", "--starts", "4", "--seed", "1"],
+        "couple": ["couple", "--grid", "2x2", "--drivers", "2", "--capacity", "2"],
+        "simulate": ["simulate", *base, "--policy", "nadap:0.8", "--rounds", "30", "--runs", "2", "--seed", "3"],
+        "vi": ["vi", "--grid", "2x2", "--drivers", "1", "--capacity", "2", "--arrivals", "uniform:0.0625",
+               "--seed", "2", "--periods", "50", "--format", "csv"],
+        "fit": ["fit", "--input", str(curve), "--kind", "inverse"],
+        "fixture": ["fixture", "--trips", "20", "--seed", "4"],
+        "model": ["ingest", "--input", trips, "--segment", "morning", "--emit", "model"],
+        "replay": ["ingest", "--input", trips, "--segment", "morning", "--emit", "replay",
+                   "--dates", "2013-01-14"],
+    }
+    for name, args in cases.items():
+        code, out = run(args, tmp_path, name)
+        assert code == 0, name
+        written = {path.name for path in out.iterdir()} - {"manifest.json"}
+        outputs = read_json(out / "manifest.json")["outputs"]
+        assert set(outputs) == written, name
+        assert all(sha(out / filename) == digest for filename, digest in outputs.items()), name

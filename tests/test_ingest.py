@@ -4,6 +4,7 @@ import csv
 import datetime as dt
 import hashlib
 import random
+import re
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -342,6 +343,24 @@ def test_replay_csv_roundtrip(tmp_path):
     empty = tmp_path / "empty.csv"
     empty.write_text("round,origin,dest,weight\n")
     assert read_replay(empty).rounds == 0
+
+
+def test_read_replay_reads_columns_as_dict_reader_does(tmp_path):
+    """Columns in any order, extra and repeated ones, blank lines; a short or malformed row is named."""
+    path = tmp_path / "replay.csv"
+    path.write_text("weight,dest,round,extra,origin,dest\n1.5,9,0,x,2,3\n\n2.25,9,4,y,1,0,more\n")
+    with open(path, newline="") as fh:
+        expected = [(int(r["round"]), int(r["origin"]), int(r["dest"]), float(r["weight"]))
+                    for r in csv.DictReader(fh)]
+    back = read_replay(path)
+    assert back.entries == expected == [(0, 2, 3, 1.5), (4, 1, 0, 2.25)]
+    assert back.rounds == 5
+    for row in ("0,1,1", "0,1,1,", "0,1,x,1.0", "0.5,1,1,1.0"):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"round,origin,dest,weight\n0,0,1,1.0\n{row}\n")
+        cells = dict(zip(("round", "origin", "dest", "weight"), [*row.split(","), None]))
+        with pytest.raises(SchemaError, match=re.escape(f"{bad}: malformed row {cells}")):
+            read_replay(bad)
 
 
 def test_fixture_is_deterministic_and_parseable(tmp_path):

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import dispatchlab
 import oracles
+from dispatchlab import cli
 
 
 def top_level_names(path) -> set[str]:
@@ -36,3 +37,23 @@ def test_package_surface_holds_no_oracle():
     # one implementation per layer: no oracle is forked back into the package
     for path in sorted(Path(dispatchlab.__file__).parent.glob("*.py")):
         assert not oracle_names & top_level_names(path), path.name
+
+
+def test_cli_handlers_leave_the_output_protocol_to_the_runner():
+    """Each cmd_* computes a Run from its options; only write_run makes --out and writes report and manifest."""
+    tree = ast.parse(Path(cli.__file__).read_text())
+    protocol = {"finish_run", "write_report", "make_outdir"}
+    callers: dict[str, set] = {name: set() for name in protocol}
+    for node in tree.body:
+        for call in ast.walk(node):
+            if isinstance(call, ast.Call):
+                name = getattr(call.func, "id", getattr(call.func, "attr", None))
+                if name in protocol:
+                    callers[name].add(getattr(node, "name", "<module>"))
+    assert callers == {name: {"write_run"} for name in protocol}
+    handlers = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name.startswith("cmd_")]
+    assert len(handlers) == 8
+    for handler in handlers:
+        args = handler.args
+        params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+        assert params == ["options"] and args.vararg is None and args.kwarg is None, handler.name
