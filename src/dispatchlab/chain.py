@@ -21,7 +21,7 @@ from scipy.sparse.csgraph import connected_components
 from .errors import HorizonTooShortError, IterationLimitError, SizeLimitError
 from .grid import RequestModel
 from .policies import SLOTS, PolicySpec, nadap_probe_weights, policy_table, step_profit
-from .states import StateSpace, neighbor_pairs
+from .states import StateSpace
 
 #: At or below this many states, stationary solves are direct (elimination).
 DENSE_SOLVE_LIMIT = 2000
@@ -145,37 +145,37 @@ def build_transition(space: StateSpace, model: RequestModel, policy: PolicySpec)
     hits = (origins >= 0)[:, :, None] & (loc[:, near] == np.arange(n)[:, None, None])
     land = np.where(hits, wgt[:, near], 0).sum(axis=3).astype(dtype)
     slot = hits.argmax(axis=3)
-    pairs = neighbor_pairs(space)
-    if len(loc) > 1:  # the slots depend on the state: one entry per pair
-        b, k, v, at = pairs.x, pairs.u, pairs.v, slice(None)
-    else:  # state-independent slots: one entry per move k -> v, shared by every pair making it
-        k, v = np.divmod(np.arange(n * n), n)
-        b, at = 0, pairs.u * n + pairs.v
-    val, minor = _entries(model.p.astype(dtype), land, slot, origins, b, k, v)
+    p = model.p.astype(dtype)
+    per_state = len(loc) > 1  # else one entry per move k -> v, shared by every pair making it
+    none = np.empty(0, dtype=np.int64)
+    srcs, dsts, vals, keys = [none], [none], [np.empty(0, dtype=dtype)], [none]
+    for k, v, src, dst in space.move_blocks():
+        val, minor = _entries(p, land, slot, origins, src if per_state else 0, k, v)
+        srcs.append(src)
+        dsts.append(dst)
+        vals.append(np.broadcast_to(val, src.shape))
+        # (origin, v, slot) names one serving location k, so this key is unique within a row
+        keys.append(src * (n * n * SLOTS) + minor)
+    del loc, wgt, hits, land, slot  # state-sized tables; free them before the pairs are sorted
     # a row's diagonal adds its entries in the order the definitional builder first reaches them
-    order = np.argsort(pairs.x * (n * n * SLOTS) + minor[at])
-    src, dst, val = pairs.x[order], pairs.y[order], val[at][order]
-    del pairs, order, minor  # pair-sized arrays; free them before the kernel is assembled
+    order = np.argsort(np.concatenate(keys))
+    src, dst, val = (np.concatenate(part)[order] for part in (srcs, dsts, vals))
+    del srcs, dsts, vals, keys, order  # pair-sized lists; free them before the kernel is assembled
     return TransitionMatrix.from_off_diagonal(space, src, dst, val, policy, exact)
 
 
 def _entries(p, land, slot, origins, b, k, v):
-    """Kernel entries of moves k -> v in states b, with a key ordering each row's entries.
+    """Kernel entries of move k -> v in states b, with a key ordering each row's entries.
 
     An entry adds p[u, v] * land[b, k, j] over the origins u = origins[k, j]
     in ascending order; the key is (first origin, v, slot) of the first
-    request-slot with a nonzero term.
+    request-slot with a nonzero term.  Entries with no such term are zero
+    and get dropped, so their key does not matter.
     """
-    n = len(p)
-    kv, bk = k * n + v, b * n + k
-    val = np.zeros(len(k), dtype=p.dtype)
-    first = np.full(len(k), SLOTS)
-    for j in range(SLOTS):
-        term = p[origins[:, j]].ravel()[kv] * land[:, :, j].ravel()[bk]
-        val = val + term
-        first[(term != 0) & (first == SLOTS)] = j
-    first = np.minimum(first, SLOTS - 1)
-    return val, (origins.ravel()[k * SLOTS + first] * n + v) * SLOTS + slot.ravel()[bk * SLOTS + first]
+    terms = p[origins[k], v] * land[b, k]
+    first = (terms != 0).argmax(axis=-1)
+    val = np.cumsum(terms, axis=-1)[..., -1]  # left to right, as the definitional builder adds
+    return val, (origins[k, first] * len(p) + v) * SLOTS + slot[b, k, first]
 
 
 # ---------------------------------------------------------------------------
@@ -545,9 +545,7 @@ class ExactCurves:
     """Exactly propagated profit curves from one start state.
 
     w_t[t] is the expected round-t profit; limit is the stationary value;
-    delta and delta_hat are the per-round and running-average gaps.  When
-    map tracking is on, gamma_t[t] / eta_t[t] are the occupancy maps of the
-    round-t state law.
+    delta and delta_hat are the per-round and running-average gaps.
     """
 
     w_t: np.ndarray
@@ -555,8 +553,6 @@ class ExactCurves:
     delta: np.ndarray
     obj_running: np.ndarray
     delta_hat: np.ndarray
-    gamma_t: np.ndarray | None = None
-    eta_t: np.ndarray | None = None
 
 
 def exact_error_curves(
@@ -566,7 +562,6 @@ def exact_error_curves(
     x0: Sequence[int],
     T: int,
     stationary: StationaryResult | None = None,
-    store_maps: bool = False,
 ) -> ExactCurves:
     """Propagate the start law T rounds and compare each round's profit to the limit.
 
@@ -585,13 +580,8 @@ def exact_error_curves(
     mu = np.zeros(space.size)
     mu[space.rank(x0)] = 1.0
     w_t = np.empty(T)
-    gamma_t = np.empty((T, space.grid.n, space.grid.n)) if store_maps else None
-    eta_t = np.empty((T, space.grid.n, space.grid.n)) if store_maps else None
     for t in range(T):
         w_t[t] = mu @ esp
-        if store_maps:
-            gamma_t[t] = gamma_map(space, mu)
-            eta_t[t] = eta_map(space, mu)
         if t + 1 < T:
             mu = mu @ P
     obj_running = np.cumsum(w_t) / np.arange(1, T + 1)
@@ -601,8 +591,6 @@ def exact_error_curves(
         delta=np.abs(w_t - limit),
         obj_running=obj_running,
         delta_hat=np.abs(obj_running - limit),
-        gamma_t=gamma_t,
-        eta_t=eta_t,
     )
 
 

@@ -501,11 +501,12 @@ def cmd_couple(options) -> Run:
     grid = build_grid(*options["grid"])
     eps = options["eps"]
     report = verify_contraction(grid, options["drivers"], options["capacity"], eps=eps)
+    cells = {t: (g17(e), g17(r)) for t, (e, r) in report.shares().items()}
     table = (
         ["pair_rank_x", "pair_rank_y", "expected_d_prime", "ratio"],
         (
-            (r.x, r.y, g17(r.expected_distance), g17(r.ratio))
-            for r in report.records
+            (x, y, *cells[t])
+            for x, y, t in zip(report.x.tolist(), report.y.tolist(), report.totals.tolist())
         ),
     )
     payload = {

@@ -19,44 +19,41 @@ import numpy as np
 
 from .errors import ContractionFailure, OutOfScopeError
 from .grid import Grid
-from .states import NeighborPairs, StateSpace, neighbor_pairs
-
-
-@dataclass
-class PairRecord:
-    """Contraction bookkeeping for one coupled state pair."""
-
-    x: int
-    y: int
-    expected_distance: Fraction
-    ratio: Fraction
+from .states import StateSpace
 
 
 @dataclass
 class CouplingReport:
     """Exhaustive contraction summary over all one-move state pairs.
 
-    worst_beta is the largest one-round ratio E[d']/d; with ratios at most
-    1 - 1/n^2 the chain forgets its start no slower than that geometric
-    rate, and tau_bound converts it into a mixing-time bound via the
-    diameter 2m of the count metric.
+    Pair i is (x[i], y[i]), listed in (x, u, v) order for its move u -> v;
+    totals[i] sums its count distance after one coupled round over the n^2
+    requests, so at rate 1/n^2 its expected distance E[d'] is totals[i]/n^2
+    and its ratio E[d']/d is totals[i]/(2n^2).  worst_beta is the largest
+    ratio; with ratios at most 1 - 1/n^2 the chain forgets its start no
+    slower than that geometric rate, and tau_bound converts it into a
+    mixing-time bound via the diameter 2m of the count metric.
     """
 
     n: int
     m: int
     c: int
     p: Fraction
-    records: list[PairRecord]
+    x: np.ndarray
+    y: np.ndarray
+    totals: np.ndarray
     worst_beta: Fraction
     target: Fraction
     diameter: int
 
     @property
     def pair_count(self) -> int:
-        return len(self.records)
+        return len(self.totals)
 
-    def worst_pairs(self) -> list[PairRecord]:
-        return [r for r in self.records if r.ratio == self.worst_beta]
+    def shares(self) -> dict[int, tuple[Fraction, Fraction]]:
+        """E[d'] and the ratio E[d']/d of each distinct total."""
+        q = self.n * self.n
+        return {t: (Fraction(t, q), Fraction(t, 2 * q)) for t in np.unique(self.totals).tolist()}
 
     def tau_bound(self, eps: float) -> float:
         """Mixing rounds guaranteed by the contraction: ln(D/eps)/(1 - beta)."""
@@ -65,36 +62,22 @@ class CouplingReport:
         return math.log(self.diameter / eps) / (1.0 - float(self.worst_beta))
 
 
-def _coupled_distance_totals(space: StateSpace, pairs: NeighborPairs) -> np.ndarray:
+def _coupled_distance_totals(space: StateSpace, u: int, v: int, src: np.ndarray) -> np.ndarray:
     """Sum over all n^2 requests of each pair's count distance after one coupled round.
 
-    Pair (x, y) has y = x - e_u + e_v, so x' - y' = e_u - e_v + s (e_b - e_a)
-    where s is x's move minus y's move on request (a, b).  The distance is
-    therefore 2 when s = 0, and otherwise the l1 norm of that four-term
-    vector with coinciding locations merged.
+    The pairs are x = src and y = x - e_u + e_v.  A self-trip, or a request
+    touching neither u nor v, sees the same counts in both copies: both
+    move alike and the distance stays 2.  Of the at most 4n requests that
+    touch u or v, any other than (u, v) and (v, u) moves at most one copy,
+    and that move only relocates the differing driver, so the distance
+    stays 2 there too.  (u, v) moves x onto y and coalesces the pair unless
+    y serves it as well (x_u >= 2 and x_v < c - 1); (v, u) moves y onto x
+    and coalesces it unless x serves it as well (x_v >= 1 and x_u < c).
     """
+    n, c = space.n, space.c
     arr = space.as_array()
-    c = space.c
-    x, u, v = pairs.x, pairs.u, pairs.v
-    total = np.zeros(len(pairs), dtype=np.int64)
-    for a in range(space.n):
-        xa = arr[x, a]
-        ya = xa - (u == a) + (v == a)
-        for b in range(space.n):
-            if a == b:
-                total += 2
-                continue
-            xb = arr[x, b]
-            yb = xb - (u == b) + (v == b)
-            s = ((xa >= 1) & (xb < c)).astype(np.int64) - ((ya >= 1) & (yb < c))
-            moved = np.abs(s)
-            total += (
-                np.abs(1 + s * ((u == b).astype(np.int64) - (u == a)))
-                + np.abs(-1 + s * ((v == b).astype(np.int64) - (v == a)))
-                + moved * ((u != a) & (v != a))
-                + moved * ((u != b) & (v != b))
-            )
-    return total
+    xu, xv = arr[src, u], arr[src, v]
+    return 2 * n * n - 2 * ((xu == 1) | (xv == c - 1)) - 2 * ((xv == 0) | (xu == c))
 
 
 def verify_contraction(grid: Grid, m: int, c: int, eps: float = 0.01) -> CouplingReport:
@@ -103,29 +86,35 @@ def verify_contraction(grid: Grid, m: int, c: int, eps: float = 0.01) -> Couplin
     Uses the uniform unit-mass request model (rate 1/n^2 on every ordered
     pair) in exact rationals.  Capacities above 2 are outside the regime
     the contraction argument covers and are refused; any pair whose ratio
-    exceeds 1 - 1/n^2 raises a contraction failure listing the offenders.
+    exceeds 1 - 1/n^2 raises a contraction failure listing each offender
+    as (x, y, E[d'], ratio).
     """
     if c not in (1, 2):
         raise OutOfScopeError(f"contraction argument covers capacities 1 and 2, got c={c}")
     n = grid.n
-    p = Fraction(1, n * n)
+    q = n * n
     space = StateSpace(grid, m, c)
-    target = 1 - p
-    pairs = neighbor_pairs(space)
-    distance = _coupled_distance_totals(space, pairs)
-    # rate 1/n^2 on every request: E[d'] = total / n^2 and the ratio halves it
-    shares = {t: (Fraction(t, n * n), Fraction(t, 2 * n * n)) for t in np.unique(distance).tolist()}
-    records = [
-        PairRecord(x, y, *shares[t])
-        for x, y, t in zip(pairs.x.tolist(), pairs.y.tolist(), distance.tolist())
-    ]
-    worst = max((rec.ratio for rec in records), default=Fraction(0))
-    offenders = [rec for rec in records if rec.ratio > target]
-    if offenders:
+    none = np.empty(0, dtype=np.int64)
+    xs, ys, ts = [none], [none], [none]
+    for u, v, src, dst in space.move_blocks():
+        xs.append(src)
+        ys.append(dst)
+        ts.append(_coupled_distance_totals(space, u, v, src))
+    order = np.argsort(np.concatenate(xs), kind="stable")  # blocks come in (u, v) order
+    x, y, totals = (np.concatenate(part)[order] for part in (xs, ys, ts))
+    target = 1 - Fraction(1, q)
+    bad = totals > 2 * q - 2  # the ratio t / (2n^2) exceeds 1 - 1/n^2
+    if bad.any():
+        offenders = [
+            (i, j, Fraction(t, q), Fraction(t, 2 * q))
+            for i, j, t in zip(x[bad].tolist(), y[bad].tolist(), totals[bad].tolist())
+        ]
         raise ContractionFailure(
             f"{len(offenders)} pair(s) exceed the contraction target {target}",
             pairs=offenders,
         )
+    worst = Fraction(int(totals.max()), 2 * q) if len(totals) else Fraction(0)
     return CouplingReport(
-        n=n, m=m, c=c, p=p, records=records, worst_beta=worst, target=target, diameter=2 * m
+        n=n, m=m, c=c, p=Fraction(1, q), x=x, y=y, totals=totals,
+        worst_beta=worst, target=target, diameter=2 * m,
     )

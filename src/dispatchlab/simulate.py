@@ -355,17 +355,18 @@ def _r2(y: np.ndarray, pred: np.ndarray) -> float:
 def fit_exponential(t, values) -> ExponentialFit:
     """Fit a e^{-b t} by linear least squares on log(values).
 
-    Nonpositive points cannot be logged; they are dropped and counted, and
-    fewer than three surviving points is a fit failure.
+    Nonpositive points cannot be logged; they are dropped and counted, as
+    are points with a non-finite t or value, and fewer than three surviving
+    points is a fit failure.
     """
     t = np.asarray(t, dtype=float)
     values = np.asarray(values, dtype=float)
     if t.shape != values.shape:
         raise ValueError("t and values must align")
-    keep = values > 0
+    keep = np.isfinite(t) & np.isfinite(values) & (values > 0)
     dropped = int((~keep).sum())
     if int(keep.sum()) < 3:
-        raise FitFailureError(f"only {int(keep.sum())} positive points; need at least 3")
+        raise FitFailureError(f"only {int(keep.sum())} finite positive points; need at least 3")
     x = t[keep]
     y = np.log(values[keep])
     slope, intercept = np.polyfit(x, y, 1)
@@ -381,13 +382,14 @@ def fit_inverse(T, values) -> InverseFit:
     """Fit a/T by least squares on the T-scaled series values*T.
 
     a/T is undefined at T <= 0, so such points are dropped and counted,
-    like the exponential fit's nonpositive values.
+    like the exponential fit's nonpositive values, and so are points with
+    a non-finite T or value.
     """
     T = np.asarray(T, dtype=float)
     values = np.asarray(values, dtype=float)
     if T.shape != values.shape:
         raise ValueError("T and values must align")
-    keep = T > 0
+    keep = np.isfinite(T) & np.isfinite(values) & (T > 0)
     dropped = int((~keep).sum())
     if int(keep.sum()) < 1:
         raise FitFailureError("need at least one positive horizon")

@@ -7,8 +7,7 @@ vectors and addressed by dense ranks, so exact chains can use array rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -201,65 +200,26 @@ class StateSpace:
             + between
         )
 
+    def move_blocks(self) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
+        """Every ordered state pair one driver move apart, one move u -> v at a time.
+
+        Moves come in (u, v) order over u != v; each yields (u, v, src, dst)
+        with ``src`` the ascending ranks of states holding a driver at u and
+        room at v, and ``dst`` their ranks after the move.  The move may
+        relocate a driver between any two distinct locations; grid adjacency
+        plays no role here.
+        """
+        arr = self.as_array()
+        for u in range(self.n):
+            occupied = np.flatnonzero(arr[:, u] >= 1)
+            for v in range(self.n):
+                if v != u:
+                    src = occupied[arr[occupied, v] < self.c]
+                    yield u, v, src, self.move_ranks(src, u, v)
+
     def __iter__(self) -> Iterator[tuple[int, ...]]:
         for i in range(self.size):
             yield self.unrank(i)
 
     def __len__(self) -> int:
         return self.size
-
-
-class NeighborPair(NamedTuple):
-    """States x, y (by rank) with y reached from x by moving one driver u -> v."""
-
-    x: int
-    y: int
-    u: int
-    v: int
-
-
-@dataclass(frozen=True)
-class NeighborPairs:
-    """Every one-move pair as parallel arrays, ordered by (x, u, v).
-
-    Iterating yields NeighborPair tuples of Python ints.
-    """
-
-    x: np.ndarray
-    y: np.ndarray
-    u: np.ndarray
-    v: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.x)
-
-    def __iter__(self) -> Iterator[NeighborPair]:
-        for row in zip(self.x.tolist(), self.y.tolist(), self.u.tolist(), self.v.tolist()):
-            yield NeighborPair(*row)
-
-
-def neighbor_pairs(space: StateSpace) -> NeighborPairs:
-    """All ordered state pairs that differ by a single feasible driver move.
-
-    The defining move may relocate a driver between any two distinct
-    locations; grid adjacency plays no role here.  Pairs are found one move
-    (u, v) at a time over every state with a driver at u and room at v.
-    """
-    arr = space.as_array()
-    n, c = space.n, space.c
-    occupied = [np.flatnonzero(arr[:, u] >= 1) for u in range(n)]
-    none = np.empty(0, dtype=np.int64)
-    xs, ys, moves, counts = [none], [none], [], []
-    for u in range(n):
-        for v in range(n):
-            if v == u:
-                continue
-            idx = occupied[u][arr[occupied[u], v] < c]
-            xs.append(idx)
-            ys.append(space.move_ranks(idx, u, v))
-            moves.append(u * n + v)
-            counts.append(len(idx))
-    x = np.concatenate(xs)
-    order = np.argsort(x, kind="stable")
-    u, v = np.divmod(np.repeat(np.array(moves, dtype=np.int64), counts)[order], n)
-    return NeighborPairs(x[order], np.concatenate(ys)[order], u, v)

@@ -398,22 +398,6 @@ def test_exact_error_curves_against_dense_propagation():
     assert (curves.delta_hat <= avg_bound + 1e-12).all()
 
 
-def test_exact_error_curves_store_maps():
-    g = build_grid(2, 2)
-    space = StateSpace(g, m=2, c=2)
-    model = uniform_request_model(g, 0.0625, weights=1)
-    policy = parse_policy("nadap:0.8")
-    tm = build_transition(space, model, policy)
-    curves = exact_error_curves(tm, model, policy, (2, 0, 0, 0), 5, store_maps=True)
-    assert curves.gamma_t.shape == (5, 4, 4)
-    assert curves.eta_t.shape == (5, 4, 4)
-    # t=0 maps are those of the deterministic start state
-    pi0 = np.zeros(space.size)
-    pi0[space.rank((2, 0, 0, 0))] = 1.0
-    assert np.abs(curves.gamma_t[0] - gamma_map(space, pi0)).max() < 1e-15
-    assert np.abs(curves.eta_t[0] - eta_map(space, pi0)).max() < 1e-15
-
-
 # ---------------------------------------------------------------------------
 # Watched-pair occupancy chain
 

@@ -204,6 +204,25 @@ def test_couple_subcommand(tmp_path):
     assert all(float(r["ratio"]) <= 15 / 16 + 1e-15 for r in rows)
 
 
+COUPLE_DIGESTS = {
+    ("--drivers", "3", "--capacity", "2"): {
+        "coupling.csv": "7479cfcd76895a6acdc32b3d3091ea096cbc47f1c7fb80889f694220562ad7bc",
+        "report.json": "030be37d06a44d6a6e3d4f91a0bc0d577c48dbcf2c6e2b16bad7c9be7640e0b6",
+    },
+    ("--drivers", "2", "--capacity", "1"): {
+        "coupling.csv": "a1d0c1462e072c6e44aba8552e47561672f2331cf881e703150b409b4d590a09",
+    },
+}
+
+
+@pytest.mark.parametrize("fleet", list(COUPLE_DIGESTS))
+def test_couple_output_bytes_are_pinned(tmp_path, fleet):
+    # integer and Fraction arithmetic only, so the bytes do not depend on BLAS
+    code, out = run(["couple", "--grid", "3x3", *fleet], tmp_path)
+    assert code == 0
+    assert {name: sha(out / name) for name in COUPLE_DIGESTS[fleet]} == COUPLE_DIGESTS[fleet]
+
+
 def test_mixing_subcommand(tmp_path):
     code, out = run(
         ["mixing", "--grid", "2x2", "--drivers", "2", "--capacity", "2",
@@ -300,6 +319,21 @@ def test_fit_subcommand(tmp_path):
     inv = read_json(out2 / "fit.json")
     assert inv["kind"] == "inverse"
     assert inv["dropped"] == 1  # the t=0 point cannot feed a/T
+
+
+def test_fit_drops_non_finite_points(tmp_path):
+    data = tmp_path / "curve.csv"
+    data.write_text("t,delta\n0,nan\n1,1\n2,0.5\n3,0.2\n4,inf\n")
+
+    def strict(name):
+        raise ValueError(f"non-finite JSON constant {name}")
+
+    for kind in ("exp", "inverse"):
+        code, out = run(["fit", "--input", str(data), "--kind", kind], tmp_path, kind)
+        assert code == 0
+        fit = json.loads((out / "fit.json").read_text(), parse_constant=strict)
+        assert fit["dropped"] == 2
+        assert np.isfinite(fit["a"]) and np.isfinite(fit["r2"])
 
 
 def test_fixture_and_ingest_subcommands(tmp_path):

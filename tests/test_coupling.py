@@ -8,7 +8,7 @@ import pytest
 from dispatchlab.coupling import verify_contraction
 from dispatchlab.errors import OutOfScopeError
 from dispatchlab.grid import build_grid, uniform_request_model
-from dispatchlab.states import StateSpace, neighbor_pairs
+from dispatchlab.states import StateSpace
 from oracles import apply_request, coupled_step_distribution, pair_distance
 
 
@@ -71,10 +71,11 @@ def test_contraction_worst_rate_on_two_by_two():
     assert report.worst_beta == Fraction(15, 16)
     assert report.target == Fraction(15, 16)
     assert report.diameter == 4
-    assert report.pair_count == len(list(neighbor_pairs(StateSpace(build_grid(2, 2), 2, 2))))
-    assert report.pair_count == 48
-    assert all(rec.ratio <= report.target for rec in report.records)
-    assert report.worst_pairs()
+    blocks = list(StateSpace(build_grid(2, 2), 2, 2).move_blocks())
+    assert report.pair_count == sum(len(src) for _, _, src, _ in blocks) == 48
+    assert len(report.x) == len(report.y) == 48
+    assert all(ratio <= report.target for _, ratio in report.shares().values())
+    assert report.shares()[int(report.totals.max())][1] == report.worst_beta
     assert report.tau_bound(0.01) == pytest.approx(math.log(4 / 0.01) / (1 - 15 / 16))
     assert report.tau_bound(0.01) == pytest.approx(95.86343, abs=1e-4)
 
@@ -102,9 +103,9 @@ def test_contraction_sweep_small_instances():
                 assert report.worst_beta <= report.target, (rows, cols, m, c)
                 assert report.diameter == 2 * m
                 # expected distances are exact rationals bounded by the metric
-                for rec in report.records:
-                    assert isinstance(rec.expected_distance, Fraction)
-                    assert 0 <= rec.ratio <= 1
+                for t, (expected, ratio) in report.shares().items():
+                    assert isinstance(expected, Fraction) and expected == Fraction(t, (rows * cols) ** 2)
+                    assert 0 <= ratio <= 1 and ratio == expected / 2
 
 
 def test_contraction_rejects_large_capacity():
@@ -127,15 +128,27 @@ def test_contraction_expected_distance_oracle():
     space = StateSpace(g, 2, 2)
     report = verify_contraction(g, m=2, c=2)
     arr = space.as_array()
-    rng_pairs = report.records[:: max(1, len(report.records) // 6)]
-    for rec in rng_pairs:
-        x = tuple(int(v) for v in arr[rec.x])
-        y = tuple(int(v) for v in arr[rec.y])
+    shares = report.shares()
+    # report rows follow (x, u, v) order: x ascending, then the move
+    assert (report.x[:-1] <= report.x[1:]).all()
+    step = max(1, report.pair_count // 6)
+    for x_rank, y_rank, t in zip(report.x[::step], report.y[::step], report.totals[::step]):
+        x = tuple(int(v) for v in arr[x_rank])
+        y = tuple(int(v) for v in arr[y_rank])
         expected = Fraction(0)
         for a in range(4):
             for b in range(4):
                 expected += Fraction(1, 16) * pair_distance(
                     apply_request(x, a, b, 2), apply_request(y, a, b, 2)
                 )
-        assert expected == rec.expected_distance
-        assert rec.ratio == expected / 2
+        assert expected == shares[int(t)][0]
+        assert shares[int(t)][1] == expected / 2
+
+
+def test_contraction_certificate_on_four_by_four():
+    """The paper-scale gate: every one-move pair of 4x4, m=4, c=2 contracts at 1 - 1/n^2."""
+    report = verify_contraction(build_grid(4, 4), m=4, c=2)
+    assert report.pair_count == 184_800
+    assert report.worst_beta == Fraction(255, 256)
+    n2 = 16 * 16
+    assert int(report.totals.max()) <= 2 * n2 * (1 - Fraction(1, n2))

@@ -20,7 +20,7 @@ from dispatchlab.errors import HorizonTooShortError
 from dispatchlab.grid import RequestModel, build_grid, uniform_request_model
 from dispatchlab.mdp import MdpInstance, _action_tables
 from dispatchlab.policies import ALL_PHIS, PolicySpec, parse_policy, policy_table, step_profit
-from dispatchlab.states import StateSpace, neighbor_pairs
+from dispatchlab.states import StateSpace
 from oracles import (
     build_transition_from_policy,
     can_serve,
@@ -81,17 +81,16 @@ def test_vectorized_rank_and_enumeration_match_scalar_rank(space):
 
 @FAST
 @given(spaces())
-def test_neighbor_pair_arrays_match_brute_force(space):
-    pairs = neighbor_pairs(space)
+def test_move_blocks_match_brute_force(space):
+    blocks = [(u, v, src.tolist(), dst.tolist()) for u, v, src, dst in space.move_blocks()]
     expect = []
-    for ix in range(space.size):
-        x = space.unrank(ix)
-        for u in range(space.n):
-            for v in range(space.n):
-                if u != v and x[u] >= 1 and x[v] < space.c:
-                    expect.append((ix, move_rank(space, x, u, v), u, v))
-    assert len(pairs) == len(expect)
-    assert [tuple(p) for p in pairs] == expect
+    for u in range(space.n):
+        for v in range(space.n):
+            if u != v:
+                src = [ix for ix in range(space.size)
+                       if space.unrank(ix)[u] >= 1 and space.unrank(ix)[v] < space.c]
+                expect.append((u, v, src, [move_rank(space, space.unrank(ix), u, v) for ix in src]))
+    assert blocks == expect
 
 
 @st.composite
@@ -180,15 +179,17 @@ def test_step_profit_matches_oracle_bit_for_bit(space, seed, policy):
 def test_integer_coupling_totals_match_joint_law(space, offset):
     n = space.n
     model = uniform_request_model(space.grid, Fraction(1, n * n), weights=Fraction(1))
-    pairs = neighbor_pairs(space)
-    totals = _coupled_distance_totals(space, pairs)
     arr = space.as_array()
-    stride = max(1, len(pairs) // 40)
-    for i in range(offset % stride, len(pairs), stride):
-        x, y = arr[pairs.x[i]].tolist(), arr[pairs.y[i]].tolist()
-        joint = coupled_step_distribution(x, y, model, space.c)
-        expected = sum(prob * pair_distance(xn, yn) for (xn, yn), prob in joint.items())
-        assert Fraction(int(totals[i]), n * n) == expected
+    # one pair of every move, since each move has its own closed form
+    for u, v, src, dst in space.move_blocks():
+        totals = _coupled_distance_totals(space, u, v, src)
+        assert totals.shape == src.shape
+        if len(src):
+            i = offset % len(src)
+            x, y = arr[src[i]].tolist(), arr[dst[i]].tolist()
+            joint = coupled_step_distribution(x, y, model, space.c)
+            expected = sum(prob * pair_distance(xn, yn) for (xn, yn), prob in joint.items())
+            assert Fraction(int(totals[i]), n * n) == expected
 
 
 def scalar_action_tables(instance):

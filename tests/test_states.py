@@ -7,12 +7,7 @@ import pytest
 
 from dispatchlab.errors import InfeasibleInstanceError, SizeLimitError
 from dispatchlab.grid import build_grid
-from dispatchlab.states import (
-    StateSpace,
-    format_state,
-    neighbor_pairs,
-    parse_state,
-)
+from dispatchlab.states import StateSpace, format_state, parse_state
 from oracles import InfeasibleMoveError, move, move_rank
 
 
@@ -125,19 +120,21 @@ def test_as_array_matches_unrank():
         assert tuple(arr[i]) == space.unrank(i)
 
 
-def test_neighbor_pairs_differ_by_one_move():
+def test_move_blocks_differ_by_one_move():
     space = StateSpace(build_grid(2, 2), 2, 2)
-    pairs = list(neighbor_pairs(space))
-    for pair in pairs:
-        x = np.array(space.unrank(pair.x))
-        y = np.array(space.unrank(pair.y))
-        diff = y - x
-        assert diff.sum() == 0
-        assert np.abs(diff).sum() == 2
-        assert diff[pair.v] == 1 and diff[pair.u] == -1
+    pairs = []
+    for u, v, src, dst in space.move_blocks():
+        assert u != v and (np.diff(src) > 0).all()
+        for x_rank, y_rank in zip(src.tolist(), dst.tolist()):
+            x = np.array(space.unrank(x_rank))
+            y = np.array(space.unrank(y_rank))
+            diff = y - x
+            assert diff.sum() == 0
+            assert np.abs(diff).sum() == 2
+            assert diff[v] == 1 and diff[u] == -1
+            pairs.append((x_rank, y_rank))
     # every ordered pair at count-distance 2 appears exactly once
-    seen = {(p.x, p.y) for p in pairs}
-    assert len(seen) == len(pairs)
+    assert len(set(pairs)) == len(pairs)
     states = [np.array(space.unrank(i)) for i in range(space.size)]
     expect = sum(
         1
