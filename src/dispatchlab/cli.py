@@ -717,6 +717,10 @@ def cmd_fit(options) -> Run:
 def cmd_fixture(options) -> Run:
     seed = resolve_seed(options)
     trips, cars = options["trips"], options["cars"]
+    if trips < 0:
+        raise ValueError(f"--trips must be >= 0, got {trips}")
+    if not 1 <= cars <= ingest.FIXTURE_MAX_CARS:
+        raise ValueError(f"--cars must lie in [1, {ingest.FIXTURE_MAX_CARS}], got {cars}")
     files = {"trips.csv": lambda path: ingest.make_fixture(path, trips=trips, seed=seed, cars=cars)}
     line = f"wrote {trips} rows to {Path(options['out'] or 'out') / 'trips.csv'}"
     return Run(line, None, files=files, summary={"rows": trips})

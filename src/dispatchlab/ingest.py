@@ -16,7 +16,7 @@ import datetime as dt
 import gc
 from contextlib import suppress
 from dataclasses import dataclass, fields
-from itertools import compress, count, islice
+from itertools import chain, compress, count, islice
 from operator import itemgetter
 from typing import Mapping, Sequence
 
@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import SchemaError
 from .grid import RequestModel, build_grid, distance_weights
-from .rng import stream
+from .rng import RawDraws, stream
 from .simulate import TraceEntry
 
 TIMESTAMP_FORMAT = "%Y-%m-%d %H:%M:%S"
@@ -462,55 +462,175 @@ FIXTURE_COLUMNS = [
 FIXTURE_DATES = [dt.date(2013, 1, d) for d in (14, 15, 16, 17, 18)]
 
 
+#: Rows drawn, formatted and written per step of ``make_fixture``.
+FIXTURE_BLOCK_ROWS = 2048
+
+#: The most cars whose draw follows numpy's 32-bit bounded-integer rule.
+FIXTURE_MAX_CARS = 2**32 - 1
+
+# A fixture row draws, in order: its car, date, second of the day and trip
+# seconds above 120 (bounded integers); per endpoint a unit latitude and
+# longitude, then per coordinate a test that moves it one box span out with
+# probability 0.13 and, if it does, a sign; last the passenger count less one.
+_TRIP_SECONDS = (120, 2400)
+_PASSENGERS = 4
+_LEAVE, _SIGN = 0.13, 0.5
+_ROW = "CAR%05d,LIC%05d,%s,1,N,%s,%s,%d,%d,%.2f,%.6f,%.6f,%.6f,%.6f\r\n"
+
+
+def _leading_ranges(cars: int) -> tuple[int, ...]:
+    return cars, len(FIXTURE_DATES), 86400, _TRIP_SECONDS[1] - _TRIP_SECONDS[0]
+
+
+def _fixture_row(draws: RawDraws, cars: int):
+    """One row's draws, one scalar draw at a time: its bounded values, units and shifts."""
+    values = [draws.integers(r) for r in _leading_ranges(cars)]
+    units, shifts = [], []
+    for _ in range(2):
+        units += [draws.random(), draws.random()]
+        for _ in range(2):
+            shifts.append((1 if draws.random() < _SIGN else -1) if draws.random() < _LEAVE else 0)
+    return values + [draws.integers(_PASSENGERS)], units, shifts
+
+
+def _endpoint(u: np.ndarray, e: np.ndarray):
+    """Read endpoints whose doubles start at words ``e``.
+
+    Returns, per coordinate, the word of its leave test and whether it
+    leaves (its sign is the next word), then the word after the endpoint.
+    """
+    lat_out = np.take(u, e + 2, mode="clip") < _LEAVE
+    lon_at = e + 3 + lat_out
+    lon_out = np.take(u, lon_at, mode="clip") < _LEAVE
+    return (e + 2, lat_out), (lon_at, lon_out), lon_at + 1 + lon_out
+
+
+def _rejects(halves: np.ndarray, r: int) -> np.ndarray:
+    """Whether the bounded draw of range ``r`` rejects each uint32 half-word."""
+    return halves * np.uint32(r) < (1 << 32) % r
+
+
+def _layout(halves: np.ndarray, u: np.ndarray, cars: int) -> list[int]:
+    """The half position of the next fixture row after a row starting at each half position of a buffer.
+
+    A row at an even position reads the low half of word ``t // 2`` first;
+    at an odd one, the pending high half of that word.  The entry is -1
+    where a bounded draw of the row rejects and -2 where the row reads past
+    the buffer; such rows are left to the scalar draws.
+    """
+    n = len(u)
+    t = np.arange(2 * n + 1, dtype=np.int32)
+    ranges = [r for r in _leading_ranges(cars) if r > 1]
+    after = _endpoint(u, np.arange(n + 1, dtype=np.int32))[-1]
+    h = t + len(ranges)
+    q = after[np.minimum(after, n)][np.minimum((h + 1) >> 1, n)]
+    pending = (h & 1).astype(bool)
+    passengers = np.where(pending, h, 2 * q)
+    reject = _rejects(np.take(halves, passengers, mode="clip"), _PASSENGERS)
+    for j, r in enumerate(ranges):
+        reject |= _rejects(np.take(halves, t + j, mode="clip"), r)
+    nxt = np.where(reject, -1, 2 * q + ~pending)
+    nxt[(q > n) | (passengers >= 2 * n)] = -2
+    return nxt.tolist()
+
+
+def _rows_at(t: np.ndarray, halves: np.ndarray, u: np.ndarray, cars: int):
+    """The bounded values, units and shifts of the fixture rows ``_layout`` passes at half positions ``t``."""
+    values, h = [], t
+    for r in _leading_ranges(cars):
+        values.append((halves[h].astype(np.uint64) * r >> 32).astype(np.int64))
+        h = h + (r > 1)
+    units, shifts = [], []
+    e = (h + 1) // 2
+    for _ in range(2):
+        *tests, after = _endpoint(u, e)
+        units += [u[e], u[e + 1]]
+        shifts += [np.where(out, np.where(u[at + 1] < _SIGN, 1, -1), 0) for at, out in tests]
+        e = after
+    passengers = np.where(h % 2 == 1, h, 2 * e)
+    values.append((halves[passengers].astype(np.uint64) * _PASSENGERS >> 32).astype(np.int64))
+    return values, units, shifts
+
+
+def _fixture_draws(draws: RawDraws, rows: int, cars: int):
+    """The next ``rows`` rows' draws: bounded values (rows, 5), units and shifts (rows, 4).
+
+    Each buffer of raw words is laid out once; the rows are one walk over
+    the layout.  A row whose draw rejects is replayed scalar, and a row that
+    runs past the buffer tops it up.
+    """
+    values = np.empty((rows, 5), np.int64)
+    units = np.empty((rows, 4))
+    shifts = np.empty((rows, 4), np.int64)
+    done = 0
+    while done < rows:
+        # a row reads 11 words on average and at most 15 unless a draw rejects
+        draws.top_up(12 * (rows - done) + 64)
+        words = draws.words
+        halves = np.stack([words & 0xFFFFFFFF, words >> 32], axis=1).astype(np.uint32).ravel()
+        u = (words >> 11) * 2.0**-53
+        nxt = _layout(halves, u, cars)
+        while done < rows and draws.words is words:
+            t = 2 * draws.pos - (draws.half is not None)
+            starts = []
+            for _ in range(rows - done):
+                if (n := nxt[t]) < 0:
+                    break
+                starts.append(t)
+                t = n
+            if starts:
+                block = slice(done, done + len(starts))
+                for out, cols in zip((values, units, shifts), _rows_at(np.array(starts), halves, u, cars)):
+                    out[block] = np.column_stack(cols)
+                done += len(starts)
+                draws.pos, draws.half = (t + 1) // 2, int(halves[t]) if t % 2 else None
+            if done == rows or nxt[t] == -2:
+                break
+            values[done], units[done], shifts[done] = _fixture_row(draws, cars)
+            done += 1
+    return values, units, shifts
+
+
+def _fixture_lines(values: np.ndarray, units: np.ndarray, shifts: np.ndarray) -> str:
+    """The CSV lines of rows with these draws, as ``csv.writer`` writes them."""
+    bbox = DEFAULT_BBOX
+    low = np.array([bbox.lat_min, bbox.lon_min] * 2)
+    span = np.array([bbox.lat_max - bbox.lat_min, bbox.lon_max - bbox.lon_min] * 2)
+    coords = low + units * span
+    coords = np.where(shifts != 0, coords + span * shifts, coords)
+    plat, plon, dlat, dlon = coords.T
+    distance = 0.2 + np.abs(plat - dlat) * 69.0 + np.abs(plon - dlon) * 52.0
+    car, date, second, extra, passengers = values.T
+    pickup = np.array(FIXTURE_DATES, "datetime64[s]")[date] + second
+    duration = _TRIP_SECONDS[0] + extra
+    stamps = [np.datetime_as_string(stamp, unit="s") for stamp in (pickup, pickup + duration)]
+    for text in stamps:
+        text.view(np.uint32).reshape(len(text), -1)[:, 10] = ord(" ")  # ISO "T" to the format's space
+    vendor = np.array(["VTS", "CMT"])[car % 2]
+    columns = [car, car, vendor, *stamps, 1 + passengers, duration, distance, plon, plat, dlon, dlat]
+    return (_ROW * len(car)) % tuple(chain.from_iterable(zip(*(c.tolist() for c in columns))))
+
+
 def make_fixture(path, trips: int = 1000, seed: int = 0, cars: int = 40) -> int:
     """Write a synthetic trip CSV in the stock 14-column yellow-cab layout.
 
-    Rows are deterministic in (trips, seed, cars).  Roughly a quarter of
-    the trips have an endpoint outside the default bounding box and pickup
-    hours cover the whole day, so every pipeline stage has work to do.
-    Returns the number of rows written.
+    Rows are deterministic in (trips, seed, cars).  Each coordinate leaves
+    the default bounding box with probability 0.13, so about 43% of the
+    trips (1 - 0.87**4) have an endpoint outside it, and pickup hours cover
+    the whole day, so every pipeline stage has work to do.  The bytes are
+    those of drawing each row's values one scalar ``Generator`` draw at a
+    time from ``stream(seed, 99)``; they are computed from its raw Philox
+    words by the rule of ``rng.RawDraws``, ``FIXTURE_BLOCK_ROWS`` rows at a
+    time.  Returns the number of rows written.
     """
-    rng = stream(seed, 99)
-    bbox = DEFAULT_BBOX
-    lat_span = bbox.lat_max - bbox.lat_min
-    lon_span = bbox.lon_max - bbox.lon_min
+    if trips < 0:
+        raise ValueError(f"trips must be >= 0, got {trips}")
+    if not 1 <= cars <= FIXTURE_MAX_CARS:
+        raise ValueError(f"cars must lie in [1, {FIXTURE_MAX_CARS}], got {cars}")
+    draws = RawDraws(stream(seed, 99).bit_generator)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(FIXTURE_COLUMNS)
-        for i in range(trips):
-            car = int(rng.integers(cars))
-            date = FIXTURE_DATES[int(rng.integers(len(FIXTURE_DATES)))]
-            second = int(rng.integers(86400))
-            pickup = dt.datetime.combine(date, dt.time()) + dt.timedelta(seconds=second)
-            duration = int(rng.integers(120, 2400))
-            dropoff = pickup + dt.timedelta(seconds=duration)
-            coords = []
-            for _ in range(2):
-                lat = bbox.lat_min + float(rng.random()) * lat_span
-                lon = bbox.lon_min + float(rng.random()) * lon_span
-                if rng.random() < 0.13:
-                    lat += lat_span * (1 if rng.random() < 0.5 else -1)
-                if rng.random() < 0.13:
-                    lon += lon_span * (1 if rng.random() < 0.5 else -1)
-                coords.append((lat, lon))
-            (plat, plon), (dlat, dlon) = coords
-            distance = 0.2 + abs(plat - dlat) * 69.0 + abs(plon - dlon) * 52.0
-            writer.writerow(
-                [
-                    f"CAR{car:05d}",
-                    f"LIC{car:05d}",
-                    "CMT" if car % 2 else "VTS",
-                    "1",
-                    "N",
-                    pickup.strftime(TIMESTAMP_FORMAT),
-                    dropoff.strftime(TIMESTAMP_FORMAT),
-                    str(1 + int(rng.integers(4))),
-                    str(duration),
-                    f"{distance:.2f}",
-                    f"{plon:.6f}",
-                    f"{plat:.6f}",
-                    f"{dlon:.6f}",
-                    f"{dlat:.6f}",
-                ]
-            )
+        csv.writer(fh).writerow(FIXTURE_COLUMNS)
+        for start in range(0, trips, FIXTURE_BLOCK_ROWS):
+            rows = min(FIXTURE_BLOCK_ROWS, trips - start)
+            fh.write(_fixture_lines(*_fixture_draws(draws, rows, cars)))
     return trips

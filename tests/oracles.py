@@ -26,6 +26,8 @@ from dispatchlab.ingest import (
     DEFAULT_COLUMNS,
     DEFAULT_GRID_COLS,
     DEFAULT_GRID_ROWS,
+    FIXTURE_COLUMNS,
+    FIXTURE_DATES,
     SEGMENTS,
     TIMESTAMP_FORMAT,
     Bbox,
@@ -955,3 +957,55 @@ def write_replay_rows(path, trace: ReplayTrace) -> None:
         writer.writerow(["round", "origin", "dest", "weight"])
         for rnd, u, v, w in trace.entries:
             writer.writerow([rnd, u, v, f"{w:.17g}"])
+
+
+def make_fixture_rows(path, trips: int = 1000, seed: int = 0, cars: int = 40) -> int:
+    """The fixture drawn one scalar ``Generator`` call at a time and written row by row.
+
+    ``make_fixture`` must write these bytes: it computes the same draws from
+    the stream's raw words, a block of rows at a time.
+    """
+    rng = stream(seed, 99)
+    bbox = DEFAULT_BBOX
+    lat_span = bbox.lat_max - bbox.lat_min
+    lon_span = bbox.lon_max - bbox.lon_min
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(FIXTURE_COLUMNS)
+        for i in range(trips):
+            car = int(rng.integers(cars))
+            date = FIXTURE_DATES[int(rng.integers(len(FIXTURE_DATES)))]
+            second = int(rng.integers(86400))
+            pickup = dt.datetime.combine(date, dt.time()) + dt.timedelta(seconds=second)
+            duration = int(rng.integers(120, 2400))
+            dropoff = pickup + dt.timedelta(seconds=duration)
+            coords = []
+            for _ in range(2):
+                lat = bbox.lat_min + float(rng.random()) * lat_span
+                lon = bbox.lon_min + float(rng.random()) * lon_span
+                if rng.random() < 0.13:
+                    lat += lat_span * (1 if rng.random() < 0.5 else -1)
+                if rng.random() < 0.13:
+                    lon += lon_span * (1 if rng.random() < 0.5 else -1)
+                coords.append((lat, lon))
+            (plat, plon), (dlat, dlon) = coords
+            distance = 0.2 + abs(plat - dlat) * 69.0 + abs(plon - dlon) * 52.0
+            writer.writerow(
+                [
+                    f"CAR{car:05d}",
+                    f"LIC{car:05d}",
+                    "CMT" if car % 2 else "VTS",
+                    "1",
+                    "N",
+                    pickup.strftime(TIMESTAMP_FORMAT),
+                    dropoff.strftime(TIMESTAMP_FORMAT),
+                    str(1 + int(rng.integers(4))),
+                    str(duration),
+                    f"{distance:.2f}",
+                    f"{plon:.6f}",
+                    f"{plat:.6f}",
+                    f"{dlon:.6f}",
+                    f"{dlat:.6f}",
+                ]
+            )
+    return trips

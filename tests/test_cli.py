@@ -370,6 +370,27 @@ def test_fixture_and_ingest_subcommands(tmp_path):
     assert all(0 <= int(r["round"]) < 14400 for r in rows)
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--trips", "-3"], "--trips must be >= 0, got -3"),
+    (["--cars", "0"], "--cars must lie in [1, 4294967295], got 0"),
+    (["--cars", "-1"], "--cars must lie in [1, 4294967295], got -1"),
+    (["--cars", "4294967296"], "--cars must lie in [1, 4294967295], got 4294967296"),
+])
+def test_fixture_rejects_flags_outside_their_range(tmp_path, capsys, flags, message):
+    code, out = run(["fixture", "--seed", "1", *flags], tmp_path)
+    assert code == 1
+    assert capsys.readouterr().err.strip() == f"error (ValueError): {message}"
+    assert not out.exists()
+
+
+def test_fixture_writes_the_extreme_flag_values(tmp_path):
+    for sub, flags in {"none": ["--trips", "0"], "one": ["--trips", "3", "--cars", "1"],
+                       "most": ["--trips", "3", "--cars", "4294967295"]}.items():
+        code, out = run(["fixture", "--seed", "1", *flags], tmp_path, sub)
+        assert code == 0, sub
+        assert len(read_csv(out / "trips.csv")) == int(flags[1]), sub
+
+
 def test_ingest_outputs_match_the_record_pipeline_byte_for_byte(tmp_path):
     """Every ingest output equals, byte for byte, a rerun and the record-by-record pipeline."""
     code, fix = run(["fixture", "--trips", "3000", "--cars", "40", "--seed", "7"], tmp_path, "fix")

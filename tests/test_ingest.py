@@ -43,6 +43,7 @@ from oracles import (
     build_replay_rows,
     estimate_segment_rates_rows,
     filter_bbox_rows,
+    make_fixture_rows,
     parse_trips_rows,
     records_from_table,
     segment_rows,
@@ -397,6 +398,55 @@ def test_fixture_feeds_the_whole_pipeline(tmp_path):
     trace = build_replay(seg.parts["morning"][date], "morning", date=date)
     assert trace.rounds == 14400
     assert all(0 <= e[0] < 14400 for e in trace.entries)
+
+
+# Recorded from the row-by-row generator.  (3000, 0, 40) is the tiny class-0
+# fixture of bench/reference.json; (20000, 4, 400) includes row 19,762, whose
+# 86,400-second draw rejects a half-word.
+FIXTURE_SHA256 = {
+    (3000, 0, 40): "dacf4b80bfd031413873caf1d12896d627a1c275cf575d8173ec5fe8884e5809",
+    (20000, 4, 400): "b7bd33869aa2bd24be3b942e49e9ec32e953aa84e5347e24b89dc717c78e4ae2",
+}
+
+
+@pytest.mark.parametrize("trips, seed, cars", sorted(FIXTURE_SHA256))
+def test_fixture_bytes_are_pinned(tmp_path, trips, seed, cars):
+    path = tmp_path / "trips.csv"
+    make_fixture(path, trips=trips, seed=seed, cars=cars)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == FIXTURE_SHA256[trips, seed, cars]
+
+
+def same_fixture(tmp_path, trips, seed, cars) -> bool:
+    new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+    assert make_fixture(new, trips=trips, seed=seed, cars=cars) == trips
+    make_fixture_rows(old, trips=trips, seed=seed, cars=cars)
+    return new.read_bytes() == old.read_bytes()
+
+
+# cars=1 draws no car; 2**31 + 1 rejects about half its half-words and the
+# largest count about one in 2**32; 100,001 cars print six digits.
+@pytest.mark.parametrize("trips, seed, cars", [
+    (1500, 0, 40), (2500, 3, 400), (900, 5, 1), (900, 6, 2), (700, 7, 100_001),
+    (600, 8, 2**31 + 1), (400, 9, 2**32 - 1),
+])
+def test_fixture_matches_the_row_generator(tmp_path, trips, seed, cars):
+    assert same_fixture(tmp_path, trips, seed, cars)
+
+
+@pytest.mark.parametrize("cars", [40, 1, 2**31 + 1])
+def test_fixture_matches_the_row_generator_across_blocks(tmp_path, cars):
+    """Leftover words and a pending half-word carry from block to block."""
+    block = 5
+    with mock.patch.object(ingest, "FIXTURE_BLOCK_ROWS", block):
+        for trips in (0, block - 1, block, block + 1, 4 * block + 2):
+            assert same_fixture(tmp_path, trips, 11, cars), trips
+
+
+def test_fixture_rejects_counts_outside_the_replay(tmp_path):
+    for kwargs in ({"trips": -1}, {"cars": 0}, {"cars": 2**32}):
+        with pytest.raises(ValueError):
+            make_fixture(tmp_path / "trips.csv", **kwargs)
+    assert not (tmp_path / "trips.csv").exists()
 
 
 # ---------------------------------------------------------------------------

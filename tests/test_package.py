@@ -26,7 +26,7 @@ def test_package_surface_holds_no_oracle():
         assert hasattr(dispatchlab, name), name
     oracle_names = top_level_names(oracles.__file__)
     assert oracle_names >= {"build_transition_from_policy", "dispatch", "move",
-                            "TripRecord", "parse_trips_rows",
+                            "TripRecord", "parse_trips_rows", "make_fixture_rows",
                             # the scalar serving rule and the one-run, one-round loops
                             "serving_location", "greedy_candidates", "can_serve",
                             "EpisodeStep", "discounted_return", "_iid_round_tables",
