@@ -16,7 +16,6 @@ from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
 
 from .errors import HorizonTooShortError, IterationLimitError, SizeLimitError
 from .grid import RequestModel
@@ -299,16 +298,23 @@ def stationary_distribution(
 # Structure checks
 
 
-def _pattern(tm: TransitionMatrix) -> sp.csr_array:
+def _components(tm: TransitionMatrix) -> tuple[int, np.ndarray, sp.csr_array]:
+    """Strongly connected classes of the positive-entry digraph: count, labels, pattern.
+
+    csgraph is imported on first use, since it loads scipy's linear algebra.
+    """
+    from scipy.sparse.csgraph import connected_components
+
     on = tm.data != 0
     rows, cols = tm._row_of_entry()[on], tm.indices[on]
-    return sp.csr_array((np.ones(len(rows), dtype=np.int8), (rows, cols)), shape=(tm.size, tm.size))
+    pat = sp.csr_array((np.ones(len(rows), dtype=np.int8), (rows, cols)), shape=(tm.size, tm.size))
+    ncomp, labels = connected_components(pat, directed=True, connection="strong")
+    return ncomp, labels, pat
 
 
 def check_irreducible(tm: TransitionMatrix) -> bool:
     """True when the positive-entry digraph is one strongly connected class."""
-    ncomp, _ = connected_components(_pattern(tm), directed=True, connection="strong")
-    return ncomp == 1
+    return _components(tm)[0] == 1
 
 
 def _component_period(adj: list[list[int]], nodes: list[int]) -> int:
@@ -340,8 +346,7 @@ def check_aperiodic(tm: TransitionMatrix) -> bool:
     is the gcd of closed-walk length differences found by a breadth-first
     leveling.  Single states with no transitions count as aperiodic.
     """
-    pat = _pattern(tm)
-    ncomp, labels = connected_components(pat, directed=True, connection="strong")
+    ncomp, labels, pat = _components(tm)
     diag = tm.diagonal()
     if ncomp == 1 and (diag > 0).any():
         return True

@@ -21,6 +21,7 @@ import csv
 import dataclasses
 import datetime as dt
 import hashlib
+import itertools
 import json
 import os
 import sys
@@ -81,11 +82,37 @@ def sha256_file(path) -> str:
     return h.hexdigest()
 
 
+#: Rows formatted per ``%`` when a table is written from ``Columns``.
+CSV_BLOCK_ROWS = 4096
+
+
+@dataclasses.dataclass(frozen=True)
+class Columns:
+    """A CSV table body as equal-length columns and one printf-style row format.
+
+    ``write_csv`` formats it CSV_BLOCK_ROWS rows at a time with one ``%``
+    over a flat tuple; ``%.17g`` writes a float's bytes exactly as ``g17``.
+    """
+
+    row: str
+    columns: tuple
+
+    def blocks(self):
+        columns = [np.asarray(col).tolist() for col in self.columns]
+        for a in range(0, len(columns[0]), CSV_BLOCK_ROWS):
+            rows = list(zip(*(col[a : a + CSV_BLOCK_ROWS] for col in columns)))
+            yield self.row * len(rows) % tuple(itertools.chain.from_iterable(rows))
+
+
 def write_csv(path, header, rows) -> None:
+    """Write a header and its rows: cell sequences, or ``Columns`` formatted a block at a time."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows(rows)
+        if isinstance(rows, Columns):
+            fh.writelines(rows.blocks())
+        else:
+            writer.writerows(rows)
 
 
 def _json_safe(value):
@@ -566,27 +593,13 @@ def cmd_simulate(options) -> Run:
         except DispatchLabError:
             pass
     series = error_curves(series, target=target)
-    tables = {
-        "wt.csv": (
-            ["t", "mean", "stderr"],
-            (
-                (t, g17(series.w_mean[t]), g17(series.w_stderr[t]))
-                for t in range(len(series.w_mean))
-            ),
-        ),
-        "obj.csv": (
-            ["T", "running_avg"],
-            ((t + 1, g17(series.obj_running[t])) for t in range(len(series.obj_running))),
-        ),
-        "error.csv": (
-            ["t", "delta", "delta_hat"],
-            (
-                (t, g17(series.delta[t]), g17(series.delta_hat[t]))
-                for t in range(len(series.delta))
-            ),
-        ),
-    }
     t_axis = np.arange(len(series.delta))
+    pair = "%d,%.17g,%.17g\n"
+    tables = {
+        "wt.csv": (["t", "mean", "stderr"], Columns(pair, (t_axis, series.w_mean, series.w_stderr))),
+        "obj.csv": (["T", "running_avg"], Columns("%d,%.17g\n", (t_axis + 1, series.obj_running))),
+        "error.csv": (["t", "delta", "delta_hat"], Columns(pair, (t_axis, series.delta, series.delta_hat))),
+    }
     fits: dict = {
         "target": series.target,
         "target_kind": series.target_kind,

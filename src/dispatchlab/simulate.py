@@ -2,9 +2,10 @@
 
 Each replication owns the random stream addressed by (seed, run index), so
 ensembles are reproducible and insensitive to execution order; aggregation
-is a fixed-order reduction over run indices.  ``lockstep`` is the one round
-step: it advances every replication of an ensemble, or every episode of an
-MDP comparison, through its request schedule at once.
+is a fixed-order reduction over run indices.  Where the state space fits
+a successor table, every replication steps one state rank a round through
+it; elsewhere ``lockstep`` advances the replications' driver counts, and
+those of an MDP comparison's episodes, through the request schedule at once.
 """
 
 from __future__ import annotations
@@ -15,10 +16,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import FitFailureError
+from .errors import FitFailureError, InfeasibleInstanceError, SizeLimitError
 from .grid import Grid, RequestModel
-from .policies import PolicySpec, serving_locations, step_profit
+from .policies import PolicySpec, policy_table, serving_locations, step_profit
 from .rng import stream
+from .states import StateSpace
 
 #: Trace entry: (round, origin, dest, weight).  Rounds may repeat (same-second
 #: arrivals are processed sequentially inside their round) but never decrease.
@@ -29,6 +31,10 @@ TraceEntry = tuple[int, int, int, float]
 #: draws its request schedule _SCHEDULE_ELEMENTS (run, step) entries at a time.
 _BLOCK_ELEMENTS = 1 << 18
 _SCHEDULE_ELEMENTS = 1 << 13
+
+#: Entries of the rank path's successor table: an ensemble steps state ranks
+#: when its space has at most _TABLE_ELEMENTS // (n * (n + 1)) states.
+_TABLE_ELEMENTS = 1 << 18
 
 
 def _trace_columns(trace: Sequence[TraceEntry], grid: Grid) -> tuple[np.ndarray, ...]:
@@ -158,6 +164,8 @@ def lockstep(counts: np.ndarray, origins: np.ndarray, dests: np.ndarray, serving
     driver and the destination has room or is that location.  Each step
     yields ``(t, served)`` while ``counts`` still hold the state it starts
     from; when resumed, each served run moves a driver to the destination.
+    It steps the MDP episodes, and the ensembles whose state space is too
+    large for ``_rank_tables``.
     """
     flat = counts.reshape(-1)
     base = np.arange(len(counts)) * counts.shape[1]
@@ -208,18 +216,109 @@ def _memo_profit(rows: np.ndarray, memo: dict, config: SimConfig) -> list[float]
         return [memo[key] for key in keys]
 
 
-def _block(config: SimConfig, runs: range, memo: dict, trace: tuple | None) -> np.ndarray:
-    """Per-round profits (runs, T) of a block of replications stepped in lockstep.
+@dataclass(frozen=True)
+class _RankTables:
+    """Successor tables over a whole state space: the rank path of ``run_ensemble``.
+
+    A run in state r carries the offset r * stride.  A request to v keyed
+    by a (the origin for rand and greedy, the probed location for nadap; n
+    for none) reads entry ``offset + a * n + v``: ``nxt`` holds the offset
+    of the state it leads to (its own when the request fails) and ``ok``
+    whether it is served.  ``esp`` holds every state's expected step profit
+    under the conditional estimator, and ``start`` the initial offset.
+    """
+
+    stride: int
+    nxt: np.ndarray
+    ok: np.ndarray
+    esp: np.ndarray | None
+    start: int
+
+
+def _rank_tables(config: SimConfig) -> _RankTables | None:
+    """The rank path's tables, or None when the space exceeds _TABLE_ELEMENTS.
+
+    Moves come from ``StateSpace.move_ranks``, rand's and greedy's serving
+    choices from ``policy_table`` (the candidate scan of
+    ``serving_locations``), and the profits from one ``step_profit`` over
+    the space.
+    """
+    n, c = config.grid.n, config.c
+    try:
+        space = StateSpace(config.grid, config.m, c, cap=_TABLE_ELEMENTS // (n * (n + 1)))
+    except (SizeLimitError, InfeasibleInstanceError):
+        return None
+    X = space.as_array()
+    idx, cells = np.arange(space.size), np.arange(n)
+    ok = np.zeros((space.size, n + 1, n), dtype=bool)
+    ok[:, :n] = (X[:, :, None] >= 1) & ((X[:, None, :] < c) | (cells[:, None] == cells))
+    nxt = np.repeat(idx, (n + 1) * n).reshape(ok.shape)
+    src, k, v = np.nonzero(ok[:, :n] & (cells[:, None] != cells))
+    nxt[src, k, v] = space.move_ranks(src, k, v)
+    if config.policy.kind != "nadap":
+        # key a request by its origin: serve[r, u] is where it is served from, -1 (row n) for none
+        serve = policy_table(X, config.policy, config.grid)[0][:, :, 0]
+        pick = idx[:, None], np.column_stack([serve, np.full(space.size, -1)])
+        ok, nxt = ok[pick], nxt[pick]
+    esp = None
+    if config.estimator == "conditional":
+        esp = step_profit(X, config.model, config.policy, c)
+    stride = (n + 1) * n
+    return _RankTables(stride, (nxt * stride).ravel(), ok.ravel(), esp,
+                       space.rank(config.initial_state) * stride)
+
+
+def _count_steps(config, counts, origins, dests, coins, rounds, gains, profits, memo) -> None:
+    """Step a chunk of the schedule on driver counts with ``lockstep``, recording each round's profit."""
+    serving = policy_serving(config.policy, config.grid, origins, coins)
+    for t, served in lockstep(counts, origins, dests, serving, config.c):
+        if config.estimator == "conditional":
+            profits[:, rounds[t]] = _memo_profit(counts, memo, config)
+        else:
+            profits[served, rounds[t]] += gains[t, served]
+
+
+def _rank_steps(config, tables, at, origins, dests, coins, rounds, gains, profits) -> np.ndarray:
+    """Step a chunk of the schedule on rank offsets ``at``; returns the offsets it ends in.
+
+    One gather a round moves every run; the profits are gathered after the
+    chunk, the realized ones added in schedule order, so a round that
+    repeats in a replay sums its gains as ``lockstep`` does.
+    """
+    n = config.grid.n
+    key = origins
+    if config.policy.kind == "nadap":
+        key = np.where(origins >= 0, serving_locations(config.policy, config.grid, None, origins, coins), -1)
+    cell = np.where(key >= 0, key, n) * n + dests
+    path = np.empty((len(cell) + 1, len(at)), dtype=np.int64)
+    path[0] = at
+    for now, step, after in zip(path[:-1], cell, path[1:]):
+        after[:] = tables.nxt[now + step]
+    start = path[:-1]
+    if config.estimator == "conditional":
+        profits[:, rounds] = tables.esp[start // tables.stride].T
+    else:
+        np.add.at(profits.T, rounds, np.where(tables.ok[start + cell], gains, 0.0))
+    return path[-1]
+
+
+def _block(config: SimConfig, runs: range, trace: tuple | None, tables: _RankTables | None,
+           memo: dict) -> np.ndarray:
+    """Per-round profits (runs, T) of a block of replications stepped together.
 
     Run r draws from ``stream(seed, r)``, a schedule chunk at a time: under
     IID arrivals ``random((T, 2))``, a request and a probe coin per round;
     in replay, where every run meets the trace entries in order, nadap's
-    one probe coin per entry.  The conditional estimator records the
-    expected profit of the state each round starts from, the realized one
-    the weight of each served request in its round.
+    one probe coin per entry.  With ``tables`` each run steps a state rank,
+    else ``lockstep`` steps its driver counts.  The conditional estimator
+    records the expected profit of the state each round starts from, the
+    realized one the weight of each served request in its round.
     """
     grid, policy, n = config.grid, config.policy, config.grid.n
-    counts = np.tile(np.array(config.initial_state, dtype=np.int64), (len(runs), 1))
+    if tables is None:
+        state = np.tile(np.array(config.initial_state, dtype=np.int64), (len(runs), 1))
+    else:
+        state = np.full(len(runs), tables.start, dtype=np.int64)
     profits = np.zeros((len(runs), config.T))
     gens = [stream(config.seed, r) for r in runs]
     if trace is None:
@@ -230,27 +329,28 @@ def _block(config: SimConfig, runs: range, memo: dict, trace: tuple | None) -> n
             draws = np.stack([g.random((b - a, 2)) for g in gens], axis=1)
             req = np.searchsorted(cum_p, draws[:, :, 0], side="right")
             origins, dests, coins = np.where(req < n * n, req // n, -1), req % n, draws[:, :, 1]
-            rounds, gains = range(a, b), w[np.minimum(req, n * n - 1)]
+            rounds, gains = np.arange(a, b), w[np.minimum(req, n * n - 1)]
         else:
             coins = np.stack([g.random(b - a) for g in gens], axis=1) if policy.kind == "nadap" else None
             origins, dests = trace[1][a:b, None], trace[2][a:b, None]
             rounds, gains = trace[0][a:b], np.broadcast_to(trace[3][a:b, None], (b - a, len(runs)))
-        serving = policy_serving(policy, grid, origins, coins)
-        for t, served in lockstep(counts, origins, dests, serving, config.c):
-            if config.estimator == "conditional":
-                profits[:, rounds[t]] = _memo_profit(counts, memo, config)
-            else:
-                profits[served, rounds[t]] += gains[t, served]
+        schedule = origins, dests, coins, rounds, gains, profits
+        if tables is None:
+            _count_steps(config, state, *schedule, memo)
+        else:
+            state = _rank_steps(config, tables, state, *schedule)
     return profits
 
 
 def run_ensemble(config: SimConfig) -> ErrorSeries:
     """Run all replications and aggregate per-round means, spreads, and objectives.
 
-    Replication r draws from the (seed, r) stream.  Runs step in lockstep
-    in blocks that fit ``_BLOCK_ELEMENTS``, and the reduction is a fixed
-    pass in run-index order, so results do not depend on the blocking.
-    The conditional estimator's memo is shared by all runs.
+    Replication r draws from the (seed, r) stream.  Runs step together in
+    blocks that fit ``_BLOCK_ELEMENTS``, and the reduction is a fixed pass
+    in run-index order, so results do not depend on the blocking.  The
+    state space alone picks the step: rank tables built once when it fits
+    ``_TABLE_ELEMENTS``, else driver counts, whose conditional estimator
+    shares one memo across all runs.  Both give the same bits.
     """
     T, runs = config.T, config.runs
     sum_w = np.zeros(T)
@@ -262,8 +362,9 @@ def run_ensemble(config: SimConfig) -> ErrorSeries:
     if config.trace is not None:
         trace = _trace_columns(config.trace, config.grid)
         trace = tuple(col[: np.searchsorted(trace[0], T)] for col in trace)
+    tables = _rank_tables(config)
     for a, b in _spans(runs, _BLOCK_ELEMENTS // T):
-        for row in _block(config, range(a, b), memo, trace):
+        for row in _block(config, range(a, b), trace, tables, memo):
             sum_w += row
             sumsq_w += row * row
             obj_r = float(row.mean())

@@ -29,6 +29,25 @@ def parse_state(text: str) -> tuple[int, ...]:
         raise ValueError(f"malformed state string {text!r}") from exc
 
 
+def _completions(n: int, m: int, c: int, sat: int, keep: bool = False) -> np.ndarray:
+    """Ways to fill locations i.. with s = 0..m drivers, saturated at ``sat``.
+
+    Row i is row i + 1 summed over the windows s - c..s, a difference of
+    running sums.  Returns rows 0..n as an (n + 1, m + 1) array with
+    ``keep``, else row 0 alone, holding one row at a time.
+    """
+    row = np.zeros(m + 1, dtype=np.int64 if (m + 1) * sat < 2**63 else object)
+    row[0] = 1
+    rows = [row]
+    for _ in range(n):
+        run = np.cumsum(row)
+        run[c + 1 :] -= run[: max(m - c, 0)].copy()
+        row = np.minimum(run, sat)
+        if keep:
+            rows.append(row)
+    return np.stack(rows[::-1]) if keep else row
+
+
 class StateSpace:
     """All driver-count states for (grid, m, c), in lexicographic order.
 
@@ -47,22 +66,17 @@ class StateSpace:
         self.grid = grid
         self.m = m
         self.c = c
-        # table[i][s] = number of ways to fill locations i.. with total s
-        table = [[0] * (m + 1) for _ in range(n + 1)]
-        table[n][0] = 1
-        for i in range(n - 1, -1, -1):
-            for s in range(m + 1):
-                acc = 0
-                for t in range(0, min(c, s) + 1):
-                    acc += table[i + 1][s - t]
-                table[i][s] = acc
-        self._table = table
-        self.size = table[0][m]
-        if self.size > cap:
+        # counts saturate at cap + 1, so a space that fits is counted exactly
+        if _completions(n, m, c, cap + 1)[m] > cap:
             raise SizeLimitError(
-                f"state space has {self.size} states (cap {cap}); "
+                f"state space has more than {cap} states; "
                 "use the Monte-Carlo simulator for instances this large"
             )
+        table = _completions(n, m, c, cap + 1, keep=True)
+        self.size = int(table[0, m])
+        # a legal state never reads an entry above size: clipped, the table is int64
+        self._ways = np.minimum(table, self.size).astype(np.int64)
+        self._table = self._ways.tolist()
         self._array: np.ndarray | None = None
         self._prefix_table: np.ndarray | None = None
         self._moves: tuple | None = None
@@ -139,15 +153,14 @@ class StateSpace:
         """
         if self._prefix_table is None:
             n, m, c = self.n, self.m, self.c
-            table = self._table
             R = np.zeros((n, m + 2, c + 1), dtype=np.int64)
-            for i in range(n):
-                for rem in range(m + 1):
-                    acc = 0
-                    for t in range(1, c + 1):
-                        if rem - t + 1 >= 0:
-                            acc += table[i + 1][rem - t + 1]
-                        R[i, rem, t] = min(acc, self.size)
+            acc = np.zeros((n, m + 1), dtype=np.int64)
+            for t in range(1, c + 1):
+                # rem >= t - 1 adds the completions of rem - t + 1 drivers
+                k = max(m + 2 - t, 0)
+                acc[:, m + 1 - k :] += self._ways[1:, :k]
+                np.minimum(acc, self.size, out=acc)
+                R[:, : m + 1, t] = acc
             self._prefix_table = R
         return self._prefix_table
 

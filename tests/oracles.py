@@ -45,6 +45,29 @@ from dispatchlab.simulate import ErrorSeries, SimConfig, initial_state_preset
 from dispatchlab.states import StateSpace
 
 # ---------------------------------------------------------------------------
+# State ranks from exact bounded-composition counts
+
+
+def composition_table(n: int, m: int, c: int) -> list[list[int]]:
+    """table[i][s]: the ways to fill locations i.. with s drivers, each at most c, as exact ints."""
+    table = [[0] * (m + 1) for _ in range(n + 1)]
+    table[n][0] = 1
+    for i in range(n - 1, -1, -1):
+        for s in range(m + 1):
+            table[i][s] = sum(table[i + 1][s - t] for t in range(min(c, s) + 1))
+    return table
+
+
+def rank_by_table(table: list[list[int]], counts: Sequence[int]) -> int:
+    """Lexicographic rank of a legal count vector: the states below it, counted location by location."""
+    r, rem = 0, sum(counts)
+    for i, x in enumerate(counts):
+        r += sum(table[i + 1][rem - t] for t in range(x))
+        rem -= x
+    return r
+
+
+# ---------------------------------------------------------------------------
 # Single-driver moves
 
 

@@ -8,6 +8,7 @@ import os
 import numpy as np
 import pytest
 
+from dispatchlab import cli
 from dispatchlab.cli import main, write_json
 from dispatchlab.grid import build_grid, uniform_request_model
 from oracles import (
@@ -221,6 +222,58 @@ def test_couple_output_bytes_are_pinned(tmp_path, fleet):
     code, out = run(["couple", "--grid", "3x3", *fleet], tmp_path)
     assert code == 0
     assert {name: sha(out / name) for name in COUPLE_DIGESTS[fleet]} == COUPLE_DIGESTS[fleet]
+
+
+REPLAY = "round,origin,dest,weight\n0,0,3,1.5\n0,3,0,0.5\n0,1,2,2.25\n1,2,2,1\n1,0,1,3\n1,1,0,0.25\n3,3,3,2\n4,0,2,1\n4,2,0,1\n"
+
+# Recorded before ensembles stepped state ranks and tables were formatted in
+# blocks.  The first two cases take the rank path, the third the counts path.
+# The first case's exact target goes through a BLAS solve, so only its
+# ensemble tables are pinned.
+SIMULATE_DIGESTS = {
+    "--grid 2x2 --drivers 2 --capacity 2 --arrivals uniform:0.0625 --rounds 5000 --runs 7 --policy nadap:0.8 "
+    "--seed 5": {
+        "wt.csv": "df17320c036273641bbb789f6a7d493554ecf850008de8d6f9d0c6cdbd4358ea",
+        "obj.csv": "cea6cd9e0a94dca9dc4d9a5530e8fae76361c0707964b781d9e399f5945ecb17",
+    },
+    "--grid 2x2 --drivers 2 --capacity 2 --arrivals replay:REPLAY --runs 6 --policy nadap:0.7:lost --seed 3 "
+    "--init spread": {
+        "wt.csv": "84e28ca2181cd2167804e78176d9ad83920e1d2a69621316eebd8da1a2b4b55e",
+        "obj.csv": "6fd389584e3df04a8abbe853b631665b014d9d70164b52cacf27e52e5917f947",
+        "error.csv": "2d080681cd745b74a178beaeaf80bacb1ea311e5b83601ce95caeec83e5904d7",
+        "fit.json": "495bd978af36b24dda6f68ae366bf521a63c8a0054feda7938957b4240c01119",
+    },
+    "--grid 4x4 --drivers 4 --capacity 2 --arrivals uniform:0.00390625 --rounds 400 --runs 3 --policy greedy "
+    "--seed 2 --estimator realized": {
+        "wt.csv": "508bf440d403f2afaa9c536e70d67a5b5cb7906fbfbc48aeda20e121fc209b86",
+        "obj.csv": "8017dde1e7b2107d546d8775b6820c47708083b79202d4f32b058577872871aa",
+        "error.csv": "ba1276d4fa24e52bc21fec2caf000f6fd82b85c179ce445fcdbe6af039ecf7bf",
+        "fit.json": "b4240c00a5cde1239296088775607e184a175dc1b0bcb566f8236ab2dd8e4285",
+    },
+}
+
+
+@pytest.mark.parametrize("flags", list(SIMULATE_DIGESTS))
+def test_simulate_output_bytes_are_pinned(tmp_path, flags):
+    (tmp_path / "replay.csv").write_text(REPLAY)
+    code, out = run(["simulate", *flags.replace("REPLAY", str(tmp_path / "replay.csv")).split()], tmp_path)
+    assert code == 0
+    assert {name: sha(out / name) for name in SIMULATE_DIGESTS[flags]} == SIMULATE_DIGESTS[flags]
+
+
+@pytest.mark.parametrize("block", [1, 3, 4096])
+def test_columns_write_the_bytes_of_per_cell_rows(tmp_path, monkeypatch, block):
+    """One ``%`` over a block of rows writes what csv.writer writes for g17 cells."""
+    monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", block)
+    rng = np.random.default_rng(17)
+    specials = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1 / 3, 1e300, -2.5e-17, 123456789.0, 1.0]
+    for x in (np.array(specials), rng.standard_normal(50) * 10.0 ** rng.integers(-300, 300, 50), np.zeros(0)):
+        y = x[::-1] * 3
+        t = np.arange(len(x))
+        cli.write_csv(tmp_path / "blocks.csv", ["t", "x", "y"], cli.Columns("%d,%.17g,%.17g\n", (t, x, y)))
+        cli.write_csv(tmp_path / "cells.csv", ["t", "x", "y"],
+                      [(i, cli.g17(a), cli.g17(b)) for i, a, b in zip(t.tolist(), x, y)])
+        assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "cells.csv").read_bytes()
 
 
 def test_mixing_subcommand(tmp_path):

@@ -1,20 +1,22 @@
-"""The lockstep round engine, pinned bit for bit to the scalar loops it replaced.
+"""The ensemble engines, pinned bit for bit to the scalar loops they replaced.
 
 Ensembles (IID and replay), optimal-policy episodes and policy comparisons
 run every replication at once; tests/oracles.py keeps the one-run,
-one-round loops.  Random small instances with derandomized draws, and
-block budgets small enough to split runs into blocks and schedules into
-chunks.
+one-round loops.  Ensembles on a space that fits the successor table step
+state ranks, others step driver counts with ``lockstep``; a zero table
+budget forces the counts path.  Random small instances with derandomized
+draws, and block budgets small enough to split runs into blocks and
+schedules into chunks.
 """
 
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from unittest import mock
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dispatchlab import simulate
+from dispatchlab import mdp, simulate
 from dispatchlab.grid import RequestModel, build_grid
 from dispatchlab.mdp import MdpInstance, compare_policies, simulate_optimal_episode, value_iteration
 from dispatchlab.policies import ALL_PHIS, PolicySpec
@@ -24,18 +26,22 @@ from oracles import compare_policies_scalar, optimal_episode, run_ensemble_scala
 
 ENGINE = settings(derandomize=True, max_examples=30, deadline=None)
 
-# (_BLOCK_ELEMENTS, _SCHEDULE_ELEMENTS): the package's own, then budgets
-# that split the runs into blocks and the schedule into short chunks
-BUDGETS = [None, (7, 5), (1, 1)]
+# simulate's budgets: the package's own, then ones that split the runs
+# into blocks and the schedule into short chunks, each on either path
+SPLITS = [{}, {"_BLOCK_ELEMENTS": 7, "_SCHEDULE_ELEMENTS": 5},
+          {"_BLOCK_ELEMENTS": 1, "_SCHEDULE_ELEMENTS": 1}]
+COUNTS_PATH = {"_TABLE_ELEMENTS": 0}
+BUDGETS = SPLITS + [{**sizes, **COUNTS_PATH} for sizes in SPLITS]
 
 
 @contextmanager
 def budgets(sizes):
-    if sizes is None:
-        yield
-        return
-    with mock.patch.object(simulate, "_BLOCK_ELEMENTS", sizes[0]), \
-            mock.patch.object(simulate, "_SCHEDULE_ELEMENTS", sizes[1]):
+    # mdp binds its own name for the schedule budget
+    with ExitStack() as stack:
+        for module in (simulate, mdp):
+            names = {name: size for name, size in sizes.items() if hasattr(module, name)}
+            if names:
+                stack.enter_context(mock.patch.multiple(module, **names))
         yield
 
 
@@ -81,7 +87,7 @@ def assert_same_series(a, b):
 @given(instances(), policies(), st.sampled_from(["conditional", "realized"]), st.integers(0, 2**16),
        st.integers(1, 6), st.integers(1, 60), st.sampled_from([0.5, 1.0]), st.sampled_from(BUDGETS))
 @example((build_grid(3, 3), 4, 2, (2, 2, 0, 0, 0, 0, 0, 0, 0)), PolicySpec("greedy", origin_first=False),
-         "conditional", 1, 5, 60, 0.5, (7, 5))
+         "conditional", 1, 5, 60, 0.5, BUDGETS[1])
 def test_iid_ensemble_matches_scalar_runs(inst, policy, estimator, seed, runs, T, mass, sizes):
     grid, m, c, start = inst
     config = SimConfig(grid=grid, m=m, c=c, T=T, runs=runs, seed=seed, policy=policy,
@@ -117,9 +123,55 @@ def test_replay_ensemble_matches_scalar_runs(inst, policy, data, seed, runs, siz
     assert_same_series(got, run_ensemble_scalar(config))
 
 
+@st.composite
+def ensembles(draw):
+    """An IID ensemble under either estimator, or a replay, on a small instance."""
+    grid, m, c, start = draw(instances())
+    policy, mode = draw(policies()), draw(st.sampled_from(["conditional", "realized", "replay"]))
+    seed, runs = draw(st.integers(0, 2**16)), draw(st.integers(1, 6))
+    if mode == "replay":
+        trace = draw(traces(grid))
+        return SimConfig(grid=grid, m=m, c=c, T=draw(st.integers(1, (trace[-1][0] if trace else 0) + 3)),
+                         runs=runs, seed=seed, policy=policy, trace=trace, initial_state=start,
+                         estimator="realized")
+    return SimConfig(grid=grid, m=m, c=c, T=draw(st.integers(1, 60)), runs=runs, seed=seed, policy=policy,
+                     model=float_model(grid, seed, 0.9), initial_state=start, estimator=mode)
+
+
+LOST = PolicySpec("nadap", alpha=0.7, boundary="lost")
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(ensembles(), st.sampled_from(SPLITS))
+@example(SimConfig(grid=build_grid(2, 3), m=3, c=2, T=40, runs=5, seed=3, policy=LOST,
+                   model=float_model(build_grid(2, 3), 3, 0.9), initial_state=(1, 1, 1, 0, 0, 0)), SPLITS[1])
+@example(SimConfig(grid=build_grid(3, 2), m=4, c=2, T=9, runs=4, seed=8, policy=LOST, estimator="realized",
+                   trace=[(0, 0, 5, 1.0), (0, 2, 1, 0.5), (0, 4, 4, 2.25), (2, 5, 0, 3.0), (2, 1, 3, 1.0),
+                          (6, 3, 2, 0.5), (6, 0, 0, 1.0)],
+                   initial_state=(2, 2, 0, 0, 0, 0)), SPLITS[2])
+@example(SimConfig(grid=build_grid(3, 3), m=3, c=2, T=5, runs=6, seed=1,
+                   policy=PolicySpec("greedy", origin_first=False),
+                   trace=[(0, 4, 0, 1.0), (0, 4, 8, 2.25), (1, 0, 4, 0.5), (1, 1, 1, 3.0), (4, 8, 2, 1.0)],
+                   initial_state=(1, 1, 1, 0, 0, 0, 0, 0, 0), estimator="realized"), SPLITS[1])
+@example(SimConfig(grid=build_grid(2, 2), m=2, c=2, T=4, runs=3, seed=5, policy=PolicySpec("nadap", alpha=0.8),
+                   trace=[(0, 0, 3, 1.0), (0, 3, 0, 0.5), (0, 1, 2, 2.25), (3, 2, 2, 1.0)],
+                   initial_state=(2, 0, 0, 0), estimator="realized"), SPLITS[0])
+def test_rank_path_matches_count_path(config, sizes):
+    """The same bytes from rank tables and from driver counts, IID (both estimators) and replay."""
+    assert simulate._rank_tables(config) is not None
+    with budgets(sizes):
+        ranked = run_ensemble(config)
+    with budgets({**sizes, **COUNTS_PATH}):
+        assert simulate._rank_tables(config) is None
+        counted = run_ensemble(config)
+    for name in ("w_mean", "w_stderr", "obj_running"):
+        assert getattr(ranked, name).tobytes() == getattr(counted, name).tobytes(), name
+    assert (ranked.obj, ranked.obj_stderr) == (counted.obj, counted.obj_stderr)
+
+
 @settings(derandomize=True, max_examples=12, deadline=None)
 @given(instances(), st.lists(policies(), min_size=1, max_size=3), st.integers(0, 2**16),
-       st.integers(1, 8), st.integers(1, 40), st.sampled_from([None, (1, 1)]))
+       st.integers(1, 8), st.integers(1, 40), st.sampled_from(SPLITS[::2]))
 def test_mdp_episodes_match_scalar_episodes(inst, baselines, seed, episodes, periods, sizes):
     grid, m, c, start = inst
     instance = MdpInstance(grid, m, c, float_model(grid, seed, 0.9))

@@ -1,6 +1,9 @@
 """The package surface: what dispatchlab exports, and that the test oracles stay out of it."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import dispatchlab
@@ -57,3 +60,11 @@ def test_cli_handlers_leave_the_output_protocol_to_the_runner():
         args = handler.args
         params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
         assert params == ["options"] and args.vararg is None and args.kwarg is None, handler.name
+
+
+def test_cli_import_leaves_out_csgraph():
+    """csgraph loads scipy's linear algebra, so only the structure checks import it, on first use."""
+    env = dict(os.environ, PYTHONPATH=str(Path(dispatchlab.__file__).parents[1]))
+    code = "import sys, dispatchlab.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.sparse.csgraph')))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

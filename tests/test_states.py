@@ -1,5 +1,6 @@
 """State-space enumeration, ranking, and legal driver moves."""
 
+import time
 from math import comb
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from dispatchlab.errors import InfeasibleInstanceError, SizeLimitError
 from dispatchlab.grid import build_grid
 from dispatchlab.states import StateSpace, format_state, parse_state
-from oracles import InfeasibleMoveError, move, move_rank
+from oracles import InfeasibleMoveError, composition_table, move, move_rank, rank_by_table
 
 
 def brute_force_states(n, m, c):
@@ -83,6 +84,43 @@ def test_state_cap_enforced():
     g = build_grid(3, 3)
     with pytest.raises(SizeLimitError):
         StateSpace(g, 4, 4, cap=10)
+
+
+def test_saturated_counts_rank_as_exact_counts():
+    """Counts saturated at cap + 1 give every rank, unrank and move of the exact table."""
+    for rows, cols in ((1, 1), (1, 2), (2, 2), (1, 3), (2, 3), (3, 3)):
+        g = build_grid(rows, cols)
+        for m in range(1, 6 if g.n < 9 else 4):
+            for c in range(1, 5):
+                if m > g.n * c:
+                    continue
+                table = composition_table(g.n, m, c)
+                size = table[0][m]
+                with pytest.raises(SizeLimitError):
+                    StateSpace(g, m, c, cap=size - 1)
+                # at the cap every count that fits is exact; far above it the counts are Python ints
+                for cap in (size, 10**30):
+                    space = StateSpace(g, m, c, cap=cap)
+                    assert space.size == size
+                    X = space.as_array()
+                    want = [rank_by_table(table, x) for x in X.tolist()]
+                    assert want == list(range(size))
+                    assert space.ranks(X).tolist() == want
+                    assert [space.rank(x) for x in X.tolist()] == want
+                    assert [space.unrank(i) for i in range(size)] == [tuple(x) for x in X.tolist()]
+                    for u, v, src, dst in space.move_blocks():
+                        moved = X[src].copy()
+                        moved[:, u] -= 1
+                        moved[:, v] += 1
+                        assert dst.tolist() == [rank_by_table(table, x) for x in moved.tolist()]
+
+
+def test_oversize_space_is_refused_fast():
+    # the city's replay fleet: 5,001 x 51 windows on each of 231 cells
+    t0 = time.perf_counter()
+    with pytest.raises(SizeLimitError, match="more than 5000000 states"):
+        StateSpace(build_grid(21, 11), 5000, 50)
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_move_semantics():
