@@ -650,17 +650,6 @@ class OccupancyPairChain:
     def ratio_to_reference(self, t):
         return self._gap_float(np.asarray(t, dtype=float)) / self.decay_reference(t)
 
-    def matrix_gap_series(self, T: int) -> np.ndarray:
-        """|P^t(s1, s4) - gamma| by repeated float multiplication (oracle for gap_series)."""
-        P = self.P.astype(float)
-        row = np.array([1.0, 0.0, 0.0, 0.0])
-        out = np.empty(T + 1)
-        g = float(self.gamma)
-        for t in range(T + 1):
-            out[t] = abs(row[3] - g)
-            row = row @ P
-        return out
-
 
 def build_occupancy_pair_chain(n: int, m: int) -> OccupancyPairChain:
     """Exact rational 4-state chain for 1 < m < n - 1 (outside that it degenerates)."""

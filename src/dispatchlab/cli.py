@@ -10,7 +10,7 @@ platforms.  Configuration precedence is flags, then ``--config`` file
 
 ``--threads`` (default from ``DISPATCHLAB_THREADS``, else 1) is accepted
 and recorded but changes nothing: one process steps all runs of an
-ensemble in lockstep and reduces them in run order, so there is no
+ensemble at once and reduces them in run order, so there is no
 per-run loop to shard and no output depends on it.
 """
 
@@ -426,7 +426,7 @@ def add_common(spec: SubSpec) -> None:
         "--threads",
         type=int,
         default=_default_threads(),
-        help="recorded only: one process steps all runs in lockstep and reduces them in run order",
+        help="recorded only: one process steps all runs at once and reduces them in run order",
     )
     spec.parser.add_argument("--config", dest="config", default=None,
                              help="flat key=value config file; flags win over it")

@@ -3,8 +3,11 @@
 The decision process observes the pending request before choosing, so its
 state is (driver placement, pending request or none).  Actions pick the
 serving location from the request origin's closed neighborhood or reject;
-illegal choices fall back to reject.  Episode simulation reports the
-per-location activity measures used for occupancy heatmaps.
+illegal choices fall back to reject.  Every instance's placements are
+enumerated, so its action tables and its episodes read the space's
+successor table, an episode stepping one placement rank a period.
+Episodes report the per-location activity measures used for occupancy
+heatmaps.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from .errors import SizeLimitError
 from .grid import Grid, RequestModel
 from .policies import PolicySpec
 from .rng import stream
-from .simulate import _SCHEDULE_ELEMENTS, _spans, initial_state_preset, lockstep, policy_serving
+from .simulate import _SCHEDULE_ELEMENTS, _policy_tables, _serve_tables, _spans, _walk, initial_state_preset
 from .states import StateSpace
 
 #: Action indices: 0 rejects, 1 serves from the request origin, 2.. serve from
@@ -100,29 +103,17 @@ class ViResult:
 def _action_tables(instance: MdpInstance):
     """Next-placement ranks and rewards for every (request, action, placement).
 
-    Each (request, action) pair fills its row for every placement at once.
+    One gather from the space's successor table at each (request, action)'s
+    serving location and the request's destination.
     """
-    space = instance.space
-    c = instance.c
-    n = instance.grid.n
+    ok, nxt = instance.space.successors
     R = instance.n_requests
-    A = instance.n_actions
-    w = instance.model.w.astype(float)
-    arr = space.as_array()
-    nxt = np.empty((R + 1, A, space.size), dtype=np.int64)
-    rew = np.zeros((R + 1, A, space.size))
-    nxt[:] = np.arange(space.size, dtype=np.int64)
-    for r in range(R):
-        u, v = divmod(r, n)
-        for a in range(1, A):
-            k = instance.action_location(r, a)
-            if k is None:
-                continue
-            ok = (arr[:, k] >= 1) & ((k == v) | (arr[:, v] < c))
-            rew[r, a, ok] = w[u, v]
-            if k != v:
-                moving = np.flatnonzero(ok)
-                nxt[r, a, moving] = space.move_ranks(moving, k, v)
+    locs = _action_locations(instance)
+    dests = (np.arange(R + 1) % instance.grid.n)[:, None]
+    w = instance.model.w.astype(float).ravel()
+    nxt = np.ascontiguousarray(np.moveaxis(nxt[:, locs, dests], 0, -1))
+    served = np.moveaxis(ok[:, locs, dests], 0, -1)
+    rew = np.where(served, w[np.minimum(np.arange(R + 1), R - 1), None, None], 0.0)
     nxt.flags.writeable = False
     rew.flags.writeable = False
     return nxt, rew
@@ -223,55 +214,60 @@ def _episodes(
     keys: Sequence[tuple],
     initial_state: Sequence[int] | None,
 ) -> tuple[OccupancyReport, np.ndarray]:
-    """Step one episode per key in lockstep and measure them.
+    """Step one episode per key on placement ranks and measure them.
 
-    ``rule`` is a dispatch policy or a value-iteration result, whose policy
-    table picks the action.  Episode ``key`` draws its requests from the
-    (seed, *key, 0) stream and nadap's probe coins from (seed, *key, 1),
-    one per arriving request, so every rule faces the identical arrival
-    sequence.  Returns the occupancy report over all the episodes' periods
-    and each episode's discounted return, summed period by period.
+    ``rule`` is a dispatch policy, stepped through the ensembles' rank
+    tables, or a value-iteration result, whose policy table becomes one
+    more serving rule keyed by (placement, request).  Episode ``key`` draws
+    its requests from the (seed, *key, 0) stream and nadap's probe coins
+    from (seed, *key, 1), one per arriving request, so every rule faces the
+    identical arrival sequence.  Returns the occupancy report over all the
+    episodes' periods and each episode's discounted return, summed period
+    by period.
     """
     if periods < 1:
         raise ValueError("an episode needs at least one period")
-    grid, c = instance.grid, instance.c
+    if not keys:
+        raise ValueError("need at least one episode")
+    grid, c, space = instance.grid, instance.c, instance.space
     n, R = grid.n, instance.n_requests
     start = initial_state_preset(grid, instance.m, c, "adversarial") if initial_state is None else initial_state
-    instance.space.check_counts(start)
-    counts = np.tile(np.array(start, dtype=np.int64), (len(keys), 1))
-    q_cum = np.cumsum(instance.model.p.astype(float).ravel())
-    w = instance.model.w.astype(float).ravel()
     optimal = isinstance(rule, ViResult)
     if optimal:
-        locs, table, ranks = _action_locations(instance), rule.policy, instance.space.ranks
+        # the action picked for each (placement, request) names its serving location; none pads row n
+        serve = _action_locations(instance)[np.arange(R), rule.policy[:, :R]]
+        tables = _serve_tables(space, np.pad(serve, ((0, 0), (0, n)), constant_values=-1).reshape(-1, n + 1, n))
+    else:
+        tables = _policy_tables(space, rule)
+    at = np.full(len(keys), space.rank(start) * tables.stride)
+    q_cum = np.cumsum(instance.model.p.astype(float).ravel())
+    w = instance.model.w.astype(float).ravel()
     req_rngs = [stream(seed, *key, 0) for key in keys]
     coin_rngs = [stream(seed, *key, 1) for key in keys] if not optimal and rule.kind == "nadap" else []
-    covered, starts, drops = np.zeros(n), np.zeros(n), np.zeros(n)
-    served_total = 0
+    visits = np.zeros(space.size, dtype=np.int64)
+    starts, drops = np.zeros(n), np.zeros(n)
     returns = np.zeros(len(keys))
     for a, b in _spans(periods, _SCHEDULE_ELEMENTS // len(keys)):
         req = np.searchsorted(q_cum, np.stack([g.random(b - a) for g in req_rngs], axis=1), side="right")
         arrived = req < R
         origins = np.where(arrived, req // n, -1)
-        dests = req % n
-        if optimal:
-            def serving(t, counts, req=req):
-                return locs[req[t], table[ranks(counts), req[t]]]
-        else:
-            coins = np.zeros(req.shape)
-            for j, g in enumerate(coin_rngs):
-                coins[arrived[:, j], j] = g.random(int(arrived[:, j].sum()))
-            serving = policy_serving(rule, grid, origins, coins)
-        for t, served in lockstep(counts, origins, dests, serving, c):
-            covered += (counts >= 1).sum(axis=0)
-            u, v = origins[t, served], dests[t, served]
-            starts += np.bincount(u, minlength=n)
-            drops += np.bincount(u, minlength=n) + np.bincount(v[v != u], minlength=n)
-            served_total += len(u)
-            returns += np.where(served, w[np.minimum(req[t], R - 1)], 0.0) * instance.discount ** (a + t)
+        coins = np.zeros(req.shape)
+        for j, g in enumerate(coin_rngs):
+            coins[arrived[:, j], j] = g.random(int(arrived[:, j].sum()))
+        cells, path = _walk(tables, at, None if optimal else rule, grid, origins, req % n, coins)
+        visits += np.bincount(path[:-1].ravel() // tables.stride, minlength=space.size)
+        served = tables.ok[path[:-1] + cells]
+        u, v = origins[served], req[served] % n
+        starts += np.bincount(u, minlength=n)
+        drops += np.bincount(u, minlength=n) + np.bincount(v[v != u], minlength=n)
+        gains = np.where(served, w[np.minimum(req, R - 1)], 0.0)
+        for t, row in enumerate(gains, a):
+            returns += row * instance.discount ** t
+    # a placement covers the locations holding a car (measured before the period's move)
+    covered = visits @ (space.as_array() >= 1)
     total = periods * len(keys)
     return OccupancyReport(time_covered=100.0 * covered / total, drop_rate=100.0 * drops / total,
-                           start_pct=100.0 * starts / total, periods=total, served=served_total), returns
+                           start_pct=100.0 * starts / total, periods=total, served=int(starts.sum())), returns
 
 
 def simulate_optimal_episode(
@@ -316,6 +312,8 @@ def compare_policies(
 
 def summarize_returns(returns: np.ndarray) -> tuple[float, float]:
     """Mean and standard error of a per-episode return sample."""
+    if returns.size == 0:
+        raise ValueError("need at least one episode return")
     mean = float(returns.mean())
     if returns.size > 1:
         stderr = float(returns.std(ddof=1) / np.sqrt(returns.size))

@@ -4,8 +4,8 @@ Each replication owns the random stream addressed by (seed, run index), so
 ensembles are reproducible and insensitive to execution order; aggregation
 is a fixed-order reduction over run indices.  Where the state space fits
 a successor table, every replication steps one state rank a round through
-it; elsewhere ``lockstep`` advances the replications' driver counts, and
-those of an MDP comparison's episodes, through the request schedule at once.
+it, as the MDP episodes do; elsewhere the replications' driver counts
+advance through the request schedule at once.
 """
 
 from __future__ import annotations
@@ -154,52 +154,6 @@ def _spans(total: int, size: int) -> list[tuple[int, int]]:
     return [(a, min(a + size, total)) for a in range(0, total, size)]
 
 
-def lockstep(counts: np.ndarray, origins: np.ndarray, dests: np.ndarray, serving, c: int):
-    """Advance every run's driver counts through a request schedule, all runs at once.
-
-    ``counts`` is a C-contiguous (runs, n) integer array, changed in place.
-    Step t offers run b the request ``origins[t, b] -> dests[t, b]`` (origin
-    -1: none; a row of width 1 offers every run the same request), served
-    from ``serving(t, counts)[b]`` (-1: none) when that location holds a
-    driver and the destination has room or is that location.  Each step
-    yields ``(t, served)`` while ``counts`` still hold the state it starts
-    from; when resumed, each served run moves a driver to the destination.
-    It steps the MDP episodes, and the ensembles whose state space is too
-    large for ``_rank_tables``.
-    """
-    flat = counts.reshape(-1)
-    base = np.arange(len(counts)) * counts.shape[1]
-    asked = origins >= 0
-    offered = asked.any(axis=1)
-    idle = np.zeros(len(counts), dtype=bool)
-    for t in range(len(origins)):
-        if not offered[t]:
-            yield t, idle
-            continue
-        v = dests[t]
-        k = serving(t, counts)
-        at_k = base + np.maximum(k, 0)
-        at_v = base + v
-        served = asked[t] & (k >= 0) & (flat[at_k] >= 1) & ((k == v) | (flat[at_v] < c))
-        yield t, served
-        moving = served & (k != v)
-        flat[at_k] -= moving
-        flat[at_v] += moving
-
-
-def policy_serving(policy: PolicySpec, grid: Grid, origins: np.ndarray, coins):
-    """The ``serving`` argument of ``lockstep`` for a dispatch policy over one schedule.
-
-    ``coins`` holds nadap's probe coins aligned with the schedule; the
-    other policies read none.
-    """
-    if policy.kind == "nadap":
-        # the probe-coin map ignores the counts: map the whole schedule at once
-        chosen = serving_locations(policy, grid, None, origins, coins)
-        return lambda t, counts: chosen[t]
-    return lambda t, counts: serving_locations(policy, grid, counts, origins[t])
-
-
 def _memo_profit(rows: np.ndarray, memo: dict, config: SimConfig) -> list[float]:
     """Expected step profit of each row of a C-contiguous count array, through the shared memo.
 
@@ -218,88 +172,132 @@ def _memo_profit(rows: np.ndarray, memo: dict, config: SimConfig) -> list[float]
 
 @dataclass(frozen=True)
 class _RankTables:
-    """Successor tables over a whole state space: the rank path of ``run_ensemble``.
+    """The space's successor table keyed by request: the rank path of ensembles and MDP episodes.
 
     A run in state r carries the offset r * stride.  A request to v keyed
-    by a (the origin for rand and greedy, the probed location for nadap; n
-    for none) reads entry ``offset + a * n + v``: ``nxt`` holds the offset
-    of the state it leads to (its own when the request fails) and ``ok``
-    whether it is served.  ``esp`` holds every state's expected step profit
-    under the conditional estimator, and ``start`` the initial offset.
+    by a (its origin, or nadap's probed location; n for none) reads entry
+    ``offset + a * n + v``: ``nxt`` holds the offset of the state it leads
+    to (its own when the request fails) and ``ok`` whether it is served.
+    An ensemble's tables also hold ``esp``, every state's expected step
+    profit under the conditional estimator, and ``start``, its initial offset.
     """
 
     stride: int
     nxt: np.ndarray
     ok: np.ndarray
-    esp: np.ndarray | None
-    start: int
+    esp: np.ndarray | None = None
+    start: int = 0
+
+
+def _serve_tables(space: StateSpace, serve: np.ndarray) -> _RankTables:
+    """``space.successors`` keyed by request through a serving rule.
+
+    ``serve[s, a, v]``, broadcast over any axis it does not depend on, is
+    the location (-1 or n: none) serving a request to v keyed by a in state s.
+    """
+    ok, nxt = space.successors
+    pick = np.arange(space.size)[:, None, None], serve, np.arange(space.n)
+    stride = (space.n + 1) * space.n
+    return _RankTables(stride, (nxt[pick] * stride).ravel(), ok[pick].ravel())
+
+
+def _policy_tables(space: StateSpace, policy: PolicySpec) -> _RankTables:
+    """A dispatch policy's rank tables.
+
+    rand and greedy key a request by its origin through ``policy_table``
+    (the candidate scan of ``serving_locations``); nadap keys it by the
+    location its coin probes, which serves it.
+    """
+    serve = np.arange(space.n + 1)[:, None]
+    if policy.kind != "nadap":
+        serve = policy_table(space.as_array(), policy, space.grid)[0][:, :, 0]
+        serve = np.column_stack([serve, np.full(space.size, -1)])[:, :, None]
+    return _serve_tables(space, serve)
 
 
 def _rank_tables(config: SimConfig) -> _RankTables | None:
-    """The rank path's tables, or None when the space exceeds _TABLE_ELEMENTS.
+    """An ensemble's rank tables, or None when the space exceeds _TABLE_ELEMENTS.
 
-    Moves come from ``StateSpace.move_ranks``, rand's and greedy's serving
-    choices from ``policy_table`` (the candidate scan of
-    ``serving_locations``), and the profits from one ``step_profit`` over
-    the space.
+    The profits come from one ``step_profit`` over the space.
     """
-    n, c = config.grid.n, config.c
+    n = config.grid.n
     try:
-        space = StateSpace(config.grid, config.m, c, cap=_TABLE_ELEMENTS // (n * (n + 1)))
+        space = StateSpace(config.grid, config.m, config.c, cap=_TABLE_ELEMENTS // (n * (n + 1)))
     except (SizeLimitError, InfeasibleInstanceError):
         return None
-    X = space.as_array()
-    idx, cells = np.arange(space.size), np.arange(n)
-    ok = np.zeros((space.size, n + 1, n), dtype=bool)
-    ok[:, :n] = (X[:, :, None] >= 1) & ((X[:, None, :] < c) | (cells[:, None] == cells))
-    nxt = np.repeat(idx, (n + 1) * n).reshape(ok.shape)
-    src, k, v = np.nonzero(ok[:, :n] & (cells[:, None] != cells))
-    nxt[src, k, v] = space.move_ranks(src, k, v)
-    if config.policy.kind != "nadap":
-        # key a request by its origin: serve[r, u] is where it is served from, -1 (row n) for none
-        serve = policy_table(X, config.policy, config.grid)[0][:, :, 0]
-        pick = idx[:, None], np.column_stack([serve, np.full(space.size, -1)])
-        ok, nxt = ok[pick], nxt[pick]
+    tables = _policy_tables(space, config.policy)
     esp = None
     if config.estimator == "conditional":
-        esp = step_profit(X, config.model, config.policy, c)
-    stride = (n + 1) * n
-    return _RankTables(stride, (nxt * stride).ravel(), ok.ravel(), esp,
-                       space.rank(config.initial_state) * stride)
+        esp = step_profit(space.as_array(), config.model, config.policy, config.c)
+    return replace(tables, esp=esp, start=space.rank(config.initial_state) * tables.stride)
+
+
+def _walk(tables, at, policy, grid, origins, dests, coins) -> tuple[np.ndarray, np.ndarray]:
+    """Step runs from offsets ``at``, changed in place, through a schedule chunk, one gather a step.
+
+    A request reads entry ``a * n + v`` of the tables: a is its origin, or
+    for nadap the location its coin probes (n for none); a policy of None
+    keys by origin.  Returns those entries and the offsets (steps + 1,
+    runs) the runs pass through.
+    """
+    n = grid.n
+    key = origins
+    if policy is not None and policy.kind == "nadap":
+        key = np.where(origins >= 0, serving_locations(policy, grid, None, origins, coins), -1)
+    cells = np.where(key >= 0, key, n) * n + dests
+    path = np.empty((len(cells) + 1, len(at)), dtype=np.int64)
+    path[0] = at
+    for now, step, after in zip(path[:-1], cells, path[1:]):
+        after[:] = tables.nxt[now + step]
+    at[:] = path[-1]
+    return cells, path
 
 
 def _count_steps(config, counts, origins, dests, coins, rounds, gains, profits, memo) -> None:
-    """Step a chunk of the schedule on driver counts with ``lockstep``, recording each round's profit."""
-    serving = policy_serving(config.policy, config.grid, origins, coins)
-    for t, served in lockstep(counts, origins, dests, serving, config.c):
+    """Step a chunk of the schedule on driver counts, all runs at once, recording each round's profit.
+
+    ``counts`` is a C-contiguous (runs, n) array, changed in place.  Step t
+    offers run b the request ``origins[t, b] -> dests[t, b]`` (origin -1:
+    none; a row of width 1 offers every run the same request), served from
+    the policy's ``serving_locations`` choice when that location holds a
+    driver and the destination has room or is that location.
+    """
+    policy, grid, c = config.policy, config.grid, config.c
+    if policy.kind == "nadap":
+        # the probe-coin map ignores the counts: map the whole schedule at once
+        chosen = serving_locations(policy, grid, None, origins, coins)
+    flat = counts.reshape(-1)
+    base = np.arange(len(counts)) * counts.shape[1]
+    asked = origins >= 0
+    for t in range(len(origins)):
         if config.estimator == "conditional":
             profits[:, rounds[t]] = _memo_profit(counts, memo, config)
-        else:
+        if not asked[t].any():
+            continue
+        k = chosen[t] if policy.kind == "nadap" else serving_locations(policy, grid, counts, origins[t])
+        v = dests[t]
+        at_k, at_v = base + np.maximum(k, 0), base + v
+        served = asked[t] & (k >= 0) & (flat[at_k] >= 1) & ((k == v) | (flat[at_v] < c))
+        if config.estimator == "realized":
             profits[served, rounds[t]] += gains[t, served]
+        moving = served & (k != v)
+        flat[at_k] -= moving
+        flat[at_v] += moving
 
 
-def _rank_steps(config, tables, at, origins, dests, coins, rounds, gains, profits) -> np.ndarray:
-    """Step a chunk of the schedule on rank offsets ``at``; returns the offsets it ends in.
+def _rank_steps(config, tables, at, origins, dests, coins, rounds, gains, profits) -> None:
+    """Step a chunk of the schedule on rank offsets ``at``, changed in place.
 
-    One gather a round moves every run; the profits are gathered after the
-    chunk, the realized ones added in schedule order, so a round that
-    repeats in a replay sums its gains as ``lockstep`` does.
+    The profits are gathered after the chunk, the realized ones added in
+    schedule order, so a round that repeats in a replay sums its gains as
+    ``_count_steps`` does.
     """
-    n = config.grid.n
-    key = origins
-    if config.policy.kind == "nadap":
-        key = np.where(origins >= 0, serving_locations(config.policy, config.grid, None, origins, coins), -1)
-    cell = np.where(key >= 0, key, n) * n + dests
-    path = np.empty((len(cell) + 1, len(at)), dtype=np.int64)
-    path[0] = at
-    for now, step, after in zip(path[:-1], cell, path[1:]):
-        after[:] = tables.nxt[now + step]
+    cells, path = _walk(tables, at, config.policy, config.grid, origins, dests, coins)
     start = path[:-1]
     if config.estimator == "conditional":
         profits[:, rounds] = tables.esp[start // tables.stride].T
     else:
-        np.add.at(profits.T, rounds, np.where(tables.ok[start + cell], gains, 0.0))
-    return path[-1]
+        np.add.at(profits.T, rounds, np.where(tables.ok[start + cells], gains, 0.0))
 
 
 def _block(config: SimConfig, runs: range, trace: tuple | None, tables: _RankTables | None,
@@ -310,11 +308,11 @@ def _block(config: SimConfig, runs: range, trace: tuple | None, tables: _RankTab
     IID arrivals ``random((T, 2))``, a request and a probe coin per round;
     in replay, where every run meets the trace entries in order, nadap's
     one probe coin per entry.  With ``tables`` each run steps a state rank,
-    else ``lockstep`` steps its driver counts.  The conditional estimator
-    records the expected profit of the state each round starts from, the
-    realized one the weight of each served request in its round.
+    else its driver counts step.  The conditional estimator records the
+    expected profit of the state each round starts from, the realized one
+    the weight of each served request in its round.
     """
-    grid, policy, n = config.grid, config.policy, config.grid.n
+    policy, n = config.policy, config.grid.n
     if tables is None:
         state = np.tile(np.array(config.initial_state, dtype=np.int64), (len(runs), 1))
     else:
@@ -338,7 +336,7 @@ def _block(config: SimConfig, runs: range, trace: tuple | None, tables: _RankTab
         if tables is None:
             _count_steps(config, state, *schedule, memo)
         else:
-            state = _rank_steps(config, tables, state, *schedule)
+            _rank_steps(config, tables, state, *schedule)
     return profits
 
 

@@ -7,6 +7,7 @@ vectors and addressed by dense ranks, so exact chains can use array rows.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -213,6 +214,26 @@ class StateSpace:
             + between
         )
 
+    @cached_property
+    def successors(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only (served, next rank) of every request in every state, built on first use.
+
+        Entry [s, k, v] answers a request to v served from location k in
+        state s: it is served when k holds a driver and v has room or is k,
+        and then a driver moves k -> v.  Row k = n (index -1) is no serving
+        location, never served; an unserved request keeps the rank.
+        """
+        n, c = self.n, self.c
+        X = self.as_array()
+        cells = np.arange(n)
+        ok = np.zeros((self.size, n + 1, n), dtype=bool)
+        ok[:, :n] = (X[:, :, None] >= 1) & ((X[:, None, :] < c) | (cells[:, None] == cells))
+        nxt = np.repeat(np.arange(self.size), (n + 1) * n).reshape(ok.shape)
+        src, k, v = np.nonzero(ok[:, :n] & (cells[:, None] != cells))
+        nxt[src, k, v] = self.move_ranks(src, k, v)
+        ok.flags.writeable = nxt.flags.writeable = False
+        return ok, nxt
+
     def move_blocks(self) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
         """Every ordered state pair one driver move apart, one move u -> v at a time.
 
@@ -229,10 +250,3 @@ class StateSpace:
                 if v != u:
                     src = occupied[arr[occupied, v] < self.c]
                     yield u, v, src, self.move_ranks(src, u, v)
-
-    def __iter__(self) -> Iterator[tuple[int, ...]]:
-        for i in range(self.size):
-            yield self.unrank(i)
-
-    def __len__(self) -> int:
-        return self.size

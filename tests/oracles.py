@@ -2,7 +2,7 @@
 
 The package computes every layer below through its policy table, pair
 arrays and CSR kernels, solves and mixes chains in blocks, steps ensembles
-and episodes in lockstep, and ingests trips as whole columns.  These functions state the same
+and episodes on state ranks or driver counts, and ingests trips as whole columns.  These functions state the same
 quantities the slow, literal way, one state, one request, one run or one
 trip record at a time, and the tests pin the package to them.  Nothing in ``dispatchlab`` imports this module.
 """
@@ -18,7 +18,8 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from dispatchlab.chain import MIXING_SIZE_LIMIT, MONOTONE_SLACK, MixingReport, TransitionMatrix, _zero_one
+from dispatchlab.chain import (MIXING_SIZE_LIMIT, MONOTONE_SLACK, MixingReport, OccupancyPairChain,
+                               TransitionMatrix, _zero_one)
 from dispatchlab.errors import DispatchLabError, HorizonTooShortError, SchemaError, SizeLimitError
 from dispatchlab.grid import DIRECTIONS, Grid, RequestModel, build_grid, distance_weights, manhattan_distance
 from dispatchlab.ingest import (
@@ -405,6 +406,18 @@ def mixing_curve_loop(
             d_curve=curve,
         )
     return MixingReport(curve, tau, envelope=envelope, exhaustive=exhaustive, start_count=len(starts))
+
+
+def matrix_gap_series(chain: OccupancyPairChain, T: int) -> np.ndarray:
+    """|P^t(s1, s4) - gamma| for t = 0..T by repeated float multiplication: the oracle for ``gap_series``."""
+    P = chain.P.astype(float)
+    row = np.array([1.0, 0.0, 0.0, 0.0])
+    out = np.empty(T + 1)
+    g = float(chain.gamma)
+    for t in range(T + 1):
+        out[t] = abs(row[3] - g)
+        row = row @ P
+    return out
 
 
 # ---------------------------------------------------------------------------

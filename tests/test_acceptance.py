@@ -62,6 +62,7 @@ from oracles import (
     TripRecord,
     build_transition_from_policy,
     kernel_from_rows,
+    matrix_gap_series,
     records_from_table,
     same_transitions,
     table_from_records,
@@ -193,7 +194,7 @@ def test_criterion_04a_pair_chain_closed_form():
     t0 = time.perf_counter()
     chain = build_occupancy_pair_chain(50, 5)
     closed = chain.gap_series(500)
-    oracle = chain.matrix_gap_series(500)
+    oracle = matrix_gap_series(chain, 500)
     err = float(np.abs(closed - oracle).max())
     elapsed = time.perf_counter() - t0
     ok = err <= 1e-12 and elapsed < 1.0

@@ -35,6 +35,7 @@ from oracles import (
     build_transition_from_policy,
     expected_step_profit,
     kernel_from_rows,
+    matrix_gap_series,
     same_transitions,
 )
 
@@ -451,7 +452,7 @@ def test_occupancy_pair_gap_matches_exact_matrix_powers():
 def test_occupancy_pair_gap_matches_float_power_oracle():
     chain = build_occupancy_pair_chain(50, 5)
     T = 500
-    oracle = chain.matrix_gap_series(T)
+    oracle = matrix_gap_series(chain, T)
     series = chain.gap_series(T)
     assert np.abs(series - oracle).max() < 1e-12
 

@@ -311,6 +311,23 @@ def test_vi_subcommand(tmp_path):
         assert 0 <= float(row["start_pct"]) <= float(row["drop_rate"]) + 1e-12
 
 
+# Recorded while the episodes still stepped driver counts; the second case
+# starts from an inline placement.
+VI_PINS = {
+    "--grid 2x2 --drivers 1 --capacity 2 --arrivals uniform:0.0625 --seed 2 --periods 200":
+        ("610c84dfaaad04abee30d6f4db08404985cf5b82eafe67f95524cc47a51c8506", 157),
+    "--grid 2x3 --drivers 3 --capacity 2 --arrivals uniform:0.025 --seed 11 --periods 700 --init 2,0,0,0,0,1":
+        ("8a4da106734c9ba0e20b933372ca4dc52606faa06abb392a86d3ec834e3fe719", 578),
+}
+
+
+@pytest.mark.parametrize("flags", list(VI_PINS))
+def test_vi_output_bytes_are_pinned(tmp_path, flags):
+    code, out = run(["vi", *flags.split()], tmp_path)
+    assert code == 0
+    assert (sha(out / "heatmap.csv"), read_json(out / "report.json")["episode_served"]) == VI_PINS[flags]
+
+
 def test_vi_rejects_an_episode_without_periods(tmp_path, capsys):
     for periods in ("0", "-3"):
         code, out = run(

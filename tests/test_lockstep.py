@@ -2,11 +2,11 @@
 
 Ensembles (IID and replay), optimal-policy episodes and policy comparisons
 run every replication at once; tests/oracles.py keeps the one-run,
-one-round loops.  Ensembles on a space that fits the successor table step
-state ranks, others step driver counts with ``lockstep``; a zero table
-budget forces the counts path.  Random small instances with derandomized
-draws, and block budgets small enough to split runs into blocks and
-schedules into chunks.
+one-round loops.  Episodes, and ensembles on a space that fits the
+successor table, step state ranks; larger ensembles step driver counts,
+and a zero table budget forces that counts path.  Random small instances
+with derandomized draws, and block budgets small enough to split runs
+into blocks and schedules into chunks.
 """
 
 from contextlib import ExitStack, contextmanager
@@ -169,9 +169,9 @@ def test_rank_path_matches_count_path(config, sizes):
     assert (ranked.obj, ranked.obj_stderr) == (counted.obj, counted.obj_stderr)
 
 
-@settings(derandomize=True, max_examples=12, deadline=None)
+@ENGINE
 @given(instances(), st.lists(policies(), min_size=1, max_size=3), st.integers(0, 2**16),
-       st.integers(1, 8), st.integers(1, 40), st.sampled_from(SPLITS[::2]))
+       st.integers(1, 8), st.integers(1, 40), st.sampled_from(SPLITS))
 def test_mdp_episodes_match_scalar_episodes(inst, baselines, seed, episodes, periods, sizes):
     grid, m, c, start = inst
     instance = MdpInstance(grid, m, c, float_model(grid, seed, 0.9))

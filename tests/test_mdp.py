@@ -1,5 +1,8 @@
 """Optimal dispatch: value iteration, its oracles, and episode measurements."""
 
+import hashlib
+import warnings
+
 import numpy as np
 import pytest
 
@@ -299,3 +302,35 @@ def test_compare_policies_baselines_match_dispatch_oracle():
 def test_summarize_returns_degenerate_sample():
     mean, err = summarize_returns(np.array([2.5]))
     assert mean == 2.5 and err == 0.0
+
+
+def test_summarize_returns_refuses_an_empty_sample():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="at least one episode"):
+            summarize_returns(np.array([]))
+
+
+def test_compare_policies_needs_an_episode():
+    inst = square_instance()
+    result = value_iteration(inst)
+    for episodes in (0, -2):
+        with pytest.raises(ValueError, match="need at least one episode"):
+            compare_policies(inst, result, [parse_policy("greedy")], episodes=episodes, periods=10)
+
+
+# Recorded while the episodes still stepped driver counts, on criterion 08's
+# 2x2 instance, baselines and episode budget.
+COMPARE_DIGEST = "08638385ceb53aed2a0df09197448a07b36fe7b10922c4d90dd6a91d45231ef8"
+
+
+def test_compare_policies_returns_are_pinned():
+    inst = square_instance()
+    result = value_iteration(inst, tol=1e-10)
+    baselines = [parse_policy(label) for label in ("nadap:0.8", "rand:NESW", "greedy")]
+    returns = compare_policies(inst, result, baselines, episodes=1_000, periods=200, seed=7)
+    digest = hashlib.sha256()
+    for label, vals in returns.items():
+        digest.update(label.encode())
+        digest.update(vals.tobytes())
+    assert digest.hexdigest() == COMPARE_DIGEST
