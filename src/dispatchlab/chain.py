@@ -12,15 +12,17 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import HorizonTooShortError, IterationLimitError, SizeLimitError
 from .grid import RequestModel
 from .policies import SLOTS, PolicySpec, nadap_probe_weights, policy_table, step_profit
 from .states import StateSpace
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 #: At or below this many states, stationary solves are direct (elimination).
 DENSE_SOLVE_LIMIT = 2000
@@ -96,6 +98,8 @@ class TransitionMatrix:
 
     def to_csr(self) -> sp.csr_array:
         if self._csr is None:
+            import scipy.sparse as sp  # on first use: fixture, ingest and simulate never load it
+
             self._csr = sp.csr_array(
                 (self.data.astype(float), self.indices, self.indptr), shape=(self.size, self.size)
             )
@@ -301,8 +305,9 @@ def stationary_distribution(
 def _components(tm: TransitionMatrix) -> tuple[int, np.ndarray, sp.csr_array]:
     """Strongly connected classes of the positive-entry digraph: count, labels, pattern.
 
-    csgraph is imported on first use, since it loads scipy's linear algebra.
+    scipy is imported on first use, since csgraph loads its linear algebra.
     """
+    import scipy.sparse as sp
     from scipy.sparse.csgraph import connected_components
 
     on = tm.data != 0

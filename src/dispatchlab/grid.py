@@ -20,6 +20,7 @@ from typing import Iterator, Mapping
 
 import numpy as np
 
+from .csvblocks import CsvBlocks
 from .errors import SchemaError
 
 #: Absolute tolerance used when validating floating-point probability mass.
@@ -136,6 +137,23 @@ def _total(values) -> Fraction | float:
     return sum(values)
 
 
+def _cast(texts: np.ndarray, dtype) -> np.ndarray:
+    """``int()`` or ``float()`` of every value of a plain block's ``S`` array, at once.
+
+    Values of 1 to 18 ASCII digits each are read digit by digit; any other
+    array takes numpy's cast, which raises where ``int()``/``float()`` would.
+    """
+    codes = texts.view(np.uint8).reshape(len(texts), -1)
+    digits = codes - np.uint8(ord("0"))
+    if codes.shape[1] > 18 or not codes[:, 0].all() or not ((digits < 10) | (codes == 0)).all():
+        with np.errstate(over="ignore"):  # "1e999" is inf, as float() gives it
+            return texts.astype(dtype)
+    value = np.zeros(len(texts), np.int64)
+    for column in digits.T:  # the NUL padding after a value adds no digit
+        value = np.where(column < 10, value * 10 + column, value)
+    return value.astype(dtype)
+
+
 @dataclass(frozen=True)
 class RequestModel:
     """Per-round arrival probabilities and profit weights, indexed origin x destination.
@@ -157,13 +175,11 @@ class RequestModel:
             raise ValueError(f"p and w must have shape ({n},{n})")
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "w", w)
-        flat_p = p.ravel().tolist()
-        flat_w = w.ravel().tolist()
-        if any(v < 0 for v in flat_p):
+        if (p < 0).any():  # elementwise, exact for Fraction entries too
             raise ValueError("arrival probabilities must be nonnegative")
-        if any(v < 0 for v in flat_w):
+        if (w < 0).any():
             raise ValueError("weights must be nonnegative")
-        tot = _total(flat_p)
+        tot = _total(p.ravel().tolist())
         if float(tot) > 1.0 + PROB_TOL:
             raise ValueError(f"arrival probabilities sum to {float(tot)} > 1")
         if p.dtype.kind == "f" and not np.isfinite(p).all():
@@ -215,31 +231,58 @@ class RequestModel:
 
     @classmethod
     def from_csv(cls, path: str | Path, grid: Grid) -> "RequestModel":
+        """Read ``origin,dest,p,w`` rows, as ``to_csv`` writes them, in any column order.
+
+        Blank lines are not rows, a repeated column name reads as its last
+        occurrence and a repeated cell keeps its last row.  Reading stops at
+        the first malformed row (short, or a cell that ``int()`` or
+        ``float()`` refuses); a cell off the grid in the rows before it
+        raises ``ValueError`` (file order, origin first), else the malformed
+        row raises ``SchemaError``.  A file whose ``csvblocks`` byte blocks
+        are all plain and cast whole (``int64`` cells, ``float64`` p and w)
+        is read that way.  Any other file is read again from its header,
+        row by row through ``csv.reader``, ``int()`` and ``float()``.
+        """
         n = grid.n
         names = ("origin", "dest", "p", "w")
-        cells, values, error = [], array("d"), None
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, [])
+        with CsvBlocks(path) as blocks:
+            header = blocks.header
             if not set(names).issubset(header):
                 raise SchemaError(f"{path}: expected columns origin,dest,p,w")
             # a repeated column name reads as its last occurrence, as csv.DictReader does
-            get = itemgetter(*(len(header) - 1 - header[::-1].index(c) for c in names))
+            where = [len(header) - 1 - header[::-1].index(c) for c in names]
+            types = (np.int64, np.int64, np.float64, np.float64)
             try:
-                for row in filter(None, reader):
-                    u, v, pv, wv = get(row)
-                    values.extend((float(pv), float(wv)))  # first, so a malformed row adds no cell
-                    cells += int(u), int(v)
-            except (IndexError, ValueError) as exc:
-                error = exc
-        if cells and not 0 <= min(cells) <= max(cells) < n:  # an off-grid row before a malformed one decides
-            grid.check_location(next(c for c in cells if not 0 <= c < n))  # file order, origin first
+                parts = [[_cast(block.column(j), t) for j, t in zip(where, types)] for block in blocks.plain()]
+            except (ValueError, OverflowError):  # a cell int() or float() refuses, or one past int64
+                parts = None
+        error = None
+        if parts is not None and blocks.ended:
+            u, v, pv, wv = (np.concatenate([np.zeros(0, t), *(part[i] for part in parts)]) for i, t in enumerate(types))
+            cells, values = np.column_stack([u, v]).ravel(), np.column_stack([pv, wv]).ravel()
+        else:
+            cells, values = [], array("d")
+            with open(path, newline="") as fh:
+                reader = csv.reader(fh)
+                next(reader, [])
+                get = itemgetter(*where)
+                try:
+                    for row in filter(None, reader):
+                        u, v, pv, wv = get(row)
+                        values.extend((float(pv), float(wv)))  # first, so a malformed row adds no cell
+                        cells += int(u), int(v)
+                except (IndexError, ValueError) as exc:
+                    error = exc
+            cells, values = np.array(cells, dtype=object), np.frombuffer(values)  # ints that may not fit int64
+        off_grid = np.flatnonzero((cells < 0) | (cells >= n))
+        if len(off_grid):  # an off-grid row before a malformed one decides
+            grid.check_location(int(cells[off_grid[0]]))  # file order, origin first
         if error is not None:
             raise SchemaError(f"{path}: malformed row {row}") from error
-        cell = np.array(cells, dtype=np.int64).reshape(-1, 2) @ np.array([n, 1])
+        cell = cells.astype(np.int64).reshape(-1, 2) @ np.array([n, 1])
         last = len(cell) - 1 - np.unique(cell[::-1], return_index=True)[1]  # a repeated cell keeps its last row
         p, w = np.zeros(n * n), np.zeros(n * n)
-        p[cell[last]], w[cell[last]] = np.frombuffer(values).reshape(-1, 2)[last].T
+        p[cell[last]], w[cell[last]] = values.reshape(-1, 2)[last].T
         return cls(grid, p.reshape(n, n), w.reshape(n, n))
 
 

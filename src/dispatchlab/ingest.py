@@ -16,12 +16,13 @@ import datetime as dt
 import gc
 from contextlib import suppress
 from dataclasses import dataclass, fields
-from itertools import chain, compress, count, islice
+from itertools import chain, islice
 from operator import itemgetter
 from typing import Mapping, Sequence
 
 import numpy as np
 
+from .csvblocks import CsvBlocks
 from .errors import SchemaError
 from .grid import RequestModel, build_grid, distance_weights
 from .rng import RawDraws, stream
@@ -48,13 +49,17 @@ DEFAULT_COLUMNS: dict[str, str] = {
     "dropoff_lon": "dropoff_longitude",
 }
 
-#: Rows converted per step of ``parse_trips``; only one chunk's strings are alive at a time.
+#: Rows ``csv.reader`` hands ``parse_trips`` per step once a block is not plain (see
+#: ``csvblocks``); only one chunk's strings are alive at a time.
 PARSE_CHUNK_ROWS = 4096
 
 # A canonical timestamp's character codes, and how far above them each
 # character may lie: 0-9 in digit slots, 0 in separators.
 _STAMP = np.frombuffer("0000-00-00 00:00:00".encode("utf-32-le"), dtype=np.uint32)
 _SPAN = np.where(_STAMP == ord("0"), 9, 0).astype(np.uint32)
+# The place value of each digit in the year, month, day, hour, minute and second.
+_PLACES = np.zeros((19, 6))
+_PLACES[np.flatnonzero(_SPAN), [0] * 4 + [1, 1, 2, 2, 3, 3, 4, 4, 5, 5]] = [1000, 100, 10, 1] + [10, 1] * 5
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,40 +119,76 @@ class ParseResult:
     skipped: int
 
 
-def _timestamps(texts: Sequence[str]) -> np.ndarray:
-    """``strptime(text, TIMESTAMP_FORMAT)`` of each string as datetime64[s], NaT where it fails.
+def _timestamps(texts: np.ndarray | Sequence[str]) -> np.ndarray:
+    """``strptime(text, TIMESTAMP_FORMAT)`` of each field as datetime64[s], NaT where it fails.
 
-    numpy parses canonical ``YYYY-MM-DD HH:MM:SS`` strings with a nonzero
-    year as strptime does, but rejects a field out of range (``02-30``,
-    second 60) for the whole array; then the chunk falls back to strptime,
-    as any other string (unpadded, ``T``-separated, with a NUL) always does.
+    texts is a plain block's ``S`` array (ASCII without NUL, so its first
+    NUL ends each value) or csv row strings.  A canonical
+    ``YYYY-MM-DD HH:MM:SS`` string naming a real second of a nonzero year
+    is read from its digits, which is what strptime gives for it; any other
+    string (unpadded, ``T``-separated, out of range, with a NUL) goes to
+    strptime itself.
     """
     n = len(texts)
-    stamps = np.array(texts, dtype="<U19")
-    offset = stamps.view(np.uint32).reshape(n, 19) - _STAMP
-    fast = (np.fromiter(map(len, texts), np.int64, n) == 19) & (offset <= _SPAN).all(axis=1)
-    fast &= offset[:, :4].any(axis=1)
+    if isinstance(texts, np.ndarray):
+        codes, length = texts.astype("S19").view(np.uint8), np.char.str_len(texts)
+    else:
+        codes, length = np.array(texts, dtype="<U19").view(np.uint32), np.fromiter(map(len, texts), np.int64, n)
+    offset = codes.reshape(n, 19) - _STAMP.astype(codes.dtype)
+    rows = np.flatnonzero((length == 19) & (offset <= _SPAN).all(axis=1))
+    # float products of digits are exact
+    year, month, day, hour, minute, second = (offset[rows] @ _PLACES).astype(np.int64).T
+    months = (year - 1970) * 12 + month - 1
+    first = months.astype("datetime64[M]").astype("datetime64[D]")
+    days = (months + 1).astype("datetime64[M]").astype("datetime64[D]") - first
+    real = ((year >= 1) & (1 <= month) & (month <= 12) & (1 <= day) & (day <= days.astype(np.int64))
+            & (hour < 24) & (minute < 60) & (second < 60))
     out = np.full(n, np.datetime64("NaT"), dtype="datetime64[s]")
-    try:
-        out[fast] = stamps[fast].astype("datetime64[s]")
-    except ValueError:
-        fast[:] = False
-    for i in np.flatnonzero(~fast).tolist():
+    out[rows[real]] = ((first + day - 1).astype("datetime64[s]") + hour * 3600 + minute * 60 + second)[real]
+    slow = np.ones(n, dtype=bool)
+    slow[rows[real]] = False
+    for i in np.flatnonzero(slow).tolist():
         with suppress(ValueError):
-            out[i] = dt.datetime.strptime(texts[i], TIMESTAMP_FORMAT)
+            out[i] = dt.datetime.strptime(_text(texts[i]), TIMESTAMP_FORMAT)
     return out
 
 
-def _floats(texts: Sequence[str]) -> np.ndarray:
-    """``float(text)`` of each string, NaN where it fails (such a row is skipped either way)."""
+def _floats(texts: np.ndarray | Sequence[str]) -> np.ndarray:
+    """``float(text)`` of each field, NaN where it fails (such a row is skipped either way).
+
+    numpy's cast of a plain block's ``S`` array is ``float()`` of each value.
+    """
     try:
+        if isinstance(texts, np.ndarray):
+            with np.errstate(over="ignore"):  # "1e999" is inf, as float() gives it
+                return texts.astype(np.float64)
         return np.fromiter(map(float, texts), np.float64, len(texts))
     except ValueError:
         out = np.full(len(texts), np.nan)
         for i, text in enumerate(texts):
             with suppress(ValueError):
-                out[i] = float(text)
+                out[i] = float(_text(text))
         return out
+
+
+def _text(field: bytes | str) -> str:
+    """A field as ``str``: float() strips str whitespace (``\\x1c``...) that it keeps in bytes."""
+    return field.decode("ascii") if isinstance(field, bytes) else field
+
+
+def _trip_columns(ids: dict[str, int], cars, pickup, dropoff, *coords) -> tuple[tuple, int]:
+    """One chunk's mapped fields as trip columns, and how many of its rows the row rule skips.
+
+    The fields are a plain block's ``S`` arrays or csv row strings.  A car
+    id not seen before takes the next code in ids.
+    """
+    pickup, dropoff, *coords = _timestamps(pickup), _timestamps(dropoff), *map(_floats, coords)
+    keep = (dropoff >= pickup) & np.isfinite(coords).all(axis=0)
+    cars = cars if isinstance(cars, np.ndarray) else np.array(cars, dtype=object)
+    names, inverse = np.unique(cars[keep], return_inverse=True)
+    names = (names.astype(str) if names.dtype.kind == "S" else names).tolist()
+    car = np.array([ids.setdefault(name, len(ids)) for name in names], dtype=np.int64)[inverse]
+    return (car, *(col[keep] for col in (pickup, dropoff, *coords))), len(keep) - int(keep.sum())
 
 
 def parse_trips(path, column_mapping: Mapping[str, str] | None = None) -> ParseResult:
@@ -160,8 +201,11 @@ def parse_trips(path, column_mapping: Mapping[str, str] | None = None) -> ParseR
     also accepts unpadded fields such as ``2013-1-5 7:5:3`` and runs of
     whitespace between date and time), a coordinate is not a finite
     ``float()``, or the dropoff precedes the pickup.  Blank lines are not
-    rows.  Rows are read ``PARSE_CHUNK_ROWS`` at a time; the table keeps
-    input order.
+    rows.  The file is read in ``csvblocks.BLOCK_BYTES`` byte blocks whose
+    mapped columns are cast whole; from the first block holding a quote, a
+    NUL, a non-ASCII byte, a lone ``\\r`` or a line of another field count
+    than the header (a blank line too), ``csv.reader`` reads the rest
+    ``PARSE_CHUNK_ROWS`` rows at a time.  The table keeps input order.
     """
     mapping = dict(DEFAULT_COLUMNS)
     if column_mapping:
@@ -177,28 +221,25 @@ def parse_trips(path, column_mapping: Mapping[str, str] | None = None) -> ParseR
     collecting = gc.isenabled()
     gc.disable()
     try:
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, [])
+        with CsvBlocks(path) as blocks:
+            header = blocks.header
             missing = [col for col in mapping.values() if col not in header]
             if missing:
                 raise SchemaError(f"input is missing mapped columns: {missing}")
             # a repeated column name reads as its last occurrence, as csv.DictReader does
             where = [len(header) - 1 - header[::-1].index(mapping[f]) for f in DEFAULT_COLUMNS]
-            get, width = itemgetter(*where), max(where) + 1
-            while chunk := list(islice(reader, PARSE_CHUNK_ROWS)):
-                rows = [get(row) for row in chunk if len(row) >= width]
-                skipped += sum(1 for row in chunk if row) - len(rows)
-                if not rows:
-                    continue
-                cars, *cols = zip(*rows)
-                pickup, dropoff, *coords = *map(_timestamps, cols[:2]), *map(_floats, cols[2:])
-                keep = (dropoff >= pickup) & np.isfinite(coords).all(axis=0)
-                skipped += len(rows) - int(keep.sum())
-                cars = list(compress(cars, keep))
-                ids.update(zip(set(cars).difference(ids), count(len(ids))))
-                car = np.fromiter(map(ids.__getitem__, cars), np.int64, len(cars))
-                columns.append((car, *(col[keep] for col in (pickup, dropoff, *coords))))
+            for block in blocks.plain():
+                cols, dropped = _trip_columns(ids, *map(block.column, where))
+                columns.append(cols)
+                skipped += dropped
+            get, width, rows = itemgetter(*where), max(where) + 1, blocks.rows()
+            while chunk := list(islice(rows, PARSE_CHUNK_ROWS)):
+                kept = [get(row) for row in chunk if len(row) >= width]
+                skipped += sum(1 for row in chunk if row) - len(kept)
+                if kept:
+                    cols, dropped = _trip_columns(ids, *zip(*kept))
+                    columns.append(cols)
+                    skipped += dropped
     finally:
         if collecting:
             gc.enable()

@@ -208,22 +208,23 @@ def _action_locations(instance: MdpInstance) -> np.ndarray:
 
 def _episodes(
     instance: MdpInstance,
-    rule: PolicySpec | ViResult,
+    rules: Sequence[PolicySpec | ViResult],
     periods: int,
     seed: int,
     keys: Sequence[tuple],
     initial_state: Sequence[int] | None,
-) -> tuple[OccupancyReport, np.ndarray]:
-    """Step one episode per key on placement ranks and measure them.
+) -> list[tuple[OccupancyReport, np.ndarray]]:
+    """Step one episode per key under each rule on placement ranks and measure them.
 
-    ``rule`` is a dispatch policy, stepped through the ensembles' rank
+    A rule is a dispatch policy, stepped through the ensembles' rank
     tables, or a value-iteration result, whose policy table becomes one
     more serving rule keyed by (placement, request).  Episode ``key`` draws
     its requests from the (seed, *key, 0) stream and nadap's probe coins
-    from (seed, *key, 1), one per arriving request, so every rule faces the
-    identical arrival sequence.  Returns the occupancy report over all the
-    episodes' periods and each episode's discounted return, summed period
-    by period.
+    from (seed, *key, 1), one per arriving request; each chunk of the
+    schedule is drawn once and every rule steps over it, so every rule
+    faces the identical arrival sequence.  Returns, per rule, the occupancy
+    report over all the episodes' periods and each episode's discounted
+    return, summed period by period.
     """
     if periods < 1:
         raise ValueError("an episode needs at least one period")
@@ -232,42 +233,48 @@ def _episodes(
     grid, c, space = instance.grid, instance.c, instance.space
     n, R = grid.n, instance.n_requests
     start = initial_state_preset(grid, instance.m, c, "adversarial") if initial_state is None else initial_state
-    optimal = isinstance(rule, ViResult)
-    if optimal:
-        # the action picked for each (placement, request) names its serving location; none pads row n
-        serve = _action_locations(instance)[np.arange(R), rule.policy[:, :R]]
-        tables = _serve_tables(space, np.pad(serve, ((0, 0), (0, n)), constant_values=-1).reshape(-1, n + 1, n))
-    else:
-        tables = _policy_tables(space, rule)
-    at = np.full(len(keys), space.rank(start) * tables.stride)
+    walkers = []
+    for rule in rules:
+        if isinstance(rule, ViResult):
+            # the action picked for each (placement, request) names its serving location; none pads row n
+            serve = _action_locations(instance)[np.arange(R), rule.policy[:, :R]]
+            serve = np.pad(serve, ((0, 0), (0, n)), constant_values=-1).reshape(-1, n + 1, n)
+            tables, policy = _serve_tables(space, serve), None
+        else:
+            tables, policy = _policy_tables(space, rule), rule
+        walkers.append((tables, policy, np.full(len(keys), space.rank(start) * tables.stride)))
     q_cum = np.cumsum(instance.model.p.astype(float).ravel())
     w = instance.model.w.astype(float).ravel()
     req_rngs = [stream(seed, *key, 0) for key in keys]
-    coin_rngs = [stream(seed, *key, 1) for key in keys] if not optimal and rule.kind == "nadap" else []
-    visits = np.zeros(space.size, dtype=np.int64)
-    starts, drops = np.zeros(n), np.zeros(n)
-    returns = np.zeros(len(keys))
+    nadap = any(policy is not None and policy.kind == "nadap" for _, policy, _ in walkers)
+    coin_rngs = [stream(seed, *key, 1) for key in keys] if nadap else []
+    visits = np.zeros((len(walkers), space.size), dtype=np.int64)
+    starts, drops = np.zeros((len(walkers), n)), np.zeros((len(walkers), n))
+    returns = np.zeros((len(walkers), len(keys)))
     for a, b in _spans(periods, _SCHEDULE_ELEMENTS // len(keys)):
         req = np.searchsorted(q_cum, np.stack([g.random(b - a) for g in req_rngs], axis=1), side="right")
         arrived = req < R
-        origins = np.where(arrived, req // n, -1)
+        origins, dests, weight = np.where(arrived, req // n, -1), req % n, w[np.minimum(req, R - 1)]
         coins = np.zeros(req.shape)
         for j, g in enumerate(coin_rngs):
             coins[arrived[:, j], j] = g.random(int(arrived[:, j].sum()))
-        cells, path = _walk(tables, at, None if optimal else rule, grid, origins, req % n, coins)
-        visits += np.bincount(path[:-1].ravel() // tables.stride, minlength=space.size)
-        served = tables.ok[path[:-1] + cells]
-        u, v = origins[served], req[served] % n
-        starts += np.bincount(u, minlength=n)
-        drops += np.bincount(u, minlength=n) + np.bincount(v[v != u], minlength=n)
-        gains = np.where(served, w[np.minimum(req, R - 1)], 0.0)
-        for t, row in enumerate(gains, a):
-            returns += row * instance.discount ** t
+        for i, (tables, policy, at) in enumerate(walkers):
+            cells, path = _walk(tables, at, policy, grid, origins, dests, coins)
+            visits[i] += np.bincount(path[:-1].ravel() // tables.stride, minlength=space.size)
+            served = tables.ok[path[:-1] + cells]
+            u, v = origins[served], dests[served]
+            starts[i] += np.bincount(u, minlength=n)
+            drops[i] += np.bincount(u, minlength=n) + np.bincount(v[v != u], minlength=n)
+            for t, row in enumerate(np.where(served, weight, 0.0), a):
+                returns[i] += row * instance.discount ** t
     # a placement covers the locations holding a car (measured before the period's move)
     covered = visits @ (space.as_array() >= 1)
     total = periods * len(keys)
-    return OccupancyReport(time_covered=100.0 * covered / total, drop_rate=100.0 * drops / total,
-                           start_pct=100.0 * starts / total, periods=total, served=int(starts.sum())), returns
+    return [
+        (OccupancyReport(time_covered=100.0 * cover / total, drop_rate=100.0 * drop / total,
+                         start_pct=100.0 * begun / total, periods=total, served=int(begun.sum())), ret)
+        for cover, drop, begun, ret in zip(covered, drops, starts, returns)
+    ]
 
 
 def simulate_optimal_episode(
@@ -281,7 +288,7 @@ def simulate_optimal_episode(
 
     The episode draws its requests from the (seed, 0) stream.
     """
-    return _episodes(instance, result, periods, seed, [()], initial_state)[0]
+    return _episodes(instance, [result], periods, seed, [()], initial_state)[0][0]
 
 
 def compare_policies(
@@ -295,19 +302,18 @@ def compare_policies(
 ) -> dict[str, np.ndarray]:
     """Estimate discounted returns of the optimal policy against baseline rules.
 
-    Every policy replays the identical request streams (common random
-    numbers), episode e drawing from (seed, e), so per-episode returns
-    pair up across policies.  Returns label -> per-episode return array,
-    with the value-iteration policy under the label "optimal".
+    Every policy steps over the identical request streams (common random
+    numbers), episode e drawing from (seed, e), each drawn once for all of
+    them, so per-episode returns pair up across policies.  Returns label ->
+    per-episode return array, with the value-iteration policy under the
+    label "optimal".
     """
     keys = [(e,) for e in range(episodes)]
     rules = {"optimal": result}
     for policy in baselines:
         rules[policy.label()] = policy
-    return {
-        label: _episodes(instance, rule, periods, seed, keys, initial_state)[1]
-        for label, rule in rules.items()
-    }
+    runs = _episodes(instance, list(rules.values()), periods, seed, keys, initial_state)
+    return {label: ret for label, (_, ret) in zip(rules, runs)}
 
 
 def summarize_returns(returns: np.ndarray) -> tuple[float, float]:

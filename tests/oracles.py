@@ -12,8 +12,10 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import math
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -985,6 +987,41 @@ def write_model_rows(path, model: RequestModel) -> None:
             for v in range(model.n):
                 if model.p[u, v] != 0 or model.w[u, v] != 0:
                     writer.writerow([u, v, f"{float(model.p[u, v]):.17g}", f"{float(model.w[u, v]):.17g}"])
+
+
+def request_model_from_csv_rows(path, grid: Grid) -> RequestModel:
+    """``RequestModel.from_csv`` stated row by row: ``csv.reader``, ``int`` and ``float`` on every row.
+
+    Blank lines are not rows and a repeated column name reads as its last
+    occurrence.  Reading stops at the first malformed row (short, or a cell
+    that ``int``/``float`` refuses); a cell off the grid among the rows read
+    before it raises first, in file order and origin first, else the
+    malformed row raises ``SchemaError``.  A repeated cell keeps its last row.
+    """
+    n = grid.n
+    names = ("origin", "dest", "p", "w")
+    cells, values, error = [], array("d"), None
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        if not set(names).issubset(header):
+            raise SchemaError(f"{path}: expected columns origin,dest,p,w")
+        get = itemgetter(*(len(header) - 1 - header[::-1].index(c) for c in names))
+        try:
+            for row in filter(None, reader):
+                u, v, pv, wv = get(row)
+                values.extend((float(pv), float(wv)))
+                cells += int(u), int(v)
+        except (IndexError, ValueError) as exc:
+            error = exc
+    for c in cells:
+        grid.check_location(c)
+    if error is not None:
+        raise SchemaError(f"{path}: malformed row {row}") from error
+    p, w = np.zeros(n * n), np.zeros(n * n)
+    for (u, v), (pv, wv) in zip(zip(cells[::2], cells[1::2]), zip(values[::2], values[1::2])):
+        p[u * n + v], w[u * n + v] = pv, wv
+    return RequestModel(grid, p.reshape(n, n), w.reshape(n, n))
 
 
 def write_replay_rows(path, trace: ReplayTrace) -> None:

@@ -1,10 +1,17 @@
 """Grid geometry, request-model validation, and model serialization."""
 
+import csv
+import tempfile
 from fractions import Fraction
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dispatchlab import csvblocks
 from dispatchlab.errors import SchemaError
 from dispatchlab.grid import (
     PROB_TOL,
@@ -16,6 +23,7 @@ from dispatchlab.grid import (
     request_model_from_pairs,
     uniform_request_model,
 )
+from oracles import request_model_from_csv_rows
 
 
 def test_index_coords_roundtrip():
@@ -170,6 +178,67 @@ def test_csv_cells_checked_in_file_order(tmp_path):
     assert np.signbit(model.p[3, 2]) and model.w[3, 2] == 5.0
     assert np.count_nonzero(model.p) == 1 and np.count_nonzero(model.w) == 2
     assert load().p.tolist() == np.zeros((4, 4)).tolist()
+
+
+MODEL_HEADERS = [["origin", "dest", "p", "w"], ["w", "extra", "dest", "origin", "p"],
+                 ["p", "origin", "dest", "p", "w"]]
+GOOD_CELLS = ["0", "1", "2", "3"]
+ODD_CELLS = ["-1", "4", "9" * 30, " 2", "+1", "1_0", "0x1", "1.0", "", "x", "\u0663"]
+GOOD_VALUES = ["0.01", "0.25", "-0.0", "0", "1e-3", "3", "2.5"]
+ODD_VALUES = ["x", "", " 0.5 ", "1_0", "inf", "nan", "1e999", "-0.1", "0x1p-3", "0.5\x00"]
+QUOTED = ["0.5\n", "1,2", 'a"b', "\n", "0,1"]
+
+
+@st.composite
+def model_rows(draw, header):
+    """One model row under header: good (so cells repeat), with an odd cell or value, short, long, blank or quoted."""
+    last = {name: i for i, name in enumerate(header)}
+    row = ["junk"] * len(header)
+    for name in ("origin", "dest"):
+        row[last[name]] = draw(st.sampled_from(GOOD_CELLS))
+    for name in ("p", "w"):
+        row[last[name]] = draw(st.sampled_from(GOOD_VALUES))
+    kind = draw(st.sampled_from(["good"] * 4 + ["odd cell", "odd value", "short", "long", "blank", "quoted"]))
+    if kind == "odd cell":
+        row[last[draw(st.sampled_from(["origin", "dest"]))]] = draw(st.sampled_from(ODD_CELLS))
+    elif kind == "odd value":
+        row[last[draw(st.sampled_from(["p", "w"]))]] = draw(st.sampled_from(ODD_VALUES))
+    elif kind == "short":
+        row = row[: draw(st.integers(1, len(row) - 1))]
+    elif kind == "long":
+        row += ["x"] * draw(st.integers(1, 2))
+    elif kind == "blank":
+        row = []
+    elif kind == "quoted":
+        row[draw(st.integers(0, len(row) - 1))] = draw(st.sampled_from(QUOTED))
+    return row
+
+
+def read_model(read, path, grid):
+    """p and w bytes of the model read, or the type and message of what reading raised."""
+    try:
+        model = read(path, grid)
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+    return model.p.tobytes(), model.w.tobytes()
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.data(), st.sampled_from(MODEL_HEADERS), st.sampled_from(["\r\n", "\n"]), st.booleans(),
+       st.sampled_from([1, 6, 40, 1 << 20]))
+def test_from_csv_matches_the_row_rule(data, header, ending, final_newline, block):
+    """Last row wins, the first off-grid cell or malformed row decides, with rows across byte blocks."""
+    rows = data.draw(st.lists(model_rows(header), max_size=12))
+    g = build_grid(2, 2)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.csv"
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh, lineterminator=ending).writerows([header, *rows])
+        if not final_newline:
+            path.write_bytes(path.read_bytes().removesuffix(ending.encode()))
+        with mock.patch.object(csvblocks, "BLOCK_BYTES", block):
+            got = read_model(RequestModel.from_csv, path, g)
+        assert got == read_model(request_model_from_csv_rows, path, g)
 
 
 def test_pairs_iterator_covers_support():

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dispatchlab import ingest
+from dispatchlab import csvblocks, ingest
 from dispatchlab.errors import SchemaError
 from dispatchlab.grid import build_grid, manhattan_distance
 from dispatchlab.ingest import (
@@ -525,15 +525,19 @@ def assert_same_segments(seg, seg_rows):
             assert records_from_table(seg.parts[name][date]) == seg_rows.parts[name][date]
 
 
+# Byte-block sizes: a line or less, a few lines, and the stock size
+BLOCKS = st.sampled_from([1, 7, 64, 300, csvblocks.BLOCK_BYTES])
+
+
 @DIFF
-@given(st.lists(trip_rows(), max_size=40), st.integers(1, 7))
+@given(st.lists(trip_rows(), max_size=40), st.integers(1, 7), BLOCKS)
 @example([["A", "2013-01-14 07:00:00\x00", "2013-01-14 08:00:00", "40.75", "-74", "40.75", "-74"],
           ["A\x00", "2013-01-14 07:00:00", "2013-01-14 08:00:00", "1.5\x00", "-74", "40.75", "-74"],
           ["A\x00", "2013-01-14 07:00:00", "2013-01-14 08:00:00", "40.75", "-74", "40.75", "-74"],
-          ["A", "2013-01-14 07:00:00", "2013-01-14 08:00:00", "40.75", "-74", "40.75", "-74"]], 2)
-def test_parse_trips_matches_the_row_rule(rows, chunk_rows):
-    """Row for row, including skips, blank lines and bad rows on chunk boundaries."""
-    with mock.patch.object(ingest, "PARSE_CHUNK_ROWS", chunk_rows):
+          ["A", "2013-01-14 07:00:00", "2013-01-14 08:00:00", "40.75", "-74", "40.75", "-74"]], 2, 7)
+def test_parse_trips_matches_the_row_rule(rows, chunk_rows, block):
+    """Row for row, including skips, blank lines and bad rows on chunk boundaries and across byte blocks."""
+    with mock.patch.object(ingest, "PARSE_CHUNK_ROWS", chunk_rows), mock.patch.object(csvblocks, "BLOCK_BYTES", block):
         new, old = parse_both(rows)
     assert_same_parse(new, old)
 
@@ -564,11 +568,90 @@ def test_parse_trips_matches_the_row_rule_across_full_chunks():
 
 
 @DIFF
-@given(st.lists(trip_rows(), max_size=20))
-def test_parse_trips_reads_a_repeated_column_as_its_last(rows):
+@given(st.lists(trip_rows(), max_size=20), BLOCKS)
+def test_parse_trips_reads_a_repeated_column_as_its_last(rows, block):
     """As csv.DictReader does: the last column of a name wins, and a row too short for it is skipped."""
     rows = [row + ["LAST"] if i % 3 else row for i, row in enumerate(rows)]
-    assert_same_parse(*parse_both(rows, COLUMNS + ["medallion"]))
+    with mock.patch.object(csvblocks, "BLOCK_BYTES", block):
+        assert_same_parse(*parse_both(rows, COLUMNS + ["medallion"]))
+
+
+def trip_lines(count, start=0):
+    """Good CSV lines of distinct trips, without line breaks."""
+    return [f"CAR{i % 7},2013-01-14 {7 + i % 4:02d}:{i % 60:02d}:00,2013-01-14 11:30:00,"
+            f"40.7{i % 10},-73.98,40.76,-73.99" for i in range(start, start + count)]
+
+
+HEADER = ",".join(COLUMNS)
+MIDDLE = 40  # good lines either side of the odd one, so that small blocks read the first ones plain
+BLOCK_FILES = {
+    # name: (file text, whether every line is plain)
+    "crlf": ("\r\n".join([HEADER, *trip_lines(2 * MIDDLE)]) + "\r\n", True),
+    "lf": ("\n".join([HEADER, *trip_lines(2 * MIDDLE)]) + "\n", True),
+    "no final newline": ("\r\n".join([HEADER, *trip_lines(2 * MIDDLE)]), True),
+    "quoted comma": ("\r\n".join([HEADER, *trip_lines(MIDDLE), '"CAR,1"' + trip_lines(1)[0][4:],
+                                   *trip_lines(MIDDLE, MIDDLE)]) + "\r\n", False),
+    "quoted line break": ("\r\n".join([HEADER, *trip_lines(MIDDLE), '"CAR\n1"' + trip_lines(1)[0][4:],
+                                        *trip_lines(MIDDLE, MIDDLE)]) + "\r\n", False),
+    "lone cr ending": ("\r\n".join([HEADER, *trip_lines(MIDDLE)]) + "\r" + "\r\n".join(trip_lines(MIDDLE, MIDDLE)),
+                       False),
+    "lone cr in a field": ("\r\n".join([HEADER, *trip_lines(MIDDLE), "CA\rR1" + trip_lines(1)[0][4:],
+                                         *trip_lines(MIDDLE, MIDDLE)]) + "\r\n", False),
+    "blank line": ("\n".join([HEADER, *trip_lines(MIDDLE), "", *trip_lines(MIDDLE, MIDDLE)]) + "\n", False),
+    "short line": ("\n".join([HEADER, *trip_lines(MIDDLE), "CAR1,2013-01-14 07:00:00", *trip_lines(MIDDLE, MIDDLE)]),
+                   False),
+    # one field short, then one long: as many commas as two good lines
+    "short and long line": ("\n".join([HEADER, *trip_lines(MIDDLE), trip_lines(1)[0].rsplit(",", 1)[0],
+                                       trip_lines(1)[0] + ",x", *trip_lines(MIDDLE, MIDDLE)]) + "\n", False),
+    "non-ascii and nul late": ("\r\n".join([HEADER, *trip_lines(2 * MIDDLE), "\u00c4" + trip_lines(1)[0][4:],
+                                             trip_lines(1)[0].replace("-73.98", "-73.98\x00")]) + "\r\n", False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BLOCK_FILES))
+@pytest.mark.parametrize("block", [1, 64, 300, csvblocks.BLOCK_BYTES])
+def test_parse_trips_falls_back_to_csv_rows_mid_file(tmp_path, name, block):
+    """Plain blocks up to the first quote, NUL, non-ASCII byte, lone \\r or odd line, then csv rows: one row rule."""
+    text, plain = BLOCK_FILES[name]
+    path = tmp_path / "trips.csv"
+    path.write_bytes(text.encode())
+    lines, read = [], csvblocks.CsvBlocks.plain
+
+    def count_plain(self):
+        for got in read(self):
+            lines.append(len(got))
+            yield got
+
+    with mock.patch.object(csvblocks, "BLOCK_BYTES", block), \
+            mock.patch.object(csvblocks.CsvBlocks, "plain", count_plain):
+        new = parse_trips(path)
+    assert_same_parse(new, parse_trips_rows(path))
+    if plain:
+        assert sum(lines) == 2 * MIDDLE
+    elif block < len(text) // 4:
+        assert 0 < sum(lines) < 2 * MIDDLE + 1
+
+
+def test_parse_trips_refuses_a_field_past_the_csv_limit(tmp_path):
+    """A plain line with a field longer than csv.field_size_limit() raises csv.Error, as csv.reader does."""
+    path = tmp_path / "trips.csv"
+    path.write_text("\n".join([HEADER, *trip_lines(3), "C" * (csv.field_size_limit() + 1) + trip_lines(1)[0][4:]]))
+    for parse in (parse_trips, parse_trips_rows):
+        with pytest.raises(csv.Error, match="field larger than field limit"):
+            parse(path)
+
+
+@pytest.mark.parametrize("block", [1, 16, csvblocks.BLOCK_BYTES])
+def test_parse_trips_counts_no_blank_line_of_a_one_column_file(tmp_path, block):
+    """Every field mapped to the one column: a blank line is no row, as for csv.reader, and a line of one field is."""
+    path = tmp_path / "trips.csv"
+    path.write_text("x\n40.75\n\n2013-01-14 07:00:00\n\r\n41\n", newline="")
+    mapping = dict.fromkeys(ingest.DEFAULT_COLUMNS, "x")
+    with mock.patch.object(csvblocks, "BLOCK_BYTES", block):
+        new = parse_trips(path, mapping)
+    old = parse_trips_rows(path, mapping)
+    assert_same_parse(new, old)
+    assert old.skipped == 3
 
 
 @DIFF

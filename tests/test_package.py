@@ -35,7 +35,9 @@ def test_package_surface_holds_no_oracle():
                             "EpisodeStep", "discounted_return", "_iid_round_tables",
                             "_run_single_iid", "_run_single_replay", "simulate_policy_episode",
                             # the scalar elimination solve and the row-block mixing loop
-                            "gth_solve_scalar", "mixing_curve_loop", "matrix_gap_series"}
+                            "gth_solve_scalar", "mixing_curve_loop", "matrix_gap_series",
+                            # the row-by-row model reader
+                            "request_model_from_csv_rows"}
     assert not oracle_names & set(dispatchlab.__all__)
     # one implementation per layer: no oracle is forked back into the package
     for path in sorted(Path(dispatchlab.__file__).parent.glob("*.py")):
@@ -66,5 +68,13 @@ def test_cli_import_leaves_out_csgraph():
     """csgraph loads scipy's linear algebra, so only the structure checks import it, on first use."""
     env = dict(os.environ, PYTHONPATH=str(Path(dispatchlab.__file__).parents[1]))
     code = "import sys, dispatchlab.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.sparse.csgraph')))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
+def test_cli_import_leaves_out_scipy():
+    """fixture, ingest and simulate never need scipy; the chain layer imports scipy.sparse on first use."""
+    env = dict(os.environ, PYTHONPATH=str(Path(dispatchlab.__file__).parents[1]))
+    code = "import sys, dispatchlab.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
