@@ -45,7 +45,6 @@ from .grid import (
     uniform_request_model,
 )
 from .ingest import (
-    ReplayTrace,
     TripTable,
     build_replay,
     estimate_rates,
@@ -59,6 +58,7 @@ from .mdp import MdpInstance, OccupancyReport, ViResult, value_iteration
 from .policies import PolicySpec, parse_policy
 from .simulate import (
     ErrorSeries,
+    ReplayTrace,
     SimConfig,
     error_curves,
     fit_exponential,

@@ -42,8 +42,9 @@ from .chain import (
     uniform_decay_envelope,
 )
 from .coupling import verify_contraction
+from .csvblocks import read_table
 from .errors import DispatchLabError
-from .grid import RequestModel, build_grid, distance_weights, uniform_request_model
+from .grid import RequestModel, build_grid, distance_weights, pair_matrices, uniform_request_model
 from .mdp import (
     DEFAULT_DISCOUNT,
     DEFAULT_STATE_CAP,
@@ -210,13 +211,8 @@ def resolve_weights(spec: str, grid):
     if spec.startswith("const:"):
         return float(spec[len("const:") :])
     if spec.startswith("file:"):
-        w = np.zeros((grid.n, grid.n))
-        for u, v, value in ingest.read_columns(spec[len("file:") :], ("origin", "dest", "w"),
-                                               (int, int, float), "weight file"):
-            grid.check_location(u)
-            grid.check_location(v)
-            w[u, v] = value
-        return w
+        u, v, w = read_table(spec[len("file:") :], ("origin", "dest", "w"), (np.int64, np.int64, np.float64))
+        return pair_matrices(grid, u, v, w)[0]
     raise ValueError(f"unknown weights spec {spec!r}; use const:X, distance, or file:PATH")
 
 
@@ -576,7 +572,7 @@ def cmd_simulate(options) -> Run:
         seed=seed,
         policy=policy,
         model=model,
-        trace=trace.entries if trace is not None else None,
+        trace=trace,
         initial_state=resolve_init(options["init"], grid, m, c),
         estimator=estimator,
     )
@@ -718,9 +714,8 @@ def cmd_ingest(options) -> Run:
 
 def cmd_fit(options) -> Run:
     require(options, "input")
-    rows = ingest.read_columns(options["input"], (options["t_column"], options["value_column"]),
-                               (float, float), "fit input")
-    t, values = np.array(rows, dtype=float).reshape(-1, 2).T
+    t, values = read_table(options["input"], (options["t_column"], options["value_column"]),
+                           (np.float64, np.float64))
     fit = fit_exponential if options["kind"] == "exp" else fit_inverse
     payload = {"kind": options["kind"], **dataclasses.asdict(fit(t, values))}
     line = " ".join(f"{k}={v}" for k, v in payload.items())

@@ -1,29 +1,42 @@
-"""CSV files read in byte blocks: plain lines cut up by numpy, the rest by ``csv.reader``.
+"""Every CSV table the package reads, read in byte blocks under one error contract.
 
-A file is read in binary blocks of ``BLOCK_BYTES``, each cut after its last
-line break (a block grows past that size only to finish a longer line, and
-the file's last line counts as ended).  A block is *plain* when it holds
-no ``"``, no NUL, no byte of 0x80 or above and no ``\\r`` outside a ``\\r\\n``
-ending, and every line has the header's field count (so no line is
-blank) and is no longer than ``csv.field_size_limit()``.  A plain
-line's fields are then exactly ``line.split(",")`` less its line break,
-as ``csv.reader`` gives them, and a plain block hands out each field
-column as one fixed-width bytes array.  From the first block that is not
-plain, ``csv.reader`` reads the rest of the file in text mode, so a quoted
-field may still span lines.  Only one block and its offset arrays are
-alive at a time.
+``read_table`` serves ``grid.RequestModel.from_csv``, ``ingest.read_replay``
+and ``cli``'s ``resolve_weights`` (``--weights file:``) and ``cmd_fit``;
+``ingest.parse_trips`` walks ``CsvBlocks.chunks`` itself, skipping the short
+rows and bad cells that the others refuse.
+
+The contract: a file is UTF-8, and its header (line 1) must hold the named
+columns, a repeated name reading as its last occurrence.  Blank lines are
+not rows; a long row is fine.  In file order, the first line that is short,
+holds a cell its column's dtype refuses (``int()`` into int64, or
+``float()``), holds bytes that are not UTF-8 or holds a field longer than
+``csv.field_size_limit()`` raises ``SchemaError("{path}: line {N}: ...")``,
+N counting physical lines.
+
+A file is read in binary blocks of ``BLOCK_BYTES`` cut after their last line
+break.  Each column of a plain block (``PlainBlock.of``) is one fixed-width
+bytes array, cast whole; from the first block that is not plain,
+``csv.reader`` reads the rest.  A plain block's line numbers are computed
+only where it fails.
 """
 
 from __future__ import annotations
 
 import csv
-from itertools import islice
-from typing import Iterator
+import io
+from contextlib import suppress
+from itertools import chain
+from typing import Iterator, Sequence
 
 import numpy as np
 
+from .errors import SchemaError
+
 #: Bytes read per block; a block ends at its last line break.
 BLOCK_BYTES = 1 << 20
+
+#: Rows of ``csv.reader`` that ``read_table`` casts per step once a block is not plain.
+CHUNK_ROWS = 4096
 
 _COMMA, _LF, _CR = b",\n\r"
 
@@ -31,16 +44,26 @@ _COMMA, _LF, _CR = b",\n\r"
 class PlainBlock:
     """Whole plain lines of one block, handing out each field column as a bytes array."""
 
-    def __init__(self, raw: bytes, fields: int, seps: np.ndarray, widest: int):
-        self._fields, self._seps = fields, seps
+    short = 0  # every line has the header's field count
+
+    def __init__(self, raw: bytes, fields: int, seps: np.ndarray, widest: int, line: int):
+        self._fields, self._seps, self.line = fields, seps, line
         # padded so that a window as wide as the longest line fits at every offset
         self._windows = np.lib.stride_tricks.sliding_window_view(np.frombuffer(raw + bytes(widest), np.uint8), widest)
 
     @classmethod
-    def of(cls, raw: bytes, fields: int) -> PlainBlock | None:
-        """The block of these whole lines, or None unless they are plain."""
+    def of(cls, raw: bytes, fields: int, line: int) -> PlainBlock | None:
+        """The block of these whole lines, the first of them line ``line``, or None unless they are plain.
+
+        Plain lines hold no ``"``, NUL, byte of 0x80 or above or ``\\r``
+        outside a ``\\r\\n`` ending, have ``fields`` fields and fit
+        ``csv.field_size_limit()``: their fields are then exactly
+        ``line.split(",")``, as ``csv.reader`` gives them.
+        """
         if b'"' in raw or b"\0" in raw or not raw.isascii():
             return None
+        if not raw.endswith(b"\n"):  # the file's last line counts as ended
+            raw += b"\n"
         data = np.frombuffer(raw, np.uint8)
         lf = data == _LF
         seps = np.flatnonzero(lf | (data == _COMMA))
@@ -55,7 +78,7 @@ class PlainBlock:
         if (np.count_nonzero(data == _CR) != np.count_nonzero(crlf) or (length - 1 == crlf).any()
                 or widest > csv.field_size_limit()):
             return None
-        return cls(raw, fields, seps, widest)
+        return cls(raw, fields, seps, widest, line)
 
     def __len__(self) -> int:
         return len(self._seps) // self._fields
@@ -74,32 +97,45 @@ class PlainBlock:
             chars[np.arange(width) >= length[:, None]] = 0
         return chars.view(f"S{width}").ravel()
 
+    def rows(self, where: Sequence[int]) -> Iterator[tuple[int, list]]:
+        """Each line's number and its fields ``where``, as strings."""
+        cells = zip(*(self.column(j).astype(str).tolist() for j in where))
+        return zip(range(self.line, self.line + len(self)), map(list, cells))
+
+
+class RowChunk:
+    """Non-blank ``csv.reader`` rows with the lines they start on; ``short`` counts those below ``width`` fields."""
+
+    def __init__(self, rows: list[tuple[int, list[str]]], width: int):
+        self._rows = rows
+        self._full = [row for _, row in rows if len(row) >= width]
+        self.short = len(rows) - len(self._full)
+
+    def column(self, j: int) -> list[str]:
+        return [row[j] for row in self._full]
+
+    def rows(self, where: Sequence[int]) -> Iterator[tuple[int, list]]:
+        """Each row's line and its fields ``where``, None past the end of a short row."""
+        return ((line, [row[j] if j < len(row) else None for j in where]) for line, row in self._rows)
+
 
 class CsvBlocks:
-    """A CSV file's header row, then its lines: plain blocks while they last, then ``csv.reader`` rows.
-
-    Use it as a context manager.  Read ``plain()`` before ``rows()``; the
-    rows start at the first line that no plain block handed out.  ``ended``
-    tells whether the plain blocks reached the end of the file.
-    """
+    """A CSV file's header row, then its rows in chunks; a context manager."""
 
     def __init__(self, path):
-        self._path = path
+        self.path = path
         self._fh = open(path, "rb")
         self._pending = b""  # read past the last whole line
-        self._taken = 0  # lines handed out: the header and plain blocks
-        self._reader: Iterator[list[str]] | None = None
-        self.ended = False
+        self._line = 0  # lines handed out: the header and plain blocks
+        self._rows: Iterator[tuple[int, list[str]]] | None = None  # csv rows, from the first line not plain
         try:
             line = self._fh.readline()
-            if line and not line.endswith(b"\n"):
-                line += b"\n"
-            if line and PlainBlock.of(line, line.count(b",") + 1) is not None:
+            if line and PlainBlock.of(line, line.count(b",") + 1, 1) is not None:
                 self.header = line.decode("ascii").removesuffix("\n").removesuffix("\r").split(",")
-                self._taken = 1
+                self._line = 1
             else:
-                self._reader = None if line else iter(())
-                self.header = next(self.rows(), [])
+                self._pending, self._rows = line, self._csv_rows(0)
+                self.header = next(self._rows, (1, []))[1]
         except BaseException:
             self.close()
             raise
@@ -113,8 +149,48 @@ class CsvBlocks:
     def close(self) -> None:
         self._fh.close()
 
+    def where(self, names: Sequence[str]) -> list[int]:
+        """Each name's column: its last occurrence in the header, which must hold them all."""
+        missing = [name for name in names if name not in self.header]
+        if missing:
+            raise SchemaError(f"{self.path}: line 1: header lacks columns {missing}")
+        return [len(self.header) - 1 - self.header[::-1].index(name) for name in names]
+
+    def chunks(self, size: int, width: int) -> Iterator[PlainBlock | RowChunk]:
+        """The rows after the header: plain blocks, then chunks of up to ``size`` rows, short below ``width`` fields.
+
+        Bad bytes or an oversize field raise after the chunk of the rows before their line.
+        """
+        yield from self.plain()
+        chunk, error = [], None
+        try:
+            for line, row in self._rows:
+                if row:
+                    chunk.append((line, row))
+                    if len(chunk) == size:
+                        yield RowChunk(chunk, width)
+                        chunk = []
+        except SchemaError as exc:
+            error = exc
+        if chunk:
+            yield RowChunk(chunk, width)
+        if error is not None:
+            raise error
+
+    def plain(self) -> Iterator[PlainBlock]:
+        """Plain blocks in file order, up to the end of the file or the first block that is not plain."""
+        while self._rows is None:
+            block = self._block()
+            plain = PlainBlock.of(block, len(self.header), self._line + 1) if block else None
+            if plain is None:
+                self._pending = block + self._pending
+                self._rows = self._csv_rows(self._line)
+                return
+            self._line += len(plain)
+            yield plain
+
     def _block(self) -> bytes:
-        """The next whole lines, ending in a line break; empty at the end of the file."""
+        """The next whole lines (the file's last line may lack its line break); empty at the end of the file."""
         buf = self._pending
         while more := self._fh.read(BLOCK_BYTES):
             buf += more
@@ -123,28 +199,78 @@ class CsvBlocks:
                 self._pending = buf[cut:]
                 return buf[:cut]
         self._pending = b""
-        return buf + b"\n" if buf and not buf.endswith(b"\n") else buf
+        return buf
 
-    def plain(self) -> Iterator[PlainBlock]:
-        """Plain blocks in file order, up to the end of the file or the first block that is not plain."""
-        while self._reader is None:
-            block = self._block()
-            plain = PlainBlock.of(block, len(self.header)) if block else None
-            if plain is None:
-                if not block:
-                    self._reader, self.ended = iter(()), True
-                return
-            self._taken += len(plain)
-            yield plain
+    def _texts(self) -> Iterator[io.StringIO]:
+        """The remaining blocks as UTF-8 lines; bad bytes raise after the lines before theirs."""
+        while block := self._block():
+            try:
+                text = block.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                cut = max(block.rfind(b"\n", 0, exc.start), block.rfind(b"\r", 0, exc.start)) + 1
+                yield io.StringIO(block[:cut].decode("utf-8"), newline="")
+                raise exc
+            yield io.StringIO(text, newline="")
 
-    def rows(self) -> Iterator[list[str]]:
-        """``csv.reader`` rows of the lines no plain block handed out.
+    def _csv_rows(self, offset: int) -> Iterator[tuple[int, list[str]]]:
+        """``csv.reader`` rows from line ``offset + 1`` on, each with the line it starts on."""
+        reader = csv.reader(chain.from_iterable(self._texts()))
+        before = 0
+        try:
+            for row in reader:
+                yield offset + before + 1, row
+                before = reader.line_num
+        except csv.Error as exc:  # a field past csv.field_size_limit()
+            raise SchemaError(f"{self.path}: line {offset + reader.line_num}: {exc}") from None
+        except UnicodeDecodeError:
+            raise SchemaError(f"{self.path}: line {offset + reader.line_num + 1}: bytes that are not UTF-8") from None
 
-        The text file is read from its start, so a decoding error is raised
-        as reading it whole would raise it.
-        """
-        if self._reader is None:
-            self._fh.close()
-            self._fh = open(self._path, newline="")
-            self._reader = csv.reader(islice(self._fh, self._taken, None))
-        return self._reader
+
+def _cast(texts: np.ndarray | list[str], dtype: np.dtype) -> np.ndarray:
+    """``int()`` or ``float()`` of every value, csv strings or a plain block's ``S`` array at once.
+
+    ``S`` values of 1 to 18 ASCII digits each are read digit by digit; any
+    other array takes numpy's cast, which raises where ``int()``/``float()``
+    would.  An integer past int64 raises ``OverflowError``.
+    """
+    if isinstance(texts, list):
+        return np.array([*map(int if dtype.kind == "i" else float, texts)], dtype)
+    codes = texts.view(np.uint8).reshape(len(texts), -1)
+    digits = codes - np.uint8(ord("0"))
+    if codes.shape[1] > 18 or not codes[:, 0].all() or not ((digits < 10) | (codes == 0)).all():
+        with np.errstate(over="ignore"):  # "1e999" is inf, as float() gives it
+            return texts.astype(dtype)
+    value = np.zeros(len(texts), np.int64)
+    for column in digits.T:  # the NUL padding after a value adds no digit
+        value = np.where(column < 10, value * 10 + column, value)
+    return value.astype(dtype)
+
+
+def _columns(path, chunk: PlainBlock | RowChunk, names: Sequence[str], where: Sequence[int],
+             dtypes: Sequence[np.dtype]) -> list[np.ndarray]:
+    """A chunk's named columns cast whole, or else cell by cell up to its first bad line."""
+    if not chunk.short:
+        with suppress(ValueError, OverflowError):
+            return [_cast(chunk.column(j), t) for j, t in zip(where, dtypes)]
+    columns: list[list[np.ndarray]] = [[np.zeros(0, t)] for t in dtypes]
+    for line, cells in chunk.rows(where):
+        if None in cells:
+            raise SchemaError(f"{path}: line {line}: short row, no {names[cells.index(None)]} cell")
+        for column, name, text, dtype in zip(columns, names, cells, dtypes):
+            try:
+                column.append(_cast([text], dtype))
+            except (ValueError, OverflowError):
+                raise SchemaError(f"{path}: line {line}: {name} cell {text!r} is not {dtype}") from None
+    return [np.concatenate(column) for column in columns]
+
+
+def read_table(path, names: Sequence[str], dtypes: Sequence) -> list[np.ndarray]:
+    """The named columns of a CSV file in file order, each cast to its dtype, under the module's contract."""
+    dtypes = [np.dtype(t) for t in dtypes]
+    parts: list[list[np.ndarray]] = [[np.zeros(0, t)] for t in dtypes]
+    with CsvBlocks(path) as blocks:
+        where = blocks.where(names)
+        for chunk in blocks.chunks(CHUNK_ROWS, max(where) + 1):
+            for part, column in zip(parts, _columns(path, chunk, names, where, dtypes)):
+                part.append(column)
+    return [np.concatenate(part) for part in parts]

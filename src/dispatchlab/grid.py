@@ -9,19 +9,15 @@ weight ``w``; leftover probability mass means "no request this round".
 
 from __future__ import annotations
 
-import csv
 import math
-from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import itemgetter
 from pathlib import Path
 from typing import Iterator, Mapping
 
 import numpy as np
 
-from .csvblocks import CsvBlocks
-from .errors import SchemaError
+from .csvblocks import read_table
 
 #: Absolute tolerance used when validating floating-point probability mass.
 PROB_TOL = 1e-12
@@ -82,6 +78,13 @@ class Grid:
         if not (0 <= u < self.n):
             raise ValueError(f"location {u} outside grid with {self.n} cells")
 
+    def check_locations(self, cells) -> None:
+        """``check_location`` of every value, raising for the first off-grid one in array order."""
+        cells = np.ravel(cells)
+        off_grid = np.flatnonzero((cells < 0) | (cells >= self.n))
+        if len(off_grid):
+            self.check_location(int(cells[off_grid[0]]))
+
     def neighbors(self, u: int) -> tuple[int, ...]:
         """In-grid locations at Manhattan distance exactly 1, clockwise from North."""
         self.check_location(u)
@@ -137,21 +140,19 @@ def _total(values) -> Fraction | float:
     return sum(values)
 
 
-def _cast(texts: np.ndarray, dtype) -> np.ndarray:
-    """``int()`` or ``float()`` of every value of a plain block's ``S`` array, at once.
+def pair_matrices(grid: Grid, origin: np.ndarray, dest: np.ndarray, *values: np.ndarray) -> list[np.ndarray]:
+    """(n, n) arrays holding each value column at its (origin, dest) pair, zero elsewhere.
 
-    Values of 1 to 18 ASCII digits each are read digit by digit; any other
-    array takes numpy's cast, which raises where ``int()``/``float()`` would.
+    Every location is checked first (``Grid.check_locations``: row order,
+    origin first), and a repeated pair keeps its last row.
     """
-    codes = texts.view(np.uint8).reshape(len(texts), -1)
-    digits = codes - np.uint8(ord("0"))
-    if codes.shape[1] > 18 or not codes[:, 0].all() or not ((digits < 10) | (codes == 0)).all():
-        with np.errstate(over="ignore"):  # "1e999" is inf, as float() gives it
-            return texts.astype(dtype)
-    value = np.zeros(len(texts), np.int64)
-    for column in digits.T:  # the NUL padding after a value adds no digit
-        value = np.where(column < 10, value * 10 + column, value)
-    return value.astype(dtype)
+    n = grid.n
+    grid.check_locations(np.column_stack([origin, dest]))
+    pair = origin * n + dest
+    last = len(pair) - 1 - np.unique(pair[::-1], return_index=True)[1]
+    out = np.zeros((len(values), n * n))
+    out[:, pair[last]] = np.array(values)[:, last]
+    return list(out.reshape(-1, n, n))
 
 
 @dataclass(frozen=True)
@@ -233,57 +234,13 @@ class RequestModel:
     def from_csv(cls, path: str | Path, grid: Grid) -> "RequestModel":
         """Read ``origin,dest,p,w`` rows, as ``to_csv`` writes them, in any column order.
 
-        Blank lines are not rows, a repeated column name reads as its last
-        occurrence and a repeated cell keeps its last row.  Reading stops at
-        the first malformed row (short, or a cell that ``int()`` or
-        ``float()`` refuses); a cell off the grid in the rows before it
-        raises ``ValueError`` (file order, origin first), else the malformed
-        row raises ``SchemaError``.  A file whose ``csvblocks`` byte blocks
-        are all plain and cast whole (``int64`` cells, ``float64`` p and w)
-        is read that way.  Any other file is read again from its header,
-        row by row through ``csv.reader``, ``int()`` and ``float()``.
+        ``csvblocks.read_table`` reads the file (``int64`` cells, ``float64``
+        p and w); only then does the first off-grid cell (file order, origin
+        first) raise ``ValueError``.  A repeated cell keeps its last row.
         """
-        n = grid.n
-        names = ("origin", "dest", "p", "w")
-        with CsvBlocks(path) as blocks:
-            header = blocks.header
-            if not set(names).issubset(header):
-                raise SchemaError(f"{path}: expected columns origin,dest,p,w")
-            # a repeated column name reads as its last occurrence, as csv.DictReader does
-            where = [len(header) - 1 - header[::-1].index(c) for c in names]
-            types = (np.int64, np.int64, np.float64, np.float64)
-            try:
-                parts = [[_cast(block.column(j), t) for j, t in zip(where, types)] for block in blocks.plain()]
-            except (ValueError, OverflowError):  # a cell int() or float() refuses, or one past int64
-                parts = None
-        error = None
-        if parts is not None and blocks.ended:
-            u, v, pv, wv = (np.concatenate([np.zeros(0, t), *(part[i] for part in parts)]) for i, t in enumerate(types))
-            cells, values = np.column_stack([u, v]).ravel(), np.column_stack([pv, wv]).ravel()
-        else:
-            cells, values = [], array("d")
-            with open(path, newline="") as fh:
-                reader = csv.reader(fh)
-                next(reader, [])
-                get = itemgetter(*where)
-                try:
-                    for row in filter(None, reader):
-                        u, v, pv, wv = get(row)
-                        values.extend((float(pv), float(wv)))  # first, so a malformed row adds no cell
-                        cells += int(u), int(v)
-                except (IndexError, ValueError) as exc:
-                    error = exc
-            cells, values = np.array(cells, dtype=object), np.frombuffer(values)  # ints that may not fit int64
-        off_grid = np.flatnonzero((cells < 0) | (cells >= n))
-        if len(off_grid):  # an off-grid row before a malformed one decides
-            grid.check_location(int(cells[off_grid[0]]))  # file order, origin first
-        if error is not None:
-            raise SchemaError(f"{path}: malformed row {row}") from error
-        cell = cells.astype(np.int64).reshape(-1, 2) @ np.array([n, 1])
-        last = len(cell) - 1 - np.unique(cell[::-1], return_index=True)[1]  # a repeated cell keeps its last row
-        p, w = np.zeros(n * n), np.zeros(n * n)
-        p[cell[last]], w[cell[last]] = values.reshape(-1, 2)[last].T
-        return cls(grid, p.reshape(n, n), w.reshape(n, n))
+        origin, dest, p, w = read_table(path, ("origin", "dest", "p", "w"),
+                                        (np.int64, np.int64, np.float64, np.float64))
+        return cls(grid, *pair_matrices(grid, origin, dest, p, w))
 
 
 def _as_weight_matrix(grid: Grid, weights) -> np.ndarray:

@@ -16,17 +16,16 @@ import datetime as dt
 import gc
 from contextlib import suppress
 from dataclasses import dataclass, fields
-from itertools import chain, islice
-from operator import itemgetter
+from itertools import chain
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .csvblocks import CsvBlocks
+from .csvblocks import CsvBlocks, read_table
 from .errors import SchemaError
 from .grid import RequestModel, build_grid, distance_weights
 from .rng import RawDraws, stream
-from .simulate import TraceEntry
+from .simulate import ReplayTrace
 
 TIMESTAMP_FORMAT = "%Y-%m-%d %H:%M:%S"
 
@@ -49,7 +48,7 @@ DEFAULT_COLUMNS: dict[str, str] = {
     "dropoff_lon": "dropoff_longitude",
 }
 
-#: Rows ``csv.reader`` hands ``parse_trips`` per step once a block is not plain (see
+#: Rows ``csv.reader`` hands ``parse_trips`` per chunk once a block is not plain (see
 #: ``csvblocks``); only one chunk's strings are alive at a time.
 PARSE_CHUNK_ROWS = 4096
 
@@ -201,11 +200,10 @@ def parse_trips(path, column_mapping: Mapping[str, str] | None = None) -> ParseR
     also accepts unpadded fields such as ``2013-1-5 7:5:3`` and runs of
     whitespace between date and time), a coordinate is not a finite
     ``float()``, or the dropoff precedes the pickup.  Blank lines are not
-    rows.  The file is read in ``csvblocks.BLOCK_BYTES`` byte blocks whose
-    mapped columns are cast whole; from the first block holding a quote, a
-    NUL, a non-ASCII byte, a lone ``\\r`` or a line of another field count
-    than the header (a blank line too), ``csv.reader`` reads the rest
-    ``PARSE_CHUNK_ROWS`` rows at a time.  The table keeps input order.
+    rows.  The chunks come from ``csvblocks`` (plain byte blocks cast whole,
+    then ``PARSE_CHUNK_ROWS`` csv rows at a time), whose contract raises on
+    bytes that are not UTF-8 and oversize fields.  The table keeps input
+    order.
     """
     mapping = dict(DEFAULT_COLUMNS)
     if column_mapping:
@@ -222,24 +220,11 @@ def parse_trips(path, column_mapping: Mapping[str, str] | None = None) -> ParseR
     gc.disable()
     try:
         with CsvBlocks(path) as blocks:
-            header = blocks.header
-            missing = [col for col in mapping.values() if col not in header]
-            if missing:
-                raise SchemaError(f"input is missing mapped columns: {missing}")
-            # a repeated column name reads as its last occurrence, as csv.DictReader does
-            where = [len(header) - 1 - header[::-1].index(mapping[f]) for f in DEFAULT_COLUMNS]
-            for block in blocks.plain():
-                cols, dropped = _trip_columns(ids, *map(block.column, where))
+            where = blocks.where([mapping[f] for f in DEFAULT_COLUMNS])
+            for chunk in blocks.chunks(PARSE_CHUNK_ROWS, max(where) + 1):
+                cols, dropped = _trip_columns(ids, *map(chunk.column, where))
                 columns.append(cols)
-                skipped += dropped
-            get, width, rows = itemgetter(*where), max(where) + 1, blocks.rows()
-            while chunk := list(islice(rows, PARSE_CHUNK_ROWS)):
-                kept = [get(row) for row in chunk if len(row) >= width]
-                skipped += sum(1 for row in chunk if row) - len(kept)
-                if kept:
-                    cols, dropped = _trip_columns(ids, *zip(*kept))
-                    columns.append(cols)
-                    skipped += dropped
+                skipped += dropped + chunk.short
     finally:
         if collecting:
             gc.enable()
@@ -357,9 +342,7 @@ def estimate_rates(
     grid = build_grid(rows, cols)
     n = grid.n
     pairs = np.asarray(requests, dtype=np.int64).reshape(-1, 2)
-    outside = pairs[(pairs < 0) | (pairs >= n)]
-    if len(outside):
-        grid.check_location(int(outside[0]))
+    grid.check_locations(pairs)
     counts = np.bincount(pairs[:, 0] * n + pairs[:, 1], minlength=n * n).reshape(n, n)
     p = counts / slots
     rescale = max(1.0, float(p.sum()))
@@ -398,25 +381,6 @@ def subsample_cars(trips: TripTable, k: int, seed: int) -> TripTable:
     return trips.take(np.isin(trips.car, chosen))
 
 
-@dataclass
-class ReplayTrace:
-    """Per-second arrival sequence for one (segment, date) window.
-
-    entries hold (round, origin cell, destination cell, weight) with
-    non-decreasing rounds; same-second trips keep their input order and the
-    simulator serves them sequentially within the round.  rounds is the
-    window length, one round per second.
-    """
-
-    entries: list[TraceEntry]
-    rounds: int
-    segment: str | None = None
-    date: dt.date | None = None
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-
 def build_replay(
     trips: TripTable,
     segment: str,
@@ -446,41 +410,21 @@ def build_replay(
     u, v = bin_to_grid(trips, rows, cols, bbox)
     weight = distance_weights(build_grid(rows, cols))[u, v]
     order = np.argsort(rnd, kind="stable")
-    entries = list(zip(*(a[order].tolist() for a in (rnd, u, v, weight))))
-    return ReplayTrace(entries=entries, rounds=segment_seconds(segment), segment=segment, date=date)
+    return ReplayTrace(*(a[order] for a in (rnd, u, v, weight)), rounds=segment_seconds(segment),
+                       segment=segment, date=date)
 
 
 def write_replay(path, trace: ReplayTrace) -> None:
+    """Write rows ``round,origin,dest,weight``, as ``csv.writer`` writes them."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["round", "origin", "dest", "weight"])
-        for rnd, u, v, w in trace.entries:
-            writer.writerow([rnd, u, v, f"{w:.17g}"])
-
-
-def read_columns(path, names: Sequence[str], types: Sequence, what: str) -> list[tuple]:
-    """The named cells of every row of a CSV file, each converted by its column's type.
-
-    A file without the columns, or a short or malformed row, raises ``SchemaError``.
-    """
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if not set(names).issubset(reader.fieldnames or []):
-            raise SchemaError(f"{what} needs columns {sorted(set(names))}")
-        rows = []
-        for row in reader:
-            try:
-                rows.append(tuple(typ(row[name]) for typ, name in zip(types, names)))
-            except (TypeError, ValueError) as exc:  # a short row's missing cells read as None
-                raise SchemaError(f"{path}: malformed row {row}") from exc
-    return rows
+        fh.write("round,origin,dest,weight\r\n")
+        fh.writelines(f"{r},{u},{v},{w:.17g}\r\n" for r, u, v, w in zip(*(c.tolist() for c in trace.columns)))
 
 
 def read_replay(path) -> ReplayTrace:
-    """Load a replay CSV; the round count is inferred from the last entry."""
-    entries = read_columns(path, ("round", "origin", "dest", "weight"), (int, int, int, float), "replay file")
-    rounds = entries[-1][0] + 1 if entries else 0
-    return ReplayTrace(entries=entries, rounds=rounds)
+    """Load a replay CSV through ``csvblocks.read_table``; the round count is inferred from the last entry."""
+    columns = read_table(path, ("round", "origin", "dest", "weight"), (np.int64, np.int64, np.int64, np.float64))
+    return ReplayTrace(*columns, rounds=int(columns[0][-1]) + 1 if len(columns[0]) else 0)
 
 
 FIXTURE_COLUMNS = [

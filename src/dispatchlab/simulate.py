@@ -10,8 +10,9 @@ advance through the request schedule at once.
 
 from __future__ import annotations
 
+import datetime as dt
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -37,26 +38,53 @@ _SCHEDULE_ELEMENTS = 1 << 13
 _TABLE_ELEMENTS = 1 << 18
 
 
-def _trace_columns(trace: Sequence[TraceEntry], grid: Grid) -> tuple[np.ndarray, ...]:
-    """A replay trace as (round, origin, dest, weight) arrays, checked entry by entry.
+@dataclass(eq=False)
+class ReplayTrace:
+    """Per-second arrivals of one (segment, date) window, as columns.
+
+    Entry i asks origin[i] -> dest[i] in round[i], worth weight[i].  Rounds
+    never decrease; same-second trips keep their input order and are served
+    in turn within the round.  rounds is the window length.
+    """
+
+    round: np.ndarray
+    origin: np.ndarray
+    dest: np.ndarray
+    weight: np.ndarray
+    rounds: int
+    segment: str | None = None
+    date: dt.date | None = None
+
+    def __len__(self) -> int:
+        return len(self.round)
+
+    @property
+    def columns(self) -> tuple[np.ndarray, ...]:
+        return self.round, self.origin, self.dest, self.weight
+
+
+def _trace_columns(trace: ReplayTrace | Sequence[TraceEntry], grid: Grid) -> tuple[np.ndarray, ...]:
+    """A replay trace's columns or entries as (round, origin, dest, weight) arrays, checked entry by entry.
 
     Raises ValueError naming the first entry that is off the grid, has a
     negative round, or comes before the round of the entry preceding it.
     """
-    cols = np.asarray(trace, dtype=float).reshape(len(trace), 4).T
+    entries = np.column_stack(trace.columns) if isinstance(trace, ReplayTrace) else np.asarray(trace, dtype=float)
+    cols = entries.reshape(len(entries), 4).T
     rounds, origin, dest = cols[:3].astype(np.int64)
+    weight = cols[3]
     off_grid = (np.minimum(origin, dest) < 0) | (np.maximum(origin, dest) >= grid.n)
     earlier = np.r_[False, rounds[1:] < rounds[:-1]]
     bad = np.flatnonzero(off_grid | (rounds < 0) | earlier)
     if len(bad):
         i = bad[0]
-        entry = f"entry {i} {tuple(trace[i])}"
+        entry = f"entry {i} {(int(rounds[i]), int(origin[i]), int(dest[i]), weight[i].item())}"
         if off_grid[i]:
             raise ValueError(f"trace {entry} is off the {grid.rows}x{grid.cols} grid")
         if rounds[i] < 0:
             raise ValueError(f"trace {entry} has a negative round")
         raise ValueError(f"trace rounds must be non-decreasing: {entry} follows round {rounds[i - 1]}")
-    return rounds, origin, dest, cols[3]
+    return rounds, origin, dest, weight
 
 
 def initial_state_preset(grid: Grid, m: int, c: int, name: str) -> tuple[int, ...]:
@@ -100,9 +128,10 @@ class SimConfig:
     seed: int
     policy: PolicySpec
     model: RequestModel | None = None
-    trace: Sequence[TraceEntry] | None = None
+    trace: ReplayTrace | Sequence[TraceEntry] | None = None  # its checked columns go to trace_columns
     initial_state: Sequence[int] = ()
     estimator: str = "conditional"
+    trace_columns: tuple[np.ndarray, ...] | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.T < 1:
@@ -116,7 +145,7 @@ class SimConfig:
         if self.trace is not None and self.estimator == "conditional":
             raise ValueError("replay mode has no arrival law; use the realized estimator")
         if self.trace is not None:
-            _trace_columns(self.trace, self.grid)
+            self.trace_columns = _trace_columns(self.trace, self.grid)
         counts = tuple(int(v) for v in self.initial_state)
         if len(counts) != self.grid.n:
             raise ValueError(f"initial state has {len(counts)} entries, expected {self.grid.n}")
@@ -357,9 +386,9 @@ def run_ensemble(config: SimConfig) -> ErrorSeries:
     sumsq_obj = 0.0
     memo: dict = {}
     trace = None
-    if config.trace is not None:
-        trace = _trace_columns(config.trace, config.grid)
-        trace = tuple(col[: np.searchsorted(trace[0], T)] for col in trace)
+    if config.trace_columns is not None:
+        rounds = config.trace_columns[0]
+        trace = tuple(col[: np.searchsorted(rounds, T)] for col in config.trace_columns)
     tables = _rank_tables(config)
     for a, b in _spans(runs, _BLOCK_ELEMENTS // T):
         for row in _block(config, range(a, b), trace, tables, memo):

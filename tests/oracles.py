@@ -12,10 +12,8 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import math
-from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -530,7 +528,7 @@ def _run_single_replay(config: SimConfig, run_idx: int) -> np.ndarray:
     counts = list(config.initial_state)
     profits = np.zeros(T)
     last_round = -1
-    for rnd, u, v, weight in config.trace:
+    for rnd, u, v, weight in zip(*config.trace_columns):
         rnd = int(rnd)
         if rnd < last_round:
             raise ValueError("trace rounds must be non-decreasing")
@@ -975,7 +973,8 @@ def build_replay_rows(records: Sequence[TripRecord], segment: str, date: dt.date
         u, v = bin_record(r, rows, cols, bbox)
         stamped.append((rnd, u, v, float(manhattan_distance(grid, u, v))))
     stamped.sort(key=lambda e: e[0])
-    return ReplayTrace(entries=stamped, rounds=segment_seconds(segment), segment=segment, date=date)
+    columns = (np.array([e[i] for e in stamped], dtype=t) for i, t in enumerate((np.int64,) * 3 + (np.float64,)))
+    return ReplayTrace(*columns, rounds=segment_seconds(segment), segment=segment, date=date)
 
 
 def write_model_rows(path, model: RequestModel) -> None:
@@ -992,34 +991,53 @@ def write_model_rows(path, model: RequestModel) -> None:
 def request_model_from_csv_rows(path, grid: Grid) -> RequestModel:
     """``RequestModel.from_csv`` stated row by row: ``csv.reader``, ``int`` and ``float`` on every row.
 
-    Blank lines are not rows and a repeated column name reads as its last
-    occurrence.  Reading stops at the first malformed row (short, or a cell
-    that ``int``/``float`` refuses); a cell off the grid among the rows read
-    before it raises first, in file order and origin first, else the
-    malformed row raises ``SchemaError``.  A repeated cell keeps its last row.
+    The file's physical lines are decoded as UTF-8 one at a time.  The
+    header must hold origin, dest, p and w, a repeated name reading as its
+    last occurrence; blank lines are not rows.  The first line that is
+    short, holds a cell that ``int`` (into int64) or ``float`` refuses, holds
+    bytes that are not UTF-8 or holds a field past ``csv.field_size_limit()``
+    raises ``SchemaError`` naming it.  Only then is every cell checked
+    against the grid, in file order and origin first.  A repeated cell keeps
+    its last row.
     """
     n = grid.n
     names = ("origin", "dest", "p", "w")
-    cells, values, error = [], array("d"), None
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+    with open(path, "rb") as fh:
+        lines = fh.read().splitlines(keepends=True)
+    reader = csv.reader(line.decode("utf-8") for line in lines)
+    rows = []
+    try:
         header = next(reader, [])
-        if not set(names).issubset(header):
-            raise SchemaError(f"{path}: expected columns origin,dest,p,w")
-        get = itemgetter(*(len(header) - 1 - header[::-1].index(c) for c in names))
-        try:
-            for row in filter(None, reader):
-                u, v, pv, wv = get(row)
-                values.extend((float(pv), float(wv)))
-                cells += int(u), int(v)
-        except (IndexError, ValueError) as exc:
-            error = exc
-    for c in cells:
-        grid.check_location(c)
-    if error is not None:
-        raise SchemaError(f"{path}: malformed row {row}") from error
+        missing = [c for c in names if c not in header]
+        if missing:
+            raise SchemaError(f"{path}: line 1: header lacks columns {missing}")
+        where = [len(header) - 1 - header[::-1].index(c) for c in names]
+        start = reader.line_num + 1
+        for row in reader:
+            if row:
+                if len(row) <= max(where):
+                    short = next(name for name, j in zip(names, where) if j >= len(row))
+                    raise SchemaError(f"{path}: line {start}: short row, no {short} cell")
+                values = []
+                for name, j, kind in zip(names, where, ("int64", "int64", "float64", "float64")):
+                    try:
+                        value = int(row[j]) if kind == "int64" else float(row[j])
+                    except ValueError:
+                        value = None
+                    if value is None or (kind == "int64" and not -2**63 <= value < 2**63):
+                        raise SchemaError(f"{path}: line {start}: {name} cell {row[j]!r} is not {kind}")
+                    values.append(value)
+                rows.append(values)
+            start = reader.line_num + 1
+    except csv.Error as exc:
+        raise SchemaError(f"{path}: line {reader.line_num}: {exc}") from None
+    except UnicodeDecodeError:
+        raise SchemaError(f"{path}: line {reader.line_num + 1}: bytes that are not UTF-8") from None
+    for u, v, _, _ in rows:
+        grid.check_location(u)
+        grid.check_location(v)
     p, w = np.zeros(n * n), np.zeros(n * n)
-    for (u, v), (pv, wv) in zip(zip(cells[::2], cells[1::2]), zip(values[::2], values[1::2])):
+    for u, v, pv, wv in rows:
         p[u * n + v], w[u * n + v] = pv, wv
     return RequestModel(grid, p.reshape(n, n), w.reshape(n, n))
 
@@ -1028,7 +1046,7 @@ def write_replay_rows(path, trace: ReplayTrace) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["round", "origin", "dest", "weight"])
-        for rnd, u, v, w in trace.entries:
+        for rnd, u, v, w in zip(*(c.tolist() for c in trace.columns)):
             writer.writerow([rnd, u, v, f"{w:.17g}"])
 
 

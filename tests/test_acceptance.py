@@ -482,14 +482,14 @@ def test_criterion_09_ingestion_pipeline(tmp_path):
     series = run_ensemble(
         SimConfig(
             grid=grid, m=1, c=1, T=trace.rounds, runs=1, seed=0,
-            policy=parse_policy("greedy"), trace=trace.entries,
+            policy=parse_policy("greedy"), trace=trace,
             initial_state=start, estimator="realized",
         )
     )
     profits = series.w_mean
     checks["replay"] = (
         trace.rounds == 14_400
-        and trace.entries == [(0, 0, 3, 3.0), (5, 60, 61, 1.0), (60, 3, 25, 2.0)]
+        and list(zip(*(c.tolist() for c in trace.columns))) == [(0, 0, 3, 3.0), (5, 60, 61, 1.0), (60, 3, 25, 2.0)]
         and profits[0] == 3.0
         and profits[5] == 0.0
         and profits[60] == 2.0

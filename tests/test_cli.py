@@ -564,8 +564,8 @@ def test_weights_file_cells_are_checked(tmp_path, capsys):
         "4,0,1": "error (ValueError): location 4 outside grid with 4 cells",
         "0,-1,7": "error (ValueError): location -1 outside grid with 4 cells",
         "-1,0,7": "error (ValueError): location -1 outside grid with 4 cells",
-        "0,1": "error (SchemaError): {path}: malformed row {{'origin': '0', 'dest': '1', 'w': None}}",
-        "0,1,x": "error (SchemaError): {path}: malformed row {{'origin': '0', 'dest': '1', 'w': 'x'}}",
+        "0,1": "error (SchemaError): {path}: line 3: short row, no w cell",
+        "0,1,x": "error (SchemaError): {path}: line 3: w cell 'x' is not float64",
     }
     for i, (row, message) in enumerate(bad_rows.items()):
         path = tmp_path / f"weights{i}.csv"
@@ -581,8 +581,7 @@ def test_fit_and_replay_inputs_reject_short_rows(tmp_path, capsys):
     curve.write_text("t,delta\n0,1.0\n1\n2,0.5\n3,0.25\n")
     code, out = run(["fit", "--input", str(curve)], tmp_path, "fit")
     assert code == 1
-    row = {"t": "1", "delta": None}
-    assert capsys.readouterr().err.strip() == f"error (SchemaError): {curve}: malformed row {row}"
+    assert capsys.readouterr().err.strip() == f"error (SchemaError): {curve}: line 3: short row, no delta cell"
     assert not out.exists()
     trace = tmp_path / "replay.csv"
     trace.write_text("round,origin,dest,weight\n0,0,1,1.0\n1,0,1\n")
@@ -592,8 +591,33 @@ def test_fit_and_replay_inputs_reject_short_rows(tmp_path, capsys):
         tmp_path, "replay",
     )
     assert code == 1
-    row = {"round": "1", "origin": "0", "dest": "1", "weight": None}
-    assert capsys.readouterr().err.strip() == f"error (SchemaError): {trace}: malformed row {row}"
+    assert capsys.readouterr().err.strip() == f"error (SchemaError): {trace}: line 3: short row, no weight cell"
+    assert not out.exists()
+
+
+def test_a_field_past_the_csv_limit_exits_1_and_writes_nothing(tmp_path, capsys):
+    """In a trip file for ingest and in a replay file for simulate: the line is named, no traceback escapes."""
+    limit = csv.field_size_limit()
+    trips = tmp_path / "trips.csv"
+    code, fix = run(["fixture", "--trips", "20", "--seed", "3"], tmp_path, "fix")
+    assert code == 0
+    lines = (fix / "trips.csv").read_text().splitlines()
+    lines[7] = "C" * 140_000 + lines[7][lines[7].index(","):]
+    trips.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    code, out = run(["ingest", "--input", str(trips), "--segment", "morning", "--emit", "model"], tmp_path, "ingest")
+    assert code == 1
+    assert capsys.readouterr().err.strip() == f"error (SchemaError): {trips}: line 8: field larger than field limit ({limit})"
+    assert not out.exists()
+    trace = tmp_path / "replay.csv"
+    trace.write_text("round,origin,dest,weight\n0,0,1,1.0\n\n1,0,1," + "1" * (limit + 1) + "\n")
+    code, out = run(
+        ["simulate", "--grid", "2x2", "--drivers", "1", "--capacity", "1",
+         "--arrivals", f"replay:{trace}", "--policy", "greedy", "--runs", "1", "--seed", "1"],
+        tmp_path, "replay",
+    )
+    assert code == 1
+    assert capsys.readouterr().err.strip() == f"error (SchemaError): {trace}: line 4: field larger than field limit ({limit})"
     assert not out.exists()
 
 

@@ -1,6 +1,7 @@
 """Grid geometry, request-model validation, and model serialization."""
 
 import csv
+import io
 import tempfile
 from fractions import Fraction
 from pathlib import Path
@@ -166,12 +167,18 @@ def test_csv_cells_checked_in_file_order(tmp_path):
         load("0,1,0.1,1", "1,7,0.1,1", "-1,2,0.1,1")
     with pytest.raises(ValueError, match="location -1 outside"):  # origin before destination
         load("0,1,0.1,1", "-1,9,0.1,1")
-    with pytest.raises(ValueError, match="location 9{30} outside"):  # no fixed-width overflow
-        load("0,1,0.1,1", "0," + "9" * 30 + ",0.1,1")
-    with pytest.raises(ValueError, match="location 9 outside"):  # an off-grid row before a malformed one
-        load("0,9,0.1,1", "0,x,0.1,1")
-    with pytest.raises(SchemaError, match=r"malformed row \['0', 'x', '0.1', '1'\]"):
-        load("0,1,0.1,1", "0,x,0.1,1", "0,9,0.1,1")
+
+    def refused(*rows):
+        with pytest.raises(SchemaError) as info:
+            load(*rows)
+        return str(info.value)
+
+    # an integer past int64 is a bad cell, not an off-grid one
+    assert refused("0,1,0.1,1", "0," + "9" * 30 + ",0.1,1") == f"{path}: line 3: dest cell '{'9' * 30}' is not int64"
+    # only a file read whole is checked against the grid, so a bad line decides before an off-grid cell
+    assert refused("0,9,0.1,1", "0,x,0.1,1") == f"{path}: line 3: dest cell 'x' is not int64"
+    assert refused("0,1,0.1,1", "0,x,0.1,1", "0,9,0.1,1") == f"{path}: line 3: dest cell 'x' is not int64"
+    assert refused("0,1,0.1,1", "", "0,1,0.1") == f"{path}: line 4: short row, no w cell"
     model = load("0,1,0.1,2", "3,2,-0.0,5", "", "0,1,0.25,3")
     # a repeated cell keeps its last row; every other cell stays zero
     assert (model.p[0, 1], model.w[0, 1]) == (0.25, 3.0)
@@ -187,18 +194,22 @@ ODD_CELLS = ["-1", "4", "9" * 30, " 2", "+1", "1_0", "0x1", "1.0", "", "x", "\u0
 GOOD_VALUES = ["0.01", "0.25", "-0.0", "0", "1e-3", "3", "2.5"]
 ODD_VALUES = ["x", "", " 0.5 ", "1_0", "inf", "nan", "1e999", "-0.1", "0x1p-3", "0.5\x00"]
 QUOTED = ["0.5\n", "1,2", 'a"b', "\n", "0,1"]
+# cells whose surrogate escapes write bytes that are not UTF-8: 0xff, a lone lead byte, a lone continuation byte
+UNDECODABLE = ["\udcff", "1\udce9", "\udc80.5"]
 
 
 @st.composite
 def model_rows(draw, header):
-    """One model row under header: good (so cells repeat), with an odd cell or value, short, long, blank or quoted."""
+    """One model row under header: good (so cells repeat), with an odd cell or value, short, long, blank, quoted,
+    or holding bytes that are not UTF-8."""
     last = {name: i for i, name in enumerate(header)}
     row = ["junk"] * len(header)
     for name in ("origin", "dest"):
         row[last[name]] = draw(st.sampled_from(GOOD_CELLS))
     for name in ("p", "w"):
         row[last[name]] = draw(st.sampled_from(GOOD_VALUES))
-    kind = draw(st.sampled_from(["good"] * 4 + ["odd cell", "odd value", "short", "long", "blank", "quoted"]))
+    kind = draw(st.sampled_from(["good"] * 4 + ["odd cell", "odd value", "short", "long", "blank", "quoted",
+                                                "undecodable"]))
     if kind == "odd cell":
         row[last[draw(st.sampled_from(["origin", "dest"]))]] = draw(st.sampled_from(ODD_CELLS))
     elif kind == "odd value":
@@ -211,6 +222,8 @@ def model_rows(draw, header):
         row = []
     elif kind == "quoted":
         row[draw(st.integers(0, len(row) - 1))] = draw(st.sampled_from(QUOTED))
+    elif kind == "undecodable":
+        row[draw(st.integers(0, len(row) - 1))] = draw(st.sampled_from(UNDECODABLE))
     return row
 
 
@@ -227,18 +240,51 @@ def read_model(read, path, grid):
 @given(st.data(), st.sampled_from(MODEL_HEADERS), st.sampled_from(["\r\n", "\n"]), st.booleans(),
        st.sampled_from([1, 6, 40, 1 << 20]))
 def test_from_csv_matches_the_row_rule(data, header, ending, final_newline, block):
-    """Last row wins, the first off-grid cell or malformed row decides, with rows across byte blocks."""
+    """Last row wins, the first bad line decides, then the first off-grid cell, with rows across byte blocks."""
     rows = data.draw(st.lists(model_rows(header), max_size=12))
     g = build_grid(2, 2)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "model.csv"
-        with open(path, "w", newline="") as fh:
-            csv.writer(fh, lineterminator=ending).writerows([header, *rows])
-        if not final_newline:
-            path.write_bytes(path.read_bytes().removesuffix(ending.encode()))
+        text = io.StringIO()
+        csv.writer(text, lineterminator=ending).writerows([header, *rows])
+        raw = text.getvalue().encode("utf-8", "surrogateescape")
+        path.write_bytes(raw if final_newline else raw.removesuffix(ending.encode()))
         with mock.patch.object(csvblocks, "BLOCK_BYTES", block):
             got = read_model(RequestModel.from_csv, path, g)
         assert got == read_model(request_model_from_csv_rows, path, g)
+
+
+def test_from_csv_names_the_line_of_bytes_that_are_not_utf8(tmp_path):
+    """Far past the first 8 KiB, with no row (or only blank lines) before them, in the header, on a last line,
+    or after lone \\r line breaks."""
+    path = tmp_path / "model.csv"
+    g = build_grid(2, 2)
+    cases = [
+        (b"origin,dest,p,w\n" + b"0,1,0.0001,1\n" * 2000 + b"3,\xff,0.1,1\n", 2002),
+        (b"origin,dest,p,w\n\xff,1,0.1,1\n0,1,0.1,1\n", 2),
+        (b"origin,dest,p,w\n" + b"\n" * 9000 + b"\xff,1,0.1,1\n", 9002),
+        (b"origin,dest,p,\xffw\n0,1,0.1,1\n", 1),
+        (b"origin,dest,p,w\r\n" + b"0,1,0.0001,1\r\n" * 2000 + b"\r\n3,1,0.1,1\xe9", 2003),
+        (b"origin,dest,p,w\r0,1,0.1,1\r\n2,3,0.1,1\r3,\xff,0.1,1\r", 4),  # lone \r line breaks count too
+    ]
+    for raw, line in cases:
+        path.write_bytes(raw)
+        for block in (7, csvblocks.BLOCK_BYTES):
+            with mock.patch.object(csvblocks, "BLOCK_BYTES", block), pytest.raises(SchemaError) as info:
+                RequestModel.from_csv(path, g)
+            assert str(info.value) == f"{path}: line {line}: bytes that are not UTF-8"
+        with pytest.raises(SchemaError) as info:
+            request_model_from_csv_rows(path, g)
+        assert str(info.value) == f"{path}: line {line}: bytes that are not UTF-8"
+
+
+def test_from_csv_refuses_a_field_past_the_csv_limit(tmp_path):
+    path = tmp_path / "model.csv"
+    path.write_text("origin,dest,p,w\n0,1,0.1,1\n0,1,0.1," + "1" * (csv.field_size_limit() + 1) + "\n")
+    for read in (RequestModel.from_csv, request_model_from_csv_rows):
+        with pytest.raises(SchemaError) as info:
+            read(path, build_grid(2, 2))
+        assert str(info.value) == f"{path}: line 3: field larger than field limit ({csv.field_size_limit()})"
 
 
 def test_pairs_iterator_covers_support():

@@ -44,6 +44,18 @@ def test_package_surface_holds_no_oracle():
         assert not oracle_names & top_level_names(path), path.name
 
 
+def test_only_csvblocks_reads_csv():
+    """One table reader: no module but csvblocks calls csv.reader or csv.DictReader."""
+    callers = set()
+    for path in sorted(Path(dispatchlab.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            reads = (isinstance(node, ast.Attribute) and node.attr in ("reader", "DictReader")
+                     and getattr(node.value, "id", None) == "csv")
+            if reads or (isinstance(node, ast.ImportFrom) and node.module == "csv"):
+                callers.add(path.name)
+    assert callers == {"csvblocks.py"}
+
+
 def test_cli_handlers_leave_the_output_protocol_to_the_runner():
     """Each cmd_* computes a Run from its options; only write_run makes --out and writes report and manifest."""
     tree = ast.parse(Path(cli.__file__).read_text())
