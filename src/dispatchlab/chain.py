@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import HorizonTooShortError, IterationLimitError, SizeLimitError
 from .grid import RequestModel
-from .policies import SLOTS, PolicySpec, nadap_probe_weights, policy_table, step_profit
+from .policies import SLOTS, PolicySpec, policy_table, step_profit
 from .states import StateSpace
 
 if TYPE_CHECKING:
@@ -478,30 +478,13 @@ def mixing_analysis(
 def limiting_objective(stationary: StationaryResult, model: RequestModel, policy: PolicySpec):
     """Long-run per-round profit under the stationary law of the policy's chain.
 
-    The origin-probing policy admits a closed path through the gamma map
-    (probe landings are state-independent); scan policies average the
-    per-state expected profit under pi directly.
+    ``pi @ step_profit`` for every policy; tests/oracles.py keeps nadap's
+    closed path through the gamma map as an independent check.
     """
     if stationary.policy is not None and stationary.policy.label() != policy.label():
         raise ValueError(
             f"stationary result was computed for {stationary.policy.label()}, not {policy.label()}"
         )
-    if policy.kind == "nadap":
-        grid = stationary.space.grid
-        gamma = stationary.gamma
-        total = 0.0
-        for u in range(grid.n):
-            probes = nadap_probe_weights(grid, u, policy.alpha, policy.boundary)
-            for v in range(grid.n):
-                coef = model.p[u, v] * model.w[u, v]
-                if coef == 0:
-                    continue
-                served = 0.0
-                for k, wgt in probes:
-                    if k is not None and wgt != 0:
-                        served += float(wgt) * gamma[k, v]
-                total += float(coef) * served
-        return total
     space = stationary.space
     esp = step_profit(space.as_array(), model, policy, space.c)
     return float(stationary.pi @ esp)

@@ -17,11 +17,9 @@ per-run loop to shard and no output depends on it.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import datetime as dt
 import hashlib
-import itertools
 import json
 import os
 import sys
@@ -42,7 +40,7 @@ from .chain import (
     uniform_decay_envelope,
 )
 from .coupling import verify_contraction
-from .csvblocks import read_table
+from .csvblocks import Columns, quote, read_table, write_table as write_csv
 from .errors import DispatchLabError
 from .grid import RequestModel, build_grid, distance_weights, pair_matrices, uniform_request_model
 from .mdp import (
@@ -71,7 +69,7 @@ WEIGHTS_HELP = "const:X, distance, or file:PATH (default: const:1, or a model fi
 
 
 def g17(x) -> str:
-    """Fixed 17-significant-digit rendering used by every CSV cell."""
+    """Fixed 17-significant-digit rendering, as CSV tables write floats with ``%.17g``."""
     return f"{float(x):.17g}"
 
 
@@ -81,39 +79,6 @@ def sha256_file(path) -> str:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             h.update(chunk)
     return h.hexdigest()
-
-
-#: Rows formatted per ``%`` when a table is written from ``Columns``.
-CSV_BLOCK_ROWS = 4096
-
-
-@dataclasses.dataclass(frozen=True)
-class Columns:
-    """A CSV table body as equal-length columns and one printf-style row format.
-
-    ``write_csv`` formats it CSV_BLOCK_ROWS rows at a time with one ``%``
-    over a flat tuple; ``%.17g`` writes a float's bytes exactly as ``g17``.
-    """
-
-    row: str
-    columns: tuple
-
-    def blocks(self):
-        columns = [np.asarray(col).tolist() for col in self.columns]
-        for a in range(0, len(columns[0]), CSV_BLOCK_ROWS):
-            rows = list(zip(*(col[a : a + CSV_BLOCK_ROWS] for col in columns)))
-            yield self.row * len(rows) % tuple(itertools.chain.from_iterable(rows))
-
-
-def write_csv(path, header, rows) -> None:
-    """Write a header and its rows: cell sequences, or ``Columns`` formatted a block at a time."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        if isinstance(rows, Columns):
-            fh.writelines(rows.blocks())
-        else:
-            writer.writerows(rows)
 
 
 def _json_safe(value):
@@ -165,7 +130,9 @@ def write_report(outdir: Path, name: str, payload: dict, fmt: str) -> str:
     rows: list = []
     flatten("", payload, rows)
     filename = f"{name}.csv"
-    write_csv(outdir / filename, ["key", "value"], rows)
+    keys = [quote(key) for key, _ in rows]
+    values = [quote("" if value is None else str(value)) for _, value in rows]  # csv.writer's cells
+    write_csv(outdir / filename, ["key", "value"], Columns("%s,%s", (keys, values)))
     return filename
 
 
@@ -374,9 +341,10 @@ def make_outdir(options: dict) -> Path:
 class Run:
     """What a subcommand computed, written out only once all of it has succeeded.
 
-    ``tables`` maps a CSV name to its header and rows, ``files`` maps any
-    other output name to a writer taking its path, and ``report`` (None for
-    none) is written as ``report_name`` in the ``--format`` asked for.
+    ``tables`` maps a CSV name to its header and ``Columns`` body,
+    ``files`` maps any other output name to a writer taking its path, and
+    ``report`` (None for none) is written as ``report_name`` in the
+    ``--format`` asked for.
     """
 
     line: str
@@ -443,12 +411,18 @@ def add_chain_flags(spec: SubSpec) -> None:
     spec.add("--tmax", type=int, default=100_000, help="mixing horizon cap")
 
 
+def state_cells(space: StateSpace) -> np.ndarray:
+    """Each state of the space in rank order as a quoted CSV cell, an object array."""
+    return np.array([quote(format_state(x)) for x in space.as_array().tolist()], dtype=object)
+
+
 def mixing_outputs(options: dict, tm, pi, n: int, m: int, start_ranks=None) -> tuple:
     """A chain's mixing analysis, its mixing.csv table, and the tau and envelope keys of its report."""
     envelope = uniform_decay_envelope(n, m) if options["arrivals"].startswith("uniform:") else None
     mixing = mixing_analysis(tm, pi, parse_epsilons(options["epsilons"]), options["tmax"],
                              start_ranks=start_ranks, envelope=envelope)
-    table = {"mixing.csv": (["t", "d_t"], ((t, g17(d)) for t, d in enumerate(mixing.d_curve)))}
+    curve = mixing.d_curve
+    table = {"mixing.csv": (["t", "d_t"], Columns("%d,%.17g", (np.arange(len(curve)), curve)))}
     keys = {"tau": {g17(e): t for e, t in sorted(mixing.tau.items())}}
     if mixing.envelope is not None:
         keys["envelope"] = {"C": mixing.envelope[0], "beta": mixing.envelope[1]}
@@ -464,15 +438,10 @@ def cmd_exact(options) -> Run:
     objective = float(limiting_objective(stat, model, policy))
     irreducible = check_irreducible(tm)
     aperiodic = check_aperiodic(tm)
+    origin, dest = np.indices(stat.gamma.shape).reshape(2, -1)
     tables = {
-        "stationary.csv": (
-            ["state", "pi"],
-            ((format_state(x), g17(p)) for x, p in zip(space.as_array().tolist(), stat.pi)),
-        ),
-        "gamma.csv": (
-            ["u", "v", "gamma"],
-            ((u, v, g17(stat.gamma[u, v])) for u in range(grid.n) for v in range(grid.n)),
-        ),
+        "stationary.csv": (["state", "pi"], Columns("%s,%.17g", (state_cells(space), stat.pi))),
+        "gamma.csv": (["u", "v", "gamma"], Columns("%d,%d,%.17g", (origin, dest, stat.gamma.ravel()))),
     }
     report = {
         "states": space.size,
@@ -524,13 +493,12 @@ def cmd_couple(options) -> Run:
     grid = build_grid(*options["grid"])
     eps = options["eps"]
     report = verify_contraction(grid, options["drivers"], options["capacity"], eps=eps)
-    cells = {t: (g17(e), g17(r)) for t, (e, r) in report.shares().items()}
+    # shares() is keyed by the distinct totals in ascending order, as np.unique gives them
+    shares = np.array([[float(e), float(r)] for e, r in report.shares().values()]).reshape(-1, 2)
+    share = shares[np.unique(report.totals, return_inverse=True)[1]]
     table = (
         ["pair_rank_x", "pair_rank_y", "expected_d_prime", "ratio"],
-        (
-            (x, y, *cells[t])
-            for x, y, t in zip(report.x.tolist(), report.y.tolist(), report.totals.tolist())
-        ),
+        Columns("%d,%d,%.17g,%.17g", (report.x, report.y, share[:, 0], share[:, 1])),
     )
     payload = {
         "n": report.n,
@@ -590,10 +558,10 @@ def cmd_simulate(options) -> Run:
             pass
     series = error_curves(series, target=target)
     t_axis = np.arange(len(series.delta))
-    pair = "%d,%.17g,%.17g\n"
+    pair = "%d,%.17g,%.17g"
     tables = {
         "wt.csv": (["t", "mean", "stderr"], Columns(pair, (t_axis, series.w_mean, series.w_stderr))),
-        "obj.csv": (["T", "running_avg"], Columns("%d,%.17g\n", (t_axis + 1, series.obj_running))),
+        "obj.csv": (["T", "running_avg"], Columns("%d,%.17g", (t_axis + 1, series.obj_running))),
         "error.csv": (["t", "delta", "delta_hat"], Columns(pair, (t_axis, series.delta, series.delta_hat))),
     }
     fits: dict = {
@@ -616,16 +584,6 @@ def cmd_simulate(options) -> Run:
     return Run(line, fits, tables, inputs=inputs, report_name="fit")
 
 
-def state_request_table(column: str, states: list, requests: list, table: np.ndarray, cell) -> tuple:
-    """A per-state, per-request array as a (state, request, column) CSV table."""
-    rows = (
-        (state, request, cell(x))
-        for state, row in zip(states, table.tolist())
-        for request, x in zip(requests, row)
-    )
-    return ["state", "request", column], rows
-
-
 def cmd_vi(options) -> Run:
     grid, m, c, _policy, model, _trace, inputs = resolve_instance(options, "vi")
     instance = MdpInstance(
@@ -639,17 +597,17 @@ def cmd_vi(options) -> Run:
     report = simulate_optimal_episode(
         instance, result, periods=options["periods"], seed=seed, initial_state=init
     )
-    states = [format_state(x) for x in instance.space.as_array().tolist()]
-    requests = [str(r) for r in range(instance.n_requests)] + ["none"]
+    states = state_cells(instance.space)
+    requests = np.array([*map(str, range(instance.n_requests)), "none"], dtype=object)
+    # one row per (state, request), the state-major order of the (states, requests) tables
+    keys = (np.repeat(states, len(requests)), np.tile(requests, len(states)))
     tables = {
-        "values.csv": state_request_table("value", states, requests, result.values, g17),
-        "policy.csv": state_request_table("action", states, requests, result.policy, int),
+        "values.csv": (["state", "request", "value"], Columns("%s,%s,%.17g", (*keys, result.values.ravel()))),
+        "policy.csv": (["state", "request", "action"], Columns("%s,%s,%d", (*keys, result.policy.ravel()))),
         "heatmap.csv": (
             ["location", "time_covered", "drop_rate", "start_pct"],
-            (
-                (u, g17(report.time_covered[u]), g17(report.drop_rate[u]), g17(report.start_pct[u]))
-                for u in range(grid.n)
-            ),
+            Columns("%d,%.17g,%.17g,%.17g",
+                    (np.arange(grid.n), report.time_covered, report.drop_rate, report.start_pct)),
         ),
     }
     payload = {

@@ -1,14 +1,23 @@
-"""Every CSV table the package reads, read in byte blocks under one error contract.
+"""Every CSV table the package reads or writes: read in byte blocks under one
+error contract, written a block of rows per ``%``.
+
+``write_table`` writes every CSV the package writes: the CLI's tables and
+``--format csv`` reports, ``grid.RequestModel.to_csv``,
+``ingest.write_replay`` and ``ingest.make_fixture``.  A table body is
+``Columns``, a printf row format and its column arrays; string cells are
+passed through ``quote`` first.  The bytes are those of ``csv.writer``
+with the same line terminator: ``\\n`` for the CLI's tables, ``\\r\\n`` for
+model, replay and fixture files.
 
 ``read_table`` serves ``grid.RequestModel.from_csv``, ``ingest.read_replay``
 and ``cli``'s ``resolve_weights`` (``--weights file:``) and ``cmd_fit``;
 ``ingest.parse_trips`` walks ``CsvBlocks.chunks`` itself, skipping the short
 rows and bad cells that the others refuse.
 
-The contract: a file is UTF-8, and its header (line 1) must hold the named
-columns, a repeated name reading as its last occurrence.  Blank lines are
-not rows; a long row is fine.  In file order, the first line that is short,
-holds a cell its column's dtype refuses (``int()`` into int64, or
+The reading contract: a file is UTF-8, and its header (line 1) must hold the
+named columns, a repeated name reading as its last occurrence.  Blank lines
+are not rows; a long row is fine.  In file order, the first line that is
+short, holds a cell its column's dtype refuses (``int()`` into int64, or
 ``float()``), holds bytes that are not UTF-8 or holds a field longer than
 ``csv.field_size_limit()`` raises ``SchemaError("{path}: line {N}: ...")``,
 N counting physical lines.
@@ -25,8 +34,9 @@ from __future__ import annotations
 import csv
 import io
 from contextlib import suppress
+from dataclasses import dataclass
 from itertools import chain
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -37,6 +47,9 @@ BLOCK_BYTES = 1 << 20
 
 #: Rows of ``csv.reader`` that ``read_table`` casts per step once a block is not plain.
 CHUNK_ROWS = 4096
+
+#: Rows that ``write_table`` formats per ``%``.
+CSV_BLOCK_ROWS = 4096
 
 _COMMA, _LF, _CR = b",\n\r"
 
@@ -274,3 +287,42 @@ def read_table(path, names: Sequence[str], dtypes: Sequence) -> list[np.ndarray]
             for part, column in zip(parts, _columns(path, chunk, names, where, dtypes)):
                 part.append(column)
     return [np.concatenate(part) for part in parts]
+
+
+def quote(cell: str) -> str:
+    """A string cell as ``csv.writer`` writes it with line terminator ``\\n``.
+
+    A cell holding a comma, a double quote or a ``\\n`` is quoted, its double
+    quotes doubled; any other cell is written as it is.  Only the CLI's
+    tables hold cells that need quoting.
+    """
+    if "," in cell or '"' in cell or "\n" in cell:
+        return '"' + cell.replace('"', '""') + '"'
+    return cell
+
+
+@dataclass(frozen=True)
+class Columns:
+    """A CSV table body: one printf-style row format, without its line break, over equal-length columns.
+
+    A string column's cells must already be ``quote``d; ``%.17g`` writes
+    a float's 17 significant digits, as ``cli.g17`` does.
+    """
+
+    row: str
+    columns: Sequence
+
+    def lines(self, end: str) -> Iterator[str]:
+        """The rows, ``CSV_BLOCK_ROWS`` per string, each block's slice of every column converted on its own."""
+        row = self.row + end
+        for a in range(0, len(self.columns[0]), CSV_BLOCK_ROWS):
+            cells = [np.asarray(column[a:a + CSV_BLOCK_ROWS]).tolist() for column in self.columns]
+            yield row * len(cells[0]) % tuple(chain.from_iterable(zip(*cells)))
+
+
+def write_table(path, header: Sequence[str], table: Columns | Iterable[Columns], end: str = "\n") -> None:
+    """Write a header row and then a table body (or several, one after another), each line ended by ``end``."""
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(map(quote, header)) + end)
+        for body in [table] if isinstance(table, Columns) else table:
+            fh.writelines(body.lines(end))

@@ -17,7 +17,7 @@ from typing import Iterator, Mapping
 
 import numpy as np
 
-from .csvblocks import read_table
+from .csvblocks import Columns, read_table, write_table
 
 #: Absolute tolerance used when validating floating-point probability mass.
 PROB_TOL = 1e-12
@@ -222,13 +222,8 @@ class RequestModel:
     def to_csv(self, path: str | Path) -> None:
         """Write rows ``origin,dest,p,w`` for pairs with nonzero p or w."""
         u, v = np.nonzero((self.p != 0) | (self.w != 0))
-        p, w = (np.asarray(a, dtype=float)[u, v].tolist() for a in (self.p, self.w))
-        # csv.writer's bytes: no integer or %g field ever needs quoting
-        with open(path, "w", newline="") as fh:
-            fh.write("origin,dest,p,w\r\n")
-            fh.writelines(
-                f"{a},{b},{x:.17g},{y:.17g}\r\n" for a, b, x, y in zip(u.tolist(), v.tolist(), p, w)
-            )
+        p, w = (np.asarray(a, dtype=float)[u, v] for a in (self.p, self.w))
+        write_table(path, ["origin", "dest", "p", "w"], Columns("%d,%d,%.17g,%.17g", (u, v, p, w)), end="\r\n")
 
     @classmethod
     def from_csv(cls, path: str | Path, grid: Grid) -> "RequestModel":

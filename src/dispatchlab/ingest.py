@@ -11,17 +11,15 @@ real dataset.
 
 from __future__ import annotations
 
-import csv
 import datetime as dt
 import gc
 from contextlib import suppress
 from dataclasses import dataclass, fields
-from itertools import chain
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .csvblocks import CsvBlocks, read_table
+from .csvblocks import Columns, CsvBlocks, read_table, write_table
 from .errors import SchemaError
 from .grid import RequestModel, build_grid, distance_weights
 from .rng import RawDraws, stream
@@ -415,10 +413,8 @@ def build_replay(
 
 
 def write_replay(path, trace: ReplayTrace) -> None:
-    """Write rows ``round,origin,dest,weight``, as ``csv.writer`` writes them."""
-    with open(path, "w", newline="") as fh:
-        fh.write("round,origin,dest,weight\r\n")
-        fh.writelines(f"{r},{u},{v},{w:.17g}\r\n" for r, u, v, w in zip(*(c.tolist() for c in trace.columns)))
+    """Write rows ``round,origin,dest,weight`` with ``\\r\\n`` line breaks."""
+    write_table(path, ["round", "origin", "dest", "weight"], Columns("%d,%d,%d,%.17g", trace.columns), end="\r\n")
 
 
 def read_replay(path) -> ReplayTrace:
@@ -460,7 +456,7 @@ FIXTURE_MAX_CARS = 2**32 - 1
 _TRIP_SECONDS = (120, 2400)
 _PASSENGERS = 4
 _LEAVE, _SIGN = 0.13, 0.5
-_ROW = "CAR%05d,LIC%05d,%s,1,N,%s,%s,%d,%d,%.2f,%.6f,%.6f,%.6f,%.6f\r\n"
+_ROW = "CAR%05d,LIC%05d,%s,1,N,%s,%s,%d,%d,%.2f,%.6f,%.6f,%.6f,%.6f"
 
 
 def _leading_ranges(cars: int) -> tuple[int, ...]:
@@ -576,8 +572,8 @@ def _fixture_draws(draws: RawDraws, rows: int, cars: int):
     return values, units, shifts
 
 
-def _fixture_lines(values: np.ndarray, units: np.ndarray, shifts: np.ndarray) -> str:
-    """The CSV lines of rows with these draws, as ``csv.writer`` writes them."""
+def _fixture_rows(values: np.ndarray, units: np.ndarray, shifts: np.ndarray) -> Columns:
+    """The table body of rows with these draws."""
     bbox = DEFAULT_BBOX
     low = np.array([bbox.lat_min, bbox.lon_min] * 2)
     span = np.array([bbox.lat_max - bbox.lat_min, bbox.lon_max - bbox.lon_min] * 2)
@@ -593,7 +589,7 @@ def _fixture_lines(values: np.ndarray, units: np.ndarray, shifts: np.ndarray) ->
         text.view(np.uint32).reshape(len(text), -1)[:, 10] = ord(" ")  # ISO "T" to the format's space
     vendor = np.array(["VTS", "CMT"])[car % 2]
     columns = [car, car, vendor, *stamps, 1 + passengers, duration, distance, plon, plat, dlon, dlat]
-    return (_ROW * len(car)) % tuple(chain.from_iterable(zip(*(c.tolist() for c in columns))))
+    return Columns(_ROW, columns)
 
 
 def make_fixture(path, trips: int = 1000, seed: int = 0, cars: int = 40) -> int:
@@ -613,9 +609,7 @@ def make_fixture(path, trips: int = 1000, seed: int = 0, cars: int = 40) -> int:
     if not 1 <= cars <= FIXTURE_MAX_CARS:
         raise ValueError(f"cars must lie in [1, {FIXTURE_MAX_CARS}], got {cars}")
     draws = RawDraws(stream(seed, 99).bit_generator)
-    with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerow(FIXTURE_COLUMNS)
-        for start in range(0, trips, FIXTURE_BLOCK_ROWS):
-            rows = min(FIXTURE_BLOCK_ROWS, trips - start)
-            fh.write(_fixture_lines(*_fixture_draws(draws, rows, cars)))
+    blocks = (_fixture_rows(*_fixture_draws(draws, min(FIXTURE_BLOCK_ROWS, trips - start), cars))
+              for start in range(0, trips, FIXTURE_BLOCK_ROWS))
+    write_table(path, FIXTURE_COLUMNS, blocks, end="\r\n")
     return trips

@@ -99,32 +99,6 @@ def parse_policy(text: str) -> PolicySpec:
     raise ValueError(f"unknown policy {text!r}")
 
 
-def nadap_probe_weights(grid: Grid, origin: int, alpha, boundary: str = "renormalize"):
-    """Candidate serving locations and their probe probabilities for nadap.
-
-    Returns a list of ``(location, weight)``; a ``None`` location collects
-    the mass that draws an off-grid direction (rejected outright).  Exact
-    inputs (Fraction alpha) produce exact weights.
-    """
-    nbrs = grid.neighbors(origin)
-    one = Fraction(1) if isinstance(alpha, Fraction) else 1.0
-    rest = one - alpha
-    out = [(origin, alpha)]
-    if boundary == "renormalize":
-        if nbrs:
-            share = rest / len(nbrs)
-            out.extend((k, share) for k in nbrs)
-        elif rest != 0:
-            out.append((None, rest))
-    else:
-        share = rest / 4
-        out.extend((k, share) for k in nbrs)
-        lost = rest - share * len(nbrs)
-        if lost != 0:
-            out.append((None, lost))
-    return out
-
-
 #: Slots of a policy table per (state, origin): at most the origin and its four neighbors.
 SLOTS = 5
 
@@ -209,19 +183,21 @@ def policy_table(states: np.ndarray, policy: PolicySpec, grid: Grid) -> tuple[np
     u in state b is served from ``loc[b, u, s]`` (-1 for none) with
     probability ``wgt[b, u, s]``.  rand and greedy have one slot of weight
     1, their candidate scan in each state of the (batch, n) count array
-    ``states``.  nadap's slots are its probe weights without the off-grid
-    mass; they ignore the counts, so its batch axis has length 1.
+    ``states``.  nadap's slots are ``candidate_table``'s, as its coin map
+    reads them: alpha on the origin and (1 - alpha) / width on each in-grid
+    probe, width being the in-grid neighbor count ("renormalize") or 4
+    ("lost"); the off-grid mass has no slot.  They ignore the counts, so
+    nadap's batch axis has length 1.  A Fraction alpha gives exact weights.
     """
     n = grid.n
-    if policy.kind == "nadap":
-        loc = np.full((1, n, SLOTS), -1, dtype=np.int64)
-        wgt = np.zeros((1, n, SLOTS), dtype=object if isinstance(policy.alpha, Fraction) else float)
-        for u in range(n):
-            probes = nadap_probe_weights(grid, u, policy.alpha, policy.boundary)
-            for s, (k, w) in enumerate((k, w) for k, w in probes if k is not None):
-                loc[0, u, s], wgt[0, u, s] = k, w
-        return loc, wgt
     cand = candidate_table(policy, grid)
+    if policy.kind == "nadap":
+        probe = cand[:, 1:] >= 0
+        width = np.full(n, 4) if policy.boundary == "lost" else np.maximum(probe.sum(axis=1), 1)
+        wgt = np.zeros((1, n, SLOTS), dtype=object if isinstance(policy.alpha, Fraction) else float)
+        wgt[0, :, 0] = policy.alpha
+        wgt[0, :, 1:] = np.where(probe, (1 - policy.alpha) / width[:, None], 0)
+        return cand[None], wgt
     loc = _first_best(policy, cand, np.arange(n), states[:, cand])[:, :, None]
     return loc, np.ones(loc.shape, dtype=np.int64)
 

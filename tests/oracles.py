@@ -19,7 +19,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from dispatchlab.chain import (MIXING_SIZE_LIMIT, MONOTONE_SLACK, MixingReport, OccupancyPairChain,
-                               TransitionMatrix, _zero_one)
+                               StationaryResult, TransitionMatrix, _zero_one)
 from dispatchlab.errors import DispatchLabError, HorizonTooShortError, SchemaError, SizeLimitError
 from dispatchlab.grid import DIRECTIONS, Grid, RequestModel, build_grid, distance_weights, manhattan_distance
 from dispatchlab.ingest import (
@@ -40,7 +40,7 @@ from dispatchlab.ingest import (
     segment_seconds,
 )
 from dispatchlab.mdp import REJECT, MdpInstance, OccupancyReport, ViResult
-from dispatchlab.policies import PolicySpec, nadap_probe_weights, step_profit
+from dispatchlab.policies import PolicySpec, step_profit
 from dispatchlab.rng import stream
 from dispatchlab.simulate import ErrorSeries, SimConfig, initial_state_preset
 from dispatchlab.states import StateSpace
@@ -136,6 +136,32 @@ def greedy_candidates(grid: Grid, state: Sequence[int], origin: int, origin_firs
     pool = [(origin, -1)] + [(k, i) for i, k in enumerate(nbrs)]
     pool.sort(key=lambda item: (-state[item[0]], item[1]))
     return [k for k, _ in pool]
+
+
+def nadap_probe_weights(grid: Grid, origin: int, alpha, boundary: str = "renormalize"):
+    """Candidate serving locations and their probe probabilities for nadap.
+
+    Returns a list of ``(location, weight)``; a ``None`` location collects
+    the mass that draws an off-grid direction (rejected outright).  Exact
+    inputs (Fraction alpha) produce exact weights.
+    """
+    nbrs = grid.neighbors(origin)
+    one = Fraction(1) if isinstance(alpha, Fraction) else 1.0
+    rest = one - alpha
+    out = [(origin, alpha)]
+    if boundary == "renormalize":
+        if nbrs:
+            share = rest / len(nbrs)
+            out.extend((k, share) for k in nbrs)
+        elif rest != 0:
+            out.append((None, rest))
+    else:
+        share = rest / 4
+        out.extend((k, share) for k in nbrs)
+        lost = rest - share * len(nbrs)
+        if lost != 0:
+            out.append((None, lost))
+    return out
 
 
 def serving_location(state: Sequence[int], origin: int, policy: PolicySpec, grid: Grid, coin=None):
@@ -239,6 +265,30 @@ def expected_step_profit(state: Sequence[int], model: RequestModel, policy: Poli
                     continue
                 if can_serve(state, chosen, v, c):
                     total = total + pv * row_w[v]
+    return total
+
+
+def limiting_objective_gamma(stationary: StationaryResult, model: RequestModel, policy: PolicySpec) -> float:
+    """nadap's long-run per-round profit through the gamma map, request by request.
+
+    nadap's probe lands independently of the state, so a request (u, v) is
+    served with probability sum_k probe(u, k) gamma[k, v]; the objective
+    adds p w times that over the requests, the off-grid probe mass left out.
+    """
+    grid = stationary.space.grid
+    gamma = stationary.gamma
+    total = 0.0
+    for u in range(grid.n):
+        probes = nadap_probe_weights(grid, u, policy.alpha, policy.boundary)
+        for v in range(grid.n):
+            coef = model.p[u, v] * model.w[u, v]
+            if coef == 0:
+                continue
+            served = 0.0
+            for k, wgt in probes:
+                if k is not None and wgt != 0:
+                    served += float(wgt) * gamma[k, v]
+            total += float(coef) * served
     return total
 
 

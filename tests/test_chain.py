@@ -35,6 +35,7 @@ from oracles import (
     build_transition_from_policy,
     expected_step_profit,
     kernel_from_rows,
+    limiting_objective_gamma,
     matrix_gap_series,
     same_transitions,
 )
@@ -209,7 +210,7 @@ def test_stationary_reports_power_iterations():
 
 
 def test_limiting_objective_routes_match_across_policies():
-    """The gamma-map closed path equals direct pi-weighted per-state profit.
+    """The gamma-map closed path of the oracles equals the package's pi-weighted per-state profit.
 
     The lost boundary on 2x3 drops the off-grid probe mass at every edge
     cell, which the gamma route must leave out as well.
@@ -221,9 +222,10 @@ def test_limiting_objective_routes_match_across_policies():
         model = uniform_request_model(g, rate, weights=1)
         policy = parse_policy(label)
         res = stationary_distribution(build_transition(space, model, policy))
-        via_gamma = limiting_objective(res, model, policy)
+        objective = limiting_objective(res, model, policy)
         esp = step_profit(space.as_array(), model, policy, space.c)
-        assert abs(via_gamma - float(res.pi @ esp)) < 1e-12, label
+        assert objective == float(res.pi @ esp), label
+        assert abs(limiting_objective_gamma(res, model, policy) - objective) < 1e-12, label
 
 
 def test_limiting_objective_rejects_policy_mismatch():

@@ -8,7 +8,7 @@ import os
 import numpy as np
 import pytest
 
-from dispatchlab import cli
+from dispatchlab import csvblocks
 from dispatchlab.cli import main, write_json
 from dispatchlab.grid import build_grid, uniform_request_model
 from oracles import (
@@ -263,16 +263,23 @@ def test_simulate_output_bytes_are_pinned(tmp_path, flags):
 
 @pytest.mark.parametrize("block", [1, 3, 4096])
 def test_columns_write_the_bytes_of_per_cell_rows(tmp_path, monkeypatch, block):
-    """One ``%`` over a block of rows writes what csv.writer writes for g17 cells."""
-    monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", block)
+    """One ``%`` over a block of rows writes what csv.writer writes for %.17g and quoted string cells."""
+    monkeypatch.setattr(csvblocks, "CSV_BLOCK_ROWS", block)
     rng = np.random.default_rng(17)
     specials = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1 / 3, 1e300, -2.5e-17, 123456789.0, 1.0]
+    texts = ["a,b", 'say "hi"', '"', "cr\rhere", "lf\nhere", "\r\n", "", "café ☕", "2,0,1,0", "1", " pad "]
+    header = ["t", "x", "y", "s", "a, b"]
     for x in (np.array(specials), rng.standard_normal(50) * 10.0 ** rng.integers(-300, 300, 50), np.zeros(0)):
         y = x[::-1] * 3
         t = np.arange(len(x))
-        cli.write_csv(tmp_path / "blocks.csv", ["t", "x", "y"], cli.Columns("%d,%.17g,%.17g\n", (t, x, y)))
-        cli.write_csv(tmp_path / "cells.csv", ["t", "x", "y"],
-                      [(i, cli.g17(a), cli.g17(b)) for i, a, b in zip(t.tolist(), x, y)])
+        s = [texts[i % len(texts)] for i in rng.permutation(len(x))]
+        cells = np.array([csvblocks.quote(text) for text in s], dtype=object)
+        csvblocks.write_table(tmp_path / "blocks.csv", header,
+                              csvblocks.Columns("%d,%.17g,%.17g,%s,%d", (t, x, y, cells, t)))
+        with open(tmp_path / "cells.csv", "w", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows((i, f"{a:.17g}", f"{b:.17g}", text, i) for i, a, b, text in zip(t.tolist(), x, y, s))
         assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "cells.csv").read_bytes()
 
 
@@ -326,6 +333,81 @@ def test_vi_output_bytes_are_pinned(tmp_path, flags):
     code, out = run(["vi", *flags.split()], tmp_path)
     assert code == 0
     assert (sha(out / "heatmap.csv"), read_json(out / "report.json")["episode_served"]) == VI_PINS[flags]
+
+
+VI_TABLE_DIGESTS = {
+    "--grid 2x2 --drivers 1 --capacity 2 --arrivals uniform:0.0625 --seed 2 --periods 200": {
+        "values.csv": "f3f7ba11642d0ff33f54ed548e58d6d20b97ff42cc70a18e9b5cd213afc74a3a",
+        "policy.csv": "c406e053ec52077ef31abe9ba702f419e61cfe9e6681cf46e36320ee3ed4d982",
+    },
+    "--grid 2x3 --drivers 3 --capacity 2 --arrivals uniform:0.025 --seed 11 --periods 700 --init 2,0,0,0,0,1": {
+        "values.csv": "26b62f1767734de90bd35ae6d68a9df86e218ae3f3657103b7caf14130cbb8b1",
+        "policy.csv": "661aabb2ce91a2dff3292375c42edfccd40058566042f543c25cbffd42698a98",
+    },
+}
+
+
+@pytest.mark.parametrize("flags", list(VI_TABLE_DIGESTS))
+def test_vi_tables_are_pinned(tmp_path, flags):
+    """The per-state, per-request tables, quoted states and the "none" request included."""
+    code, out = run(["vi", *flags.split()], tmp_path)
+    assert code == 0
+    assert {name: sha(out / name) for name in VI_TABLE_DIGESTS[flags]} == VI_TABLE_DIGESTS[flags]
+
+
+# Recorded on 2x3, m=3, c=2 with uniform:0.025 arrivals.  The stationary
+# solve and the mixing curve go through BLAS, so these hold for one numpy
+# build.  Only the tables are pinned; the objective is checked by value.
+EXACT_DIGESTS = {
+    "nadap:0.8": {
+        "stationary.csv": "f550ee880ad78ef4823849a92cb432ccbc86eca0394c9bbf9a100138ee8a5586",
+        "gamma.csv": "0e338ae9b1d1966bdb771ec29b4fed2371a1b358326321d7e320e5a80e4a6f3c",
+        "mixing.csv": "0066d9182145a376df8a0035087b11266bbcd6ea03d8ec82aff70c0b5502a7ce",
+    },
+    "nadap:0.7:lost": {
+        "stationary.csv": "d37b6179f3ff1c0a356eeb70927388f7215ee3dbc4c2f2dd1b2d5a5b3ad88143",
+        "gamma.csv": "e7d5ffa7c3ba7b03e2f6e098ad84ba022732a6c7558bd9a52e4ff4a840268b31",
+        "mixing.csv": "d0448313c2ff6f798294bf075ce26079d6c54bff351db1558dcede599f1a9e27",
+    },
+    "rand:NESW": {
+        "stationary.csv": "5cceec7296b92ba55da4c735eb26ee1fdb89e39c2a3e8444ae2597c474408311",
+        "gamma.csv": "4ea4085bfcff76ee7f2cb664cc194f1d8f3cf163447b99a54ab758a7218fbe96",
+        "mixing.csv": "40113c11f8e289d1c001a246cb444318e6cd78dadc952b1442279f193ae72305",
+    },
+    "greedy": {
+        "stationary.csv": "3fc776cb52937fefa97cba8f682e8d9ed316c9e9af73ed4882d783ff16a3176a",
+        "gamma.csv": "5ea33194d9d59b3a695e38ff0b08421261d2bfd517e79d36ef3598960604a05b",
+        "mixing.csv": "2edd0604858e80811fdf2bd24b716153f353dd7a24bc1662c6675eaa4c1b0707",
+    },
+}
+
+
+@pytest.mark.parametrize("policy", list(EXACT_DIGESTS))
+def test_exact_tables_are_pinned(tmp_path, policy):
+    args = ["exact", "--grid", "2x3", "--drivers", "3", "--capacity", "2", "--arrivals", "uniform:0.025"]
+    code, out = run([*args, "--policy", policy], tmp_path)
+    assert code == 0
+    assert {name: sha(out / name) for name in EXACT_DIGESTS[policy]} == EXACT_DIGESTS[policy]
+
+
+def test_one_cell_state_is_written_unquoted(tmp_path):
+    args = ["exact", "--grid", "1x1", "--drivers", "1", "--capacity", "1", "--arrivals", "uniform:0.5"]
+    code, out = run([*args, "--policy", "greedy"], tmp_path)
+    assert code == 0
+    assert (out / "stationary.csv").read_bytes() == b"state,pi\n1,1\n"
+    assert sha(out / "stationary.csv") == "9b55a2ce4385daa5b72f6af9294f1d36c1930516be74e971a4125a5df4198aac"
+
+
+def test_csv_report_quotes_a_list_cell(tmp_path):
+    """A --format csv report writes a list as JSON in one quoted cell, its quotes doubled."""
+    code, fix = run(["fixture", "--trips", "300", "--seed", "6"], tmp_path, "fix")
+    assert code == 0
+    code, out = run(["ingest", "--input", str(fix / "trips.csv"), "--segment", "morning", "--emit", "model",
+                     "--grid", "3x2", "--format", "csv"], tmp_path)
+    assert code == 0
+    lines = (out / "report.csv").read_text().splitlines()
+    assert lines[1] == 'dates,"[""2013-01-14"", ""2013-01-15"", ""2013-01-16"", ""2013-01-17"", ""2013-01-18""]"'
+    assert sha(out / "report.csv") == "cb51d5c80307f8995d864b1618492e3ed0e3ec7eabab48d03e7874d4a4d74767"
 
 
 def test_vi_rejects_an_episode_without_periods(tmp_path, capsys):

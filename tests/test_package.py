@@ -56,6 +56,18 @@ def test_only_csvblocks_reads_csv():
     assert callers == {"csvblocks.py"}
 
 
+def test_only_csvblocks_imports_csv():
+    """One table writer too: no module but csvblocks imports csv, so none can build a csv.writer."""
+    importers = set()
+    for path in sorted(Path(dispatchlab.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import) and any(alias.name == "csv" for alias in node.names):
+                importers.add(path.name)
+            elif isinstance(node, ast.ImportFrom) and node.module == "csv":
+                importers.add(path.name)
+    assert importers == {"csvblocks.py"}
+
+
 def test_cli_handlers_leave_the_output_protocol_to_the_runner():
     """Each cmd_* computes a Run from its options; only write_run makes --out and writes report and manifest."""
     tree = ast.parse(Path(cli.__file__).read_text())

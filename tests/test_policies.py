@@ -13,7 +13,6 @@ from dispatchlab.policies import (
     PHI_CLOCKWISE,
     PolicySpec,
     candidate_table,
-    nadap_probe_weights,
     parse_policy,
     serving_locations,
 )
@@ -22,6 +21,7 @@ from oracles import (
     dispatch,
     expected_step_profit,
     greedy_candidates,
+    nadap_probe_weights,
     rand_scan_order,
     serving_location,
 )
