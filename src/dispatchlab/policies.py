@@ -224,11 +224,12 @@ def step_profit(states: np.ndarray, model: RequestModel, policy: PolicySpec, c: 
         X = states[a : a + chunk]
         L, W = (loc, wgt) if len(loc) == 1 else (loc[a : a + chunk], wgt[a : a + chunk])
         occupied = (L >= 0) & (X[np.arange(len(X))[:, None, None], np.maximum(L, 0)] >= 1)
-        room = (X < c)[:, None, :]
-        prob = 0
-        for s in range(L.shape[2]):
-            serves = occupied[:, :, s, None] & ((L[:, :, s, None] == dest) | room)
-            prob = prob + np.where(serves, W[:, :, s, None], 0)
+        serves = occupied[..., None] & ((L[..., None] == dest) | (X < c)[:, None, None, :])
+        if L.shape[2] == 1:
+            # rand and greedy: one slot of weight 1, so a term is coef where it serves
+            prob = serves[:, :, 0]
+        else:
+            prob = sum(np.where(serves[:, :, s], W[:, :, s, None], 0) for s in range(L.shape[2]))
         terms = (coef * prob).reshape(len(X), n * n)
         out[a : a + chunk] = np.cumsum(terms, axis=1)[:, -1]
     return out.astype(float)

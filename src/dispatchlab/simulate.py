@@ -28,8 +28,9 @@ from .states import StateSpace
 TraceEntry = tuple[int, int, int, float]
 
 #: Element budgets that keep memory flat whatever the run count and horizon:
-#: a block of runs holds at most _BLOCK_ELEMENTS (run, round) profits, and
-#: draws its request schedule _SCHEDULE_ELEMENTS (run, step) entries at a time.
+#: a block of runs holds at most _BLOCK_ELEMENTS (run, step) profits, a step
+#: being a round under IID arrivals and a trace entry in replay, and draws
+#: its request schedule _SCHEDULE_ELEMENTS (run, step) entries at a time.
 _BLOCK_ELEMENTS = 1 << 18
 _SCHEDULE_ELEMENTS = 1 << 13
 
@@ -67,7 +68,8 @@ def _trace_columns(trace: ReplayTrace | Sequence[TraceEntry], grid: Grid) -> tup
     """A replay trace's columns or entries as (round, origin, dest, weight) arrays, checked entry by entry.
 
     Raises ValueError naming the first entry that is off the grid, has a
-    negative round, or comes before the round of the entry preceding it.
+    negative round, comes before the round of the entry preceding it, or
+    has a negative or non-finite weight.
     """
     entries = np.column_stack(trace.columns) if isinstance(trace, ReplayTrace) else np.asarray(trace, dtype=float)
     cols = entries.reshape(len(entries), 4).T
@@ -75,7 +77,7 @@ def _trace_columns(trace: ReplayTrace | Sequence[TraceEntry], grid: Grid) -> tup
     weight = cols[3]
     off_grid = (np.minimum(origin, dest) < 0) | (np.maximum(origin, dest) >= grid.n)
     earlier = np.r_[False, rounds[1:] < rounds[:-1]]
-    bad = np.flatnonzero(off_grid | (rounds < 0) | earlier)
+    bad = np.flatnonzero(off_grid | (rounds < 0) | earlier | ~(np.isfinite(weight) & (weight >= 0)))
     if len(bad):
         i = bad[0]
         entry = f"entry {i} {(int(rounds[i]), int(origin[i]), int(dest[i]), weight[i].item())}"
@@ -83,7 +85,9 @@ def _trace_columns(trace: ReplayTrace | Sequence[TraceEntry], grid: Grid) -> tup
             raise ValueError(f"trace {entry} is off the {grid.rows}x{grid.cols} grid")
         if rounds[i] < 0:
             raise ValueError(f"trace {entry} has a negative round")
-        raise ValueError(f"trace rounds must be non-decreasing: {entry} follows round {rounds[i - 1]}")
+        if earlier[i]:
+            raise ValueError(f"trace rounds must be non-decreasing: {entry} follows round {rounds[i - 1]}")
+        raise ValueError(f"trace {entry} has a negative or non-finite weight")
     return rounds, origin, dest, weight
 
 
@@ -183,22 +187,6 @@ def _spans(total: int, size: int) -> list[tuple[int, int]]:
     return [(a, min(a + size, total)) for a in range(0, total, size)]
 
 
-def _memo_profit(rows: np.ndarray, memo: dict, config: SimConfig) -> list[float]:
-    """Expected step profit of each row of a C-contiguous count array, through the shared memo.
-
-    The memo is keyed by a row's bytes; the rows it misses go to
-    ``step_profit`` in one batch.
-    """
-    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel().tolist()
-    try:
-        return [memo[key] for key in keys]
-    except KeyError:
-        todo = {key: i for i, key in enumerate(keys) if key not in memo}
-        fresh = step_profit(rows[list(todo.values())], config.model, config.policy, config.c)
-        memo.update(zip(todo, fresh.tolist()))
-        return [memo[key] for key in keys]
-
-
 @dataclass(frozen=True)
 class _RankTables:
     """The space's successor table keyed by request: the rank path of ensembles and MDP episodes.
@@ -282,14 +270,17 @@ def _walk(tables, at, policy, grid, origins, dests, coins) -> tuple[np.ndarray, 
     return cells, path
 
 
-def _count_steps(config, counts, origins, dests, coins, rounds, gains, profits, memo) -> None:
-    """Step a chunk of the schedule on driver counts, all runs at once, recording each round's profit.
+def _count_steps(config, counts, origins, dests, coins, gains, profits, esp, stale) -> None:
+    """Step a chunk of the schedule on driver counts, all runs at once, recording each step's profit.
 
-    ``counts`` is a C-contiguous (runs, n) array, changed in place.  Step t
-    offers run b the request ``origins[t, b] -> dests[t, b]`` (origin -1:
-    none; a row of width 1 offers every run the same request), served from
-    the policy's ``serving_locations`` choice when that location holds a
-    driver and the destination has room or is that location.
+    ``counts`` is a C-contiguous (runs, n) array, changed in place, and
+    ``profits`` the chunk's (runs, steps) columns.  Step t offers run b the
+    request ``origins[t, b] -> dests[t, b]`` (origin -1: none; a row of
+    width 1 offers every run the same request), served from the policy's
+    ``serving_locations`` choice when that location holds a driver and the
+    destination has room or is that location.  ``esp`` holds each run's
+    expected step profit, recomputed by ``step_profit`` only for the
+    ``stale`` runs, those that moved since; both change in place.
     """
     policy, grid, c = config.policy, config.grid, config.c
     if policy.kind == "nadap":
@@ -300,7 +291,10 @@ def _count_steps(config, counts, origins, dests, coins, rounds, gains, profits, 
     asked = origins >= 0
     for t in range(len(origins)):
         if config.estimator == "conditional":
-            profits[:, rounds[t]] = _memo_profit(counts, memo, config)
+            if stale.any():
+                esp[stale] = step_profit(counts[stale], config.model, policy, c)
+                stale[:] = False
+            profits[:, t] = esp
         if not asked[t].any():
             continue
         k = chosen[t] if policy.kind == "nadap" else serving_locations(policy, grid, counts, origins[t])
@@ -308,62 +302,59 @@ def _count_steps(config, counts, origins, dests, coins, rounds, gains, profits, 
         at_k, at_v = base + np.maximum(k, 0), base + v
         served = asked[t] & (k >= 0) & (flat[at_k] >= 1) & ((k == v) | (flat[at_v] < c))
         if config.estimator == "realized":
-            profits[served, rounds[t]] += gains[t, served]
+            profits[:, t] = np.where(served, gains[t], 0.0)
         moving = served & (k != v)
         flat[at_k] -= moving
         flat[at_v] += moving
+        stale |= moving
 
 
-def _rank_steps(config, tables, at, origins, dests, coins, rounds, gains, profits) -> None:
-    """Step a chunk of the schedule on rank offsets ``at``, changed in place.
-
-    The profits are gathered after the chunk, the realized ones added in
-    schedule order, so a round that repeats in a replay sums its gains as
-    ``_count_steps`` does.
-    """
+def _rank_steps(config, tables, at, origins, dests, coins, gains, profits) -> None:
+    """Step a chunk of the schedule on rank offsets ``at``, changed in place, into its (runs, steps) ``profits``."""
     cells, path = _walk(tables, at, config.policy, config.grid, origins, dests, coins)
     start = path[:-1]
     if config.estimator == "conditional":
-        profits[:, rounds] = tables.esp[start // tables.stride].T
+        profits[:] = tables.esp[start // tables.stride].T
     else:
-        np.add.at(profits.T, rounds, np.where(tables.ok[start + cells], gains, 0.0))
+        profits[:] = np.where(tables.ok[start + cells], gains, 0.0).T
 
 
-def _block(config: SimConfig, runs: range, trace: tuple | None, tables: _RankTables | None,
-           memo: dict) -> np.ndarray:
-    """Per-round profits (runs, T) of a block of replications stepped together.
+def _block(config: SimConfig, runs: range, trace: tuple | None, tables: _RankTables | None) -> np.ndarray:
+    """Per-step profits (runs, steps) of a block of replications stepped together.
 
-    Run r draws from ``stream(seed, r)``, a schedule chunk at a time: under
-    IID arrivals ``random((T, 2))``, a request and a probe coin per round;
-    in replay, where every run meets the trace entries in order, nadap's
-    one probe coin per entry.  With ``tables`` each run steps a state rank,
+    A step is a round under IID arrivals and a trace entry in replay.  Run r
+    draws from ``stream(seed, r)``, a schedule chunk at a time: under IID
+    arrivals ``random((T, 2))``, a request and a probe coin per round; in
+    replay, where every run meets the trace entries in order, nadap's one
+    probe coin per entry.  With ``tables`` each run steps a state rank,
     else its driver counts step.  The conditional estimator records the
     expected profit of the state each round starts from, the realized one
-    the weight of each served request in its round.
+    the weight of the step's request if served, else 0.
     """
     policy, n = config.policy, config.grid.n
     if tables is None:
         state = np.tile(np.array(config.initial_state, dtype=np.int64), (len(runs), 1))
+        esp, stale = np.zeros(len(runs)), np.ones(len(runs), dtype=bool)
     else:
         state = np.full(len(runs), tables.start, dtype=np.int64)
-    profits = np.zeros((len(runs), config.T))
+    steps = config.T if trace is None else len(trace[0])
+    profits = np.zeros((len(runs), steps))
     gens = [stream(config.seed, r) for r in runs]
     if trace is None:
         cum_p = np.cumsum(config.model.p.astype(float).ravel())
         w = config.model.w.astype(float).ravel()
-    for a, b in _spans(config.T if trace is None else len(trace[0]), _SCHEDULE_ELEMENTS // len(runs)):
+    for a, b in _spans(steps, _SCHEDULE_ELEMENTS // len(runs)):
         if trace is None:
             draws = np.stack([g.random((b - a, 2)) for g in gens], axis=1)
             req = np.searchsorted(cum_p, draws[:, :, 0], side="right")
             origins, dests, coins = np.where(req < n * n, req // n, -1), req % n, draws[:, :, 1]
-            rounds, gains = np.arange(a, b), w[np.minimum(req, n * n - 1)]
+            gains = w[np.minimum(req, n * n - 1)]
         else:
             coins = np.stack([g.random(b - a) for g in gens], axis=1) if policy.kind == "nadap" else None
-            origins, dests = trace[1][a:b, None], trace[2][a:b, None]
-            rounds, gains = trace[0][a:b], np.broadcast_to(trace[3][a:b, None], (b - a, len(runs)))
-        schedule = origins, dests, coins, rounds, gains, profits
+            origins, dests, gains = (col[a:b, None] for col in trace[1:])
+        schedule = origins, dests, coins, gains, profits[:, a:b]
         if tables is None:
-            _count_steps(config, state, *schedule, memo)
+            _count_steps(config, state, *schedule, esp, stale)
         else:
             _rank_steps(config, tables, state, *schedule)
     return profits
@@ -373,25 +364,29 @@ def run_ensemble(config: SimConfig) -> ErrorSeries:
     """Run all replications and aggregate per-round means, spreads, and objectives.
 
     Replication r draws from the (seed, r) stream.  Runs step together in
-    blocks that fit ``_BLOCK_ELEMENTS``, and the reduction is a fixed pass
-    in run-index order, so results do not depend on the blocking.  The
-    state space alone picks the step: rank tables built once when it fits
-    ``_TABLE_ELEMENTS``, else driver counts, whose conditional estimator
-    shares one memo across all runs.  Both give the same bits.
+    blocks whose (run, step) profits fit ``_BLOCK_ELEMENTS``, and the
+    reduction is a fixed pass in run-index order, so results do not depend
+    on the blocking.  A replay run's entry profits become round profits
+    there, one run at a time, added in entry order as the scalar loop adds
+    them.  The state space alone picks the step: rank tables built once
+    when it fits ``_TABLE_ELEMENTS``, else driver counts.  Both give the
+    same bits.
     """
     T, runs = config.T, config.runs
     sum_w = np.zeros(T)
     sumsq_w = np.zeros(T)
     sum_obj = 0.0
     sumsq_obj = 0.0
-    memo: dict = {}
     trace = None
     if config.trace_columns is not None:
         rounds = config.trace_columns[0]
         trace = tuple(col[: np.searchsorted(rounds, T)] for col in config.trace_columns)
+    steps = T if trace is None else len(trace[0])
     tables = _rank_tables(config)
-    for a, b in _spans(runs, _BLOCK_ELEMENTS // T):
-        for row in _block(config, range(a, b), trace, tables, memo):
+    for a, b in _spans(runs, _BLOCK_ELEMENTS // max(steps, 1)):
+        for row in _block(config, range(a, b), trace, tables):
+            if trace is not None:
+                row = np.bincount(trace[0], weights=row, minlength=T)
             sum_w += row
             sumsq_w += row * row
             obj_r = float(row.mean())

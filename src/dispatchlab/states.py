@@ -52,8 +52,8 @@ def _completions(n: int, m: int, c: int, sat: int, keep: bool = False) -> np.nda
 class StateSpace:
     """All driver-count states for (grid, m, c), in lexicographic order.
 
-    Ranking uses a table of bounded-composition counts, so ``rank`` and
-    ``unrank`` are O(n * min(c, m)) without materializing the space.
+    Ranking uses a table of bounded-composition counts, so ``rank`` is
+    O(n * min(c, m)) without materializing the space.
     """
 
     def __init__(self, grid: Grid, m: int, c: int, cap: int = DEFAULT_STATE_CAP):
@@ -105,23 +105,6 @@ class StateSpace:
             rem -= x
         return r
 
-    def unrank(self, index: int) -> tuple[int, ...]:
-        if not (0 <= index < self.size):
-            raise ValueError(f"rank {index} outside [0, {self.size})")
-        table = self._table
-        out = []
-        rem = self.m
-        r = index
-        for i in range(self.n):
-            for t in range(0, min(self.c, rem) + 1):
-                block = table[i + 1][rem - t]
-                if r < block:
-                    out.append(t)
-                    rem -= t
-                    break
-                r -= block
-        return tuple(out)
-
     def as_array(self) -> np.ndarray:
         """Dense (size, n) int32 table of all states in rank order, cached.
 
@@ -164,12 +147,6 @@ class StateSpace:
                 R[:, : m + 1, t] = acc
             self._prefix_table = R
         return self._prefix_table
-
-    def ranks(self, counts: np.ndarray) -> np.ndarray:
-        """Ranks of a (batch, n) array of valid states, vectorized ``rank``."""
-        counts = np.asarray(counts)
-        rem = self.m - np.cumsum(counts, axis=1) + counts
-        return self._prefix()[np.arange(self.n), rem, counts].sum(axis=1)
 
     def _move_tables(self):
         """Per-state remainders and running rank shifts that ``move_ranks`` reads, cached.

@@ -68,6 +68,32 @@ def rank_by_table(table: list[list[int]], counts: Sequence[int]) -> int:
     return r
 
 
+def unrank(space: StateSpace, index: int) -> tuple[int, ...]:
+    """The state of rank ``index``: inverse of ``space.rank``, read off its completion table."""
+    if not (0 <= index < space.size):
+        raise ValueError(f"rank {index} outside [0, {space.size})")
+    table = space._table
+    out = []
+    rem = space.m
+    r = index
+    for i in range(space.n):
+        for t in range(0, min(space.c, rem) + 1):
+            block = table[i + 1][rem - t]
+            if r < block:
+                out.append(t)
+                rem -= t
+                break
+            r -= block
+    return tuple(out)
+
+
+def ranks(space: StateSpace, counts: np.ndarray) -> np.ndarray:
+    """Ranks of a (batch, n) array of valid states: ``space.rank`` over the prefix table, vectorized."""
+    counts = np.asarray(counts)
+    rem = space.m - np.cumsum(counts, axis=1) + counts
+    return space._prefix()[np.arange(space.n), rem, counts].sum(axis=1)
+
+
 # ---------------------------------------------------------------------------
 # Single-driver moves
 
@@ -341,7 +367,7 @@ def build_transition_from_policy(space: StateSpace, model: RequestModel, policy:
         probe = [nadap_probe_weights(grid, u, policy.alpha, policy.boundary) for u in range(grid.n)]
     off_rows: list[dict] = [{} for _ in range(space.size)]
     for ix in range(space.size):
-        x = space.unrank(ix)
+        x = unrank(space, ix)
         row = off_rows[ix]
         for u, v in model.pairs():
             pv = model.p[u, v]

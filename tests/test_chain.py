@@ -38,6 +38,7 @@ from oracles import (
     limiting_objective_gamma,
     matrix_gap_series,
     same_transitions,
+    unrank,
 )
 
 
@@ -248,7 +249,7 @@ def test_esp_profile_matches_pointwise_profit():
         policy = parse_policy(label)
         prof = step_profit(space.as_array(), model, policy, space.c)
         for ix in range(space.size):
-            direct = float(expected_step_profit(space.unrank(ix), model, policy, space.c))
+            direct = float(expected_step_profit(unrank(space, ix), model, policy, space.c))
             assert prof[ix] == direct, (label, ix)
 
 

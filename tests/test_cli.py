@@ -430,6 +430,9 @@ def test_simulate_rejects_a_replay_entry_off_the_grid(tmp_path, capsys):
         "1,0,-2,1.0": "trace entry 1 (1, 0, -2, 1.0) is off the 2x2 grid",
         "-1,0,1,1.0": "trace entry 1 (-1, 0, 1, 1.0) has a negative round",
         "0,1,0,1.0": "trace rounds must be non-decreasing: entry 1 (0, 1, 0, 1.0) follows round 2",
+        "0,0,1,nan": "trace entry 1 (0, 0, 1, nan) has a negative or non-finite weight",
+        "0,0,1,inf": "trace entry 1 (0, 0, 1, inf) has a negative or non-finite weight",
+        "0,0,1,-1.0": "trace entry 1 (0, 0, 1, -1.0) has a negative or non-finite weight",
     }
     for i, (entry, message) in enumerate(bad_entries.items()):
         trace = tmp_path / f"replay{i}.csv"

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from dispatchlab.chain import _gth_solve, build_transition, check_irreducible, mixing_analysis
 from dispatchlab.coupling import _coupled_distance_totals
 from dispatchlab.errors import HorizonTooShortError
-from dispatchlab.grid import RequestModel, build_grid, uniform_request_model
+from dispatchlab.grid import RequestModel, build_grid, distance_weights, uniform_request_model
 from dispatchlab.mdp import MdpInstance, _action_tables
 from dispatchlab.policies import ALL_PHIS, PolicySpec, parse_policy, policy_table, step_profit
 from dispatchlab.states import StateSpace
@@ -31,8 +31,10 @@ from oracles import (
     move,
     move_rank,
     pair_distance,
+    ranks,
     same_transitions,
     serving_location,
+    unrank,
 )
 
 FAST = settings(derandomize=True, max_examples=40, deadline=None)
@@ -74,9 +76,9 @@ def float_model(grid, seed: int) -> RequestModel:
 @given(spaces())
 def test_vectorized_rank_and_enumeration_match_scalar_rank(space):
     arr = space.as_array()
-    assert [tuple(x) for x in arr.tolist()] == [space.unrank(i) for i in range(space.size)]
-    assert space.ranks(arr).tolist() == list(range(space.size))
-    assert space.ranks(arr[::-1]).tolist() == [space.rank(x) for x in arr[::-1].tolist()]
+    assert [tuple(x) for x in arr.tolist()] == [unrank(space, i) for i in range(space.size)]
+    assert ranks(space, arr).tolist() == list(range(space.size))
+    assert ranks(space, arr[::-1]).tolist() == [space.rank(x) for x in arr[::-1].tolist()]
 
 
 @FAST
@@ -88,8 +90,8 @@ def test_move_blocks_match_brute_force(space):
         for v in range(space.n):
             if u != v:
                 src = [ix for ix in range(space.size)
-                       if space.unrank(ix)[u] >= 1 and space.unrank(ix)[v] < space.c]
-                expect.append((u, v, src, [move_rank(space, space.unrank(ix), u, v) for ix in src]))
+                       if unrank(space, ix)[u] >= 1 and unrank(space, ix)[v] < space.c]
+                expect.append((u, v, src, [move_rank(space, unrank(space, ix), u, v) for ix in src]))
     assert blocks == expect
 
 
@@ -173,6 +175,21 @@ def test_step_profit_matches_oracle_bit_for_bit(space, seed, policy):
         assert step_profit(arr, model, pol, space.c).tolist() == want
 
 
+@pytest.mark.parametrize("policy", ["greedy", "greedy:pool", "rand:NESW", "nadap:0.8"])
+def test_step_profit_matches_oracle_at_paper_scale(policy):
+    """The paper's 21x11 grid, 50 drivers, capacity 2: a dense float model with distance weights."""
+    grid = build_grid(21, 11)
+    rng = np.random.default_rng(21)
+    p = rng.random((grid.n, grid.n))
+    model = RequestModel(grid, 0.9 * p / p.sum(), distance_weights(grid))
+    # packed, spread, and random placements: each cell offers two seats, 50 are taken
+    seats = [np.arange(50), np.arange(0, 100, 2)] + [rng.choice(2 * grid.n, 50, replace=False) for _ in range(3)]
+    states = np.array([np.bincount(taken // 2, minlength=grid.n) for taken in seats])
+    pol = parse_policy(policy)
+    want = [float(expected_step_profit(x, model, pol, 2)) for x in states.tolist()]
+    assert step_profit(states, model, pol, 2).tolist() == want
+
+
 @SLOW
 @given(spaces(max_c=2), st.integers(0, 2**16))
 @example(LARGEST, 0)
@@ -200,7 +217,7 @@ def scalar_action_tables(instance):
     nxt = np.empty((R + 1, A, space.size), dtype=np.int64)
     rew = np.zeros((R + 1, A, space.size))
     nxt[:] = np.arange(space.size)
-    states = [space.unrank(i) for i in range(space.size)]
+    states = [unrank(space, i) for i in range(space.size)]
     for r in range(R):
         u, v = divmod(r, n)
         for a in range(1, A):

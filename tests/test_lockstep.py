@@ -6,13 +6,15 @@ one-round loops.  Episodes, and ensembles on a space that fits the
 successor table, step state ranks; larger ensembles step driver counts,
 and a zero table budget forces that counts path.  Random small instances
 with derandomized draws, and block budgets small enough to split runs
-into blocks and schedules into chunks.
+into blocks and schedules into chunks; explicit replays sit at the edges
+of the expansion of a replay's entry profits into round profits.
 """
 
 from contextlib import ExitStack, contextmanager
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -107,20 +109,87 @@ def traces(draw, grid):
     return [(int(r), draw(cells), draw(cells), draw(weights)) for r in np.cumsum(steps)]
 
 
+def horizons(trace):
+    """Horizons shorter than the trace cut it; longer ones leave empty rounds."""
+    return st.integers(1, (trace[-1][0] if trace else 0) + 3)
+
+
+@st.composite
+def replays(draw):
+    """An instance, a trace on its grid and a horizon."""
+    inst = draw(instances())
+    trace = draw(traces(inst[0]))
+    return inst, trace, draw(horizons(trace))
+
+
+# A replay's entry profits become round profits in the reduction; these
+# replays sit at the edges of that expansion: (replay, policy, seed, runs)
+# with no entries, with a horizon far past the last entry's round, and
+# with a horizon that cuts the trace just before a repeated round.
+EDGE_REPLAYS = [
+    (((build_grid(2, 2), 2, 2, (2, 0, 0, 0)), [], 6), PolicySpec("rand", phi=ALL_PHIS[7]), 2, 5),
+    (((build_grid(2, 3), 3, 2, (1, 1, 1, 0, 0, 0)),
+      [(0, 0, 5, 1.0), (0, 1, 1, 0.5), (0, 2, 3, 2.25), (2, 3, 0, 3.0)], 400),
+     PolicySpec("nadap", alpha=0.7, boundary="lost"), 9, 5),
+    (((build_grid(3, 2), 4, 2, (2, 2, 0, 0, 0, 0)),
+      [(0, 0, 5, 1.0), (1, 2, 3, 0.5), (2, 4, 0, 2.25), (2, 1, 1, 3.0), (3, 5, 2, 1.0), (3, 3, 0, 0.5),
+       (7, 0, 4, 1.0)], 3),
+     PolicySpec("nadap", alpha=0.8), 4, 6),
+]
+
+
+def with_examples(cases):
+    """Explicit hypothesis examples, one per argument tuple."""
+    def add(test):
+        for case in cases:
+            test = example(*case)(test)
+        return test
+    return add
+
+
+def replay_config(replay, policy, seed, runs) -> SimConfig:
+    """The realized ensemble of ``runs`` replications replaying an (instance, trace, horizon)."""
+    (grid, m, c, start), trace, T = replay
+    return SimConfig(grid=grid, m=m, c=c, T=T, runs=runs, seed=seed, policy=policy, trace=trace,
+                     initial_state=start, estimator="realized")
+
+
 @ENGINE
-@given(instances(), policies(), st.data(), st.integers(0, 2**16), st.integers(1, 6),
-       st.sampled_from(BUDGETS))
-def test_replay_ensemble_matches_scalar_runs(inst, policy, data, seed, runs, sizes):
-    grid, m, c, start = inst
-    trace = data.draw(traces(grid))
-    last = trace[-1][0] if trace else 0
-    # horizons shorter than the trace cut it; longer ones leave empty rounds
-    T = data.draw(st.integers(1, last + 3))
-    config = SimConfig(grid=grid, m=m, c=c, T=T, runs=runs, seed=seed, policy=policy, trace=trace,
-                       initial_state=start, estimator="realized")
+@given(replays(), policies(), st.integers(0, 2**16), st.integers(1, 6), st.sampled_from(BUDGETS))
+@with_examples([(*edge, {**sizes, **path}) for edge in EDGE_REPLAYS
+                for sizes in SPLITS[1:] for path in ({}, COUNTS_PATH)])
+def test_replay_ensemble_matches_scalar_runs(replay, policy, seed, runs, sizes):
+    config = replay_config(replay, policy, seed, runs)
     with budgets(sizes):
         got = run_ensemble(config)
     assert_same_series(got, run_ensemble_scalar(config))
+
+
+@pytest.mark.parametrize("sizes, runs, entries, T", [({"_BLOCK_ELEMENTS": 60}, 6, 10, 100),
+                                                    ({}, 100, 2000, 14_400)])
+def test_replay_blocks_are_sized_by_entries(sizes, runs, entries, T):
+    """Runs x entries fits the block budget and runs x T does not: one block steps every run, on either path."""
+    rng = np.random.default_rng(entries)
+    trace = [(i // 2, *rng.integers(0, 4, 2).tolist(), 1.0) for i in range(entries)]
+    config = replay_config(((build_grid(2, 2), 2, 2, (2, 0, 0, 0)), trace, T),
+                           PolicySpec("nadap", alpha=0.8), 3, runs)
+    step = simulate._block
+    series = []
+    for path in ({}, COUNTS_PATH):
+        made = []
+
+        def block(*args):
+            profits = step(*args)
+            made.append(profits.size)
+            return profits
+
+        with budgets({**sizes, **path}), mock.patch.object(simulate, "_block", wraps=block) as spy:
+            series.append(run_ensemble(config))
+            budget = simulate._BLOCK_ELEMENTS
+        assert runs * T > budget
+        assert spy.call_count == 1
+        assert made == [runs * entries] and made[0] <= budget
+    assert_same_series(*series)
 
 
 @st.composite
@@ -131,9 +200,7 @@ def ensembles(draw):
     seed, runs = draw(st.integers(0, 2**16)), draw(st.integers(1, 6))
     if mode == "replay":
         trace = draw(traces(grid))
-        return SimConfig(grid=grid, m=m, c=c, T=draw(st.integers(1, (trace[-1][0] if trace else 0) + 3)),
-                         runs=runs, seed=seed, policy=policy, trace=trace, initial_state=start,
-                         estimator="realized")
+        return replay_config(((grid, m, c, start), trace, draw(horizons(trace))), policy, seed, runs)
     return SimConfig(grid=grid, m=m, c=c, T=draw(st.integers(1, 60)), runs=runs, seed=seed, policy=policy,
                      model=float_model(grid, seed, 0.9), initial_state=start, estimator=mode)
 
@@ -156,6 +223,7 @@ LOST = PolicySpec("nadap", alpha=0.7, boundary="lost")
 @example(SimConfig(grid=build_grid(2, 2), m=2, c=2, T=4, runs=3, seed=5, policy=PolicySpec("nadap", alpha=0.8),
                    trace=[(0, 0, 3, 1.0), (0, 3, 0, 0.5), (0, 1, 2, 2.25), (3, 2, 2, 1.0)],
                    initial_state=(2, 0, 0, 0), estimator="realized"), SPLITS[0])
+@with_examples([(replay_config(*edge), sizes) for edge in EDGE_REPLAYS for sizes in SPLITS[1:]])
 def test_rank_path_matches_count_path(config, sizes):
     """The same bytes from rank tables and from driver counts, IID (both estimators) and replay."""
     assert simulate._rank_tables(config) is not None

@@ -37,7 +37,9 @@ def test_package_surface_holds_no_oracle():
                             # the scalar elimination solve and the row-block mixing loop
                             "gth_solve_scalar", "mixing_curve_loop", "matrix_gap_series",
                             # the row-by-row model reader
-                            "request_model_from_csv_rows"}
+                            "request_model_from_csv_rows",
+                            # state ranks one at a time and in batch, used only by tests
+                            "ranks", "unrank"}
     assert not oracle_names & set(dispatchlab.__all__)
     # one implementation per layer: no oracle is forked back into the package
     for path in sorted(Path(dispatchlab.__file__).parent.glob("*.py")):
