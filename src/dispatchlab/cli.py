@@ -21,6 +21,7 @@ import dataclasses
 import datetime as dt
 import hashlib
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -149,7 +150,11 @@ def parse_grid_spec(text: str) -> tuple[int, int]:
 
 
 def parse_epsilons(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",") if tok.strip()]
+    eps = [float(tok) for tok in text.split(",") if tok.strip()]
+    bad = [e for e in eps if not 0 < e < math.inf]
+    if bad:
+        raise ValueError(f"mixing thresholds must be positive and finite, got {bad}")
+    return eps
 
 
 def parse_bbox_spec(text: str) -> ingest.Bbox:

@@ -57,8 +57,7 @@ class CouplingReport:
 
     def tau_bound(self, eps: float) -> float:
         """Mixing rounds guaranteed by the contraction: ln(D/eps)/(1 - beta)."""
-        if eps <= 0:
-            raise ValueError("eps must be positive")
+        _check_eps(eps)
         return math.log(self.diameter / eps) / (1.0 - float(self.worst_beta))
 
 
@@ -80,6 +79,11 @@ def _coupled_distance_totals(space: StateSpace, u: int, v: int, src: np.ndarray)
     return 2 * n * n - 2 * ((xu == 1) | (xv == c - 1)) - 2 * ((xv == 0) | (xu == c))
 
 
+def _check_eps(eps: float) -> None:
+    if not 0 < eps < math.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps}")
+
+
 def verify_contraction(grid: Grid, m: int, c: int, eps: float = 0.01) -> CouplingReport:
     """Check every one-move pair contracts under the identity coupling.
 
@@ -89,6 +93,7 @@ def verify_contraction(grid: Grid, m: int, c: int, eps: float = 0.01) -> Couplin
     exceeds 1 - 1/n^2 raises a contraction failure listing each offender
     as (x, y, E[d'], ratio).
     """
+    _check_eps(eps)
     if c not in (1, 2):
         raise OutOfScopeError(f"contraction argument covers capacities 1 and 2, got c={c}")
     n = grid.n

@@ -59,10 +59,8 @@ class PlainBlock:
 
     short = 0  # every line has the header's field count
 
-    def __init__(self, raw: bytes, fields: int, seps: np.ndarray, widest: int, line: int):
-        self._fields, self._seps, self.line = fields, seps, line
-        # padded so that a window as wide as the longest line fits at every offset
-        self._windows = np.lib.stride_tricks.sliding_window_view(np.frombuffer(raw + bytes(widest), np.uint8), widest)
+    def __init__(self, data: np.ndarray, fields: int, seps: np.ndarray, line: int):
+        self._data, self._fields, self._seps, self.line = data, fields, seps, line
 
     @classmethod
     def of(cls, raw: bytes, fields: int, line: int) -> PlainBlock | None:
@@ -78,34 +76,40 @@ class PlainBlock:
         if not raw.endswith(b"\n"):  # the file's last line counts as ended
             raw += b"\n"
         data = np.frombuffer(raw, np.uint8)
-        lf = data == _LF
-        seps = np.flatnonzero(lf | (data == _COMMA))
+        mask = data == _LF
+        lines = np.count_nonzero(mask)
+        seps = np.flatnonzero(np.logical_or(mask, data == _COMMA, out=mask))
         ends = seps[fields - 1::fields]
         # fields - 1 commas, then the line break, on every line
-        if len(seps) != np.count_nonzero(lf) * fields or not lf[ends].all():
+        if len(seps) != lines * fields or not (data[ends] == _LF).all():
             return None
         # a \r only before a line break, no line blank, no line longer than the longest field csv reads
-        crlf = data[ends - 1] == _CR
+        crlf = np.zeros(lines, bool)
+        if b"\r" in raw:
+            crlf = data[ends - 1] == _CR
+            if np.count_nonzero(np.equal(data, _CR, out=mask)) != np.count_nonzero(crlf):
+                return None
         length = np.diff(ends, prepend=-1)
-        widest = int(length.max())
-        if (np.count_nonzero(data == _CR) != np.count_nonzero(crlf) or (length - 1 == crlf).any()
-                or widest > csv.field_size_limit()):
+        if (length - 1 == crlf).any() or int(length.max()) > csv.field_size_limit():
             return None
-        return cls(raw, fields, seps, widest, line)
+        return cls(data, fields, seps, line)
 
     def __len__(self) -> int:
         return len(self._seps) // self._fields
 
     def column(self, j: int) -> np.ndarray:
         """Field ``j`` of every line, as an ``S`` array as wide as its longest value."""
-        f, seps = self._fields, self._seps
+        f, seps, data = self._fields, self._seps, self._data
         ends = seps[j::f]
-        starts = seps[j - 1::f] + 1 if j else np.r_[0, seps[f - 1:-1:f] + 1]
+        starts = seps[j - 1::f] + 1 if j else np.concatenate([[0], seps[f - 1:-1:f] + 1])
         if j == f - 1:  # the last field stops before a \r\n ending's \r
-            ends = ends - (self._windows[ends - 1, 0] == _CR)
+            ends = ends - (data[ends - 1] == _CR)
         length = ends - starts
         width = max(int(length.max(initial=0)), 1)
-        chars = self._windows[starts, :width]
+        if len(starts) and starts[-1] + width > len(data):  # a short field of the last line: pad the block
+            data = np.concatenate([data, np.zeros(width, np.uint8)])
+        # every window of width bytes, as a read-only view of the block
+        chars = np.ndarray((len(data) - width + 1, width), np.uint8, data, 0, (1, 1))[starts]
         if (length < width).any():
             chars[np.arange(width) >= length[:, None]] = 0
         return chars.view(f"S{width}").ravel()
@@ -239,24 +243,119 @@ class CsvBlocks:
             raise SchemaError(f"{self.path}: line {offset + reader.line_num + 1}: bytes that are not UTF-8") from None
 
 
+def distinct_rows(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One of each distinct row of a 2-d uint8 array, in the rows' byte order, and each row's index among them.
+
+    Rows sort as their bytes read as big-endian 8-byte words (``np.lexsort``),
+    which is the order of their ``S`` strings when they hold no NUL but padding.
+    """
+    n, width = codes.shape
+    padded = np.zeros((n, -(-width // 8) * 8), np.uint8)
+    padded[:, :width] = codes
+    words = padded.view(">u8")
+    order = np.argsort(words[:, 0]) if words.shape[1] == 1 else np.lexsort(words.T[::-1])
+    words = words[order]
+    first = np.ones(n, bool)
+    first[1:] = (words[1:] != words[:-1]).any(axis=1)
+    inverse = np.empty(n, np.int64)
+    inverse[order] = np.cumsum(first) - 1
+    return order[first], inverse
+
+
+def decimals(texts: np.ndarray, dtype: np.dtype) -> tuple[np.ndarray, np.ndarray]:
+    """``int()`` or ``float()`` of each canonical value of an ASCII ``S`` array, and where a value is not canonical.
+
+    A canonical int is ``[-]digits``, 1 to 18 of them; a canonical float is
+    ``[-]digits[.digits]``, 1 to 15 digits either side of the point in all.
+    Its digits' integer M is then below 2**53 and its k digits after the
+    point make 10**k exact in float64, so the one correctly rounded
+    division M / 10**k is the value ``float()`` rounds the text to
+    (Clinger, *How to Read Floating Point Numbers Accurately*, 1990), and
+    ``-0`` reads as -0.0.  A value that is not canonical (an exponent, a
+    ``+``, spaces, ``inf``, ``_``, more digits) reads as 0 and is marked.
+
+    Values are read by layout, their bytes with every digit taken as ``0``.
+    Values of digits alone are read digit by digit, whatever their length.
+    Otherwise a layout fixes each digit's place value, so the M of all its
+    values is one matrix-vector product; a column of one layout, as a fixed
+    ``%f`` format writes, is found without sorting.  Values longer than a
+    canonical one are not read.  The array must hold no NUL but its
+    padding, as a plain block's fields do.
+    """
+    real = dtype.kind == "f"
+    longest = 17 if real else 19  # a sign, the most digits and a point
+    value, odd = np.zeros(len(texts), np.float64 if real else np.int64), np.ones(len(texts), bool)
+    codes = texts.view(np.uint8).reshape(len(texts), texts.dtype.itemsize)
+    rows = slice(None)
+    if codes.shape[1] > longest:  # a longer value is not canonical
+        rows = np.flatnonzero(codes[:, longest] == 0)
+        codes = codes[rows, :longest]
+    if len(codes):
+        value[rows], odd[rows] = _digits(codes, real)
+    return value.astype(dtype, copy=False), odd
+
+
+def _digits(codes: np.ndarray, real: bool) -> tuple[np.ndarray, np.ndarray]:
+    """``decimals`` of NUL-padded values as a 2-d uint8 array, as float64 or int64."""
+    n, width = codes.shape
+    value, odd = np.zeros(n, np.float64 if real else np.int64), np.ones(n, bool)
+    digits = codes - np.uint8(ord("0"))
+    layout = codes - digits * (digits < 10)
+    flat = layout.ravel()
+    if width <= (15 if real else 18) and ((flat == ord("0")) | (flat == 0)).all():  # digits alone
+        for column in digits.T:  # the NUL padding after a value adds no digit
+            value = np.where(column < 10, value * 10 + column, value)
+        return value, codes[:, 0] == 0
+    if (flat[width:] == flat[:-width]).all():
+        groups = [(0, slice(None))]
+    else:
+        first, inverse = distinct_rows(layout)
+        groups = ((i, inverse == u) for u, i in enumerate(first.tolist()))
+    for i, rows in groups:
+        read = _places(layout[i].tobytes(), real)
+        if read is None:
+            continue
+        places, scale, negative = read
+        at = [j for j, place in enumerate(places) if place]
+        read = digits[rows][:, at].astype(value.dtype) @ np.array([places[j] for j in at], value.dtype)
+        if real:
+            read /= scale
+        value[rows], odd[rows] = -read if negative else read, False
+    return value, odd
+
+
+def _places(layout: bytes, real: bool) -> tuple[list[int], int, bool] | None:
+    """Each byte's place value in a layout's digits' integer, ``10**k`` for its k digits after the point, and its sign.
+
+    None for a layout whose values are not canonical.
+    """
+    body = layout.rstrip(b"\0")
+    negative = body.startswith(b"-")
+    whole, point, fraction = body[negative:].partition(b".")
+    count = len(whole) + len(fraction)
+    if (point and not real) or (whole + fraction).strip(b"0") or not 0 < count <= (15 if real else 18):
+        return None
+    places = []
+    for byte in layout:
+        count -= byte == ord("0")
+        places.append(10 ** count if byte == ord("0") else 0)
+    return places, 10 ** len(fraction), negative
+
+
 def _cast(texts: np.ndarray | list[str], dtype: np.dtype) -> np.ndarray:
     """``int()`` or ``float()`` of every value, csv strings or a plain block's ``S`` array at once.
 
-    ``S`` values of 1 to 18 ASCII digits each are read digit by digit; any
-    other array takes numpy's cast, which raises where ``int()``/``float()``
-    would.  An integer past int64 raises ``OverflowError``.
+    ``S`` values are read by ``decimals``; those it leaves take numpy's
+    cast, which raises where ``int()``/``float()`` would.  An integer past
+    int64 raises ``OverflowError``.
     """
     if isinstance(texts, list):
         return np.array([*map(int if dtype.kind == "i" else float, texts)], dtype)
-    codes = texts.view(np.uint8).reshape(len(texts), -1)
-    digits = codes - np.uint8(ord("0"))
-    if codes.shape[1] > 18 or not codes[:, 0].all() or not ((digits < 10) | (codes == 0)).all():
+    value, odd = decimals(texts, dtype)
+    if odd.any():
         with np.errstate(over="ignore"):  # "1e999" is inf, as float() gives it
-            return texts.astype(dtype)
-    value = np.zeros(len(texts), np.int64)
-    for column in digits.T:  # the NUL padding after a value adds no digit
-        value = np.where(column < 10, value * 10 + column, value)
-    return value.astype(dtype)
+            value[odd] = texts[odd].astype(dtype)
+    return value
 
 
 def _columns(path, chunk: PlainBlock | RowChunk, names: Sequence[str], where: Sequence[int],
@@ -313,11 +412,36 @@ class Columns:
     columns: Sequence
 
     def lines(self, end: str) -> Iterator[str]:
-        """The rows, ``CSV_BLOCK_ROWS`` per string, each block's slice of every column converted on its own."""
-        row = self.row + end
+        """The rows, ``CSV_BLOCK_ROWS`` per string, each block's slice of every column converted on its own.
+
+        A block's float64 ``%.17g`` cells are formatted once per distinct
+        value (``_repeated_g17``) when at most half of them are distinct.
+        """
+        head, *specs = self.row.split("%")  # a row format holds no "%%"
         for a in range(0, len(self.columns[0]), CSV_BLOCK_ROWS):
-            cells = [np.asarray(column[a:a + CSV_BLOCK_ROWS]).tolist() for column in self.columns]
-            yield row * len(cells[0]) % tuple(chain.from_iterable(zip(*cells)))
+            cells, row = [], [head]
+            for column, spec in zip(self.columns, specs):
+                block = np.asarray(column[a:a + CSV_BLOCK_ROWS])
+                if spec.startswith(".17g") and block.dtype == np.float64 and (texts := _repeated_g17(block)):
+                    cells.append(texts)
+                    spec = "s" + spec[4:]
+                else:
+                    cells.append(block.tolist())
+                row.append(spec)
+            yield ("%".join(row) + end) * len(cells[0]) % tuple(chain.from_iterable(zip(*cells)))
+
+
+def _repeated_g17(values: np.ndarray) -> list[str] | None:
+    """``%.17g`` of each value, formatted once per distinct bit pattern; None if over half of them are distinct.
+
+    Bit patterns, as ``np.unique`` on the floats would merge -0.0, which
+    prints ``-0``, with 0.0; NaNs of every payload print ``nan``.
+    """
+    distinct, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    if 2 * len(distinct) > len(values):
+        return None
+    texts = np.array(["%.17g" % value for value in distinct.view(np.float64).tolist()], dtype=object)
+    return texts[inverse].tolist()
 
 
 def write_table(path, header: Sequence[str], table: Columns | Iterable[Columns], end: str = "\n") -> None:

@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .csvblocks import Columns, CsvBlocks, read_table, write_table
+from .csvblocks import Columns, CsvBlocks, decimals, distinct_rows, read_table, write_table
 from .errors import SchemaError
 from .grid import RequestModel, build_grid, distance_weights
 from .rng import RawDraws, stream
@@ -50,13 +50,32 @@ DEFAULT_COLUMNS: dict[str, str] = {
 #: ``csvblocks``); only one chunk's strings are alive at a time.
 PARSE_CHUNK_ROWS = 4096
 
-# A canonical timestamp's character codes, and how far above them each
-# character may lie: 0-9 in digit slots, 0 in separators.
-_STAMP = np.frombuffer("0000-00-00 00:00:00".encode("utf-32-le"), dtype=np.uint32)
-_SPAN = np.where(_STAMP == ord("0"), 9, 0).astype(np.uint32)
-# The place value of each digit in the year, month, day, hour, minute and second.
-_PLACES = np.zeros((19, 6))
-_PLACES[np.flatnonzero(_SPAN), [0] * 4 + [1, 1, 2, 2, 3, 3, 4, 4, 5, 5]] = [1000, 100, 10, 1] + [10, 1] * 5
+# A canonical timestamp with every digit taken as 0, and where its fields' digits lie.
+_STAMP = b"0000-00-00 00:00:00"
+_YEAR, _MONTH, _DAY, _HOUR, _MINUTE, _SECOND = 0, 5, 8, 11, 14, 17
+
+# Days in each month of a common year, and the days before it, by month number;
+# 0 for a number that names no month.
+_MONTH_DAYS = np.zeros(100, np.int32)
+_MONTH_DAYS[1:13] = [31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31]
+_DAYS_BEFORE = (np.cumsum(_MONTH_DAYS) - _MONTH_DAYS).astype(np.int32)
+
+
+def _days_from_civil(year: np.ndarray, month: np.ndarray, day: np.ndarray) -> np.ndarray:
+    """Days from 1970-01-01 to each proleptic Gregorian date (Hinnant, *chrono-Compatible Low-Level Date Algorithms*).
+
+    Its years start on March 1, so that a leap day ends one.
+    """
+    y = year - (month <= 2)
+    era, yoe = y // 400, y % 400
+    doy = (153 * (month + np.where(month > 2, -3, 9)) + 2) // 5 + day - 1
+    return era * 146097 + yoe * 365 + yoe // 4 - yoe // 100 + doy - 719468
+
+
+# Each year's January 1 as days from 1970-01-01, and whether it is a leap year, by its four digits.
+_JAN1 = _days_from_civil(np.arange(10001), 1, 1).astype(np.int32)
+_LEAP = (np.diff(_JAN1) == 366).astype(np.int32)
+_JAN1 = _JAN1[:-1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,29 +141,49 @@ def _timestamps(texts: np.ndarray | Sequence[str]) -> np.ndarray:
     texts is a plain block's ``S`` array (ASCII without NUL, so its first
     NUL ends each value) or csv row strings.  A canonical
     ``YYYY-MM-DD HH:MM:SS`` string naming a real second of a nonzero year
-    is read from its digits, which is what strptime gives for it; any other
-    string (unpadded, ``T``-separated, out of range, with a NUL) goes to
-    strptime itself.
+    is read from its digits at their fixed offsets, its day number that
+    of its year's January 1 by ``_days_from_civil`` plus the days before
+    it in its year, which is what strptime gives for it; any other string
+    (unpadded, ``T``-separated, out of range, with a NUL) goes to strptime
+    itself.
     """
     n = len(texts)
     if isinstance(texts, np.ndarray):
-        codes, length = texts.astype("S19").view(np.uint8), np.char.str_len(texts)
+        codes = texts.view(np.uint8).reshape(n, texts.dtype.itemsize)
+        width = codes.shape[1]
+        if width < 19:
+            codes = np.zeros((n, 19), np.uint8)
+        elif width > 19:  # a value of exactly 19 characters has NUL padding after them
+            codes = np.where(codes[:, 19:20] == 0, codes[:, :19], 0)
     else:
-        codes, length = np.array(texts, dtype="<U19").view(np.uint32), np.fromiter(map(len, texts), np.int64, n)
-    offset = codes.reshape(n, 19) - _STAMP.astype(codes.dtype)
-    rows = np.flatnonzero((length == 19) & (offset <= _SPAN).all(axis=1))
-    # float products of digits are exact
-    year, month, day, hour, minute, second = (offset[rows] @ _PLACES).astype(np.int64).T
-    months = (year - 1970) * 12 + month - 1
-    first = months.astype("datetime64[M]").astype("datetime64[D]")
-    days = (months + 1).astype("datetime64[M]").astype("datetime64[D]") - first
-    real = ((year >= 1) & (1 <= month) & (month <= 12) & (1 <= day) & (day <= days.astype(np.int64))
+        stamp = np.fromiter(map(len, texts), np.int64, n) == 19
+        # other characters than ASCII, and strings of another length, as NULs: never canonical
+        codes = np.array([t if ok and t.isascii() else "" for t, ok in zip(texts, stamp.tolist())], "S19")
+        codes = codes.view(np.uint8).reshape(n, 19)
+    digits = codes - np.uint8(ord("0"))
+    layout = codes - digits * (digits < 10)
+    flat = layout.ravel()
+    rows = None  # every row canonical
+    if not (n and layout[0].tobytes() == _STAMP and (flat[19:] == flat[:-19]).all()):
+        rows = np.flatnonzero(np.ascontiguousarray(layout).view("S19").ravel() == _STAMP)
+        digits = digits[rows]
+    # two digits make at most 99, so each field but the year is read in uint8
+    month, day, hour, minute, second = (digits[:, i] * np.uint8(10) + digits[:, i + 1]
+                                        for i in (_MONTH, _DAY, _HOUR, _MINUTE, _SECOND))
+    year = (digits[:, _YEAR] * np.uint8(10) + digits[:, _YEAR + 1]) * np.int32(100)
+    year += digits[:, _YEAR + 2] * np.uint8(10) + digits[:, _YEAR + 3]
+    leap = _LEAP[year]
+    real = ((year >= 1) & (1 <= day) & (day <= _MONTH_DAYS[month] + (leap & (month == 2)))
             & (hour < 24) & (minute < 60) & (second < 60))
-    out = np.full(n, np.datetime64("NaT"), dtype="datetime64[s]")
-    out[rows[real]] = ((first + day - 1).astype("datetime64[s]") + hour * 3600 + minute * 60 + second)[real]
-    slow = np.ones(n, dtype=bool)
-    slow[rows[real]] = False
-    for i in np.flatnonzero(slow).tolist():
+    days = _JAN1[year] + _DAYS_BEFORE[month] + leap * (month > 2) + day - 1
+    seconds = days.astype(np.int64) * 86400 + ((hour.astype(np.int32) * 60 + minute) * 60 + second)
+    stamps = np.where(real, seconds.view("datetime64[s]"), np.datetime64("NaT", "s"))
+    if rows is None:
+        out = stamps
+    else:
+        out = np.full(n, np.datetime64("NaT"), dtype="datetime64[s]")
+        out[rows] = stamps
+    for i in np.flatnonzero(np.isnat(out)).tolist():
         with suppress(ValueError):
             out[i] = dt.datetime.strptime(_text(texts[i]), TIMESTAMP_FORMAT)
     return out
@@ -153,8 +192,20 @@ def _timestamps(texts: np.ndarray | Sequence[str]) -> np.ndarray:
 def _floats(texts: np.ndarray | Sequence[str]) -> np.ndarray:
     """``float(text)`` of each field, NaN where it fails (such a row is skipped either way).
 
-    numpy's cast of a plain block's ``S`` array is ``float()`` of each value.
+    A plain block's ``S`` array is read by ``csvblocks.decimals``; the
+    values it leaves take numpy's cast, which is ``float()`` of each value.
     """
+    if isinstance(texts, np.ndarray):
+        out, odd = decimals(texts, np.dtype(np.float64))
+        if not odd.any():
+            return out
+        rows = np.flatnonzero(odd)
+        out[rows] = _floats_cast(texts[rows])
+        return out
+    return _floats_cast(texts)
+
+
+def _floats_cast(texts: np.ndarray | Sequence[str]) -> np.ndarray:
     try:
         if isinstance(texts, np.ndarray):
             with np.errstate(over="ignore"):  # "1e999" is inf, as float() gives it
@@ -179,13 +230,28 @@ def _trip_columns(ids: dict[str, int], cars, pickup, dropoff, *coords) -> tuple[
     The fields are a plain block's ``S`` arrays or csv row strings.  A car
     id not seen before takes the next code in ids.
     """
-    pickup, dropoff, *coords = _timestamps(pickup), _timestamps(dropoff), *map(_floats, coords)
+    # the two ends of each field pair are read in one pass
+    pickup, dropoff = np.split(_timestamps(_pair(pickup, dropoff)), 2)
+    plat, dlat = np.split(_floats(_pair(coords[0], coords[2])), 2)
+    plon, dlon = np.split(_floats(_pair(coords[1], coords[3])), 2)
+    coords = plat, plon, dlat, dlon
     keep = (dropoff >= pickup) & np.isfinite(coords).all(axis=0)
-    cars = cars if isinstance(cars, np.ndarray) else np.array(cars, dtype=object)
-    names, inverse = np.unique(cars[keep], return_inverse=True)
-    names = (names.astype(str) if names.dtype.kind == "S" else names).tolist()
+    if keep.all():
+        keep = slice(None)
+    if isinstance(cars, np.ndarray):
+        cars = cars[keep]
+        first, inverse = distinct_rows(cars.view(np.uint8).reshape(len(cars), cars.dtype.itemsize))
+        names = cars[first].astype(str).tolist()
+    else:
+        names, inverse = np.unique(np.array(cars, dtype=object)[keep], return_inverse=True)
+        names = names.tolist()
     car = np.array([ids.setdefault(name, len(ids)) for name in names], dtype=np.int64)[inverse]
-    return (car, *(col[keep] for col in (pickup, dropoff, *coords))), len(keep) - int(keep.sum())
+    return (car, *(col[keep] for col in (pickup, dropoff, *coords))), len(pickup) - len(car)
+
+
+def _pair(first, second):
+    """Two equal-length fields, ``S`` arrays or strings, one after the other."""
+    return np.concatenate([first, second]) if isinstance(first, np.ndarray) else [*first, *second]
 
 
 def parse_trips(path, column_mapping: Mapping[str, str] | None = None) -> ParseResult:

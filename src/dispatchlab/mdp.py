@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import SizeLimitError
+from .errors import IterationLimitError, SizeLimitError
 from .grid import Grid, RequestModel
 from .policies import PolicySpec
 from .rng import stream
@@ -124,8 +124,11 @@ def value_iteration(instance: MdpInstance, tol: float = 1e-8, max_sweeps: int = 
 
     Each sweep averages the value table over next-round arrivals once, then
     maximizes reward plus discounted continuation over actions for every
-    augmented state.
+    augmented state.  A NaN or negative ``tol`` is refused; a sweep cap
+    reached above it raises ``IterationLimitError`` with the last residual.
     """
+    if not tol >= 0:
+        raise ValueError(f"tolerance must be a number >= 0, got {tol}")
     nxt, rew = instance.action_tables
     q = instance.request_probs()
     gamma = instance.discount
@@ -142,8 +145,8 @@ def value_iteration(instance: MdpInstance, tol: float = 1e-8, max_sweeps: int = 
         if residual <= tol:
             policy = Q.argmax(axis=1).T.astype(np.int64)
             return ViResult(values=V, policy=policy, sweeps=sweep, residual=residual)
-    raise SizeLimitError(
-        f"value iteration still above tolerance ({residual:.3e}) after {max_sweeps} sweeps"
+    raise IterationLimitError(
+        f"value iteration residual {residual:.3e} above {tol:.1e} after {max_sweeps} sweeps", residual=residual
     )
 
 

@@ -441,8 +441,8 @@ def mixing_curve_loop(
     if t_max < 1:
         raise ValueError("t_max must be at least 1")
     eps = sorted(set(float(e) for e in epsilons), reverse=True)
-    if not eps or eps[-1] <= 0:
-        raise ValueError("thresholds must be positive")
+    if not eps or not all(0 < e < math.inf for e in eps):
+        raise ValueError("thresholds must be positive and finite")
     size = tm.size
     if start_ranks is None:
         if size > MIXING_SIZE_LIMIT:

@@ -1,5 +1,6 @@
 """Exact chain construction, stationary analysis, mixing, and closed forms."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -37,6 +38,7 @@ from oracles import (
     kernel_from_rows,
     limiting_objective_gamma,
     matrix_gap_series,
+    mixing_curve_loop,
     same_transitions,
     unrank,
 )
@@ -354,6 +356,11 @@ def test_mixing_rejects_bad_arguments():
         mixing_analysis(tm, res.pi, [], t_max=10)
     with pytest.raises(ValueError):
         mixing_analysis(tm, res.pi, [0.25, -0.1], t_max=10)
+    # a NaN sorts anywhere; it and inf are refused before the first step of a long horizon
+    for eps in ([0.25, math.nan], [math.nan, 0.25], [math.inf]):
+        for analysis in (mixing_analysis, mixing_curve_loop):
+            with pytest.raises(ValueError, match="positive and finite"):
+                analysis(tm, res.pi, eps, t_max=10**9)
 
 
 def test_mixing_rejects_start_ranks_outside_the_space():

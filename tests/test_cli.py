@@ -283,6 +283,40 @@ def test_columns_write_the_bytes_of_per_cell_rows(tmp_path, monkeypatch, block):
         assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "cells.csv").read_bytes()
 
 
+@pytest.mark.parametrize("block", [1, 3, 4096])
+def test_repeated_floats_are_written_as_csv_writer_writes_them(tmp_path, monkeypatch, block):
+    """Columns of few distinct values, formatted once a value: -0.0 apart from 0.0, NaN payloads, infinities, subnormals."""
+    monkeypatch.setattr(csvblocks, "CSV_BLOCK_ROWS", block)
+    nans = np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001, 0x7FFFFFFFFFFFFFFF],
+                    dtype=np.uint64).view(np.float64)
+    specials = np.r_[0.0, -0.0, nans, np.inf, -np.inf, 5e-324, -5e-324, 2.2250738585072009e-308, 1 / 3, 0.1]
+    rng = np.random.default_rng(3)
+    x = specials[rng.integers(0, len(specials), 5000)]
+    y = np.where(np.arange(5000) % 7 == 0, -0.0, 0.0)
+    z = np.r_[x[:2000], rng.standard_normal(3000)]  # repeated, then all distinct
+    t = np.arange(5000)
+    deduped, repeated = [], csvblocks._repeated_g17
+
+    def spy(values):
+        texts = repeated(values)
+        deduped.append(texts is not None)
+        return texts
+
+    monkeypatch.setattr(csvblocks, "_repeated_g17", spy)
+    csvblocks.write_table(tmp_path / "blocks.csv", ["t", "x", "y", "z"], csvblocks.Columns("%d,%.17g,%.17g,%.17g", (t, x, y, z)))
+    with open(tmp_path / "cells.csv", "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["t", "x", "y", "z"])
+        writer.writerows((i, f"{a:.17g}", f"{b:.17g}", f"{c:.17g}") for i, a, b, c in zip(t.tolist(), x, y, z))
+    assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "cells.csv").read_bytes()
+    # a block of one row is never at most half distinct; z's blocks of 4096 and 904 rows are over half distinct
+    assert len(deduped) == 3 * -(-5000 // block)
+    if block == 1:
+        assert not any(deduped)
+    if block == 4096:
+        assert deduped == [True, True, False, True, True, False]
+
+
 def test_mixing_subcommand(tmp_path):
     code, out = run(
         ["mixing", "--grid", "2x2", "--drivers", "2", "--capacity", "2",
@@ -712,6 +746,43 @@ def test_failed_run_writes_nothing(tmp_path, capsys):
     assert code == 1
     assert capsys.readouterr().err.startswith("error (HorizonTooShortError): d(2) = ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["exact", "mixing"])
+@pytest.mark.parametrize("epsilons", ["0.25,nan", "inf", "0.25,-0.1"])
+def test_a_threshold_that_is_not_positive_and_finite_exits_1_at_once(tmp_path, capsys, command, epsilons):
+    """Refused before the first mixing step, where a NaN once stepped the whole --tmax horizon."""
+    code, out = run([command, *EXACT_ARGS[1:], "--epsilons", epsilons], tmp_path)
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error (ValueError): mixing thresholds must be positive and finite")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("eps", ["nan", "inf", "-inf", "0"])
+def test_couple_refuses_an_eps_that_is_not_positive_and_finite(tmp_path, capsys, eps):
+    code, out = run(["couple", "--grid", "2x2", "--drivers", "2", "--capacity", "2", f"--eps={eps}"], tmp_path)
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error (ValueError): eps must be positive and finite")
+    assert not out.exists()
+
+
+VI_ARGS = ["vi", "--grid", "2x2", "--drivers", "1", "--capacity", "2", "--arrivals", "uniform:0.0625",
+           "--seed", "2", "--periods", "20"]
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1"])
+def test_vi_refuses_a_nan_or_negative_tolerance(tmp_path, capsys, tol):
+    code, out = run([*VI_ARGS, f"--tol={tol}"], tmp_path)
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error (ValueError): tolerance must be a number >= 0")
+    assert not out.exists()
+
+
+def test_vi_converges_at_tolerance_zero(tmp_path):
+    code, out = run([*VI_ARGS, "--tol", "0"], tmp_path)
+    assert code == 0
+    report = read_json(out / "report.json")
+    assert report["residual"] == 0 and report["sweeps"] == 333
 
 
 def test_manifest_outputs_are_the_files_written(tmp_path):

@@ -119,6 +119,11 @@ def test_tau_bound_validation():
         report.tau_bound(0.0)
     with pytest.raises(ValueError):
         report.tau_bound(-1.0)
+    for eps in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="positive and finite"):
+            report.tau_bound(eps)
+        with pytest.raises(ValueError, match="positive and finite"):
+            verify_contraction(build_grid(2, 2), m=2, c=2, eps=eps)
 
 
 def test_contraction_expected_distance_oracle():

@@ -676,6 +676,80 @@ def test_parse_trips_counts_no_blank_line_of_a_one_column_file(tmp_path, block):
     assert old.skipped == 3
 
 
+# Coordinate cells of real trip files, read by their digits or not: missing-value zeros,
+# fewer decimals, signed zeros, bare points, signs, spaces, exponents, underscores,
+# specials, 16- and 17-digit mantissas and a lone minus
+REAL_COORDS = ["0", "-73.98", "40.7", "-73.981234", "40.750003", "-0.0", "-0", ".5", "5.", "-.5", "00040.70",
+               "+40.1", " 40.1", "40.1 ", "1e-3", "1_0", "inf", "-inf", "nan", "-", ".", "5.5.5", "--5",
+               "1234567890123456", "-73.98215484619141", "40.75003051757812", "0.000000000000001",
+               "99.78974071335283", "-43591.010316006538"]  # 16 and 17 digits past 2**53: one division misrounds
+REAL_STAMPS = ["2012-02-29 10:00:00", "2013-02-29 10:00:00", "2000-02-29 08:00:00", "1900-02-29 08:00:00",
+               "0001-01-01 00:00:00", "0001-03-01 00:00:01", "9999-12-31 23:59:59", "2013-1-5 7:5:3",
+               "2013-01-05T07:05:03", "2013-01-14 07:00:00", "2013-12-31 23:59:59", "2016-03-01 00:00:00"]
+
+
+def decimal_text(mantissa: int, places: int, negative: bool) -> str:
+    """``mantissa / 10**places`` written with that many decimals."""
+    digits = str(mantissa).zfill(places + 1)
+    return "-" * negative + digits[:len(digits) - places] + "." * (places > 0) + digits[len(digits) - places:]
+
+
+COORDS = st.one_of(st.sampled_from(REAL_COORDS),
+                   st.builds(decimal_text, st.integers(0, 10**15 - 1), st.integers(0, 15), st.booleans()),
+                   st.builds(decimal_text, st.integers(10**15, 10**17 - 1), st.integers(0, 16), st.booleans()))
+
+
+@st.composite
+def plain_trip_rows(draw):
+    """A row of a plain block: no quote, NUL or non-ASCII byte, so that its block is read column by column."""
+    pickup, dropoff = (draw(st.sampled_from(REAL_STAMPS)) for _ in range(2))
+    car = draw(st.sampled_from(["CAR1", "CAR22", "2013000123", "x" * 32, "X" * 31 + "y"]))
+    return [car, pickup, dropoff, *(draw(COORDS) for _ in range(4))]
+
+
+def assert_same_bits(new, old):
+    """Every coordinate and time equal to the row rule's, bit for bit (-0.0 is not 0.0 here)."""
+    for name in ("pickup_lat", "pickup_lon", "dropoff_lat", "dropoff_lon"):
+        want = np.array([getattr(r, name) for r in old.records], dtype=np.float64)
+        assert getattr(new.records, name).tobytes() == want.tobytes(), name
+    for name in ("pickup_time", "dropoff_time"):
+        want = np.array([getattr(r, name) for r in old.records], dtype="datetime64[s]")
+        assert getattr(new.records, name).tobytes() == want.tobytes(), name
+
+
+@DIFF
+@given(st.lists(plain_trip_rows(), min_size=1, max_size=60))
+@example([["CAR1", "2012-02-29 10:00:00", "2012-02-29 10:00:00", "-0", "0", "-0.0", "5."],
+          ["CAR1", "2012-02-29 10:00:00", "2012-02-29 10:00:00", "99.78974071335283", "1e-3", "-0.0", ".5"]])
+def test_parse_trips_reads_real_data_cells_as_the_row_rule(rows):
+    """Many layouts in one plain block: digit reads, the cast of the others and strptime, with no tolerance."""
+    new, old = parse_both(rows)
+    assert_same_parse(new, old)
+    assert_same_bits(new, old)
+
+
+def test_parse_trips_reads_a_plain_fixture_without_its_fallbacks(tmp_path):
+    """No plain block's coordinate or timestamp column reaches numpy's cast or strptime, or sorts its layouts."""
+    path = tmp_path / "trips.csv"
+    make_fixture(path, trips=5000, seed=3, cars=50)
+    plain, read = [], csvblocks.CsvBlocks.plain
+
+    def count_plain(self):
+        for block in read(self):
+            plain.append(len(block))
+            yield block
+
+    with mock.patch.object(csvblocks.CsvBlocks, "plain", count_plain), \
+            mock.patch.object(ingest, "_floats_cast", wraps=ingest._floats_cast) as cast, \
+            mock.patch.object(ingest, "dt", wraps=dt) as clock, \
+            mock.patch.object(csvblocks, "distinct_rows", wraps=csvblocks.distinct_rows) as layouts:
+        new = parse_trips(path)
+    assert sum(plain) == 5000
+    assert cast.call_count == layouts.call_count == 0
+    assert clock.datetime.strptime.call_count == 0
+    assert_same_bits(new, parse_trips_rows(path))
+
+
 @DIFF
 @given(st.lists(st.sampled_from(CARS + ["Z", "b", "é"]), min_size=1, max_size=30),
        st.integers(0, 2**16), st.data())

@@ -1,12 +1,13 @@
 """Optimal dispatch: value iteration, its oracles, and episode measurements."""
 
 import hashlib
+import math
 import warnings
 
 import numpy as np
 import pytest
 
-from dispatchlab.errors import SizeLimitError
+from dispatchlab.errors import IterationLimitError, SizeLimitError
 from dispatchlab.grid import build_grid, uniform_request_model
 from dispatchlab.mdp import (
     REJECT,
@@ -84,6 +85,17 @@ def test_request_probs_complete():
     assert q[-1] == pytest.approx(1.0 - 16 * 0.0625)
     rich = tiny_instance()
     assert rich.request_probs()[-1] == pytest.approx(0.0)
+
+
+def test_value_iteration_refuses_a_bad_tolerance_and_reports_its_sweep_cap():
+    inst = square_instance()
+    for tol in (math.nan, -1.0):
+        with pytest.raises(ValueError, match="tolerance must be a number >= 0"):
+            value_iteration(inst, tol=tol)
+    with pytest.raises(IterationLimitError) as info:
+        value_iteration(inst, tol=0.0, max_sweeps=5)
+    assert 0 < info.value.residual < math.inf
+    assert value_iteration(inst, tol=0.0).residual == 0
 
 
 def test_value_iteration_solves_twocell_instance_exactly():
