@@ -421,10 +421,10 @@ def state_cells(space: StateSpace) -> np.ndarray:
     return np.array([quote(format_state(x)) for x in space.as_array().tolist()], dtype=object)
 
 
-def mixing_outputs(options: dict, tm, pi, n: int, m: int, start_ranks=None) -> tuple:
+def mixing_outputs(options: dict, epsilons: list, tm, pi, n: int, m: int, start_ranks=None) -> tuple:
     """A chain's mixing analysis, its mixing.csv table, and the tau and envelope keys of its report."""
     envelope = uniform_decay_envelope(n, m) if options["arrivals"].startswith("uniform:") else None
-    mixing = mixing_analysis(tm, pi, parse_epsilons(options["epsilons"]), options["tmax"],
+    mixing = mixing_analysis(tm, pi, epsilons, options["tmax"],
                              start_ranks=start_ranks, envelope=envelope)
     curve = mixing.d_curve
     table = {"mixing.csv": (["t", "d_t"], Columns("%d,%.17g", (np.arange(len(curve)), curve)))}
@@ -436,6 +436,7 @@ def mixing_outputs(options: dict, tm, pi, n: int, m: int, start_ranks=None) -> t
 
 
 def cmd_exact(options) -> Run:
+    epsilons = parse_epsilons(options["epsilons"])  # refused even where mixing is skipped
     grid, m, c, policy, model, _trace, inputs = resolve_instance(options, "exact")
     space = StateSpace(grid, m, c)
     tm = build_transition(space, model, policy)
@@ -458,7 +459,7 @@ def cmd_exact(options) -> Run:
         "policy": policy.label(),
     }
     if space.size <= MIXING_SIZE_LIMIT:
-        _mixing, table, keys = mixing_outputs(options, tm, stat.pi, grid.n, m)
+        _mixing, table, keys = mixing_outputs(options, epsilons, tm, stat.pi, grid.n, m)
         tables.update(table)
         report.update(keys)
     else:
@@ -470,6 +471,7 @@ def cmd_exact(options) -> Run:
 
 
 def cmd_mixing(options) -> Run:
+    epsilons = parse_epsilons(options["epsilons"])
     grid, m, c, policy, model, _trace, inputs = resolve_instance(options, "mixing")
     space = StateSpace(grid, m, c)
     tm = build_transition(space, model, policy)
@@ -481,7 +483,7 @@ def cmd_mixing(options) -> Run:
             raise ValueError(f"--starts must lie in [1, {space.size}]")
         seed = resolve_seed(options)
         start_ranks = stream(seed, 7).choice(space.size, size=k, replace=False)
-    mixing, table, keys = mixing_outputs(options, tm, stat.pi, grid.n, m, start_ranks)
+    mixing, table, keys = mixing_outputs(options, epsilons, tm, stat.pi, grid.n, m, start_ranks)
     report = {
         "states": space.size,
         "exhaustive": mixing.exhaustive,

@@ -7,7 +7,11 @@ error contract, written a block of rows per ``%``.
 ``Columns``, a printf row format and its column arrays; string cells are
 passed through ``quote`` first.  The bytes are those of ``csv.writer``
 with the same line terminator: ``\\n`` for the CLI's tables, ``\\r\\n`` for
-model, replay and fixture files.
+model, replay and fixture files.  Within a block of ``CSV_BLOCK_ROWS``
+rows, a float64 ``%.17g`` column whose distinct values (told apart by
+bit pattern, as -0.0 prints ``-0`` and 0.0 ``0``) are at most half its
+rows is formatted once per value; a column of mostly distinct values is
+formatted cell by cell, which is cheaper there.
 
 ``read_table`` serves ``grid.RequestModel.from_csv``, ``ingest.read_replay``
 and ``cli``'s ``resolve_weights`` (``--weights file:``) and ``cmd_fit``;
@@ -27,6 +31,13 @@ break.  Each column of a plain block (``PlainBlock.of``) is one fixed-width
 bytes array, cast whole; from the first block that is not plain,
 ``csv.reader`` reads the rest.  A plain block's line numbers are computed
 only where it fails.
+
+A plain block's numeric cells are read by ``decimals``.  A canonical
+decimal ``[-]digits[.digits]`` of at most 15 digits is M / 10**k, its
+digits' integer M < 2**53 over a power of ten that float64 holds exactly,
+so one correctly rounded division gives the double nearest the decimal,
+which is what ``float()`` gives (Clinger, *How to Read Floating Point
+Numbers Accurately*, PLDI 1990).  Other cells take numpy's cast.
 """
 
 from __future__ import annotations

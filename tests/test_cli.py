@@ -751,8 +751,14 @@ def test_failed_run_writes_nothing(tmp_path, capsys):
 @pytest.mark.parametrize("command", ["exact", "mixing"])
 @pytest.mark.parametrize("epsilons", ["0.25,nan", "inf", "0.25,-0.1"])
 def test_a_threshold_that_is_not_positive_and_finite_exits_1_at_once(tmp_path, capsys, command, epsilons):
-    """Refused before the first mixing step, where a NaN once stepped the whole --tmax horizon."""
+    """Refused before any chain is built, where a NaN once stepped the whole --tmax horizon."""
     code, out = run([command, *EXACT_ARGS[1:], "--epsilons", epsilons], tmp_path)
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error (ValueError): mixing thresholds must be positive and finite")
+    assert not out.exists()
+    # also above the exhaustive limit (3,620 states), where exact skips mixing
+    code, out = run([command, "--grid", "4x4", "--drivers", "4", "--capacity", "2", "--arrivals", "uniform:0.00390625",
+                     "--policy", "greedy", "--epsilons", epsilons], tmp_path)
     assert code == 1
     assert capsys.readouterr().err.startswith("error (ValueError): mixing thresholds must be positive and finite")
     assert not out.exists()
