@@ -37,7 +37,8 @@ decimal ``[-]digits[.digits]`` of at most 15 digits is M / 10**k, its
 digits' integer M < 2**53 over a power of ten that float64 holds exactly,
 so one correctly rounded division gives the double nearest the decimal,
 which is what ``float()`` gives (Clinger, *How to Read Floating Point
-Numbers Accurately*, PLDI 1990).  Other cells take numpy's cast.
+Numbers Accurately*, PLDI 1990).  Other cells take numpy's cast, which
+raises where ``int()``/``float()`` would.
 """
 
 from __future__ import annotations
@@ -276,22 +277,15 @@ def distinct_rows(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def decimals(texts: np.ndarray, dtype: np.dtype) -> tuple[np.ndarray, np.ndarray]:
     """``int()`` or ``float()`` of each canonical value of an ASCII ``S`` array, and where a value is not canonical.
 
-    A canonical int is ``[-]digits``, 1 to 18 of them; a canonical float is
-    ``[-]digits[.digits]``, 1 to 15 digits either side of the point in all.
-    Its digits' integer M is then below 2**53 and its k digits after the
-    point make 10**k exact in float64, so the one correctly rounded
-    division M / 10**k is the value ``float()`` rounds the text to
-    (Clinger, *How to Read Floating Point Numbers Accurately*, 1990), and
-    ``-0`` reads as -0.0.  A value that is not canonical (an exponent, a
-    ``+``, spaces, ``inf``, ``_``, more digits) reads as 0 and is marked.
-
-    Values are read by layout, their bytes with every digit taken as ``0``.
-    Values of digits alone are read digit by digit, whatever their length.
-    Otherwise a layout fixes each digit's place value, so the M of all its
-    values is one matrix-vector product; a column of one layout, as a fixed
-    ``%f`` format writes, is found without sorting.  Values longer than a
-    canonical one are not read.  The array must hold no NUL but its
-    padding, as a plain block's fields do.
+    A canonical int is ``[-]digits``, 1 to 18 of them, and a canonical float
+    ``[-]digits[.digits]`` with 1 to 15 digits in all, read exactly as the
+    module docstring says; ``-0`` reads as -0.0.  Any other value (an
+    exponent, a ``+``, spaces, ``inf``, ``_``, more digits) reads as 0 and
+    is marked.  Values are grouped by layout, their bytes with each digit
+    taken as ``0``, which fixes each digit's place value: one layout's
+    values are one matrix-vector product, and a column of one layout, as a
+    fixed ``%f`` format writes, is found without sorting.  Values of digits
+    alone are read digit by digit.  The array holds no NUL but its padding.
     """
     real = dtype.kind == "f"
     longest = 17 if real else 19  # a sign, the most digits and a point
@@ -326,17 +320,16 @@ def _digits(codes: np.ndarray, real: bool) -> tuple[np.ndarray, np.ndarray]:
         read = _places(layout[i].tobytes(), real)
         if read is None:
             continue
-        places, scale, negative = read
-        at = [j for j, place in enumerate(places) if place]
-        read = digits[rows][:, at].astype(value.dtype) @ np.array([places[j] for j in at], value.dtype)
+        at, places, scale, negative = read
+        read = digits[rows][:, at].astype(value.dtype) @ np.array(places, value.dtype)
         if real:
             read /= scale
         value[rows], odd[rows] = -read if negative else read, False
     return value, odd
 
 
-def _places(layout: bytes, real: bool) -> tuple[list[int], int, bool] | None:
-    """Each byte's place value in a layout's digits' integer, ``10**k`` for its k digits after the point, and its sign.
+def _places(layout: bytes, real: bool) -> tuple[list[int], list[int], int, bool] | None:
+    """Where a layout's digits lie, their place values in its digits' integer, ``10**k`` for its k digits after the point, and its sign.
 
     None for a layout whose values are not canonical.
     """
@@ -346,11 +339,8 @@ def _places(layout: bytes, real: bool) -> tuple[list[int], int, bool] | None:
     count = len(whole) + len(fraction)
     if (point and not real) or (whole + fraction).strip(b"0") or not 0 < count <= (15 if real else 18):
         return None
-    places = []
-    for byte in layout:
-        count -= byte == ord("0")
-        places.append(10 ** count if byte == ord("0") else 0)
-    return places, 10 ** len(fraction), negative
+    at = [j for j, byte in enumerate(layout) if byte == ord("0")]
+    return at, [10 ** k for k in reversed(range(count))], 10 ** len(fraction), negative
 
 
 def _cast(texts: np.ndarray | list[str], dtype: np.dtype) -> np.ndarray:
