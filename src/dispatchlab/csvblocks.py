@@ -220,15 +220,15 @@ class CsvBlocks:
 
     def _block(self) -> bytes:
         """The next whole lines (the file's last line may lack its line break); empty at the end of the file."""
-        buf = self._pending
+        parts = [self._pending]
         while more := self._fh.read(BLOCK_BYTES):
-            buf += more
-            cut = buf.rfind(b"\n") + 1
-            if cut:
-                self._pending = buf[cut:]
-                return buf[:cut]
+            cut = more.rfind(b"\n") + 1
+            if cut:  # one copy of the block, not one per concatenation and cut
+                self._pending = more[cut:]
+                return b"".join([*parts, memoryview(more)[:cut]])
+            parts.append(more)
         self._pending = b""
-        return buf
+        return b"".join(parts)
 
     def _texts(self) -> Iterator[io.StringIO]:
         """The remaining blocks as UTF-8 lines; bad bytes raise after the lines before theirs."""
