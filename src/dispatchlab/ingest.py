@@ -197,15 +197,14 @@ def _floats(texts: np.ndarray | Sequence[str]) -> np.ndarray:
     """
     if isinstance(texts, np.ndarray):
         out, odd = decimals(texts, np.dtype(np.float64))
-        if not odd.any():
-            return out
-        rows = np.flatnonzero(odd)
-        out[rows] = _floats_cast(texts[rows])
+        if odd.any():
+            out[odd] = _floats_cast(texts[odd])
         return out
     return _floats_cast(texts)
 
 
 def _floats_cast(texts: np.ndarray | Sequence[str]) -> np.ndarray:
+    """``_floats`` by numpy's cast or ``float()`` of the whole list, else value by value."""
     try:
         if isinstance(texts, np.ndarray):
             with np.errstate(over="ignore"):  # "1e999" is inf, as float() gives it
