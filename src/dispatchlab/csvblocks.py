@@ -255,25 +255,6 @@ class CsvBlocks:
             raise SchemaError(f"{self.path}: line {offset + reader.line_num + 1}: bytes that are not UTF-8") from None
 
 
-def distinct_rows(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One of each distinct row of a 2-d uint8 array, in the rows' byte order, and each row's index among them.
-
-    Rows sort as their bytes read as big-endian 8-byte words (``np.lexsort``),
-    which is the order of their ``S`` strings when they hold no NUL but padding.
-    """
-    n, width = codes.shape
-    padded = np.zeros((n, -(-width // 8) * 8), np.uint8)
-    padded[:, :width] = codes
-    words = padded.view(">u8")
-    order = np.argsort(words[:, 0]) if words.shape[1] == 1 else np.lexsort(words.T[::-1])
-    words = words[order]
-    first = np.ones(n, bool)
-    first[1:] = (words[1:] != words[:-1]).any(axis=1)
-    inverse = np.empty(n, np.int64)
-    inverse[order] = np.cumsum(first) - 1
-    return order[first], inverse
-
-
 def decimals(texts: np.ndarray, dtype: np.dtype) -> tuple[np.ndarray, np.ndarray]:
     """``int()`` or ``float()`` of each canonical value of an ASCII ``S`` array, and where a value is not canonical.
 
@@ -281,11 +262,10 @@ def decimals(texts: np.ndarray, dtype: np.dtype) -> tuple[np.ndarray, np.ndarray
     ``[-]digits[.digits]`` with 1 to 15 digits in all, read exactly as the
     module docstring says; ``-0`` reads as -0.0.  Any other value (an
     exponent, a ``+``, spaces, ``inf``, ``_``, more digits) reads as 0 and
-    is marked.  Values are grouped by layout, their bytes with each digit
-    taken as ``0``, which fixes each digit's place value: one layout's
-    values are one matrix-vector product, and a column of one layout, as a
-    fixed ``%f`` format writes, is found without sorting.  Values of digits
-    alone are read digit by digit.  The array holds no NUL but its padding.
+    is marked.  A column whose values share one layout (their bytes with
+    each digit taken as ``0``, which fixes each digit's place value), as a
+    fixed ``%f`` format writes, is one matrix-vector product; any other
+    column is read digit by digit.  The array holds no NUL but its padding.
     """
     real = dtype.kind == "f"
     longest = 17 if real else 19  # a sign, the most digits and a point
@@ -303,33 +283,49 @@ def decimals(texts: np.ndarray, dtype: np.dtype) -> tuple[np.ndarray, np.ndarray
 def _digits(codes: np.ndarray, real: bool) -> tuple[np.ndarray, np.ndarray]:
     """``decimals`` of NUL-padded values as a 2-d uint8 array, as float64 or int64."""
     n, width = codes.shape
-    value, odd = np.zeros(n, np.float64 if real else np.int64), np.ones(n, bool)
     digits = codes - np.uint8(ord("0"))
     layout = codes - digits * (digits < 10)
     flat = layout.ravel()
-    if width <= (15 if real else 18) and ((flat == ord("0")) | (flat == 0)).all():  # digits alone
-        for column in digits.T:  # the NUL padding after a value adds no digit
-            value = np.where(column < 10, value * 10 + column, value)
-        return value, codes[:, 0] == 0
-    if (flat[width:] == flat[:-width]).all():
-        groups = [(0, slice(None))]
-    else:
-        first, inverse = distinct_rows(layout)
-        groups = ((i, inverse == u) for u, i in enumerate(first.tolist()))
-    for i, rows in groups:
-        read = _places(layout[i].tobytes(), real)
-        if read is None:
-            continue
-        at, places, scale, negative = read
-        read = digits[rows][:, at].astype(value.dtype) @ np.array(places, value.dtype)
-        if real:
-            read /= scale
-        value[rows], odd[rows] = -read if negative else read, False
-    return value, odd
+    if not (flat[width:] == flat[:-width]).all():  # more than one layout
+        return _digit_by_digit(codes, real)
+    dtype = np.float64 if real else np.int64
+    read = _places(layout[0].tobytes(), real)
+    if read is None:
+        return np.zeros(n, dtype), np.ones(n, bool)
+    at, places, scale, negative = read
+    value = digits[:, at].astype(dtype) @ np.array(places, dtype)
+    if real:
+        value /= scale
+    return -value if negative else value, np.zeros(n, bool)
+
+
+# 10**k, exact in float64, for the k digits after the point of a value of at most 17 bytes
+_TENS = np.array([float(10 ** k) for k in range(17)])
+
+
+def _digit_by_digit(codes: np.ndarray, real: bool) -> tuple[np.ndarray, np.ndarray]:
+    """``_digits`` of values of any layouts: each value's digits in turn, its sign and point skipped."""
+    value = np.zeros(len(codes), np.float64 if real else np.int64)
+    codes = np.ascontiguousarray(codes.T)  # one byte position of every value per row
+    digits = codes - np.uint8(ord("0"))
+    digit, point = digits < 10, codes == ord(".")
+    negative = codes[0] == ord("-")
+    stray = ~(digit | point | (codes == 0))  # neither a digit, a point, the padding...
+    stray[0] &= ~negative  # ...nor a leading sign
+    count, points = digit.sum(axis=0, dtype=np.uint8), point.sum(axis=0, dtype=np.uint8)
+    odd = stray.any(axis=0) | (count == 0) | (count > (15 if real else 18)) | (points > (1 if real else 0))
+    after, past = np.zeros(len(value), np.uint8), np.zeros(len(value), bool)  # digits past the point
+    for column, is_digit, is_point in zip(digits, digit, point):
+        value = np.where(is_digit, value * 10 + column, value)
+        past |= is_point
+        after += is_digit & past
+    if real:
+        value /= _TENS[after]
+    return np.where(negative, -value, value), odd
 
 
 def _places(layout: bytes, real: bool) -> tuple[list[int], list[int], int, bool] | None:
-    """Where a layout's digits lie, their place values in its digits' integer, ``10**k`` for its k digits after the point, and its sign.
+    """Where a layout's digits lie, their place values, ``10**k`` for its k digits after the point, and its sign.
 
     None for a layout whose values are not canonical.
     """

@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .csvblocks import Columns, CsvBlocks, decimals, distinct_rows, read_table, write_table
+from .csvblocks import Columns, CsvBlocks, decimals, read_table, write_table
 from .errors import SchemaError
 from .grid import RequestModel, build_grid, distance_weights
 from .rng import RawDraws, stream
@@ -60,20 +60,9 @@ _MONTH_DAYS = np.zeros(100, np.int32)
 _MONTH_DAYS[1:13] = [31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31]
 _DAYS_BEFORE = (np.cumsum(_MONTH_DAYS) - _MONTH_DAYS).astype(np.int32)
 
-
-def _days_from_civil(year: np.ndarray, month: np.ndarray, day: np.ndarray) -> np.ndarray:
-    """Days from 1970-01-01 to each proleptic Gregorian date (Hinnant, *chrono-Compatible Low-Level Date Algorithms*).
-
-    Its years start on March 1, so that a leap day ends one.
-    """
-    y = year - (month <= 2)
-    era, yoe = y // 400, y % 400
-    doy = (153 * (month + np.where(month > 2, -3, 9)) + 2) // 5 + day - 1
-    return era * 146097 + yoe * 365 + yoe // 4 - yoe // 100 + doy - 719468
-
-
-# Each year's January 1 as days from 1970-01-01, and whether it is a leap year, by its four digits.
-_JAN1 = _days_from_civil(np.arange(10001), 1, 1).astype(np.int32)
+# Each year's January 1 as days from 1970-01-01 in numpy's proleptic Gregorian calendar,
+# and whether it is a leap year, by its four digits.
+_JAN1 = (np.arange(10001) - 1970).astype("datetime64[Y]").astype("datetime64[D]").astype(np.int32)
 _LEAP = (np.diff(_JAN1) == 366).astype(np.int32)
 _JAN1 = _JAN1[:-1]
 
@@ -142,8 +131,8 @@ def _timestamps(texts: np.ndarray | Sequence[str]) -> np.ndarray:
     NUL ends each value) or csv row strings.  A canonical
     ``YYYY-MM-DD HH:MM:SS`` string naming a real second of a nonzero year
     is read from its digits at their fixed offsets, its day number that
-    of its year's January 1 by ``_days_from_civil`` plus the days before
-    it in its year, which is what strptime gives for it; any other string
+    of its year's January 1 (``_JAN1``) plus the days before it in its
+    year, which is what strptime gives for it; any other string
     (unpadded, ``T``-separated, out of range, with a NUL) goes to strptime
     itself.
     """
@@ -167,11 +156,10 @@ def _timestamps(texts: np.ndarray | Sequence[str]) -> np.ndarray:
     if not (n and layout[0].tobytes() == _STAMP and (flat[19:] == flat[:-19]).all()):
         rows = np.flatnonzero(np.ascontiguousarray(layout).view("S19").ravel() == _STAMP)
         digits = digits[rows]
-    # two digits make at most 99, so each field but the year is read in uint8
-    month, day, hour, minute, second = (digits[:, i] * np.uint8(10) + digits[:, i + 1]
-                                        for i in (_MONTH, _DAY, _HOUR, _MINUTE, _SECOND))
-    year = (digits[:, _YEAR] * np.uint8(10) + digits[:, _YEAR + 1]) * np.int32(100)
-    year += digits[:, _YEAR + 2] * np.uint8(10) + digits[:, _YEAR + 3]
+    # two digits make at most 99, so each pair is read in uint8
+    pairs = (_YEAR, _YEAR + 2, _MONTH, _DAY, _HOUR, _MINUTE, _SECOND)
+    century, year, month, day, hour, minute, second = (digits[:, i] * np.uint8(10) + digits[:, i + 1] for i in pairs)
+    year = century.astype(np.int32) * 100 + year  # widened first, as a uint8 product would wrap
     leap = _LEAP[year]
     real = ((year >= 1) & (1 <= day) & (day <= _MONTH_DAYS[month] + (leap & (month == 2)))
             & (hour < 24) & (minute < 60) & (second < 60))
@@ -239,13 +227,32 @@ def _trip_columns(ids: dict[str, int], cars, pickup, dropoff, *coords) -> tuple[
         keep = slice(None)
     if isinstance(cars, np.ndarray):
         cars = cars[keep]
-        first, inverse = distinct_rows(cars.view(np.uint8).reshape(len(cars), cars.dtype.itemsize))
+        first, inverse = _distinct_rows(cars.view(np.uint8).reshape(len(cars), cars.dtype.itemsize))
         names = cars[first].astype(str).tolist()
     else:
         names, inverse = np.unique(np.array(cars, dtype=object)[keep], return_inverse=True)
         names = names.tolist()
     car = np.array([ids.setdefault(name, len(ids)) for name in names], dtype=np.int64)[inverse]
     return (car, *(col[keep] for col in (pickup, dropoff, *coords))), len(pickup) - len(car)
+
+
+def _distinct_rows(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One of each distinct row of a 2-d uint8 array, in the rows' byte order, and each row's index among them.
+
+    Rows sort as their bytes read as big-endian 8-byte words (``np.lexsort``),
+    which is the order of their ``S`` strings when they hold no NUL but padding.
+    """
+    n, width = codes.shape
+    padded = np.zeros((n, -(-width // 8) * 8), np.uint8)
+    padded[:, :width] = codes
+    words = padded.view(">u8")
+    order = np.argsort(words[:, 0]) if words.shape[1] == 1 else np.lexsort(words.T[::-1])
+    words = words[order]
+    first = np.ones(n, bool)
+    first[1:] = (words[1:] != words[:-1]).any(axis=1)
+    inverse = np.empty(n, np.int64)
+    inverse[order] = np.cumsum(first) - 1
+    return order[first], inverse
 
 
 def _pair(first, second):

@@ -721,6 +721,10 @@ def assert_same_bits(new, old):
 @given(st.lists(plain_trip_rows(), min_size=1, max_size=60))
 @example([["CAR1", "2012-02-29 10:00:00", "2012-02-29 10:00:00", "-0", "0", "-0.0", "5."],
           ["CAR1", "2012-02-29 10:00:00", "2012-02-29 10:00:00", "99.78974071335283", "1e-3", "-0.0", ".5"]])
+# rows each skipped for one cell that float() refuses, among cells it reads, in columns of several layouts
+@example([["CAR1", "2013-01-14 07:00:00", "2013-01-14 07:00:00", *coords]
+          for coords in (["5.5.5", "-73.98", "40.7", "-74"], ["40.7", "--5", "40.7", "-74"],
+                         ["40.7", "-73.98", "-", "-74"], ["40.7", "-73.98", "40.7", "."], ["0", "-0", "5.", ".5"])])
 def test_parse_trips_reads_real_data_cells_as_the_row_rule(rows):
     """Many layouts in one plain block: digit reads, the cast of the others and strptime, with no tolerance."""
     new, old = parse_both(rows)
@@ -729,7 +733,7 @@ def test_parse_trips_reads_real_data_cells_as_the_row_rule(rows):
 
 
 def test_parse_trips_reads_a_plain_fixture_without_its_fallbacks(tmp_path):
-    """No plain block's coordinate or timestamp column reaches numpy's cast or strptime, or sorts its layouts."""
+    """No plain block's coordinate or timestamp column reaches numpy's cast or strptime, or is read digit by digit."""
     path = tmp_path / "trips.csv"
     make_fixture(path, trips=5000, seed=3, cars=50)
     plain, read = [], csvblocks.CsvBlocks.plain
@@ -742,12 +746,39 @@ def test_parse_trips_reads_a_plain_fixture_without_its_fallbacks(tmp_path):
     with mock.patch.object(csvblocks.CsvBlocks, "plain", count_plain), \
             mock.patch.object(ingest, "_floats_cast", wraps=ingest._floats_cast) as cast, \
             mock.patch.object(ingest, "dt", wraps=dt) as clock, \
-            mock.patch.object(csvblocks, "distinct_rows", wraps=csvblocks.distinct_rows) as layouts:
+            mock.patch.object(csvblocks, "_digit_by_digit", wraps=csvblocks._digit_by_digit) as each:
         new = parse_trips(path)
     assert sum(plain) == 5000
-    assert cast.call_count == layouts.call_count == 0
+    assert cast.call_count == each.call_count == 0
     assert clock.datetime.strptime.call_count == 0
     assert_same_bits(new, parse_trips_rows(path))
+
+
+def refused_by_float(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return True
+    return False
+
+
+# int cells of every width up to int64's, read by their digits up to 18 of them and cast past that
+INTS = st.one_of(st.integers(-10**18 + 1, 10**18 - 1).map(str), st.integers(-2**63, 2**63 - 1).map(str),
+                 st.sampled_from(["-0", "007", "-0012", "0" * 19 + "1"]))
+
+
+@DIFF
+@given(st.lists(st.tuples(INTS, COORDS.filter(lambda text: not refused_by_float(text))), min_size=1, max_size=60),
+       BLOCKS)
+@example([("1", "-0"), ("-22", "0.5"), ("333", "-73.981234"), ("4444", "40.7")], csvblocks.BLOCK_BYTES)
+def test_read_table_reads_numbers_of_many_layouts_as_int_and_float_do(tmp_path_factory, rows, block):
+    """Plain blocks whose int and float columns mix widths, signs and points: int() and float(), bit for bit."""
+    path = tmp_path_factory.mktemp("table") / "numbers.csv"
+    path.write_text("".join(f"{a},{b}\n" for a, b in [("n", "x"), *rows]))
+    with mock.patch.object(csvblocks, "BLOCK_BYTES", block):
+        n, x = csvblocks.read_table(path, ("n", "x"), (np.int64, np.float64))
+    assert n.tolist() == [int(a) for a, _ in rows]
+    assert x.tobytes() == np.array([float(b) for _, b in rows]).tobytes()
 
 
 @DIFF
