@@ -41,7 +41,12 @@ class TransitionMatrix:
     Entries are stored once as CSR arrays (``indptr``, ``indices``,
     ``data``), columns sorted within each row.  ``data`` holds floats, or
     exact Fractions (object dtype) when ``exact`` is set.  The float CSR the
-    solvers use is built on first request and cached.
+    solvers use, and its transpose, are built on first request and cached.
+
+    ``orbit`` and ``reps`` are set by ``build_transition`` when the chain is
+    invariant under the grid's symmetries: each state's orbit number, and
+    each orbit's least rank, orbits numbered in that rank's order.  They
+    stay None for every other chain.
     """
 
     def __init__(self, space: StateSpace, src, dst, val, policy: PolicySpec | None, exact: bool):
@@ -55,6 +60,9 @@ class TransitionMatrix:
         self.indptr = np.zeros(space.size + 1, dtype=np.int64)
         np.cumsum(np.bincount(src, minlength=space.size), out=self.indptr[1:])
         self._csr: sp.csr_array | None = None
+        self._csr_t: sp.csr_array | None = None
+        self.orbit: np.ndarray | None = None
+        self.reps: np.ndarray | None = None
 
     @classmethod
     def from_off_diagonal(cls, space: StateSpace, src, dst, val, policy: PolicySpec, exact: bool):
@@ -104,6 +112,16 @@ class TransitionMatrix:
                 (self.data.astype(float), self.indices, self.indptr), shape=(self.size, self.size)
             )
         return self._csr
+
+    def transposed(self) -> sp.csr_array:
+        """The float kernel's transpose as CSR, cached: ``PT @ x`` is ``x @ P`` bit for bit."""
+        if self._csr_t is None:
+            self._csr_t = self.to_csr().T.tocsr()
+        return self._csr_t
+
+    @property
+    def orbit_count(self) -> int | None:
+        return None if self.reps is None else len(self.reps)
 
     def row_sum_error(self) -> float:
         totals = _row_totals(self._row_of_entry(), self.data, self.size, self.exact)
@@ -164,7 +182,32 @@ def build_transition(space: StateSpace, model: RequestModel, policy: PolicySpec)
     order = np.argsort(np.concatenate(keys))
     src, dst, val = (np.concatenate(part)[order] for part in (srcs, dsts, vals))
     del srcs, dsts, vals, keys, order  # pair-sized lists; free them before the kernel is assembled
-    return TransitionMatrix.from_off_diagonal(space, src, dst, val, policy, exact)
+    tm = TransitionMatrix.from_off_diagonal(space, src, dst, val, policy, exact)
+    if policy.kind == "nadap":
+        tm.orbit, tm.reps = _symmetry_orbits(space, model)
+    return tm
+
+
+def _symmetry_orbits(space: StateSpace, model: RequestModel):
+    """(orbit of each state, least rank of each orbit) under the grid's symmetries, or Nones.
+
+    nadap treats every neighbor direction alike, so when p and w are
+    unchanged, entry for entry, by every cell permutation g of the grid,
+    P(gx, gy) = P(x, y): the distance to stationarity from gx is that from
+    x, pi is constant on each orbit, and the orbit chain is an exact
+    lumping (Kemeny and Snell, Finite Markov Chains, 1960, ch. 6).  Each
+    state's label is the least rank over its images, a running minimum
+    over the group.  Nones when the model is not invariant, or when every
+    orbit is a single state.
+    """
+    perms = space.grid.symmetries()[1:]
+    if not all(np.array_equal(a[np.ix_(g, g)], a) for g in perms for a in (model.p, model.w)):
+        return None, None
+    label = np.arange(space.size, dtype=np.int64)
+    for g in perms:
+        np.minimum(label, space.permuted_ranks(g), out=label)
+    reps, orbit = np.unique(label, return_inverse=True)
+    return (None, None) if len(reps) == space.size else (orbit, reps)
 
 
 def _entries(p, land, slot, origins, b, k, v):
@@ -260,21 +303,24 @@ def stationary_distribution(
 ) -> StationaryResult:
     """Solve pi = pi P: direct elimination when small, power iteration when large.
 
-    The reported residual is the final l1 defect of pi P - pi; iteration
-    that cannot reach ``tol`` within ``max_iter`` raises an
+    A chain with symmetry orbits is solved on its lumped K x K kernel, with
+    Q[a, b] the sum of P(rep_a, y) over the states y of orbit b, and each
+    orbit's mass spread evenly over its states; the size rule then counts
+    orbits.  The reported residual is the final l1 defect of pi P - pi;
+    iteration that cannot reach ``tol`` within ``max_iter`` raises an
     iteration-limit error carrying the last residual.
     """
-    size = tm.size
-    P = tm.to_csr()
+    P = tm.to_csr() if tm.orbit is None else _lumped_kernel(tm)
+    size = P.shape[0]
     if size <= DENSE_SOLVE_LIMIT:
-        pi = _gth_solve(tm.to_dense())
-        residual = float(np.abs(pi @ P - pi).sum())
+        pi = _gth_solve(P.toarray())
         method, iterations = "elimination", 0
     else:
+        PT = tm.transposed() if tm.orbit is None else P.T.tocsr()
         pi = np.full(size, 1.0 / size)
         residual = math.inf
         for iterations in range(1, max_iter + 1):
-            nxt = pi @ P
+            nxt = PT @ pi
             nxt /= nxt.sum()
             residual = float(np.abs(nxt - pi).sum())
             pi = nxt
@@ -286,6 +332,10 @@ def stationary_distribution(
                 residual=residual,
             )
         method = "power"
+    if tm.orbit is not None:
+        pi = (pi / np.bincount(tm.orbit))[tm.orbit]
+    if method == "elimination":
+        residual = float(np.abs(tm.transposed() @ pi - pi).sum())
     return StationaryResult(
         space=tm.space,
         pi=pi,
@@ -296,6 +346,17 @@ def stationary_distribution(
         policy=tm.policy,
         iterations=iterations,
     )
+
+
+def _lumped_kernel(tm: TransitionMatrix) -> sp.csr_array:
+    """The orbit chain: Q[a, b] sums P(rep_a, y) over the states y of orbit b."""
+    import scipy.sparse as sp
+
+    rows = tm.to_csr()[tm.reps]
+    K = len(tm.reps)
+    Q = sp.csr_array((rows.data, tm.orbit[rows.indices], rows.indptr), shape=(K, K))
+    Q.sum_duplicates()
+    return Q
 
 
 # ---------------------------------------------------------------------------
@@ -389,6 +450,8 @@ class MixingReport:
     d_curve[t] = max over tracked starts of the total variation distance
     after t rounds; tau[eps] is the first t with d(t) <= eps.  envelope,
     when present, is a certified (C, beta) with d(t) <= C beta^t.
+    start_count counts the starts the maximum covers, every state when
+    exhaustive, even where only orbit representatives were stepped.
     """
 
     d_curve: np.ndarray
@@ -416,8 +479,11 @@ def mixing_analysis(
     """Track the worst start's distance to stationary until every threshold is met.
 
     All starts are propagated together (one column per start, stepped against
-    the transposed kernel).  Above the exhaustive-size limit a start sample must
-    be supplied, and the curve is a lower bound flagged non-exhaustive.
+    the transposed kernel).  Without a sample, a chain with symmetry orbits
+    steps one start per orbit, its least rank: every start of an orbit is
+    as far from pi as its representative.  Above the exhaustive-size limit,
+    which counts states, a start sample must be supplied, and the curve is
+    a lower bound flagged non-exhaustive.  A sample is stepped as given.
     """
     if t_max < 1:
         raise ValueError("t_max must be at least 1")
@@ -431,7 +497,7 @@ def mixing_analysis(
                 f"{size} states exceeds the exhaustive mixing limit {MIXING_SIZE_LIMIT}; "
                 "pass an explicit start sample"
             )
-        starts = np.arange(size)
+        starts = np.arange(size) if tm.reps is None else tm.reps
         exhaustive = True
     else:
         ranks = [int(s) for s in start_ranks]
@@ -440,7 +506,7 @@ def mixing_analysis(
             raise ValueError(f"start rank {outside[0]} is outside [0, {size})" if outside else "empty start sample")
         starts = np.asarray(sorted(set(ranks)))
         exhaustive = bool(len(starts) == size)
-    PT = tm.to_csr().T.tocsr()
+    PT = tm.transposed()
     E = (np.arange(size)[:, None] == starts).astype(float)  # E[y, s]: Pr[state y after t rounds from start s]
     # d(0) row-sums a start-major copy: the pairwise order of the row-block oracle loop's first round
     d_curve = [0.5 * float(np.abs(E.T.copy() - pi).sum(axis=1).max())]
@@ -468,7 +534,8 @@ def mixing_analysis(
             f"d({t_max}) = {curve[-1]:.3e} still above thresholds {missing}",
             d_curve=curve,
         )
-    return MixingReport(curve, tau, envelope=envelope, exhaustive=exhaustive, start_count=len(starts))
+    return MixingReport(curve, tau, envelope=envelope, exhaustive=exhaustive,
+                        start_count=size if exhaustive else len(starts))
 
 
 # ---------------------------------------------------------------------------
@@ -569,14 +636,14 @@ def exact_error_curves(
         stationary = stationary_distribution(tm)
     esp = step_profit(space.as_array(), model, policy, space.c)
     limit = float(stationary.pi @ esp)
-    P = tm.to_csr()
+    PT = tm.transposed()
     mu = np.zeros(space.size)
     mu[space.rank(x0)] = 1.0
     w_t = np.empty(T)
     for t in range(T):
         w_t[t] = mu @ esp
         if t + 1 < T:
-            mu = mu @ P
+            mu = PT @ mu
     obj_running = np.cumsum(w_t) / np.arange(1, T + 1)
     return ExactCurves(
         w_t=w_t,

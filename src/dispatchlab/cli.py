@@ -456,6 +456,8 @@ def cmd_exact(options) -> Run:
         "aperiodic": aperiodic,
         "residual": stat.residual,
         "method": stat.method,
+        "iterations": stat.iterations,
+        "orbits": tm.orbit_count,
         "policy": policy.label(),
     }
     if space.size <= MIXING_SIZE_LIMIT:
@@ -488,6 +490,7 @@ def cmd_mixing(options) -> Run:
         "states": space.size,
         "exhaustive": mixing.exhaustive,
         "start_count": mixing.start_count,
+        "orbits": tm.orbit_count,
         "policy": policy.label(),
         **keys,
     }

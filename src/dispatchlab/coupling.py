@@ -56,9 +56,13 @@ class CouplingReport:
         return {t: (Fraction(t, q), Fraction(t, 2 * q)) for t in np.unique(self.totals).tolist()}
 
     def tau_bound(self, eps: float) -> float:
-        """Mixing rounds guaranteed by the contraction: ln(D/eps)/(1 - beta)."""
+        """Mixing rounds guaranteed by the contraction: ln(D/eps)/(1 - beta), and 0 from eps >= D.
+
+        No two states are more than D apart, so at eps >= D the bound holds
+        from t = 0.
+        """
         _check_eps(eps)
-        return math.log(self.diameter / eps) / (1.0 - float(self.worst_beta))
+        return max(0.0, math.log(self.diameter / eps) / (1.0 - float(self.worst_beta)))
 
 
 def _coupled_distance_totals(space: StateSpace, u: int, v: int, src: np.ndarray) -> np.ndarray:

@@ -113,6 +113,20 @@ class Grid:
         rv, cv = self.coords(v)
         return abs(ru - rv) + abs(cu - cv)
 
+    def symmetries(self) -> np.ndarray:
+        """The grid's symmetry group as cell permutations, one row each, the identity first.
+
+        Row g sends cell u to g[u].  A rectangle has 4 (the identity, both
+        flips and the half turn); a square adds the quarter turns and the
+        two diagonal flips, 8 in all.  On a one-wide grid some rows repeat.
+        """
+        r, c = np.divmod(np.arange(self.n), self.cols)
+        last_r, last_c = self.rows - 1, self.cols - 1
+        images = [(r, c), (last_r - r, c), (r, last_c - c), (last_r - r, last_c - c)]
+        if self.rows == self.cols:
+            images += [(c, r), (last_c - c, r), (c, last_r - r), (last_c - c, last_r - r)]
+        return np.array([rr * self.cols + cc for rr, cc in images])
+
 
 def build_grid(rows: int, cols: int) -> Grid:
     """Construct a grid, validating positive dimensions."""

@@ -148,6 +148,23 @@ class StateSpace:
             self._prefix_table = R
         return self._prefix_table
 
+    def permuted_ranks(self, perm) -> np.ndarray:
+        """Rank of every state, in rank order, after the count at each cell u moves to perm[u].
+
+        The permuted state y has y[i] = x[j] for perm[j] = i, and its rank
+        sums R[i, rem_i, y_i] one location at a time, so only state-sized
+        arrays are held.
+        """
+        R = self._prefix()
+        X = self.as_array()
+        out = np.zeros(self.size, dtype=np.int64)
+        rem = np.full(self.size, self.m, dtype=np.int64)
+        for i, j in enumerate(np.argsort(perm)):
+            y = X[:, j]
+            out += R[i, rem, y]
+            rem -= y
+        return out
+
     def _move_tables(self):
         """Per-state remainders and running rank shifts that ``move_ranks`` reads, cached.
 

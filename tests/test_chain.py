@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from dispatchlab import chain
 from dispatchlab.chain import (
     DENSE_SOLVE_LIMIT,
     MIXING_SIZE_LIMIT,
@@ -35,6 +36,7 @@ from dispatchlab.states import StateSpace
 from oracles import (
     build_transition_from_policy,
     expected_step_profit,
+    gth_solve_scalar,
     kernel_from_rows,
     limiting_objective_gamma,
     matrix_gap_series,
@@ -198,9 +200,10 @@ def test_stationary_matches_eigenvector_oracle():
 
 
 def test_stationary_reports_power_iterations():
+    # greedy's fixed candidate order breaks the grid's symmetry, so the full chain is iterated
     g = build_grid(4, 4)
-    tm = build_transition(StateSpace(g, m=4, c=2), uniform_request_model(g, 0.00390625), parse_policy("nadap:0.8"))
-    assert tm.size > DENSE_SOLVE_LIMIT
+    tm = build_transition(StateSpace(g, m=4, c=2), uniform_request_model(g, 0.00390625), parse_policy("greedy"))
+    assert tm.size > DENSE_SOLVE_LIMIT and tm.orbit is None
     res = stationary_distribution(tm)
     assert res.method == "power" and res.iterations > 1
     # exactly that many steps: one fewer falls short of the tolerance
@@ -210,6 +213,52 @@ def test_stationary_reports_power_iterations():
         stationary_distribution(tm, max_iter=res.iterations - 1)
     small = stationary_distribution(toy_two_cell_chain()[2])
     assert (small.method, small.iterations) == ("elimination", 0)
+
+
+@pytest.mark.parametrize("label", ["greedy", "rand:NESW", "nadap:0.8"])
+def test_power_and_error_curves_step_the_transpose_as_x_at_p(monkeypatch, label):
+    """``PT @ x`` on the cached transpose gives the bytes of an ``x @ P`` loop.
+
+    nadap's orbit labels are dropped, so its full chain is iterated too.
+    """
+    monkeypatch.setattr(chain, "DENSE_SOLVE_LIMIT", 10)
+    g = build_grid(3, 3)
+    space = StateSpace(g, m=3, c=2)
+    model = uniform_request_model(g, 0.01)
+    policy = parse_policy(label)
+    tm = build_transition(space, model, policy)
+    tm.orbit = tm.reps = None
+    res = stationary_distribution(tm)
+    P = tm.to_csr()
+    pi = np.full(space.size, 1.0 / space.size)
+    for _ in range(res.iterations):
+        nxt = pi @ P
+        nxt /= nxt.sum()
+        residual = float(np.abs(nxt - pi).sum())
+        pi = nxt
+    assert (res.method, res.pi.tobytes(), res.residual) == ("power", pi.tobytes(), residual)
+    curves = exact_error_curves(tm, model, policy, space.as_array()[0], 40, stationary=res)
+    esp = step_profit(space.as_array(), model, policy, space.c)
+    mu = np.zeros(space.size)
+    mu[0] = 1.0
+    w_t = []
+    for _ in range(40):
+        w_t.append(mu @ esp)
+        mu = mu @ P
+    assert curves.w_t.tobytes() == np.array(w_t).tobytes()
+
+
+def test_lumped_power_solve_matches_elimination(monkeypatch):
+    """Above the dense limit, counted in orbits, the lumped chain is power-iterated."""
+    g = build_grid(2, 3)
+    space = StateSpace(g, m=3, c=2)
+    tm = build_transition(space, uniform_request_model(g, 0.025), parse_policy("nadap:0.8"))
+    assert (space.size, tm.orbit_count) == (50, 14)
+    monkeypatch.setattr(chain, "DENSE_SOLVE_LIMIT", 13)
+    res = stationary_distribution(tm)
+    assert res.method == "power" and res.iterations > 1
+    assert np.abs(res.pi - gth_solve_scalar(tm.to_dense())).max() <= 1e-10
+    assert np.abs(tm.to_csr().T @ res.pi - res.pi).sum() <= 1e-11
 
 
 def test_limiting_objective_routes_match_across_policies():

@@ -332,6 +332,29 @@ def test_mixing_subcommand(tmp_path):
     assert float(curve[-1]["d_t"]) <= 0.01
 
 
+def test_exact_and_mixing_report_their_solver_and_orbits(tmp_path):
+    """nadap under uniform arrivals is analysed on its symmetry orbits; greedy is not."""
+    small = ["--grid", "2x3", "--drivers", "3", "--capacity", "2", "--arrivals", "uniform:0.025"]
+    for policy, orbits in (("nadap:0.8", 14), ("nadap:0.7:lost", 14), ("greedy", None)):
+        code, out = run(["exact", *small, "--policy", policy], tmp_path, f"exact {policy}")
+        assert code == 0
+        report = read_json(out / "report.json")
+        assert (report["method"], report["iterations"], report["orbits"]) == ("elimination", 0, orbits)
+        code, out = run(["mixing", *small, "--policy", policy], tmp_path, f"mixing {policy}")
+        assert code == 0
+        report = read_json(out / "report.json")
+        assert (report["exhaustive"], report["start_count"], report["orbits"]) == (True, 50, orbits)
+    large = ["--grid", "4x4", "--drivers", "4", "--capacity", "2", "--arrivals", "uniform:0.00390625"]
+    code, out = run(["exact", *large, "--policy", "greedy"], tmp_path, "power")
+    report = read_json(out / "report.json")
+    assert (report["states"], report["method"], report["orbits"]) == (3620, "power", None)
+    assert report["iterations"] > 1
+    code, out = run(["exact", *large, "--policy", "nadap:0.8"], tmp_path, "lumped")
+    report = read_json(out / "report.json")
+    assert (report["states"], report["method"], report["iterations"], report["orbits"]) == (
+        3620, "elimination", 0, 492)
+
+
 def test_vi_subcommand(tmp_path):
     code, out = run(
         ["vi", "--grid", "2x2", "--drivers", "1", "--capacity", "2",
@@ -392,16 +415,18 @@ def test_vi_tables_are_pinned(tmp_path, flags):
 # Recorded on 2x3, m=3, c=2 with uniform:0.025 arrivals.  The stationary
 # solve and the mixing curve go through BLAS, so these hold for one numpy
 # build.  Only the tables are pinned; the objective is checked by value.
+# The nadap rows are solved and swept on the chain's 14 symmetry orbits, so
+# their last bits differ from the full chain's, by at most 3.4e-16.
 EXACT_DIGESTS = {
     "nadap:0.8": {
-        "stationary.csv": "f550ee880ad78ef4823849a92cb432ccbc86eca0394c9bbf9a100138ee8a5586",
-        "gamma.csv": "0e338ae9b1d1966bdb771ec29b4fed2371a1b358326321d7e320e5a80e4a6f3c",
-        "mixing.csv": "0066d9182145a376df8a0035087b11266bbcd6ea03d8ec82aff70c0b5502a7ce",
+        "stationary.csv": "e3e5fef85bc1592b83006bfbbe547865672c58ac987e459e2173d710a7dd60b1",
+        "gamma.csv": "66b72a150e64ae759ef54ee3b0a40c56458ae0bfa25d14adbab77a4af668ed0c",
+        "mixing.csv": "ea4f3c8bba1a355a4d5e82e9bdbce94868c256b2d64badfdb2f196bdf999decd",
     },
     "nadap:0.7:lost": {
-        "stationary.csv": "d37b6179f3ff1c0a356eeb70927388f7215ee3dbc4c2f2dd1b2d5a5b3ad88143",
-        "gamma.csv": "e7d5ffa7c3ba7b03e2f6e098ad84ba022732a6c7558bd9a52e4ff4a840268b31",
-        "mixing.csv": "d0448313c2ff6f798294bf075ce26079d6c54bff351db1558dcede599f1a9e27",
+        "stationary.csv": "7f20df78f5e91a3097e90622ad711cfc5eca41699351c0bbab59c9b0452474b0",
+        "gamma.csv": "393fe1ecf805d9aee52245dd0f0e344dd679c33656ab4929dca9959f459c5320",
+        "mixing.csv": "e1398e53d6af2567a04120d9af25b6309a9bb575572ec036d27cee501f4aeac1",
     },
     "rand:NESW": {
         "stationary.csv": "5cceec7296b92ba55da4c735eb26ee1fdb89e39c2a3e8444ae2597c474408311",
@@ -770,6 +795,12 @@ def test_couple_refuses_an_eps_that_is_not_positive_and_finite(tmp_path, capsys,
     assert code == 1
     assert capsys.readouterr().err.startswith("error (ValueError): eps must be positive and finite")
     assert not out.exists()
+
+
+def test_couple_bound_at_a_large_eps_is_zero(tmp_path):
+    code, out = run(["couple", "--grid", "2x2", "--drivers", "2", "--capacity", "2", "--eps", "100"], tmp_path)
+    assert code == 0
+    assert read_json(out / "report.json")["tau_bound"] == 0.0
 
 
 VI_ARGS = ["vi", "--grid", "2x2", "--drivers", "1", "--capacity", "2", "--arrivals", "uniform:0.0625",

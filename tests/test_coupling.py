@@ -126,6 +126,15 @@ def test_tau_bound_validation():
             verify_contraction(build_grid(2, 2), m=2, c=2, eps=eps)
 
 
+def test_tau_bound_is_zero_from_the_diameter_up():
+    """At eps >= D = 2m every pair is already within eps, so no round is needed."""
+    report = verify_contraction(build_grid(2, 2), m=2, c=2)
+    assert report.diameter == 4
+    assert report.tau_bound(4.0) == 0.0
+    assert report.tau_bound(100.0) == 0.0
+    assert report.tau_bound(3.9) == pytest.approx(math.log(4 / 3.9) * 16)
+
+
 def test_contraction_expected_distance_oracle():
     """Recompute one pair's expected coupled distance by brute request enumeration."""
     g = build_grid(2, 2)

@@ -14,7 +14,13 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from dispatchlab.chain import _gth_solve, build_transition, check_irreducible, mixing_analysis
+from dispatchlab.chain import (
+    _gth_solve,
+    build_transition,
+    check_irreducible,
+    mixing_analysis,
+    stationary_distribution,
+)
 from dispatchlab.coupling import _coupled_distance_totals
 from dispatchlab.errors import HorizonTooShortError
 from dispatchlab.grid import RequestModel, build_grid, distance_weights, uniform_request_model
@@ -324,3 +330,101 @@ def test_mixing_sweep_matches_row_block_loop_byte_for_byte(space, seed, policy, 
     assert got.d_curve.tobytes() == want.d_curve.tobytes()
     assert got.tau == want.tau
     assert (got.exhaustive, got.start_count) == (want.exhaustive, want.start_count)
+
+
+# ---------------------------------------------------------------------------
+# Symmetry orbits
+
+
+def invariant_model(grid, seed: int) -> RequestModel:
+    """Random arrivals and weights that every grid symmetry leaves unchanged, entry for entry.
+
+    Each (u, v) reads the value drawn for the least pair index among its
+    images, so the pairs of one orbit share one float.
+    """
+    n = grid.n
+    pair = np.arange(n * n).reshape(n, n)
+    label = np.min([pair[np.ix_(g, g)] for g in grid.symmetries()], axis=0)
+    rng = np.random.default_rng(seed)
+    p, w = rng.random(n * n)[label] + 0.05, rng.random(n * n)[label]
+    return RequestModel(grid, p / (1.25 * p.sum()), w)
+
+
+def brute_orbits(space: StateSpace) -> np.ndarray:
+    """Each state's least rank over its images, each image ranked one state at a time."""
+    arr = space.as_array()
+    images = np.empty_like(arr)
+    label = np.arange(space.size)
+    for g in space.grid.symmetries():
+        images[:, g] = arr  # the count at cell u moves to g[u]
+        label = np.minimum(label, [space.rank(y) for y in images.tolist()])
+    return label
+
+
+@SLOW
+@given(spaces(), st.integers(0, 2**16), st.sampled_from([0.8, 0.5, 1.0]),
+       st.sampled_from(["renormalize", "lost"]))
+@example(LARGEST, 1, 0.8, "renormalize")
+@example(StateSpace(build_grid(2, 3), 3, 2), 2, 0.8, "lost")
+@example(StateSpace(build_grid(1, 3), 2, 1), 3, 0.5, "renormalize")
+def test_invariant_nadap_chains_commute_with_every_grid_symmetry(space, seed, alpha, boundary):
+    """P(gx, gy) = P(x, y) on square and rectangular grids, and the orbit labels are the brute force's."""
+    grid = space.grid
+    perms = grid.symmetries()
+    assert len(perms) == (8 if grid.rows == grid.cols else 4) and perms[0].tolist() == list(range(grid.n))
+    if min(grid.rows, grid.cols) > 1:
+        assert len(np.unique(perms, axis=0)) == len(perms)
+    tm = build_transition(space, invariant_model(grid, seed), PolicySpec("nadap", alpha=alpha, boundary=boundary))
+    P = tm.to_dense()
+    arr = space.as_array()
+    for g in perms:
+        moved = space.permuted_ranks(g)
+        images = np.empty_like(arr)
+        images[:, g] = arr
+        assert moved.tolist() == ranks(space, images).tolist()
+        assert np.abs(P[np.ix_(moved, moved)] - P).max() <= 1e-15
+    reps, orbit = np.unique(brute_orbits(space), return_inverse=True)
+    if len(reps) == space.size:
+        assert tm.orbit is None and tm.reps is None
+    else:
+        assert (tm.reps.tolist(), tm.orbit.tolist()) == (reps.tolist(), orbit.tolist())
+
+
+@SLOW
+@given(spaces(), st.integers(0, 2**16), st.sampled_from(["renormalize", "lost"]))
+@example(LARGEST, 4, "renormalize")
+@example(StateSpace(build_grid(2, 3), 3, 2), 5, "lost")
+def test_orbit_sweep_and_lumped_solve_match_the_full_chain(space, seed, boundary):
+    tm = build_transition(space, invariant_model(space.grid, seed), PolicySpec("nadap", alpha=0.8, boundary=boundary))
+    assume(tm.orbit is not None and check_irreducible(tm))
+    pi = stationary_distribution(tm).pi
+    assert np.abs(pi - gth_solve_scalar(tm.to_dense())).max() <= 1e-12
+    args = (tm, pi, [0.3, 0.02, 1e-4], 5000)
+    got, want = mixing_analysis(*args), mixing_curve_loop(*args)
+    assert len(got.d_curve) == len(want.d_curve) and got.tau == want.tau
+    assert np.abs(got.d_curve - want.d_curve).max() <= 1e-12
+    assert (got.exhaustive, got.start_count) == (True, space.size)
+
+
+@pytest.mark.parametrize("label, change", [
+    ("rand:NESW", None), ("greedy", None), ("greedy:pool", None),
+    ("nadap:0.8", "p"), ("nadap:0.8:lost", "p"), ("nadap:0.8", "w"),
+])
+def test_chains_without_symmetry_keep_the_full_path_and_its_bytes(label, change):
+    """rand, greedy, or one model entry moved by an ulp: no orbit labels, every start stepped."""
+    g = build_grid(3, 3)
+    space = StateSpace(g, m=3, c=2)
+    model = uniform_request_model(g, 0.01)
+    if change is not None:
+        p, w = model.p.copy(), model.w.copy()
+        entry = {"p": p, "w": w}[change]
+        entry[0, 1] = np.nextafter(entry[0, 1], np.inf)
+        model = RequestModel(g, p, w)
+    tm = build_transition(space, model, parse_policy(label))
+    assert tm.orbit is None and tm.reps is None
+    res = stationary_distribution(tm)
+    assert res.pi.tobytes() == _gth_solve(tm.to_dense()).tobytes()
+    args = (tm, res.pi, [0.3, 0.02], 5000)
+    got, want = mixing_analysis(*args), mixing_curve_loop(*args)
+    assert got.d_curve.tobytes() == want.d_curve.tobytes()
+    assert (got.tau, got.start_count) == (want.tau, space.size)
