@@ -9,6 +9,8 @@ into the diagonal, which keeps every row stochastic.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -33,6 +35,7 @@ MIXING_SIZE_LIMIT = 2000
 ROW_SUM_TOL = 1e-12
 MONOTONE_SLACK = 1e-10
 _GTH_BLOCK = 64  # elimination pivots per block; only a block's own rows and columns see them one by one
+_SPLIT_WORK = 1 << 20  # multiply-adds a mixing round below which stepping its columns on several threads loses
 
 
 class TransitionMatrix:
@@ -252,7 +255,7 @@ class StationaryResult:
 
 def _gth_solve(P: np.ndarray) -> np.ndarray:
     """Stationary vector by state elimination (no subtractions, so no cancellation)."""
-    A = P.astype(float).copy()
+    A = np.array(P, dtype=float)
     size = A.shape[0]
     for p in range(size, 1, -_GTH_BLOCK):
         k0 = max(p - _GTH_BLOCK, 1)
@@ -468,6 +471,69 @@ class MixingReport:
         return bool((self.d_curve <= C * beta**t + 1e-12).all())
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the platform has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+class _Crew:
+    """Runs ``step(0)`` on the calling thread and ``step(1)`` .. ``step(k - 1)`` on k - 1 workers, once a round.
+
+    Every round ends when all k steps have; a worker's exception is re-raised
+    by the caller's ``run_round``.  ``close`` stops and joins the workers.
+    """
+
+    def __init__(self, step, k: int):
+        self._step, self._error = step, None
+        self._gate = threading.Barrier(k)
+        self._workers = [threading.Thread(target=self._work, args=(g,), daemon=True) for g in range(1, k)]
+        for worker in self._workers:
+            worker.start()
+
+    def _work(self, g: int) -> None:
+        try:
+            while True:
+                self._gate.wait()
+                try:
+                    self._step(g)
+                except BaseException as exc:
+                    self._error = exc
+                self._gate.wait()
+        except threading.BrokenBarrierError:
+            pass
+
+    def run_round(self) -> None:
+        self._gate.wait()
+        try:
+            self._step(0)
+        finally:
+            self._gate.wait()
+        if self._error is not None:
+            raise self._error
+
+    def close(self) -> None:
+        self._gate.abort()
+        for worker in self._workers:
+            worker.join()
+
+
+def _start_block(part: np.ndarray, size: int, pi: np.ndarray, dist: np.ndarray) -> np.ndarray:
+    """The t = 0 iterate of the starts ``part``, one column each; their d(0) terms go to ``dist``.
+
+    d(0) row-sums start-major rows, the pairwise order of the row-block
+    oracle loop's first round; the spent rows' buffer then holds the columns.
+    """
+    rows = np.zeros((len(part), size))
+    rows[np.arange(len(part)), part] = 1.0
+    np.abs(np.subtract(rows, pi, out=rows), out=rows).sum(axis=1, out=dist)
+    block = rows.reshape(size, len(part))
+    block.fill(0.0)
+    block[part, np.arange(len(part))] = 1.0
+    return block
+
+
 def mixing_analysis(
     tm: TransitionMatrix,
     pi: np.ndarray,
@@ -479,11 +545,15 @@ def mixing_analysis(
     """Track the worst start's distance to stationary until every threshold is met.
 
     All starts are propagated together (one column per start, stepped against
-    the transposed kernel).  Without a sample, a chain with symmetry orbits
-    steps one start per orbit, its least rank: every start of an orbit is
-    as far from pi as its representative.  Above the exhaustive-size limit,
-    which counts states, a start sample must be supplied, and the curve is
-    a lower bound flagged non-exhaustive.  A sample is stepped as given.
+    the transposed kernel).  From ``_SPLIT_WORK`` multiply-adds a round the
+    columns split into contiguous groups, one per usable CPU, each stepped
+    on its own thread; a column's sums do not depend on its neighbours, so
+    every output is byte-identical at any group count.  Without a sample, a
+    chain with symmetry orbits steps one start per orbit, its least rank:
+    every start of an orbit is as far from pi as its representative.  Above
+    the exhaustive-size limit, which counts states, a start sample must be
+    supplied, and the curve is a lower bound flagged non-exhaustive.  A
+    sample is stepped as given.
     """
     if t_max < 1:
         raise ValueError("t_max must be at least 1")
@@ -507,26 +577,41 @@ def mixing_analysis(
         starts = np.asarray(sorted(set(ranks)))
         exhaustive = bool(len(starts) == size)
     PT = tm.transposed()
-    E = (np.arange(size)[:, None] == starts).astype(float)  # E[y, s]: Pr[state y after t rounds from start s]
-    # d(0) row-sums a start-major copy: the pairwise order of the row-block oracle loop's first round
-    d_curve = [0.5 * float(np.abs(E.T.copy() - pi).sum(axis=1).max())]
-    gap, dist = np.empty_like(E), np.empty(len(starts))
+    # Contiguous column groups, one per thread.  A group keeps at least two columns:
+    # numpy sums a lone column pairwise, where wider blocks and the oracle loop add row by row.
+    cols = len(starts)
+    parts = np.array_split(starts, max(1, min(_usable_cpus(), PT.nnz * cols // _SPLIT_WORK, cols // 2)))
+    edges = np.cumsum([0] + [len(part) for part in parts])
+    dist = np.empty(cols)
+    # blocks[g][y, j]: Pr[state y after t rounds from start parts[g][j]]
+    blocks = [_start_block(part, size, pi, dist[lo:hi]) for part, lo, hi in zip(parts, edges, edges[1:])]
+
+    def step(g: int) -> None:
+        # the dead iterate becomes the |E - pi| scratch; each column sums in the same order at any split
+        old = blocks[g]
+        blocks[g] = new = PT @ old
+        np.abs(np.subtract(new, pi[:, None], out=old), out=old).sum(axis=0, out=dist[edges[g]:edges[g + 1]])
+
+    d_curve = [0.5 * float(dist.max())]
     tau: dict = {}
     for e in eps:
         if d_curve[0] <= e:
             tau.setdefault(e, 0)
     t = 0
-    while len(tau) < len(eps) and t < t_max:
-        E = PT @ E
-        t += 1
-        np.abs(np.subtract(E, pi[:, None], out=gap), out=gap).sum(axis=0, out=dist)
-        dt = 0.5 * float(dist.max())
-        if dt > d_curve[-1] + MONOTONE_SLACK:
-            raise RuntimeError(f"distance to stationary increased at t={t}: {d_curve[-1]} -> {dt}")
-        d_curve.append(dt)
-        for e in eps:
-            if e not in tau and dt <= e:
-                tau[e] = t
+    crew = _Crew(step, len(parts))
+    try:
+        while len(tau) < len(eps) and t < t_max:
+            crew.run_round()
+            t += 1
+            dt = 0.5 * float(dist.max())
+            if dt > d_curve[-1] + MONOTONE_SLACK:
+                raise RuntimeError(f"distance to stationary increased at t={t}: {d_curve[-1]} -> {dt}")
+            d_curve.append(dt)
+            for e in eps:
+                if e not in tau and dt <= e:
+                    tau[e] = t
+    finally:
+        crew.close()
     curve = np.array(d_curve)
     if len(tau) < len(eps):
         missing = [e for e in eps if e not in tau]

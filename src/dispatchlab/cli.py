@@ -11,7 +11,9 @@ platforms.  Configuration precedence is flags, then ``--config`` file
 ``--threads`` (default from ``DISPATCHLAB_THREADS``, else 1) is accepted
 and recorded but changes nothing: one process steps all runs of an
 ensemble at once and reduces them in run order, so there is no
-per-run loop to shard and no output depends on it.
+per-run loop to shard and no output depends on it.  It does not govern
+the mixing sweep's threads, which ``chain.mixing_analysis`` sizes from
+the usable CPUs, nor numpy's and scipy's BLAS threads.
 """
 
 from __future__ import annotations
@@ -395,7 +397,8 @@ def add_common(spec: SubSpec) -> None:
         "--threads",
         type=int,
         default=_default_threads(),
-        help="recorded only: one process steps all runs at once and reduces them in run order",
+        help="recorded only: one process steps all runs at once and reduces them in run order; "
+             "the mixing sweep and BLAS size their own threads",
     )
     spec.parser.add_argument("--config", dest="config", default=None,
                              help="flat key=value config file; flags win over it")

@@ -6,14 +6,17 @@ deterministic; the blocked elimination solve is also checked on random
 chains across block edges and on the benchmark's 800-state chains.
 """
 
+import threading
 from dataclasses import replace
 from fractions import Fraction
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from dispatchlab import chain
 from dispatchlab.chain import (
     _gth_solve,
     build_transition,
@@ -268,8 +271,9 @@ def block_chain(a: np.ndarray, b: np.ndarray, coupling: float) -> np.ndarray:
 
 
 def assert_gth_matches_scalar(P: np.ndarray) -> None:
-    want = gth_solve_scalar(P)
+    want, before = gth_solve_scalar(P), P.copy()
     got = _gth_solve(P)
+    assert P.dtype == before.dtype and np.array_equal(P, before)  # the solve eliminates on its own copy
     assert np.all(np.abs(got - want) <= 1e-13 * want)
 
 
@@ -302,12 +306,18 @@ def test_blocked_gth_refuses_reducible_chain_as_scalar_does():
                 solve(P)
 
 
+def split_into(groups: int):
+    """Patch the sweep to split any chain into ``groups`` column groups, or fewer where that leaves a group one column."""
+    return patch.multiple(chain, _usable_cpus=lambda: groups, _SPLIT_WORK=1)
+
+
 @SLOW
-@given(spaces(), st.integers(0, 2**16), policies(), st.integers(1, 150), st.booleans())
-@example(LARGEST, 7, PolicySpec("greedy"), 150, False)
-@example(LARGEST, 8, PolicySpec("rand", phi=ALL_PHIS[0]), 150, True)
-@example(LARGEST, 9, PolicySpec("nadap", alpha=Fraction(3, 4)), 2, True)
-def test_mixing_sweep_matches_row_block_loop_byte_for_byte(space, seed, policy, t_max, sampled):
+@given(spaces(), st.integers(0, 2**16), policies(), st.integers(1, 150), st.booleans(), st.integers(1, 3))
+@example(LARGEST, 7, PolicySpec("greedy"), 150, False, 3)
+@example(LARGEST, 8, PolicySpec("rand", phi=ALL_PHIS[0]), 150, True, 2)
+@example(LARGEST, 9, PolicySpec("nadap", alpha=Fraction(3, 4)), 2, True, 3)
+@example(LARGEST, 10, PolicySpec("greedy"), 2, False, 2)
+def test_mixing_sweep_matches_row_block_loop_byte_for_byte(space, seed, policy, t_max, sampled, groups):
     n = space.n
     p = np.random.default_rng(seed).random((n, n)) + 0.05
     model = RequestModel(space.grid, 0.8 * p / p.sum(), np.ones((n, n)))
@@ -318,18 +328,50 @@ def test_mixing_sweep_matches_row_block_loop_byte_for_byte(space, seed, policy, 
     if sampled:  # duplicates and any order, as a caller may pass them
         starts = np.random.default_rng(seed).integers(0, space.size, size=1 + seed % 7).tolist()
     args = (tm, pi, [0.3, 0.02, 1e-4], t_max)
+    threads = threading.active_count()
     try:
         want = mixing_curve_loop(*args, start_ranks=starts)
     except HorizonTooShortError as short:
-        with pytest.raises(HorizonTooShortError) as info:
+        with split_into(groups), pytest.raises(HorizonTooShortError) as info:
             mixing_analysis(*args, start_ranks=starts)
+        assert threading.active_count() == threads
         assert info.value.d_curve.tobytes() == short.d_curve.tobytes()
         assert str(info.value) == str(short)
         return
-    got = mixing_analysis(*args, start_ranks=starts)
+    with split_into(groups):
+        got = mixing_analysis(*args, start_ranks=starts)
+    assert threading.active_count() == threads
     assert got.d_curve.tobytes() == want.d_curve.tobytes()
     assert got.tau == want.tau
     assert (got.exhaustive, got.start_count) == (want.exhaustive, want.start_count)
+
+
+class FaultyKernel:
+    """A transposed kernel whose product fails on the caller's thread or on every worker, recording who stepped."""
+
+    def __init__(self, PT, on_caller: bool):
+        self.PT, self.nnz, self.on_caller, self.stepped = PT, PT.nnz, on_caller, set()
+
+    def __matmul__(self, E):
+        self.stepped.add(threading.get_ident())
+        if (threading.current_thread() is threading.main_thread()) == self.on_caller:
+            raise ArithmeticError("injected fault")
+        return self.PT @ E
+
+
+@pytest.mark.parametrize("on_caller", [False, True])
+@pytest.mark.parametrize("groups", [2, 3])
+def test_mixing_sweep_fault_reaches_the_caller_and_no_thread_outlives_it(groups, on_caller, monkeypatch):
+    space = StateSpace(build_grid(2, 3), 3, 2)
+    tm = build_transition(space, uniform_request_model(space.grid, 0.8 / 36), PolicySpec("greedy"))
+    pi = gth_solve_scalar(tm.to_dense())
+    fault = FaultyKernel(tm.transposed(), on_caller)
+    monkeypatch.setattr(tm, "transposed", lambda: fault)
+    threads = threading.active_count()
+    with split_into(groups), pytest.raises(ArithmeticError, match="injected fault"):
+        mixing_analysis(tm, pi, [0.01], t_max=50)
+    assert len(fault.stepped) == groups
+    assert threading.active_count() == threads
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import dispatchlab
 import oracles
 from dispatchlab import cli
@@ -90,17 +92,13 @@ def test_cli_handlers_leave_the_output_protocol_to_the_runner():
         assert params == ["options"] and args.vararg is None and args.kwarg is None, handler.name
 
 
-def test_cli_import_leaves_out_csgraph():
-    """csgraph loads scipy's linear algebra, so only the structure checks import it, on first use."""
+@pytest.mark.parametrize("prefix", [
+    "scipy",  # fixture, ingest and simulate never need it; the chain layer imports scipy.sparse on first use
+    "scipy.sparse.csgraph",  # loads scipy's linear algebra, so only the structure checks import it, on first use
+    "concurrent.futures",  # the mixing sweep's threads come from threading, which the interpreter has loaded
+])
+def test_cli_import_leaves_out(prefix):
     env = dict(os.environ, PYTHONPATH=str(Path(dispatchlab.__file__).parents[1]))
-    code = "import sys, dispatchlab.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.sparse.csgraph')))"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
-
-
-def test_cli_import_leaves_out_scipy():
-    """fixture, ingest and simulate never need scipy; the chain layer imports scipy.sparse on first use."""
-    env = dict(os.environ, PYTHONPATH=str(Path(dispatchlab.__file__).parents[1]))
-    code = "import sys, dispatchlab.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    code = f"import sys, dispatchlab.cli; print(sorted(m for m in sys.modules if m.startswith({prefix!r})))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
