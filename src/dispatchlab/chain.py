@@ -10,10 +10,8 @@ from __future__ import annotations
 
 import math
 import os
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -98,11 +96,7 @@ class TransitionMatrix:
         return Fraction(0) if self.exact else 0.0
 
     def diagonal(self) -> np.ndarray:
-        out = np.zeros(self.size)
-        rows = self._row_of_entry()
-        on = self.indices == rows
-        out[rows[on]] = self.data[on].astype(float)
-        return out
+        return self.to_csr().diagonal()
 
     def to_dense(self) -> np.ndarray:
         return self.to_csr().toarray()
@@ -386,49 +380,31 @@ def check_irreducible(tm: TransitionMatrix) -> bool:
     return _components(tm)[0] == 1
 
 
-def _component_period(adj: list[list[int]], nodes: list[int]) -> int:
-    """Period of one strongly connected class: gcd of cycle-length differences."""
-    inside = set(nodes)
-    root = nodes[0]
-    level = {root: 0}
-    frontier = [root]
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for b in adj[a]:
-                if b in inside and b not in level:
-                    level[b] = level[a] + 1
-                    nxt.append(b)
-        frontier = nxt
-    g = 0
-    for a in nodes:
-        for b in adj[a]:
-            if b in inside:
-                g = gcd(g, level[a] + 1 - level[b])
-    return abs(g)
-
-
 def check_aperiodic(tm: TransitionMatrix) -> bool:
     """True when every communicating class has period 1.
 
-    A positive self-loop settles a class immediately; otherwise the period
-    is the gcd of closed-walk length differences found by a breadth-first
-    leveling.  Single states with no transitions count as aperiodic.
+    A positive self-loop settles a class; otherwise its period is the gcd
+    of level[a] + 1 - level[b] over its edges a -> b, with level the
+    breadth-first distance from one of its states.  A shortest path
+    between two states of a class stays in it, so whole-graph distances
+    are the class's own.  Single states with no transitions count as
+    aperiodic.
     """
+    from scipy.sparse.csgraph import dijkstra
+
     ncomp, labels, pat = _components(tm)
-    diag = tm.diagonal()
-    if ncomp == 1 and (diag > 0).any():
-        return True
-    adj: list[list[int]] = [[] for _ in range(tm.size)]
     coo = pat.tocoo()
-    for a, b in zip(coo.row, coo.col):
-        adj[a].append(int(b))
-    for comp in range(ncomp):
-        nodes = [int(i) for i in np.flatnonzero(labels == comp)]
-        if any(diag[i] > 0 for i in nodes):
+    a, b = coo.row, coo.col
+    comp_of = labels[a]
+    inside = comp_of == labels[b]
+    looped = np.zeros(ncomp, dtype=bool)
+    looped[comp_of[a == b]] = True
+    for comp in np.unique(comp_of[inside]):
+        if looped[comp]:
             continue
-        period = _component_period(adj, nodes)
-        if period not in (0, 1):
+        edges = inside & (comp_of == comp)
+        level = dijkstra(pat, indices=a[edges][0], unweighted=True)
+        if np.gcd.reduce((level[a[edges]] + 1 - level[b[edges]]).astype(np.int64)) > 1:
             return False
     return True
 
@@ -478,47 +454,6 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-class _Crew:
-    """Runs ``step(0)`` on the calling thread and ``step(1)`` .. ``step(k - 1)`` on k - 1 workers, once a round.
-
-    Every round ends when all k steps have; a worker's exception is re-raised
-    by the caller's ``run_round``.  ``close`` stops and joins the workers.
-    """
-
-    def __init__(self, step, k: int):
-        self._step, self._error = step, None
-        self._gate = threading.Barrier(k)
-        self._workers = [threading.Thread(target=self._work, args=(g,), daemon=True) for g in range(1, k)]
-        for worker in self._workers:
-            worker.start()
-
-    def _work(self, g: int) -> None:
-        try:
-            while True:
-                self._gate.wait()
-                try:
-                    self._step(g)
-                except BaseException as exc:
-                    self._error = exc
-                self._gate.wait()
-        except threading.BrokenBarrierError:
-            pass
-
-    def run_round(self) -> None:
-        self._gate.wait()
-        try:
-            self._step(0)
-        finally:
-            self._gate.wait()
-        if self._error is not None:
-            raise self._error
-
-    def close(self) -> None:
-        self._gate.abort()
-        for worker in self._workers:
-            worker.join()
-
-
 def _start_block(part: np.ndarray, size: int, pi: np.ndarray, dist: np.ndarray) -> np.ndarray:
     """The t = 0 iterate of the starts ``part``, one column each; their d(0) terms go to ``dist``.
 
@@ -546,8 +481,9 @@ def mixing_analysis(
 
     All starts are propagated together (one column per start, stepped against
     the transposed kernel).  From ``_SPLIT_WORK`` multiply-adds a round the
-    columns split into contiguous groups, one per usable CPU, each stepped
-    on its own thread; a column's sums do not depend on its neighbours, so
+    columns split into contiguous groups, one per usable CPU: each round
+    the calling thread steps the first group and a pool of one worker
+    fewer the rest.  A column's sums do not depend on its neighbours, so
     every output is byte-identical at any group count.  Without a sample, a
     chain with symmetry orbits steps one start per orbit, its least rank:
     every start of an orbit is as far from pi as its representative.  Above
@@ -555,6 +491,8 @@ def mixing_analysis(
     supplied, and the curve is a lower bound flagged non-exhaustive.  A
     sample is stepped as given.
     """
+    from concurrent.futures import ThreadPoolExecutor  # on first use: the CLI's import never loads it
+
     if t_max < 1:
         raise ValueError("t_max must be at least 1")
     eps = sorted(set(float(e) for e in epsilons), reverse=True)
@@ -598,10 +536,12 @@ def mixing_analysis(
         if d_curve[0] <= e:
             tau.setdefault(e, 0)
     t = 0
-    crew = _Crew(step, len(parts))
-    try:
+    with ThreadPoolExecutor(max(1, len(parts) - 1)) as pool:
         while len(tau) < len(eps) and t < t_max:
-            crew.run_round()
+            rest = [pool.submit(step, g) for g in range(1, len(parts))]
+            step(0)
+            for future in rest:
+                future.result()
             t += 1
             dt = 0.5 * float(dist.max())
             if dt > d_curve[-1] + MONOTONE_SLACK:
@@ -610,8 +550,6 @@ def mixing_analysis(
             for e in eps:
                 if e not in tau and dt <= e:
                     tau[e] = t
-    finally:
-        crew.close()
     curve = np.array(d_curve)
     if len(tau) < len(eps):
         missing = [e for e in eps if e not in tau]

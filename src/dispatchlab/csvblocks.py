@@ -57,7 +57,7 @@ from .errors import SchemaError
 #: Bytes read per block; a block ends at its last line break.
 BLOCK_BYTES = 1 << 20
 
-#: Rows of ``csv.reader`` that ``read_table`` casts per step once a block is not plain.
+#: Rows of ``csv.reader`` per chunk once a block is not plain; only one chunk's strings are alive at a time.
 CHUNK_ROWS = 4096
 
 #: Rows that ``write_table`` formats per ``%``.
@@ -185,8 +185,8 @@ class CsvBlocks:
             raise SchemaError(f"{self.path}: line 1: header lacks columns {missing}")
         return [len(self.header) - 1 - self.header[::-1].index(name) for name in names]
 
-    def chunks(self, size: int, width: int) -> Iterator[PlainBlock | RowChunk]:
-        """The rows after the header: plain blocks, then chunks of up to ``size`` rows, short below ``width`` fields.
+    def chunks(self, width: int) -> Iterator[PlainBlock | RowChunk]:
+        """The rows after the header: plain blocks, then chunks of up to ``CHUNK_ROWS`` rows, short below ``width`` fields.
 
         Bad bytes or an oversize field raise after the chunk of the rows before their line.
         """
@@ -196,7 +196,7 @@ class CsvBlocks:
             for line, row in self._rows:
                 if row:
                     chunk.append((line, row))
-                    if len(chunk) == size:
+                    if len(chunk) == CHUNK_ROWS:
                         yield RowChunk(chunk, width)
                         chunk = []
         except SchemaError as exc:
@@ -379,7 +379,7 @@ def read_table(path, names: Sequence[str], dtypes: Sequence) -> list[np.ndarray]
     parts: list[list[np.ndarray]] = [[np.zeros(0, t)] for t in dtypes]
     with CsvBlocks(path) as blocks:
         where = blocks.where(names)
-        for chunk in blocks.chunks(CHUNK_ROWS, max(where) + 1):
+        for chunk in blocks.chunks(max(where) + 1):
             for part, column in zip(parts, _columns(path, chunk, names, where, dtypes)):
                 part.append(column)
     return [np.concatenate(part) for part in parts]

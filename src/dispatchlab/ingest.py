@@ -46,10 +46,6 @@ DEFAULT_COLUMNS: dict[str, str] = {
     "dropoff_lon": "dropoff_longitude",
 }
 
-#: Rows ``csv.reader`` hands ``parse_trips`` per chunk once a block is not plain (see
-#: ``csvblocks``); only one chunk's strings are alive at a time.
-PARSE_CHUNK_ROWS = 4096
-
 # A canonical timestamp with every digit taken as 0, and where its fields' digits lie.
 _STAMP = b"0000-00-00 00:00:00"
 _YEAR, _MONTH, _DAY, _HOUR, _MINUTE, _SECOND = 0, 5, 8, 11, 14, 17
@@ -94,7 +90,11 @@ class TripTable:
 
 @dataclass(frozen=True)
 class Bbox:
-    """Half-open geographic box: lower bounds inclusive, upper bounds exclusive."""
+    """Half-open geographic box: lower bounds inclusive, upper bounds exclusive.
+
+    Each span must be positive and finite, which also refuses infinite
+    bounds and finite bounds whose difference overflows: binning divides by it.
+    """
 
     lat_min: float
     lat_max: float
@@ -102,8 +102,8 @@ class Bbox:
     lon_max: float
 
     def __post_init__(self):
-        if not (self.lat_min < self.lat_max and self.lon_min < self.lon_max):
-            raise ValueError("bounding box must have positive extent")
+        if not all(0 < span < np.inf for span in (self.lat_max - self.lat_min, self.lon_max - self.lon_min)):
+            raise ValueError("bounding box must have positive, finite extent")
 
     def contains(self, lat, lon):
         """Whether each point lies in the box; scalars or arrays."""
@@ -271,7 +271,7 @@ def parse_trips(path, column_mapping: Mapping[str, str] | None = None) -> ParseR
     whitespace between date and time), a coordinate is not a finite
     ``float()``, or the dropoff precedes the pickup.  Blank lines are not
     rows.  The chunks come from ``csvblocks`` (plain byte blocks cast whole,
-    then ``PARSE_CHUNK_ROWS`` csv rows at a time), whose contract raises on
+    then ``csvblocks.CHUNK_ROWS`` csv rows at a time), whose contract raises on
     bytes that are not UTF-8 and oversize fields.  The table keeps input
     order.
     """
@@ -291,7 +291,7 @@ def parse_trips(path, column_mapping: Mapping[str, str] | None = None) -> ParseR
     try:
         with CsvBlocks(path) as blocks:
             where = blocks.where([mapping[f] for f in DEFAULT_COLUMNS])
-            for chunk in blocks.chunks(PARSE_CHUNK_ROWS, max(where) + 1):
+            for chunk in blocks.chunks(max(where) + 1):
                 cols, dropped = _trip_columns(ids, *map(chunk.column, where))
                 columns.append(cols)
                 skipped += dropped + chunk.short

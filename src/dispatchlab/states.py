@@ -52,8 +52,8 @@ def _completions(n: int, m: int, c: int, sat: int, keep: bool = False) -> np.nda
 class StateSpace:
     """All driver-count states for (grid, m, c), in lexicographic order.
 
-    Ranking uses a table of bounded-composition counts, so ``rank`` is
-    O(n * min(c, m)) without materializing the space.
+    Ranking sums a prefix table of bounded-composition counts, one entry
+    per location, without materializing the space.
     """
 
     def __init__(self, grid: Grid, m: int, c: int, cap: int = DEFAULT_STATE_CAP):
@@ -77,7 +77,6 @@ class StateSpace:
         self.size = int(table[0, m])
         # a legal state never reads an entry above size: clipped, the table is int64
         self._ways = np.minimum(table, self.size).astype(np.int64)
-        self._table = self._ways.tolist()
         self._array: np.ndarray | None = None
         self._prefix_table: np.ndarray | None = None
         self._moves: tuple | None = None
@@ -96,12 +95,11 @@ class StateSpace:
 
     def rank(self, counts: Sequence[int]) -> int:
         self.check_counts(counts)
-        table = self._table
+        R = self._prefix()
         r = 0
         rem = self.m
         for i, x in enumerate(counts):
-            for t in range(x):
-                r += table[i + 1][rem - t]
+            r += int(R[i, rem, x])
             rem -= x
         return r
 

@@ -72,7 +72,7 @@ def unrank(space: StateSpace, index: int) -> tuple[int, ...]:
     """The state of rank ``index``: inverse of ``space.rank``, read off its completion table."""
     if not (0 <= index < space.size):
         raise ValueError(f"rank {index} outside [0, {space.size})")
-    table = space._table
+    table = space._ways.tolist()
     out = []
     rem = space.m
     r = index

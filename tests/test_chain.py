@@ -325,6 +325,63 @@ def test_periodic_permutation_chain_is_caught():
     assert check_aperiodic(frozen)
 
 
+def aperiodic_by_powers(edges: np.ndarray) -> bool:
+    """Every state's return times t <= 2 size^2 have gcd 0 or 1, read off boolean powers of the edge matrix."""
+    size = len(edges)
+    A = edges.astype(np.int64)
+    reach = np.eye(size, dtype=np.int64)
+    period = np.zeros(size, dtype=np.int64)
+    for t in range(1, 2 * size * size + 1):
+        reach = np.minimum(reach @ A, 1)
+        period = np.where(np.diag(reach) > 0, np.gcd(period, t), period)
+    return bool((period <= 1).all())
+
+
+def edge_chain(edges: np.ndarray):
+    """A kernel with the given positive-entry pattern, each row spread evenly over its edges."""
+    size = len(edges)
+    space = StateSpace(build_grid(1, size), m=1, c=1)
+    rows = [{int(j): 1.0 / row.sum() for j in np.flatnonzero(row)} for row in edges]
+    return kernel_from_rows(space, rows, None, False)
+
+
+def edge_matrix(size: int, pairs) -> np.ndarray:
+    edges = np.zeros((size, size), dtype=bool)
+    for a, b in pairs:
+        edges[a, b] = True
+    return edges
+
+
+@pytest.mark.parametrize("size, pairs, aperiodic", [
+    (3, [(0, 1), (1, 2), (2, 0)], False),  # a 3-cycle
+    (4, [(0, 1), (1, 0), (0, 2), (2, 3), (3, 0)], True),  # a 2-cycle and a 3-cycle through state 0, no self-loop
+    # a periodic transient class {0, 1} above an aperiodic closed class {2, 3, 4} with no self-loop
+    (5, [(0, 1), (1, 0), (1, 2), (2, 3), (3, 2), (3, 4), (4, 2)], False),
+    (5, [(0, 0), (0, 1), (1, 2), (2, 3), (3, 2)], False),  # aperiodic transient state above a periodic closed class
+    (3, [(0, 1), (1, 1)], True),  # state 2 has no transitions
+    (1, [], True),
+])
+def test_period_search_matches_matrix_powers_on_named_digraphs(size, pairs, aperiodic):
+    edges = edge_matrix(size, pairs)
+    assert aperiodic_by_powers(edges) == aperiodic
+    assert check_aperiodic(edge_chain(edges)) == aperiodic
+
+
+def test_period_search_matches_matrix_powers_on_random_digraphs():
+    rng = np.random.default_rng(2024)
+    outcomes = set()
+    for _ in range(400):
+        size = int(rng.integers(1, 9))
+        density = rng.uniform(0.1, 0.6)
+        edges = rng.random((size, size)) < density
+        # self-loops settle a class before any search, so draw few of them
+        np.fill_diagonal(edges, rng.random(size) < density / 8)
+        want = aperiodic_by_powers(edges)
+        assert check_aperiodic(edge_chain(edges)) == want, edges.astype(int).tolist()
+        outcomes.add((want, bool(edges.diagonal().any())))
+    assert outcomes == {(False, False), (False, True), (True, False), (True, True)}
+
+
 def test_tv_distance_basics():
     assert tv_distance([1.0, 0.0], [0.0, 1.0]) == pytest.approx(1.0)
     assert tv_distance([0.5, 0.5], [0.5, 0.5]) == 0.0

@@ -597,6 +597,20 @@ def test_fixture_rejects_flags_outside_their_range(tmp_path, capsys, flags, mess
     assert not out.exists()
 
 
+@pytest.mark.parametrize("emit", ["model", "replay"])
+@pytest.mark.parametrize("bbox", ["-inf,inf,-inf,inf", "-1e308,1e308,-1e308,1e308"])
+def test_ingest_rejects_a_box_without_finite_extent(tmp_path, capsys, bbox, emit):
+    """An infinite box, or one whose span overflows, would bin every trip to cell 0."""
+    code, fix = run(["fixture", "--trips", "200", "--seed", "2"], tmp_path, "fix")
+    assert code == 0
+    capsys.readouterr()
+    code, out = run(["ingest", "--input", str(fix / "trips.csv"), "--segment", "morning",
+                     "--emit", emit, f"--bbox={bbox}"], tmp_path, "ingest")
+    assert code == 1
+    assert capsys.readouterr().err.strip() == "error (ValueError): bounding box must have positive, finite extent"
+    assert not out.exists()
+
+
 def test_fixture_writes_the_extreme_flag_values(tmp_path):
     for sub, flags in {"none": ["--trips", "0"], "one": ["--trips", "3", "--cars", "1"],
                        "most": ["--trips", "3", "--cars", "4294967295"]}.items():

@@ -347,13 +347,16 @@ def test_mixing_sweep_matches_row_block_loop_byte_for_byte(space, seed, policy, 
 
 
 class FaultyKernel:
-    """A transposed kernel whose product fails on the caller's thread or on every worker, recording who stepped."""
+    """A transposed kernel whose product fails on the caller's thread or on every worker, recording the blocks it stepped.
+
+    A pool may hand one worker two groups in a round, so blocks, not threads, count the groups.
+    """
 
     def __init__(self, PT, on_caller: bool):
         self.PT, self.nnz, self.on_caller, self.stepped = PT, PT.nnz, on_caller, set()
 
     def __matmul__(self, E):
-        self.stepped.add(threading.get_ident())
+        self.stepped.add(id(E))
         if (threading.current_thread() is threading.main_thread()) == self.on_caller:
             raise ArithmeticError("injected fault")
         return self.PT @ E

@@ -158,6 +158,12 @@ def test_bbox_is_half_open():
         Bbox(1.0, 1.0, 0.0, 1.0)
     with pytest.raises(ValueError):
         Bbox(0.0, 1.0, 2.0, 1.0)
+    # infinite or NaN bounds, and finite bounds whose span overflows, would bin every trip to cell 0
+    for bad in [(-np.inf, np.inf, 0.0, 1.0), (0.0, 1.0, -np.inf, 0.0), (0.0, np.inf, 0.0, 1.0),
+                (np.nan, 1.0, 0.0, 1.0), (-1e308, 1e308, 0.0, 1.0), (0.0, 1.0, -1e308, 1e308)]:
+        with pytest.raises(ValueError, match="finite"):
+            Bbox(*bad)
+    assert Bbox(-1e307, 1e307, 0.0, 1.0).contains(0.0, 0.5)
 
 
 def test_filter_bbox_requires_both_endpoints_inside():
@@ -546,14 +552,14 @@ BLOCKS = st.sampled_from([1, 7, 64, 300, csvblocks.BLOCK_BYTES])
           ["A", "2013-01-14 07:00:00", "2013-01-14 08:00:00", "40.75", "-74", "40.75", "-74"]], 2, 7)
 def test_parse_trips_matches_the_row_rule(rows, chunk_rows, block):
     """Row for row, including skips, blank lines and bad rows on chunk boundaries and across byte blocks."""
-    with mock.patch.object(ingest, "PARSE_CHUNK_ROWS", chunk_rows), mock.patch.object(csvblocks, "BLOCK_BYTES", block):
+    with mock.patch.object(csvblocks, "CHUNK_ROWS", chunk_rows), mock.patch.object(csvblocks, "BLOCK_BYTES", block):
         new, old = parse_both(rows)
     assert_same_parse(new, old)
 
 
 def test_parse_trips_matches_the_row_rule_across_full_chunks():
     """Over two full chunks, with odd rows either side of each boundary and a chunk with no good row."""
-    chunk = ingest.PARSE_CHUNK_ROWS
+    chunk = csvblocks.CHUNK_ROWS
     good = ["CAR1", "2013-01-14 07:00:00", "2013-01-14 11:30:00", "40.75", "-74.0", "40.76", "-73.99"]
     rows = [good[:1] + [f"2013-01-14 {7 + i % 4:02d}:{i % 60:02d}:{i % 59:02d}"] + good[2:]
             for i in range(2 * chunk + 5)]
@@ -572,7 +578,7 @@ def test_parse_trips_matches_the_row_rule_across_full_chunks():
     # the unpadded stamp and the NUL car are good rows, the blank line is no row
     assert old.skipped == 3 and len(old.records) == 2 * chunk + 1
     # a chunk of nothing but skipped and blank rows
-    with mock.patch.object(ingest, "PARSE_CHUNK_ROWS", 2):
+    with mock.patch.object(csvblocks, "CHUNK_ROWS", 2):
         assert_same_parse(*parse_both([good, [], good[:2], good[:3], good]))
 
 

@@ -95,7 +95,7 @@ def test_cli_handlers_leave_the_output_protocol_to_the_runner():
 @pytest.mark.parametrize("prefix", [
     "scipy",  # fixture, ingest and simulate never need it; the chain layer imports scipy.sparse on first use
     "scipy.sparse.csgraph",  # loads scipy's linear algebra, so only the structure checks import it, on first use
-    "concurrent.futures",  # the mixing sweep's threads come from threading, which the interpreter has loaded
+    "concurrent.futures",  # only the mixing sweep uses its thread pool, and imports it on first use
 ])
 def test_cli_import_leaves_out(prefix):
     env = dict(os.environ, PYTHONPATH=str(Path(dispatchlab.__file__).parents[1]))
