@@ -95,9 +95,6 @@ class TransitionMatrix:
             return self.data[j]
         return Fraction(0) if self.exact else 0.0
 
-    def diagonal(self) -> np.ndarray:
-        return self.to_csr().diagonal()
-
     def to_dense(self) -> np.ndarray:
         return self.to_csr().toarray()
 
@@ -106,7 +103,7 @@ class TransitionMatrix:
             import scipy.sparse as sp  # on first use: fixture, ingest and simulate never load it
 
             self._csr = sp.csr_array(
-                (self.data.astype(float), self.indices, self.indptr), shape=(self.size, self.size)
+                (self.data.astype(float, copy=False), self.indices, self.indptr), shape=(self.size, self.size)
             )
         return self._csr
 
@@ -385,28 +382,29 @@ def check_aperiodic(tm: TransitionMatrix) -> bool:
 
     A positive self-loop settles a class; otherwise its period is the gcd
     of level[a] + 1 - level[b] over its edges a -> b, with level the
-    breadth-first distance from one of its states.  A shortest path
-    between two states of a class stays in it, so whole-graph distances
-    are the class's own.  Single states with no transitions count as
+    breadth-first distance from one of its states.  One search covers
+    every class: over within-class edges alone, each state's nearest root
+    is its own class's.  Single states with no transitions count as
     aperiodic.
     """
+    import scipy.sparse as sp
     from scipy.sparse.csgraph import dijkstra
 
     ncomp, labels, pat = _components(tm)
     coo = pat.tocoo()
     a, b = coo.row, coo.col
-    comp_of = labels[a]
-    inside = comp_of == labels[b]
+    comp = labels[a]
     looped = np.zeros(ncomp, dtype=bool)
-    looped[comp_of[a == b]] = True
-    for comp in np.unique(comp_of[inside]):
-        if looped[comp]:
-            continue
-        edges = inside & (comp_of == comp)
-        level = dijkstra(pat, indices=a[edges][0], unweighted=True)
-        if np.gcd.reduce((level[a[edges]] + 1 - level[b[edges]]).astype(np.int64)) > 1:
-            return False
-    return True
+    looped[comp[a == b]] = True
+    inner = np.flatnonzero((comp == labels[b]) & ~looped[comp])
+    inner = inner[np.argsort(comp[inner], kind="stable")]  # the edges of each class together
+    a, b, comp = a[inner], b[inner], comp[inner]
+    first = np.flatnonzero(np.diff(comp, prepend=-1))  # each class's first edge
+    if not len(first):
+        return True
+    edges = sp.csr_array((np.ones(len(a), dtype=np.int8), (a, b)), shape=pat.shape)
+    level = dijkstra(edges, indices=a[first], unweighted=True, min_only=True)
+    return not (np.gcd.reduceat((level[a] + 1 - level[b]).astype(np.int64), first) > 1).any()
 
 
 # ---------------------------------------------------------------------------

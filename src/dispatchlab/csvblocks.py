@@ -27,10 +27,10 @@ short, holds a cell its column's dtype refuses (``int()`` into int64, or
 N counting physical lines.
 
 A file is read in binary blocks of ``BLOCK_BYTES`` cut after their last line
-break.  Each column of a plain block (``PlainBlock.of``) is one fixed-width
-bytes array, cast whole; from the first block that is not plain,
-``csv.reader`` reads the rest.  A plain block's line numbers are computed
-only where it fails.
+break, each on its own.  Each column of a plain block (``PlainBlock.of``) is
+one fixed-width bytes array, cast whole; ``csv.reader`` reads any other block,
+and the next ones only while a quoted field is open.  A plain block's line
+numbers are computed only where it fails.
 
 A plain block's numeric cells are read by ``decimals``.  A canonical
 decimal ``[-]digits[.digits]`` of at most 15 digits is M / 10**k, its
@@ -56,9 +56,6 @@ from .errors import SchemaError
 
 #: Bytes read per block; a block ends at its last line break.
 BLOCK_BYTES = 1 << 20
-
-#: Rows of ``csv.reader`` per chunk once a block is not plain; only one chunk's strings are alive at a time.
-CHUNK_ROWS = 4096
 
 #: Rows that ``write_table`` formats per ``%``.
 CSV_BLOCK_ROWS = 4096
@@ -155,16 +152,18 @@ class CsvBlocks:
         self.path = path
         self._fh = open(path, "rb")
         self._pending = b""  # read past the last whole line
-        self._line = 0  # lines handed out: the header and plain blocks
-        self._rows: Iterator[tuple[int, list[str]]] | None = None  # csv rows, from the first line not plain
+        self._line = 0  # lines handed out
         try:
             line = self._fh.readline()
             if line and PlainBlock.of(line, line.count(b",") + 1, 1) is not None:
                 self.header = line.decode("ascii").removesuffix("\n").removesuffix("\r").split(",")
-                self._line = 1
+                self._line, self._rest = 1, ([], None)
             else:
-                self._pending, self._rows = line, self._csv_rows(0)
-                self.header = next(self._rows, (1, []))[1]
+                rows, error = self._read(line)
+                if error is not None and not rows:
+                    raise error
+                (_, self.header), *rest = rows or [(1, [])]
+                self._rest = rest, error  # the rows of the header's run after it
         except BaseException:
             self.close()
             raise
@@ -186,37 +185,25 @@ class CsvBlocks:
         return [len(self.header) - 1 - self.header[::-1].index(name) for name in names]
 
     def chunks(self, width: int) -> Iterator[PlainBlock | RowChunk]:
-        """The rows after the header: plain blocks, then chunks of up to ``CHUNK_ROWS`` rows, short below ``width`` fields.
+        """The rows after the header, a chunk per block: a plain block, or else one ``csv.reader`` run's rows.
 
-        Bad bytes or an oversize field raise after the chunk of the rows before their line.
+        A run's rows are short below ``width`` fields.  Bad bytes or an
+        oversize field raise after the chunk of the rows before their line.
         """
-        yield from self.plain()
-        chunk, error = [], None
-        try:
-            for line, row in self._rows:
-                if row:
-                    chunk.append((line, row))
-                    if len(chunk) == CHUNK_ROWS:
-                        yield RowChunk(chunk, width)
-                        chunk = []
-        except SchemaError as exc:
-            error = exc
-        if chunk:
-            yield RowChunk(chunk, width)
-        if error is not None:
-            raise error
-
-    def plain(self) -> Iterator[PlainBlock]:
-        """Plain blocks in file order, up to the end of the file or the first block that is not plain."""
-        while self._rows is None:
-            block = self._block()
-            plain = PlainBlock.of(block, len(self.header), self._line + 1) if block else None
-            if plain is None:
-                self._pending = block + self._pending
-                self._rows = self._csv_rows(self._line)
+        rows, error = self._rest
+        while True:
+            if rows := [(line, row) for line, row in rows if row]:  # a blank line is no row
+                yield RowChunk(rows, width)
+            if error is not None:
+                raise error
+            if not (block := self._block()):
                 return
-            self._line += len(plain)
-            yield plain
+            plain = PlainBlock.of(block, len(self.header), self._line + 1)
+            if plain is None:
+                rows, error = self._read(block)
+            else:
+                self._line, rows = self._line + len(plain), []
+                yield plain
 
     def _block(self) -> bytes:
         """The next whole lines (the file's last line may lack its line break); empty at the end of the file."""
@@ -230,29 +217,41 @@ class CsvBlocks:
         self._pending = b""
         return b"".join(parts)
 
-    def _texts(self) -> Iterator[io.StringIO]:
-        """The remaining blocks as UTF-8 lines; bad bytes raise after the lines before theirs."""
-        while block := self._block():
-            try:
-                text = block.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                cut = max(block.rfind(b"\n", 0, exc.start), block.rfind(b"\r", 0, exc.start)) + 1
-                yield io.StringIO(block[:cut].decode("utf-8"), newline="")
-                raise exc
-            yield io.StringIO(text, newline="")
+    def _read(self, block: bytes) -> tuple[list[tuple[int, list[str]]], SchemaError | None]:
+        """A ``csv.reader`` run from the block's first line: its rows with the lines they start on, and its error.
 
-    def _csv_rows(self, offset: int) -> Iterator[tuple[int, list[str]]]:
-        """``csv.reader`` rows from line ``offset + 1`` on, each with the line it starts on."""
-        reader = csv.reader(chain.from_iterable(self._texts()))
-        before = 0
+        The run reads on into the next block only while a quoted field is open,
+        and stops at the first row that ends where the lines read so far end.
+        """
+        read = [0]  # lines of the blocks handed to the reader whole
+
+        def lines(block: bytes) -> Iterator[str]:
+            while block:
+                try:
+                    text = block.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    cut = max(block.rfind(b"\n", 0, exc.start), block.rfind(b"\r", 0, exc.start)) + 1
+                    yield from io.StringIO(block[:cut].decode("utf-8"), newline="")
+                    raise exc
+                more = io.StringIO(text, newline="").readlines()
+                read[0] += len(more)
+                yield from more
+                block = self._block()
+
+        offset, rows, error, before = self._line, [], None, 0
+        reader = csv.reader(lines(block))
         try:
             for row in reader:
-                yield offset + before + 1, row
+                rows.append((offset + before + 1, row))
                 before = reader.line_num
+                if before == read[0]:
+                    break
         except csv.Error as exc:  # a field past csv.field_size_limit()
-            raise SchemaError(f"{self.path}: line {offset + reader.line_num}: {exc}") from None
+            error = SchemaError(f"{self.path}: line {offset + reader.line_num}: {exc}")
         except UnicodeDecodeError:
-            raise SchemaError(f"{self.path}: line {offset + reader.line_num + 1}: bytes that are not UTF-8") from None
+            error = SchemaError(f"{self.path}: line {offset + reader.line_num + 1}: bytes that are not UTF-8")
+        self._line = offset + reader.line_num
+        return rows, error
 
 
 def decimals(texts: np.ndarray, dtype: np.dtype) -> tuple[np.ndarray, np.ndarray]:

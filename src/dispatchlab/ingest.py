@@ -271,9 +271,8 @@ def parse_trips(path, column_mapping: Mapping[str, str] | None = None) -> ParseR
     whitespace between date and time), a coordinate is not a finite
     ``float()``, or the dropoff precedes the pickup.  Blank lines are not
     rows.  The chunks come from ``csvblocks`` (plain byte blocks cast whole,
-    then ``csvblocks.CHUNK_ROWS`` csv rows at a time), whose contract raises on
-    bytes that are not UTF-8 and oversize fields.  The table keeps input
-    order.
+    the csv rows of any other block), whose contract raises on bytes that are
+    not UTF-8 and oversize fields.  The table keeps input order.
     """
     mapping = dict(DEFAULT_COLUMNS)
     if column_mapping:

@@ -325,6 +325,15 @@ def test_periodic_permutation_chain_is_caught():
     assert check_aperiodic(frozen)
 
 
+def test_to_csr_holds_a_float_kernels_values_without_a_copy():
+    space = StateSpace(build_grid(1, 2), m=1, c=1)
+    rows = [{0: Fraction(1, 3), 1: Fraction(2, 3)}, {0: Fraction(1)}]
+    floats = kernel_from_rows(space, [{j: float(p) for j, p in row.items()} for row in rows], None, False)
+    assert np.shares_memory(floats.data, floats.to_csr().data)
+    exact = kernel_from_rows(space, rows, None, True)
+    assert exact.to_csr().data.tolist() == floats.data.tolist() == [1 / 3, 2 / 3, 1.0]
+
+
 def aperiodic_by_powers(edges: np.ndarray) -> bool:
     """Every state's return times t <= 2 size^2 have gcd 0 or 1, read off boolean powers of the edge matrix."""
     size = len(edges)
@@ -380,6 +389,29 @@ def test_period_search_matches_matrix_powers_on_random_digraphs():
         assert check_aperiodic(edge_chain(edges)) == want, edges.astype(int).tolist()
         outcomes.add((want, bool(edges.diagonal().any())))
     assert outcomes == {(False, False), (False, True), (True, False), (True, True)}
+
+
+def class_row(classes: int, periodic: int | None) -> list[tuple[int, int]]:
+    """Four-state classes in a row, each with an edge into the next: a 4-cycle, plus a 3-cycle but in ``periodic``."""
+    pairs = []
+    for k in range(classes):
+        s = 4 * k
+        pairs += [(s, s + 1), (s + 1, s + 2), (s + 2, s + 3), (s + 3, s)]
+        if k != periodic:
+            pairs.append((s + 2, s))
+        if k + 1 < classes:
+            pairs.append((s + 3, s + 4))
+    return pairs
+
+
+@pytest.mark.parametrize("periodic", [None, 0, 350, 699])
+def test_period_search_over_many_classes(periodic):
+    """700 classes of 2,800 states, with at most one of period 4 among aperiodic ones."""
+    assert aperiodic_by_powers(edge_matrix(4, class_row(1, None)))
+    assert not aperiodic_by_powers(edge_matrix(4, class_row(1, 0)))
+    tm = edge_chain(edge_matrix(2800, class_row(700, periodic)))
+    assert chain._components(tm)[0] == 700
+    assert check_aperiodic(tm) == (periodic is None)
 
 
 def test_tv_distance_basics():

@@ -541,25 +541,26 @@ def assert_same_segments(seg, seg_rows):
 
 
 # Byte-block sizes: a line or less, a few lines, and the stock size
-BLOCKS = st.sampled_from([1, 7, 64, 300, csvblocks.BLOCK_BYTES])
+BLOCK_SIZES = [1, 7, 64, 300, csvblocks.BLOCK_BYTES]
+BLOCKS = st.sampled_from(BLOCK_SIZES)
 
 
 @DIFF
-@given(st.lists(trip_rows(), max_size=40), st.integers(1, 7), BLOCKS)
+@given(st.lists(trip_rows(), max_size=40), BLOCKS)
 @example([["A", "2013-01-14 07:00:00\x00", "2013-01-14 08:00:00", "40.75", "-74", "40.75", "-74"],
           ["A\x00", "2013-01-14 07:00:00", "2013-01-14 08:00:00", "1.5\x00", "-74", "40.75", "-74"],
           ["A\x00", "2013-01-14 07:00:00", "2013-01-14 08:00:00", "40.75", "-74", "40.75", "-74"],
-          ["A", "2013-01-14 07:00:00", "2013-01-14 08:00:00", "40.75", "-74", "40.75", "-74"]], 2, 7)
-def test_parse_trips_matches_the_row_rule(rows, chunk_rows, block):
+          ["A", "2013-01-14 07:00:00", "2013-01-14 08:00:00", "40.75", "-74", "40.75", "-74"]], 7)
+def test_parse_trips_matches_the_row_rule(rows, block):
     """Row for row, including skips, blank lines and bad rows on chunk boundaries and across byte blocks."""
-    with mock.patch.object(csvblocks, "CHUNK_ROWS", chunk_rows), mock.patch.object(csvblocks, "BLOCK_BYTES", block):
+    with mock.patch.object(csvblocks, "BLOCK_BYTES", block):
         new, old = parse_both(rows)
     assert_same_parse(new, old)
 
 
 def test_parse_trips_matches_the_row_rule_across_full_chunks():
-    """Over two full chunks, with odd rows either side of each boundary and a chunk with no good row."""
-    chunk = csvblocks.CHUNK_ROWS
+    """Over 2 x 4,096 rows, with odd rows either side of each 4,096th and a chunk with no good row."""
+    chunk = 4096
     good = ["CAR1", "2013-01-14 07:00:00", "2013-01-14 11:30:00", "40.75", "-74.0", "40.76", "-73.99"]
     rows = [good[:1] + [f"2013-01-14 {7 + i % 4:02d}:{i % 60:02d}:{i % 59:02d}"] + good[2:]
             for i in range(2 * chunk + 5)]
@@ -578,7 +579,7 @@ def test_parse_trips_matches_the_row_rule_across_full_chunks():
     # the unpadded stamp and the NUL car are good rows, the blank line is no row
     assert old.skipped == 3 and len(old.records) == 2 * chunk + 1
     # a chunk of nothing but skipped and blank rows
-    with mock.patch.object(csvblocks, "CHUNK_ROWS", 2):
+    with mock.patch.object(csvblocks, "BLOCK_BYTES", 1):
         assert_same_parse(*parse_both([good, [], good[:2], good[:3], good]))
 
 
@@ -623,28 +624,85 @@ BLOCK_FILES = {
 }
 
 
+def parse_trips_chunks(path, block=csvblocks.BLOCK_BYTES):
+    """``parse_trips`` of a file read in blocks of this size, and the chunks ``CsvBlocks.chunks`` handed it."""
+    got, chunks = [], csvblocks.CsvBlocks.chunks
+
+    def spy(self, width):
+        for chunk in chunks(self, width):
+            got.append(chunk)
+            yield chunk
+
+    with mock.patch.object(csvblocks, "BLOCK_BYTES", block), mock.patch.object(csvblocks.CsvBlocks, "chunks", spy):
+        return parse_trips(path), got
+
+
+def plain_lines(chunks) -> int:
+    return sum(len(chunk) for chunk in chunks if isinstance(chunk, csvblocks.PlainBlock))
+
+
 @pytest.mark.parametrize("name", sorted(BLOCK_FILES))
 @pytest.mark.parametrize("block", [1, 64, 300, csvblocks.BLOCK_BYTES])
 def test_parse_trips_falls_back_to_csv_rows_mid_file(tmp_path, name, block):
-    """Plain blocks up to the first quote, NUL, non-ASCII byte, lone \\r or odd line, then csv rows: one row rule."""
+    """Plain blocks but for those holding a quote, NUL, non-ASCII byte, lone \\r or odd line: one row rule."""
     text, plain = BLOCK_FILES[name]
     path = tmp_path / "trips.csv"
     path.write_bytes(text.encode())
-    lines, read = [], csvblocks.CsvBlocks.plain
-
-    def count_plain(self):
-        for got in read(self):
-            lines.append(len(got))
-            yield got
-
-    with mock.patch.object(csvblocks, "BLOCK_BYTES", block), \
-            mock.patch.object(csvblocks.CsvBlocks, "plain", count_plain):
-        new = parse_trips(path)
+    new, chunks = parse_trips_chunks(path, block)
     assert_same_parse(new, parse_trips_rows(path))
-    if plain:
-        assert sum(lines) == 2 * MIDDLE
+    if plain or block == 1:  # a block a line: every good line is plain but the two that share a lone \\r
+        assert plain_lines(chunks) == 2 * MIDDLE - 2 * (name == "lone cr ending")
     elif block < len(text) // 4:
-        assert 0 < sum(lines) < 2 * MIDDLE + 1
+        assert 0 < plain_lines(chunks) < 2 * MIDDLE + 1
+
+
+# A line that is not plain, of each kind, and the csv rows that start on it
+DIRTY_LINES = [
+    ("CAR1,2013-01-14 07:00:00", 1),  # short
+    ("CAR\u00c9" + trip_lines(1)[0][4:], 1),
+    ("CAR\x00" + trip_lines(1)[0][4:], 1),
+    (trip_lines(1)[0] + "\r" + trip_lines(1, 1)[0], 2),  # a lone \\r: two rows on one line
+    ("", 0),  # blank
+    ('"CAR\n1"' + trip_lines(1)[0][4:], 1),  # at 1-byte blocks, a block cut within the quote
+]
+
+
+@pytest.mark.parametrize("block", BLOCK_SIZES)
+def test_parse_trips_reads_each_block_on_its_own(tmp_path, block):
+    """The blocks after a dirty line's block are plain again; at 1-byte blocks only the dirty rows are csv rows."""
+    text, line, rows = HEADER, 1, []
+    for i, (dirty, starts) in enumerate(DIRTY_LINES):
+        text = "\r\n".join([text, *trip_lines(10, 10 * i), dirty])
+        line += 11  # the dirty line's number
+        rows += range(line, line + starts)
+        line += dirty.count("\n") + dirty.count("\r")
+    path = tmp_path / "trips.csv"
+    path.write_bytes(("\r\n".join([text, *trip_lines(10, 60)]) + "\r\n").encode())
+    new, chunks = parse_trips_chunks(path, block)
+    assert_same_parse(new, parse_trips_rows(path))
+    runs = [i for i, chunk in enumerate(chunks) if isinstance(chunk, csvblocks.RowChunk)]
+    if block == 1:
+        assert [line for i in runs for line, _ in chunks[i].rows([0])] == rows
+    if block < csvblocks.BLOCK_BYTES:  # a plain block follows each run, the last lines' among them
+        following = [*chunks[1:], None]
+        assert all(isinstance(following[i], csvblocks.PlainBlock) for i in runs)
+
+
+@pytest.mark.parametrize("block", BLOCK_SIZES)
+@pytest.mark.parametrize("dirty, line", [
+    ("1,2.5,a\r2,3.5,b", 35),  # a lone \\r
+    ('1,2.5,"a\nb"', 35),
+    ("1", 3),  # short
+    ("1\r2,2.5,a", 3),  # a \\r in a field ends a short row
+    ("", 34),
+])
+def test_read_table_names_the_line_after_a_dirty_line(tmp_path, block, dirty, line):
+    """The bad cell after a line that is not plain, or that line itself, is named by its physical line."""
+    path = tmp_path / "table.csv"
+    path.write_text("\n".join(["n,x,note", "1,0.5,a", dirty, *["2,1.5,b"] * 30, "3,bad,c"]) + "\n", newline="")
+    with mock.patch.object(csvblocks, "BLOCK_BYTES", block), pytest.raises(SchemaError) as info:
+        csvblocks.read_table(path, ("n", "x"), (np.int64, np.float64))
+    assert str(info.value).startswith(f"{path}: line {line}: ")
 
 
 def test_parse_trips_refuses_a_field_past_the_csv_limit(tmp_path):
@@ -742,19 +800,12 @@ def test_parse_trips_reads_a_plain_fixture_without_its_fallbacks(tmp_path):
     """No plain block's coordinate or timestamp column reaches numpy's cast or strptime, or is read digit by digit."""
     path = tmp_path / "trips.csv"
     make_fixture(path, trips=5000, seed=3, cars=50)
-    plain, read = [], csvblocks.CsvBlocks.plain
-
-    def count_plain(self):
-        for block in read(self):
-            plain.append(len(block))
-            yield block
-
-    with mock.patch.object(csvblocks.CsvBlocks, "plain", count_plain), \
-            mock.patch.object(ingest, "_floats_cast", wraps=ingest._floats_cast) as cast, \
+    with mock.patch.object(ingest, "_floats_cast", wraps=ingest._floats_cast) as cast, \
             mock.patch.object(ingest, "dt", wraps=dt) as clock, \
             mock.patch.object(csvblocks, "_digit_by_digit", wraps=csvblocks._digit_by_digit) as each:
-        new = parse_trips(path)
-    assert sum(plain) == 5000
+        new, chunks = parse_trips_chunks(path)
+    assert all(isinstance(chunk, csvblocks.PlainBlock) for chunk in chunks)
+    assert plain_lines(chunks) == 5000
     assert cast.call_count == each.call_count == 0
     assert clock.datetime.strptime.call_count == 0
     assert_same_bits(new, parse_trips_rows(path))
