@@ -30,7 +30,6 @@ DENSE_SOLVE_LIMIT = 2000
 #: At or below this many states, worst-case mixing curves cover every start.
 MIXING_SIZE_LIMIT = 2000
 
-ROW_SUM_TOL = 1e-12
 MONOTONE_SLACK = 1e-10
 _GTH_BLOCK = 64  # elimination pivots per block; only a block's own rows and columns see them one by one
 _SPLIT_WORK = 1 << 20  # multiply-adds a mixing round below which stepping its columns on several threads loses

@@ -8,12 +8,12 @@ use 17 significant digits so byte-level diffs are meaningful across
 platforms.  Configuration precedence is flags, then ``--config`` file
 (flat ``key=value`` lines, ``#`` comments), then built-in defaults.
 
-``--threads`` (default from ``DISPATCHLAB_THREADS``, else 1) is accepted
-and recorded but changes nothing: one process steps all runs of an
-ensemble at once and reduces them in run order, so there is no
-per-run loop to shard and no output depends on it.  It does not govern
-the mixing sweep's threads, which ``chain.mixing_analysis`` sizes from
-the usable CPUs, nor numpy's and scipy's BLAS threads.
+``--threads`` (default 1) is accepted and recorded but changes nothing:
+one process steps all runs of an ensemble at once and reduces them in run
+order, so there is no per-run loop to shard and no output depends on it.
+It does not govern the mixing sweep's threads, which
+``chain.mixing_analysis`` sizes from the usable CPUs, nor numpy's and
+scipy's BLAS threads.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ import json
 import math
 import os
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -66,7 +65,6 @@ from .simulate import (
 )
 from .states import StateSpace, format_state, parse_state
 
-THREADS_ENV = "DISPATCHLAB_THREADS"
 DEFAULT_EPSILONS = "0.25,0.01"
 WEIGHTS_HELP = "const:X, distance, or file:PATH (default: const:1, or a model file's own weights)"
 
@@ -84,33 +82,24 @@ def sha256_file(path) -> str:
     return h.hexdigest()
 
 
-def _json_safe(value):
-    if isinstance(value, dict):
-        return {str(k): _json_safe(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_json_safe(v) for v in value]
-    if isinstance(value, Fraction):
-        return str(value)
+def _json_default(value):
+    """``json``'s hook for what it cannot encode: numpy numbers and arrays, dates, dataclasses, else ``str``."""
     if isinstance(value, np.integer):
         return int(value)
     if isinstance(value, np.floating):
         return float(value)
     if isinstance(value, np.ndarray):
-        return [_json_safe(v) for v in value.tolist()]
-    if isinstance(value, (dt.date, dt.datetime)):
+        return value.tolist()
+    if isinstance(value, dt.date):  # a datetime too
         return value.isoformat()
-    if isinstance(value, Path):
-        return str(value)
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return _json_safe(dataclasses.asdict(value))
-    if isinstance(value, (str, int, float, bool)) or value is None:
-        return value
-    return str(value)
+        return dataclasses.asdict(value)
+    return str(value)  # a Fraction, a Path, a numpy bool
 
 
 def write_json(path, payload) -> None:
     with open(path, "w") as fh:
-        json.dump(_json_safe(payload), fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True, default=_json_default)
         fh.write("\n")
 
 
@@ -126,9 +115,9 @@ def write_report(outdir: Path, name: str, payload: dict, fmt: str) -> str:
             for k in sorted(value):
                 flatten(f"{prefix}.{k}" if prefix else str(k), value[k], rows)
         elif isinstance(value, (list, tuple)):
-            rows.append((prefix, json.dumps(_json_safe(value))))
-        else:
-            rows.append((prefix, _json_safe(value)))
+            rows.append((prefix, json.dumps(value, default=_json_default)))
+        else:  # the leaf as json reads it back: an array as a list, a dataclass as a dict
+            rows.append((prefix, json.loads(json.dumps(value, default=_json_default))))
 
     rows: list = []
     flatten("", payload, rows)
@@ -283,12 +272,7 @@ def resolve_options(ns: argparse.Namespace, spec: SubSpec) -> dict:
         raw = getattr(ns, dest, None)
         if raw is None:
             raw = config.get(dest)
-        if raw is None:
-            value = default
-        elif typ in (int, float):
-            value = typ(raw)
-        else:
-            value = typ(raw) if isinstance(raw, str) else raw
+        value = default if raw is None else typ(raw)  # flags and config values are strings
         if choices and value is not None and value not in choices:
             raise ValueError(f"--{dest.replace('_', '-')} must be one of {choices}, got {value!r}")
         out[dest] = value
@@ -329,12 +313,12 @@ def finish_run(
         "rerun_argv": rerun,
         "seed": options.get("seed"),
         "threads": options.get("threads"),
-        "config": _json_safe(options),
+        "config": options,
         "inputs": {str(p): sha256_file(p) for p in (inputs or [])},
         "outputs": {name: sha256_file(outdir / name) for name in sorted(outputs)},
     }
     if summary is not None:
-        manifest["summary"] = _json_safe(summary)
+        manifest["summary"] = summary
     write_json(outdir / "manifest.json", manifest)
 
 
@@ -382,24 +366,13 @@ def write_run(command: str, argv: list[str], options: dict, run: Run) -> int:
 # Subcommand handlers
 
 
-def _default_threads() -> int:
-    try:
-        return max(1, int(os.environ.get(THREADS_ENV, "1")))
-    except ValueError:
-        return 1
-
-
 def add_common(spec: SubSpec) -> None:
     spec.add("--out", type=str, default="out", help="output directory (default: out)")
     spec.add("--format", type=str, default="json", choices=("json", "csv"),
              help="report format: json (default) or key,value csv")
-    spec.add(
-        "--threads",
-        type=int,
-        default=_default_threads(),
-        help="recorded only: one process steps all runs at once and reduces them in run order; "
-             "the mixing sweep and BLAS size their own threads",
-    )
+    spec.add("--threads", type=int, default=1,
+             help="recorded only: one process steps all runs at once and reduces them in run order; "
+                  "the mixing sweep and BLAS size their own threads")
     spec.parser.add_argument("--config", dest="config", default=None,
                              help="flat key=value config file; flags win over it")
 
@@ -506,12 +479,10 @@ def cmd_couple(options) -> Run:
     grid = build_grid(*options["grid"])
     eps = options["eps"]
     report = verify_contraction(grid, options["drivers"], options["capacity"], eps=eps)
-    # shares() is keyed by the distinct totals in ascending order, as np.unique gives them
-    shares = np.array([[float(e), float(r)] for e, r in report.shares().values()]).reshape(-1, 2)
-    share = shares[np.unique(report.totals, return_inverse=True)[1]]
+    q = report.n ** 2  # E[d'] = totals / q and the ratio totals / 2q, each one correctly rounded quotient
     table = (
         ["pair_rank_x", "pair_rank_y", "expected_d_prime", "ratio"],
-        Columns("%d,%d,%.17g,%.17g", (report.x, report.y, share[:, 0], share[:, 1])),
+        Columns("%d,%d,%.17g,%.17g", (report.x, report.y, report.totals / q, report.totals / (2 * q))),
     )
     payload = {
         "n": report.n,

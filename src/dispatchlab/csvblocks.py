@@ -24,11 +24,13 @@ are not rows; a long row is fine.  In file order, the first line that is
 short, holds a cell its column's dtype refuses (``int()`` into int64, or
 ``float()``), holds bytes that are not UTF-8 or holds a field longer than
 ``csv.field_size_limit()`` raises ``SchemaError("{path}: line {N}: ...")``,
-N counting physical lines.
+N counting physical lines; an oversize field's N is the line its row starts
+on.
 
-A file is read in binary blocks of ``BLOCK_BYTES`` cut after their last line
-break, each on its own.  Each column of a plain block (``PlainBlock.of``) is
-one fixed-width bytes array, cast whole; ``csv.reader`` reads any other block,
+The header line is one ``csv.reader`` run; the rest of a file is read in
+binary blocks of ``BLOCK_BYTES`` cut after their last line break, each on
+its own.  Each column of a plain block (``PlainBlock.of``) is one
+fixed-width bytes array, cast whole; ``csv.reader`` reads any other block,
 and the next ones only while a quoted field is open.  A plain block's line
 numbers are computed only where it fails.
 
@@ -154,16 +156,11 @@ class CsvBlocks:
         self._pending = b""  # read past the last whole line
         self._line = 0  # lines handed out
         try:
-            line = self._fh.readline()
-            if line and PlainBlock.of(line, line.count(b",") + 1, 1) is not None:
-                self.header = line.decode("ascii").removesuffix("\n").removesuffix("\r").split(",")
-                self._line, self._rest = 1, ([], None)
-            else:
-                rows, error = self._read(line)
-                if error is not None and not rows:
-                    raise error
-                (_, self.header), *rest = rows or [(1, [])]
-                self._rest = rest, error  # the rows of the header's run after it
+            rows, error = self._read(self._fh.readline())
+            if error is not None and not rows:
+                raise error
+            (_, self.header), *rest = rows or [(1, [])]
+            self._rest = rest, error  # the rows of the header's run after it
         except BaseException:
             self.close()
             raise
@@ -246,8 +243,8 @@ class CsvBlocks:
                 before = reader.line_num
                 if before == read[0]:
                     break
-        except csv.Error as exc:  # a field past csv.field_size_limit()
-            error = SchemaError(f"{self.path}: line {offset + reader.line_num}: {exc}")
+        except csv.Error as exc:  # a field past csv.field_size_limit(): named by the line its row starts on
+            error = SchemaError(f"{self.path}: line {offset + before + 1}: {exc}")
         except UnicodeDecodeError:
             error = SchemaError(f"{self.path}: line {offset + reader.line_num + 1}: bytes that are not UTF-8")
         self._line = offset + reader.line_num

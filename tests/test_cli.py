@@ -1,15 +1,18 @@
 """Command-line interface: subcommands, manifests, reruns, and exit codes."""
 
 import csv
+import dataclasses
+import datetime as dt
 import hashlib
 import json
-import os
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from dispatchlab import csvblocks
-from dispatchlab.cli import main, write_json
+from dispatchlab.cli import main, write_json, write_report
 from dispatchlab.grid import build_grid, uniform_request_model
 from oracles import (
     build_replay_rows,
@@ -175,20 +178,6 @@ def test_thread_count_recorded_but_output_invariant(tmp_path):
     assert m1["outputs"] == m4["outputs"]
 
 
-def test_threads_env_default(tmp_path):
-    old = os.environ.get("DISPATCHLAB_THREADS")
-    os.environ["DISPATCHLAB_THREADS"] = "3"
-    try:
-        code, out = run(EXACT_ARGS, tmp_path)
-        assert code == 0
-        assert read_json(out / "manifest.json")["threads"] == 3
-    finally:
-        if old is None:
-            del os.environ["DISPATCHLAB_THREADS"]
-        else:
-            os.environ["DISPATCHLAB_THREADS"] = old
-
-
 def test_couple_subcommand(tmp_path):
     code, out = run(
         ["couple", "--grid", "2x2", "--drivers", "2", "--capacity", "2"],
@@ -205,6 +194,16 @@ def test_couple_subcommand(tmp_path):
     assert all(float(r["ratio"]) <= 15 / 16 + 1e-15 for r in rows)
 
 
+@pytest.mark.parametrize("n", [*range(1, 13), 231])
+def test_couple_shares_by_division_are_the_fractions_rounded(n):
+    """Every total t in [0, 2q] over q = n^2 and over 2q is float(Fraction), bit for bit."""
+    q = n * n
+    totals = np.arange(2 * q + 1)
+    for d in (q, 2 * q):
+        want = np.array([float(Fraction(t, d)) for t in totals.tolist()])
+        assert (totals / d).tobytes() == want.tobytes()
+
+
 COUPLE_DIGESTS = {
     ("--drivers", "3", "--capacity", "2"): {
         "coupling.csv": "7479cfcd76895a6acdc32b3d3091ea096cbc47f1c7fb80889f694220562ad7bc",
@@ -218,7 +217,7 @@ COUPLE_DIGESTS = {
 
 @pytest.mark.parametrize("fleet", list(COUPLE_DIGESTS))
 def test_couple_output_bytes_are_pinned(tmp_path, fleet):
-    # integer and Fraction arithmetic only, so the bytes do not depend on BLAS
+    # integer arithmetic and one correctly rounded division per cell, so the bytes do not depend on BLAS
     code, out = run(["couple", "--grid", "3x3", *fleet], tmp_path)
     assert code == 0
     assert {name: sha(out / name) for name in COUPLE_DIGESTS[fleet]} == COUPLE_DIGESTS[fleet]
@@ -680,6 +679,63 @@ def test_csv_report_format(tmp_path):
     flat = {r["key"]: r["value"] for r in rows}
     assert abs(float(flat["objective"]) - 0.4) < 1e-10
     assert flat["irreducible"] == "True"
+
+
+@dataclasses.dataclass
+class PinnedFit:
+    rate: float
+    curve: np.ndarray
+
+
+def encoder_payload() -> dict:
+    """A report holding every kind of value the encoder converts, at the top level and nested."""
+    fit = PinnedFit(np.float64(0.5), np.array([1.5, 2.0]))
+    return {
+        "int64": np.int64(-7),
+        "float64": np.float64(0.1),
+        "float32": np.float32(0.1),
+        "bool_": np.bool_(True),
+        "fraction": Fraction(15, 16),
+        "path": Path("out") / "report.json",
+        "date": dt.date(2013, 1, 14),
+        "datetime": dt.datetime(2013, 1, 14, 7, 30, 5),
+        "fit": fit,
+        "fits": [fit, None],
+        "nested": (1, (np.int32(2), [3.25, (np.float32(0.5), "a,b")])),
+        "none": None,
+        "nan": float("nan"),
+        "inf": np.float64("inf"),
+        "table": {"grid": (2, 2), "mask": np.array([[True, False]]), "text": 'say "hi"'},
+    }
+
+
+ENCODED_JSON = (
+    b'{\n  "bool_": "True",\n  "date": "2013-01-14",\n  "datetime": "2013-01-14T07:30:05",\n'
+    b'  "fit": {\n    "curve": [\n      1.5,\n      2.0\n    ],\n    "rate": 0.5\n  },\n'
+    b'  "fits": [\n    {\n      "curve": [\n        1.5,\n        2.0\n      ],\n      "rate": 0.5\n    },\n'
+    b'    null\n  ],\n  "float32": 0.10000000149011612,\n  "float64": 0.1,\n  "fraction": "15/16",\n'
+    b'  "inf": Infinity,\n  "int64": -7,\n  "nan": NaN,\n'
+    b'  "nested": [\n    1,\n    [\n      2,\n      [\n        3.25,\n        [\n          0.5,\n'
+    b'          "a,b"\n        ]\n      ]\n    ]\n  ],\n  "none": null,\n  "path": "out/report.json",\n'
+    b'  "table": {\n    "grid": [\n      2,\n      2\n    ],\n    "mask": [\n      [\n        true,\n'
+    b'        false\n      ]\n    ],\n    "text": "say \\"hi\\""\n  }\n}\n'
+)
+ENCODED_CSV = (
+    b'key,value\nbool_,True\ndate,2013-01-14\ndatetime,2013-01-14T07:30:05\n'
+    b'fit,"{\'rate\': 0.5, \'curve\': [1.5, 2.0]}"\nfits,"[{""rate"": 0.5, ""curve"": [1.5, 2.0]}, null]"\n'
+    b'float32,0.10000000149011612\nfloat64,0.1\nfraction,15/16\ninf,inf\nint64,-7\nnan,nan\n'
+    b'nested,"[1, [2, [3.25, [0.5, ""a,b""]]]]"\nnone,\npath,out/report.json\n'
+    b'table.grid,"[2, 2]"\ntable.mask,"[[True, False]]"\ntable.text,"say ""hi"""\n'
+)
+
+
+def test_report_encoder_bytes_are_pinned(tmp_path):
+    """numpy scalars and arrays, Fraction, Path, dates, a dataclass, tuples, None, nan and inf, as JSON and as CSV."""
+    payload = encoder_payload()
+    write_json(tmp_path / "payload.json", payload)
+    assert (tmp_path / "payload.json").read_bytes() == ENCODED_JSON
+    assert write_report(tmp_path, "report", payload, "csv") == "report.csv"
+    assert (tmp_path / "report.csv").read_bytes() == ENCODED_CSV
 
 
 def test_weights_flag_changes_objective(tmp_path):

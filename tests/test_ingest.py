@@ -716,6 +716,25 @@ def test_parse_trips_refuses_a_field_past_the_csv_limit(tmp_path):
         parse_trips_rows(path)
 
 
+@pytest.mark.parametrize("block", BLOCK_SIZES)
+@pytest.mark.parametrize("dirty, line", [
+    ('"' + trip_lines(1)[0], 4),  # csv.reader reads on some 15 lines before the quoted field passes the limit
+    ("C" * 1001 + trip_lines(1)[0][4:], 6),
+], ids=["unbalanced quote", "oversize field"])
+def test_a_field_past_the_csv_limit_names_the_line_its_row_starts_on(tmp_path, block, dirty, line):
+    """The error names where the failing row starts, not the line where csv.reader gave up on it."""
+    path = tmp_path / "trips.csv"
+    at = line - 2  # the dirty line's index among the trip lines
+    path.write_text("\r\n".join([HEADER, *trip_lines(at), dirty, *trip_lines(40, at)]) + "\r\n", newline="")
+    limit = csv.field_size_limit(1000)
+    try:
+        with mock.patch.object(csvblocks, "BLOCK_BYTES", block), pytest.raises(SchemaError) as info:
+            parse_trips(path)
+    finally:
+        csv.field_size_limit(limit)
+    assert str(info.value) == f"{path}: line {line}: field larger than field limit (1000)"
+
+
 @pytest.mark.parametrize("block", [7, csvblocks.BLOCK_BYTES])
 def test_parse_trips_names_the_line_of_bytes_that_are_not_utf8(tmp_path, block):
     """Short rows and bad cells before them are skipped; the bad bytes raise, after the plain blocks before them."""
@@ -725,6 +744,31 @@ def test_parse_trips_names_the_line_of_bytes_that_are_not_utf8(tmp_path, block):
     with mock.patch.object(csvblocks, "BLOCK_BYTES", block), pytest.raises(SchemaError) as info:
         parse_trips(path)
     assert str(info.value) == f"{path}: line 48: bytes that are not UTF-8"
+
+
+@pytest.mark.parametrize("block", BLOCK_SIZES)
+@pytest.mark.parametrize("text, header, lines, first", [
+    ("a,b\n1,2\n3,4\n", ["a", "b"], 1, (2, ["1", "2"])),
+    ("a,b\r\n1,2\r\n3,4\r\n", ["a", "b"], 1, (2, ["1", "2"])),
+    ("a,b,\n1,2,\n", ["a", "b", ""], 1, (2, ["1", "2", ""])),
+    ("a,b,a\n1,2,3\n", ["a", "b", "a"], 1, (2, ["1", "2", "3"])),
+    ("n\n5\n6\n", ["n"], 1, (2, ["5"])),
+    ("a,b", ["a", "b"], 1, None),
+    ("", [], 0, None),
+], ids=["lf", "crlf", "trailing comma", "repeated name", "one column", "header alone, unended", "empty"])
+def test_a_plain_header_reads_as_csv_reader_splits_it(tmp_path, block, text, header, lines, first):
+    """The header's fields, the lines counted after it, and the first chunk of rows: a plain block from line 2."""
+    path = tmp_path / "table.csv"
+    path.write_text(text, newline="")
+    with mock.patch.object(csvblocks, "BLOCK_BYTES", block), csvblocks.CsvBlocks(path) as blocks:
+        assert blocks.header == header
+        assert blocks._line == lines
+        chunk = next(blocks.chunks(len(header)), None)
+        if first is None:
+            assert chunk is None
+        else:
+            assert isinstance(chunk, csvblocks.PlainBlock)
+            assert next(chunk.rows(range(len(header)))) == first
 
 
 @pytest.mark.parametrize("block", [1, 16, csvblocks.BLOCK_BYTES])

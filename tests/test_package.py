@@ -102,3 +102,26 @@ def test_cli_import_leaves_out(prefix):
     code = f"import sys, dispatchlab.cli; print(sorted(m for m in sys.modules if m.startswith({prefix!r})))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_every_top_level_name_is_used():
+    """No dead name: each one a module defines is read, imported or named somewhere in src/ or tests/.
+
+    A use is a name read, an attribute, an imported name or a string that is exactly the name (as
+    ``mock.patch.object`` takes it); the definition itself is no use of it.
+    """
+    package = Path(dispatchlab.__file__).parent
+    used = set()
+    for path in [*package.glob("*.py"), *Path(__file__).parent.glob("*.py")]:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.isidentifier():
+                used.add(node.value)
+    dead = {path.name: sorted(name for name in top_level_names(path) - used if not name.startswith("__"))
+            for path in sorted(package.glob("*.py"))}
+    assert {name: names for name, names in dead.items() if names} == {}
