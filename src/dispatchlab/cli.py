@@ -114,10 +114,10 @@ def write_report(outdir: Path, name: str, payload: dict, fmt: str) -> str:
         if isinstance(value, dict):
             for k in sorted(value):
                 flatten(f"{prefix}.{k}" if prefix else str(k), value[k], rows)
-        elif isinstance(value, (list, tuple)):
-            rows.append((prefix, json.dumps(value, default=_json_default)))
-        else:  # the leaf as json reads it back: an array as a list, a dataclass as a dict
-            rows.append((prefix, json.loads(json.dumps(value, default=_json_default))))
+        else:  # a scalar as json reads it back; a list, tuple, array or dataclass as json text
+            text = json.dumps(value, default=_json_default)
+            leaf = json.loads(text)
+            rows.append((prefix, text if isinstance(leaf, (list, dict)) else leaf))
 
     rows: list = []
     flatten("", payload, rows)

@@ -9,6 +9,7 @@ weight ``w``; leftover probability mass means "no request this round".
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -175,7 +176,8 @@ class RequestModel:
 
     ``p`` and ``w`` are dense (n, n) arrays.  Entries may be floats or exact
     ``fractions.Fraction`` objects (object dtype); exact entries propagate
-    through the pure-Python analysis paths unchanged.
+    through the pure-Python analysis paths unchanged.  No caller writes
+    ``p`` or ``w`` after construction, so ``paying`` is computed once.
     """
 
     grid: Grid
@@ -224,6 +226,13 @@ class RequestModel:
     def exact(self) -> bool:
         """True when entries are stored as exact rationals."""
         return self.p.dtype.kind == "O"
+
+    @functools.cached_property
+    def paying(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The requests with p * w != 0 in (u, v) order: their origins, destinations and p * w."""
+        coef = self.p * self.w
+        u, v = np.nonzero(coef)
+        return u, v, coef[u, v]
 
     def pairs(self) -> Iterator[tuple[int, int]]:
         """Ordered pairs with nonzero arrival probability."""

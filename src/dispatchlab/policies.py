@@ -102,7 +102,7 @@ def parse_policy(text: str) -> PolicySpec:
 #: Slots of a policy table per (state, origin): at most the origin and its four neighbors.
 SLOTS = 5
 
-#: Rough element budget of one step_profit chunk of (states, origins, destinations).
+#: Rough element budget of one step_profit chunk of (states, paying requests, slots).
 _PROFIT_CHUNK = 1 << 18
 
 
@@ -205,31 +205,32 @@ def policy_table(states: np.ndarray, policy: PolicySpec, grid: Grid) -> tuple[np
 def step_profit(states: np.ndarray, model: RequestModel, policy: PolicySpec, c: int) -> np.ndarray:
     """Expected one-round profit E[sum_r p_r w_r success_r] of every state, as floats.
 
-    ``states`` is a (batch, n) count array.  The policy table is summed as
-    the per-request oracle in tests/oracles.py sums: for each origin the
-    weights of the slots that can serve each destination add up in slot
-    order, then the profit terms add one at a time in (u, v) order.  Float
-    models therefore give the oracle's value bit for bit; exact models are
+    ``states`` is a (batch, n) count array.  Only the model's ``paying``
+    requests (p * w != 0) have terms, summed as the per-request oracle in
+    tests/oracles.py sums them: for each request the weights of the slots
+    that can serve it add up in slot order, then the terms add one at a
+    time in (u, v) order.  A request that pays nothing would add a zero, so
+    float models give the oracle's value bit for bit; exact models are
     summed exactly and rounded once.
     """
     states = np.asarray(states)
-    n = model.grid.n
     loc, wgt = policy_table(states, policy, model.grid)
-    dtype = object if model.exact else float
-    coef = (model.p * model.w).astype(dtype)
-    dest = np.arange(n)
-    out = np.empty(len(states), dtype=dtype)
-    chunk = max(1, _PROFIT_CHUNK // (n * n))
-    for a in range(0, len(states), chunk):
+    u, v, coef = model.paying
+    coef = coef.astype(object if model.exact else float)
+    out = np.zeros(len(states), dtype=coef.dtype)
+    chunk = max(1, _PROFIT_CHUNK // max(1, len(u) * loc.shape[2]))
+    for a in range(0, len(states) if len(u) else 0, chunk):  # no paying request: every profit is 0
         X = states[a : a + chunk]
         L, W = (loc, wgt) if len(loc) == 1 else (loc[a : a + chunk], wgt[a : a + chunk])
-        occupied = (L >= 0) & (X[np.arange(len(X))[:, None, None], np.maximum(L, 0)] >= 1)
-        serves = occupied[..., None] & ((L[..., None] == dest) | (X < c)[:, None, None, :])
+        room = (X < c).take(v, axis=1)
         if L.shape[2] == 1:
-            # rand and greedy: one slot of weight 1, so a term is coef where it serves
-            prob = serves[:, :, 0]
+            # rand and greedy: one slot of weight 1 holding an occupied location or -1,
+            # so a term is coef where it serves
+            k = L[:, :, 0].take(u, axis=1)
+            prob = (k >= 0) & ((k == v) | room)
         else:
-            prob = sum(np.where(serves[:, :, s], W[:, :, s, None], 0) for s in range(L.shape[2]))
-        terms = (coef * prob).reshape(len(X), n * n)
-        out[a : a + chunk] = np.cumsum(terms, axis=1)[:, -1]
+            occupied = (L >= 0) & (X[np.arange(len(X))[:, None, None], np.maximum(L, 0)] >= 1)
+            serves = occupied.take(u, axis=1) & ((L.take(u, axis=1) == v[:, None]) | room[:, :, None])
+            prob = sum(np.where(serves[:, :, s], W[:, u, s], 0) for s in range(L.shape[2]))
+        out[a : a + chunk] = np.cumsum(coef * prob, axis=1)[:, -1]
     return out.astype(float)

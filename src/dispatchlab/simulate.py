@@ -278,9 +278,12 @@ def _count_steps(config, counts, origins, dests, coins, gains, profits, esp, sta
     request ``origins[t, b] -> dests[t, b]`` (origin -1: none; a row of
     width 1 offers every run the same request), served from the policy's
     ``serving_locations`` choice when that location holds a driver and the
-    destination has room or is that location.  ``esp`` holds each run's
-    expected step profit, recomputed by ``step_profit`` only for the
-    ``stale`` runs, those that moved since; both change in place.
+    destination has room or is that location.  Only the steps that ask some
+    run are stepped: no counts change in between, so the conditional
+    estimator writes each stretch of steps up to and including the next
+    asked one at once.  ``esp`` holds each run's expected step profit,
+    recomputed by ``step_profit`` only for the ``stale`` runs, those that
+    moved since; both change in place.
     """
     policy, grid, c = config.policy, config.grid, config.c
     if policy.kind == "nadap":
@@ -289,24 +292,28 @@ def _count_steps(config, counts, origins, dests, coins, gains, profits, esp, sta
     flat = counts.reshape(-1)
     base = np.arange(len(counts)) * counts.shape[1]
     asked = origins >= 0
-    for t in range(len(origins)):
-        if config.estimator == "conditional":
+    at_v = base + dests
+    served = np.zeros((len(origins), len(counts)), dtype=bool)
+    start = 0
+    for t in [*np.flatnonzero(asked.any(axis=1)), len(origins)]:
+        if config.estimator == "conditional" and start < len(origins):
             if stale.any():
                 esp[stale] = step_profit(counts[stale], config.model, policy, c)
                 stale[:] = False
-            profits[:, t] = esp
-        if not asked[t].any():
-            continue
+            profits[:, start : t + 1] = esp[:, None]
+        if t == len(origins):
+            break
         k = chosen[t] if policy.kind == "nadap" else serving_locations(policy, grid, counts, origins[t])
         v = dests[t]
-        at_k, at_v = base + np.maximum(k, 0), base + v
-        served = asked[t] & (k >= 0) & (flat[at_k] >= 1) & ((k == v) | (flat[at_v] < c))
-        if config.estimator == "realized":
-            profits[:, t] = np.where(served, gains[t], 0.0)
-        moving = served & (k != v)
+        at_k = base + np.maximum(k, 0)
+        served[t] = asked[t] & (k >= 0) & (flat[at_k] >= 1) & ((k == v) | (flat[at_v[t]] < c))
+        moving = served[t] & (k != v)
         flat[at_k] -= moving
-        flat[at_v] += moving
+        flat[at_v[t]] += moving
         stale |= moving
+        start = t + 1
+    if config.estimator == "realized":
+        profits[:] = np.where(served, gains, 0.0).T
 
 
 def _rank_steps(config, tables, at, origins, dests, coins, gains, profits) -> None:

@@ -722,10 +722,10 @@ ENCODED_JSON = (
 )
 ENCODED_CSV = (
     b'key,value\nbool_,True\ndate,2013-01-14\ndatetime,2013-01-14T07:30:05\n'
-    b'fit,"{\'rate\': 0.5, \'curve\': [1.5, 2.0]}"\nfits,"[{""rate"": 0.5, ""curve"": [1.5, 2.0]}, null]"\n'
+    b'fit,"{""rate"": 0.5, ""curve"": [1.5, 2.0]}"\nfits,"[{""rate"": 0.5, ""curve"": [1.5, 2.0]}, null]"\n'
     b'float32,0.10000000149011612\nfloat64,0.1\nfraction,15/16\ninf,inf\nint64,-7\nnan,nan\n'
     b'nested,"[1, [2, [3.25, [0.5, ""a,b""]]]]"\nnone,\npath,out/report.json\n'
-    b'table.grid,"[2, 2]"\ntable.mask,"[[True, False]]"\ntable.text,"say ""hi"""\n'
+    b'table.grid,"[2, 2]"\ntable.mask,"[[true, false]]"\ntable.text,"say ""hi"""\n'
 )
 
 

@@ -186,17 +186,22 @@ def test_step_profit_matches_oracle_bit_for_bit(space, seed, policy):
 
 @pytest.mark.parametrize("policy", ["greedy", "greedy:pool", "rand:NESW", "nadap:0.8"])
 def test_step_profit_matches_oracle_at_paper_scale(policy):
-    """The paper's 21x11 grid, 50 drivers, capacity 2: a dense float model with distance weights."""
+    """The paper's 21x11 grid, 50 drivers, capacity 2: a dense float model with distance weights,
+    and a sparse one shaped like an ingested segment."""
     grid = build_grid(21, 11)
     rng = np.random.default_rng(21)
     p = rng.random((grid.n, grid.n))
-    model = RequestModel(grid, 0.9 * p / p.sum(), distance_weights(grid))
+    dense = RequestModel(grid, 0.9 * p / p.sum(), distance_weights(grid))
     # packed, spread, and random placements: each cell offers two seats, 50 are taken
     seats = [np.arange(50), np.arange(0, 100, 2)] + [rng.choice(2 * grid.n, 50, replace=False) for _ in range(3)]
     states = np.array([np.bincount(taken // 2, minlength=grid.n) for taken in seats])
+    # about 84% of pairs never asked, and a tenth of the asked ones paying nothing
+    p = p * (rng.random(p.shape) >= 0.84)
+    sparse = RequestModel(grid, 0.13 * p / p.sum(), distance_weights(grid) * (rng.random(p.shape) >= 0.1))
     pol = parse_policy(policy)
-    want = [float(expected_step_profit(x, model, pol, 2)) for x in states.tolist()]
-    assert step_profit(states, model, pol, 2).tolist() == want
+    for model in (dense, sparse):
+        want = [float(expected_step_profit(x, model, pol, 2)) for x in states.tolist()]
+        assert step_profit(states, model, pol, 2).tolist() == want
 
 
 @SLOW

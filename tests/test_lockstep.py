@@ -72,11 +72,12 @@ def policies(draw):
 
 
 def float_model(grid, seed: int, mass: float) -> RequestModel:
-    """Random arrivals, some pairs absent, with total mass ``mass``."""
+    """Random arrivals with total mass ``mass``, some pairs absent and some paying nothing."""
     n = grid.n
     rng = np.random.default_rng(seed)
     p = rng.random((n, n)) * (rng.random((n, n)) < 0.7)
-    return RequestModel(grid, mass * p / max(p.sum(), 1e-9), rng.random((n, n)))
+    w = rng.random((n, n)) * (rng.random((n, n)) < 0.8)
+    return RequestModel(grid, mass * p / max(p.sum(), 1e-9), w)
 
 
 def assert_same_series(a, b):
@@ -87,9 +88,14 @@ def assert_same_series(a, b):
 
 @ENGINE
 @given(instances(), policies(), st.sampled_from(["conditional", "realized"]), st.integers(0, 2**16),
-       st.integers(1, 6), st.integers(1, 60), st.sampled_from([0.5, 1.0]), st.sampled_from(BUDGETS))
+       st.integers(1, 6), st.integers(1, 60), st.sampled_from([0.1, 0.5, 1.0]), st.sampled_from(BUDGETS))
 @example((build_grid(3, 3), 4, 2, (2, 2, 0, 0, 0, 0, 0, 0, 0)), PolicySpec("greedy", origin_first=False),
          "conditional", 1, 5, 60, 0.5, BUDGETS[1])
+# one block of runs on the counts path at low mass: rounds that ask only some runs
+@example((build_grid(3, 3), 4, 2, (1, 1, 1, 1, 0, 0, 0, 0, 0)), PolicySpec("greedy"),
+         "conditional", 3, 6, 60, 0.1, BUDGETS[3])
+@example((build_grid(2, 3), 3, 1, (1, 1, 1, 0, 0, 0)), PolicySpec("nadap", alpha=0.7),
+         "realized", 4, 6, 60, 0.1, BUDGETS[3])
 def test_iid_ensemble_matches_scalar_runs(inst, policy, estimator, seed, runs, T, mass, sizes):
     grid, m, c, start = inst
     config = SimConfig(grid=grid, m=m, c=c, T=T, runs=runs, seed=seed, policy=policy,
@@ -97,6 +103,23 @@ def test_iid_ensemble_matches_scalar_runs(inst, policy, estimator, seed, runs, T
     with budgets(sizes):
         got = run_ensemble(config)
     assert_same_series(got, run_ensemble_scalar(config))
+
+
+@pytest.mark.parametrize("policy", [PolicySpec("greedy"), PolicySpec("rand", phi=ALL_PHIS[0]),
+                                    PolicySpec("nadap", alpha=0.8)])
+def test_paper_scale_sparse_ensemble_matches_scalar_run(policy):
+    """One conditional run on the paper's 21x11 grid (the counts path) under a model shaped like an
+    ingested segment: mass 0.13, so most rounds ask nothing, about 84% of pairs never asked, and
+    some asked pairs paying nothing."""
+    grid = build_grid(21, 11)
+    rng = np.random.default_rng(5)
+    p = rng.random((grid.n, grid.n)) * (rng.random((grid.n, grid.n)) >= 0.84)
+    w = rng.random((grid.n, grid.n)) * (rng.random((grid.n, grid.n)) >= 0.1)
+    config = SimConfig(grid=grid, m=50, c=2, T=400, runs=1, seed=5, policy=policy,
+                       model=RequestModel(grid, 0.13 * p / p.sum(), w),
+                       initial_state=initial_state_preset(grid, 50, 2, "adversarial"))
+    assert simulate._rank_tables(config) is None
+    assert_same_series(run_ensemble(config), run_ensemble_scalar(config))
 
 
 @st.composite
