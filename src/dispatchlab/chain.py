@@ -41,7 +41,8 @@ class TransitionMatrix:
     Entries are stored once as CSR arrays (``indptr``, ``indices``,
     ``data``), columns sorted within each row.  ``data`` holds floats, or
     exact Fractions (object dtype) when ``exact`` is set.  The float CSR the
-    solvers use, and its transpose, are built on first request and cached.
+    solvers use, its transpose and the strong components of its positive
+    entries are built on first request and cached.
 
     ``orbit`` and ``reps`` are set by ``build_transition`` when the chain is
     invariant under the grid's symmetries: each state's orbit number, and
@@ -61,6 +62,7 @@ class TransitionMatrix:
         np.cumsum(np.bincount(src, minlength=space.size), out=self.indptr[1:])
         self._csr: sp.csr_array | None = None
         self._csr_t: sp.csr_array | None = None
+        self._classes: tuple | None = None
         self.orbit: np.ndarray | None = None
         self.reps: np.ndarray | None = None
 
@@ -151,9 +153,9 @@ def build_transition(space: StateSpace, model: RequestModel, policy: PolicySpec)
     exact = model.exact and (policy.kind != "nadap" or isinstance(policy.alpha, Fraction))
     dtype = object if exact else float
     loc, wgt = policy_table(space.as_array(), policy, grid)
-    origins = np.full((n, SLOTS), -1, dtype=np.int64)
-    for k in range(n):
-        origins[k, : 1 + len(grid.neighbors(k))] = sorted(grid.closed_neighborhood(k))
+    scan = grid.scan_table()
+    origins = np.sort(np.where(scan >= 0, scan, n), axis=1)
+    origins[origins == n] = -1
     near = np.maximum(origins, 0)
     # hits[b, k, j, s]: slot s of origin origins[k, j] serves from k in state b; at most one s does
     hits = (origins >= 0)[:, :, None] & (loc[:, near] == np.arange(n)[:, None, None])
@@ -277,14 +279,11 @@ def gamma_map(space: StateSpace, pi: np.ndarray) -> np.ndarray:
 
 def eta_map(space: StateSpace, pi: np.ndarray) -> np.ndarray:
     """Neighborhood-availability map: eta[u, v] = Pr[driver within reach of u and room at v]."""
-    grid = space.grid
-    n = grid.n
+    n = space.n
     arr = space.as_array()
-    reach = np.zeros((n, n))
-    for u in range(n):
-        for k in grid.closed_neighborhood(u):
-            reach[k, u] = 1.0
-    near = ((arr @ reach) >= 1).astype(float)
+    reach = np.zeros((n + 1, n))  # reach[k, u]: k is u or its neighbor; row -1 takes the off-grid slots
+    reach[space.grid.scan_table(), np.arange(n)[:, None]] = 1.0
+    near = ((arr @ reach[:n]) >= 1).astype(float)
     room = (arr < space.c).astype(float)
     return (near * pi[:, None]).T @ room
 
@@ -359,16 +358,18 @@ def _lumped_kernel(tm: TransitionMatrix) -> sp.csr_array:
 def _components(tm: TransitionMatrix) -> tuple[int, np.ndarray, sp.csr_array]:
     """Strongly connected classes of the positive-entry digraph: count, labels, pattern.
 
-    scipy is imported on first use, since csgraph loads its linear algebra.
+    Found once per kernel and cached on it, as its CSR is.  scipy is
+    imported on first use, since csgraph loads its linear algebra.
     """
-    import scipy.sparse as sp
-    from scipy.sparse.csgraph import connected_components
+    if tm._classes is None:
+        import scipy.sparse as sp
+        from scipy.sparse.csgraph import connected_components
 
-    on = tm.data != 0
-    rows, cols = tm._row_of_entry()[on], tm.indices[on]
-    pat = sp.csr_array((np.ones(len(rows), dtype=np.int8), (rows, cols)), shape=(tm.size, tm.size))
-    ncomp, labels = connected_components(pat, directed=True, connection="strong")
-    return ncomp, labels, pat
+        on = tm.data != 0
+        rows, cols = tm._row_of_entry()[on], tm.indices[on]
+        pat = sp.csr_array((np.ones(len(rows), dtype=np.int8), (rows, cols)), shape=(tm.size, tm.size))
+        tm._classes = (*connected_components(pat, directed=True, connection="strong"), pat)
+    return tm._classes
 
 
 def check_irreducible(tm: TransitionMatrix) -> bool:

@@ -34,32 +34,24 @@ OFFSETS = {"N": (-1, 0), "E": (0, 1), "S": (1, 0), "W": (0, -1)}
 class Grid:
     """A rows x cols rectangular grid with 4-neighborhoods.
 
-    Neighbor tuples are precomputed in clockwise order from North, which
-    downstream tie-breaking rules rely on, together with a per-cell
-    direction -> neighbor table (None where the direction leaves the grid).
+    Every neighborhood rule reads one table, built per grid: each cell's
+    neighbor in each direction clockwise from North (the order downstream
+    tie-breaking relies on), -1 where the direction leaves the grid.
     """
 
     rows: int
     cols: int
-    _nbrs: tuple = field(init=False, repr=False, compare=False)
-    _toward: tuple = field(init=False, repr=False, compare=False)
+    _table: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.rows < 1 or self.cols < 1:
             raise ValueError(f"grid dimensions must be positive, got {self.rows}x{self.cols}")
-        nbrs = []
-        toward = []
-        for u in range(self.rows * self.cols):
-            r, c = divmod(u, self.cols)
-            row = {}
-            for direction, (dr, dc) in OFFSETS.items():
-                rr, cc = r + dr, c + dc
-                inside = 0 <= rr < self.rows and 0 <= cc < self.cols
-                row[direction] = rr * self.cols + cc if inside else None
-            toward.append(row)
-            nbrs.append(tuple(k for k in row.values() if k is not None))
-        object.__setattr__(self, "_nbrs", tuple(nbrs))
-        object.__setattr__(self, "_toward", tuple(toward))
+        rc = np.divmod(np.arange(self.n)[:, None], self.cols)
+        rr, cc = np.add(rc, np.array([OFFSETS[d] for d in DIRECTIONS]).T[:, None])
+        inside = (rr >= 0) & (rr < self.rows) & (cc >= 0) & (cc < self.cols)
+        table = np.where(inside, rr * self.cols + cc, -1).astype(np.int64)
+        table.flags.writeable = False
+        object.__setattr__(self, "_table", table)
 
     @property
     def n(self) -> int:
@@ -91,6 +83,11 @@ class Grid:
         self.check_location(u)
         return self._nbrs[u]
 
+    @functools.cached_property
+    def _nbrs(self) -> tuple[tuple[int, ...], ...]:
+        """Each cell's in-grid neighbors as Python ints, read off the table on first use."""
+        return tuple(tuple(k for k in row if k >= 0) for row in self._table.tolist())
+
     def closed_neighborhood(self, u: int) -> tuple[int, ...]:
         """``u`` followed by its in-grid neighbors."""
         return (u,) + self.neighbors(u)
@@ -98,16 +95,27 @@ class Grid:
     def neighbor_toward(self, u: int, direction: str) -> int | None:
         """Neighbor of ``u`` in the given compass direction, or None if off-grid."""
         self.check_location(u)
-        return self._toward[u][direction]
+        k = self._table.item(u, DIRECTIONS.index(direction))
+        return None if k < 0 else k
 
     def direction_between(self, u: int, v: int) -> str:
         """Compass direction of adjacent ``v`` as seen from ``u``."""
-        ru, cu = self.coords(u)
-        rv, cv = self.coords(v)
-        for name, (dr, dc) in OFFSETS.items():
-            if (ru + dr, cu + dc) == (rv, cv):
-                return name
-        raise ValueError(f"locations {u} and {v} are not grid-adjacent")
+        self.check_locations([u, v])
+        hits = np.flatnonzero(self._table[u] == v)
+        if not len(hits):
+            raise ValueError(f"locations {u} and {v} are not grid-adjacent")
+        return DIRECTIONS[hits[0]]
+
+    def scan_table(self, order: tuple[str, ...] = DIRECTIONS, keep_off_grid: bool = False) -> np.ndarray:
+        """Each cell followed by its neighbors in the direction ``order``: an (n, 5) array.
+
+        Off-grid slots hold -1 and move after the in-grid ones, which keep
+        their order, unless ``keep_off_grid`` leaves one slot per direction.
+        """
+        scan = self._table[:, [DIRECTIONS.index(d) for d in order]]
+        if not keep_off_grid:
+            scan = np.take_along_axis(scan, np.argsort(scan < 0, axis=1, kind="stable"), axis=1)
+        return np.column_stack([np.arange(self.n), scan])
 
     def manhattan(self, u: int, v: int) -> int:
         ru, cu = self.coords(u)
@@ -233,6 +241,17 @@ class RequestModel:
         coef = self.p * self.w
         u, v = np.nonzero(coef)
         return u, v, coef[u, v]
+
+    def requests(self, draws) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The requests uniform ``draws`` name: (origin, -1 for none; destination; weight) arrays.
+
+        A draw names the first pair in (u, v) order whose running total of
+        float p exceeds it, and none past the total mass; the weight is that
+        pair's, the last pair's for none.
+        """
+        req = np.searchsorted(np.cumsum(self.p.astype(float, copy=False).ravel()), draws, side="right")
+        weight = self.w.astype(float, copy=False).ravel()[np.minimum(req, self.p.size - 1)]
+        return np.where(req < self.p.size, req // self.n, -1), req % self.n, weight
 
     def pairs(self) -> Iterator[tuple[int, int]]:
         """Ordered pairs with nonzero arrival probability."""

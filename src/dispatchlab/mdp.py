@@ -59,18 +59,19 @@ class MdpInstance:
             raise SizeLimitError(
                 f"{self.state_count} augmented states exceed the cap {self.cap}"
             )
-        self.n_actions = 2 + max(len(self.grid.neighbors(u)) for u in range(n))
+        scan = self.grid.scan_table()
+        self.n_actions = 1 + int((scan >= 0).sum(axis=1).max())
+        # locations[r, a]: the serving location action a names for request slot r, -1 for none
+        self.locations = np.full((self.n_requests + 1, self.n_actions), -1, dtype=np.int64)
+        self.locations[:-1, 1:] = scan[np.arange(self.n_requests) // n, : self.n_actions - 1]
+        self.locations.flags.writeable = False
 
     def action_location(self, request: int, action: int) -> int | None:
-        """Serving location an action names for a pending request; None for reject/off-grid."""
-        if action == REJECT or request >= self.n_requests:
-            return None
-        u = request // self.grid.n
-        if action == 1:
-            return u
-        nbrs = self.grid.neighbors(u)
-        slot = action - 2
-        return nbrs[slot] if slot < len(nbrs) else None
+        """Serving location an action names for a pending request; None for reject, off-grid or no action."""
+        if not 0 <= request <= self.n_requests:
+            raise ValueError(f"request slot {request} outside [0, {self.n_requests}]")
+        k = int(self.locations[request, action]) if 1 <= action < self.n_actions else -1
+        return None if k < 0 else k
 
     @cached_property
     def action_tables(self) -> tuple[np.ndarray, np.ndarray]:
@@ -108,8 +109,7 @@ def _action_tables(instance: MdpInstance):
     """
     ok, nxt = instance.space.successors
     R = instance.n_requests
-    locs = _action_locations(instance)
-    dests = (np.arange(R + 1) % instance.grid.n)[:, None]
+    locs, dests = instance.locations, (np.arange(R + 1) % instance.grid.n)[:, None]
     w = instance.model.w.astype(float).ravel()
     nxt = np.ascontiguousarray(np.moveaxis(nxt[:, locs, dests], 0, -1))
     served = np.moveaxis(ok[:, locs, dests], 0, -1)
@@ -117,6 +117,12 @@ def _action_tables(instance: MdpInstance):
     nxt.flags.writeable = False
     rew.flags.writeable = False
     return nxt, rew
+
+
+def _backup(instance: MdpInstance, values: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """One optimal backup's Q[r, a, i]: reward plus discounted continuation, averaged over the arrival law q."""
+    nxt, rew = instance.action_tables
+    return rew + instance.discount * (values @ q)[nxt]
 
 
 def value_iteration(instance: MdpInstance, tol: float = 1e-8, max_sweeps: int = 100_000) -> ViResult:
@@ -129,16 +135,11 @@ def value_iteration(instance: MdpInstance, tol: float = 1e-8, max_sweeps: int = 
     """
     if not tol >= 0:
         raise ValueError(f"tolerance must be a number >= 0, got {tol}")
-    nxt, rew = instance.action_tables
     q = instance.request_probs()
-    gamma = instance.discount
-    size = instance.space.size
-    R = instance.n_requests
-    V = np.zeros((size, R + 1))
+    V = np.zeros((instance.space.size, instance.n_requests + 1))
     residual = np.inf
     for sweep in range(1, max_sweeps + 1):
-        vbar = V @ q
-        Q = rew + gamma * vbar[nxt]
+        Q = _backup(instance, V, q)
         V_new = Q.max(axis=1).T
         residual = float(np.abs(V_new - V).max())
         V = V_new
@@ -152,11 +153,7 @@ def value_iteration(instance: MdpInstance, tol: float = 1e-8, max_sweeps: int = 
 
 def bellman_residual(instance: MdpInstance, values: np.ndarray) -> float:
     """Sup-norm defect of one optimal backup applied to a value table."""
-    nxt, rew = instance.action_tables
-    q = instance.request_probs()
-    vbar = values @ q
-    Q = rew + instance.discount * vbar[nxt]
-    return float(np.abs(Q.max(axis=1).T - values).max())
+    return float(np.abs(_backup(instance, values, instance.request_probs()).max(axis=1).T - values).max())
 
 
 def policy_value(instance: MdpInstance, policy: np.ndarray) -> np.ndarray:
@@ -202,13 +199,6 @@ class OccupancyReport:
     served: int
 
 
-def _action_locations(instance: MdpInstance) -> np.ndarray:
-    """The serving location every (request slot, action) names, -1 for reject or off-grid."""
-    locs = [[instance.action_location(r, a) for a in range(instance.n_actions)]
-            for r in range(instance.n_requests + 1)]
-    return np.array([[-1 if k is None else k for k in row] for row in locs], dtype=np.int64)
-
-
 def _episodes(
     instance: MdpInstance,
     rules: Sequence[PolicySpec | ViResult],
@@ -240,14 +230,12 @@ def _episodes(
     for rule in rules:
         if isinstance(rule, ViResult):
             # the action picked for each (placement, request) names its serving location; none pads row n
-            serve = _action_locations(instance)[np.arange(R), rule.policy[:, :R]]
+            serve = instance.locations[np.arange(R), rule.policy[:, :R]]
             serve = np.pad(serve, ((0, 0), (0, n)), constant_values=-1).reshape(-1, n + 1, n)
             tables, policy = _serve_tables(space, serve), None
         else:
             tables, policy = _policy_tables(space, rule), rule
         walkers.append((tables, policy, np.full(len(keys), space.rank(start) * tables.stride)))
-    q_cum = np.cumsum(instance.model.p.astype(float).ravel())
-    w = instance.model.w.astype(float).ravel()
     req_rngs = [stream(seed, *key, 0) for key in keys]
     nadap = any(policy is not None and policy.kind == "nadap" for _, policy, _ in walkers)
     coin_rngs = [stream(seed, *key, 1) for key in keys] if nadap else []
@@ -255,10 +243,9 @@ def _episodes(
     starts, drops = np.zeros((len(walkers), n)), np.zeros((len(walkers), n))
     returns = np.zeros((len(walkers), len(keys)))
     for a, b in _spans(periods, _SCHEDULE_ELEMENTS // len(keys)):
-        req = np.searchsorted(q_cum, np.stack([g.random(b - a) for g in req_rngs], axis=1), side="right")
-        arrived = req < R
-        origins, dests, weight = np.where(arrived, req // n, -1), req % n, w[np.minimum(req, R - 1)]
-        coins = np.zeros(req.shape)
+        origins, dests, weight = instance.model.requests(np.stack([g.random(b - a) for g in req_rngs], axis=1))
+        arrived = origins >= 0
+        coins = np.zeros(origins.shape)
         for j, g in enumerate(coin_rngs):
             coins[arrived[:, j], j] = g.random(int(arrived[:, j].sum()))
         for i, (tables, policy, at) in enumerate(walkers):

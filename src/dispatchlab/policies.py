@@ -115,20 +115,12 @@ def candidate_table(policy: PolicySpec, grid: Grid) -> np.ndarray:
     serving) and for nadap's renormalized probes, and one slot per compass
     direction (-1 off-grid) for nadap's lost probes.  nadap pads with -1;
     rand and greedy repeat the origin, which never wins over slot 0.  It
-    is built once per (policy, grid).
+    is read off ``Grid.scan_table`` once per (policy, grid).
     """
     lost = policy.kind == "nadap" and policy.boundary == "lost"
-    cand = np.full((grid.n, SLOTS), -1, dtype=np.int64)
+    cand = grid.scan_table(policy.phi if policy.kind == "rand" else DIRECTIONS, keep_off_grid=lost)
     if policy.kind != "nadap":
-        cand[:] = np.arange(grid.n)[:, None]
-    for u in range(grid.n):
-        if policy.kind == "rand":
-            scan = [k for k in (grid.neighbor_toward(u, d) for d in policy.phi) if k is not None]
-        elif lost:
-            scan = [-1 if k is None else k for k in (grid.neighbor_toward(u, d) for d in DIRECTIONS)]
-        else:
-            scan = grid.neighbors(u)
-        cand[u, : 1 + len(scan)] = [u, *scan]
+        cand = np.where(cand >= 0, cand, cand[:, :1])
     cand.flags.writeable = False
     return cand
 

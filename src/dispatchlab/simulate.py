@@ -338,7 +338,6 @@ def _block(config: SimConfig, runs: range, trace: tuple | None, tables: _RankTab
     expected profit of the state each round starts from, the realized one
     the weight of the step's request if served, else 0.
     """
-    policy, n = config.policy, config.grid.n
     if tables is None:
         state = np.tile(np.array(config.initial_state, dtype=np.int64), (len(runs), 1))
         esp, stale = np.zeros(len(runs)), np.ones(len(runs), dtype=bool)
@@ -347,17 +346,13 @@ def _block(config: SimConfig, runs: range, trace: tuple | None, tables: _RankTab
     steps = config.T if trace is None else len(trace[0])
     profits = np.zeros((len(runs), steps))
     gens = [stream(config.seed, r) for r in runs]
-    if trace is None:
-        cum_p = np.cumsum(config.model.p.astype(float).ravel())
-        w = config.model.w.astype(float).ravel()
     for a, b in _spans(steps, _SCHEDULE_ELEMENTS // len(runs)):
         if trace is None:
             draws = np.stack([g.random((b - a, 2)) for g in gens], axis=1)
-            req = np.searchsorted(cum_p, draws[:, :, 0], side="right")
-            origins, dests, coins = np.where(req < n * n, req // n, -1), req % n, draws[:, :, 1]
-            gains = w[np.minimum(req, n * n - 1)]
+            origins, dests, gains = config.model.requests(draws[:, :, 0])
+            coins = draws[:, :, 1]
         else:
-            coins = np.stack([g.random(b - a) for g in gens], axis=1) if policy.kind == "nadap" else None
+            coins = np.stack([g.random(b - a) for g in gens], axis=1) if config.policy.kind == "nadap" else None
             origins, dests, gains = (col[a:b, None] for col in trace[1:])
         schedule = origins, dests, coins, gains, profits[:, a:b]
         if tables is None:

@@ -95,13 +95,12 @@ class StateSpace:
 
     def rank(self, counts: Sequence[int]) -> int:
         self.check_counts(counts)
-        R = self._prefix()
-        r = 0
-        rem = self.m
-        for i, x in enumerate(counts):
-            r += int(R[i, rem, x])
-            rem -= x
-        return r
+        return int(self._rank_rows(np.array([counts], dtype=np.int64))[0])
+
+    def _rank_rows(self, X: np.ndarray) -> np.ndarray:
+        """Ranks of the (rows, n) counts ``X``: the sum of R[i, rem_i, x_i] over the locations i."""
+        rem = self.m - np.cumsum(X, axis=1, dtype=np.int64) + X
+        return self._prefix()[np.arange(self.n), rem, X].sum(axis=1)
 
     def as_array(self) -> np.ndarray:
         """Dense (size, n) int32 table of all states in rank order, cached.
@@ -149,19 +148,10 @@ class StateSpace:
     def permuted_ranks(self, perm) -> np.ndarray:
         """Rank of every state, in rank order, after the count at each cell u moves to perm[u].
 
-        The permuted state y has y[i] = x[j] for perm[j] = i, and its rank
-        sums R[i, rem_i, y_i] one location at a time, so only state-sized
-        arrays are held.
+        The permuted state y has y[i] = x[j] for perm[j] = i; the states are
+        ranked as a permuted copy of the state table, which is state-sized.
         """
-        R = self._prefix()
-        X = self.as_array()
-        out = np.zeros(self.size, dtype=np.int64)
-        rem = np.full(self.size, self.m, dtype=np.int64)
-        for i, j in enumerate(np.argsort(perm)):
-            y = X[:, j]
-            out += R[i, rem, y]
-            rem -= y
-        return out
+        return self._rank_rows(self.as_array()[:, np.argsort(perm)])
 
     def _move_tables(self):
         """Per-state remainders and running rank shifts that ``move_ranks`` reads, cached.

@@ -7,6 +7,7 @@ import hashlib
 import json
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -446,6 +447,18 @@ def test_exact_tables_are_pinned(tmp_path, policy):
     code, out = run([*args, "--policy", policy], tmp_path)
     assert code == 0
     assert {name: sha(out / name) for name in EXACT_DIGESTS[policy]} == EXACT_DIGESTS[policy]
+
+
+def test_exact_finds_the_strong_components_once(tmp_path):
+    """The irreducibility and period checks share one strong-component search of the kernel."""
+    from scipy.sparse import csgraph
+
+    args = ["exact", "--grid", "2x3", "--drivers", "3", "--capacity", "2", "--arrivals", "uniform:0.025"]
+    with mock.patch.object(csgraph, "connected_components", wraps=csgraph.connected_components) as search:
+        code, out = run([*args, "--policy", "greedy"], tmp_path)
+    assert code == 0 and search.call_count == 1
+    report = read_json(out / "report.json")
+    assert report["irreducible"] is True and report["aperiodic"] is True
 
 
 def test_one_cell_state_is_written_unquoted(tmp_path):

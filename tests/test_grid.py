@@ -2,6 +2,7 @@
 
 import csv
 import io
+import itertools
 import tempfile
 from fractions import Fraction
 from pathlib import Path
@@ -58,6 +59,54 @@ def test_neighbor_toward_and_direction_between():
     assert g.direction_between(4, 1) == "N"
     with pytest.raises(ValueError):
         g.direction_between(0, 8)
+
+
+#: Every grid from 1x1 to 6x6, one-wide ones included.
+SMALL_GRIDS = [(r, c) for r in range(1, 7) for c in range(1, 7)]
+
+#: (row, col) step of each compass direction, row 0 being the northernmost.
+STEPS = {"N": (-1, 0), "E": (0, 1), "S": (1, 0), "W": (0, -1)}
+
+
+@pytest.mark.parametrize("shape", SMALL_GRIDS, ids="{0[0]}x{0[1]}".format)
+def test_neighbor_queries_match_coordinates(shape):
+    g = build_grid(*shape)
+    rows, cols = shape
+    for u in range(g.n):
+        r, c = divmod(u, cols)
+        toward = {d: (r + dr) * cols + c + dc if 0 <= r + dr < rows and 0 <= c + dc < cols else None
+                  for d, (dr, dc) in STEPS.items()}
+        want = tuple(k for k in toward.values() if k is not None)
+        assert g.neighbors(u) == want and all(type(k) is int for k in want)
+        assert g.closed_neighborhood(u) == (u, *want)
+        for d, k in toward.items():
+            got = g.neighbor_toward(u, d)
+            assert got == k and type(got) is type(k)
+        for v in range(g.n):
+            if v in want:
+                assert g.direction_between(u, v) == next(d for d, k in toward.items() if k == v)
+            else:
+                with pytest.raises(ValueError, match="not grid-adjacent"):
+                    g.direction_between(u, v)
+    with pytest.raises(ValueError):
+        g.neighbor_toward(0, "X")  # an unknown direction
+    with pytest.raises(ValueError):
+        g.neighbors(g.n)
+
+
+@pytest.mark.parametrize("shape", SMALL_GRIDS, ids="{0[0]}x{0[1]}".format)
+def test_scan_table_is_the_per_cell_scan(shape):
+    g = build_grid(*shape)
+    for order in itertools.permutations("NESW"):
+        for keep in (False, True):
+            want = []
+            for u in range(g.n):
+                scan = [g.neighbor_toward(u, d) for d in order]
+                if not keep:
+                    scan = [k for k in scan if k is not None] + [None] * scan.count(None)
+                want.append([u] + [-1 if k is None else k for k in scan])
+            got = g.scan_table(order, keep_off_grid=keep)
+            assert got.dtype == np.int64 and got.tolist() == want, (order, keep)
 
 
 def test_manhattan_matches_coordinates():
@@ -291,3 +340,41 @@ def test_pairs_iterator_covers_support():
     g = build_grid(1, 2)
     model = request_model_from_pairs(g, {(0, 1): 0.25, (1, 0): 0.5}, weights=3)
     assert set(model.pairs()) == {(0, 1), (1, 0)}
+
+
+def _decode_inline(model, u):
+    """The request decode each sampler once wrote out for itself, kept here as the reference."""
+    n = model.n
+    cum_p = np.cumsum(model.p.astype(float).ravel())
+    w = model.w.astype(float).ravel()
+    req = np.searchsorted(cum_p, u, side="right")
+    return np.where(req < n * n, req // n, -1), req % n, w[np.minimum(req, n * n - 1)]
+
+
+def _sparse_city_model():
+    g = build_grid(21, 11)
+    rng = np.random.default_rng(29)
+    pairs = rng.choice(g.n * g.n, size=600, replace=False)
+    p = rng.random(600)
+    p[::7] = 0.0  # listed pairs with no mass
+    return request_model_from_pairs(g, dict(zip(map(tuple, np.column_stack(np.divmod(pairs, g.n)).tolist()), 0.13 * p / p.sum())))
+
+
+@pytest.mark.parametrize("model", [
+    uniform_request_model(build_grid(2, 2), 1 / 16),
+    uniform_request_model(build_grid(2, 2), Fraction(1, 32), weights=1),
+    request_model_from_pairs(build_grid(1, 3), {(0, 1): 0.25, (2, 0): 0.5}, weights=3),
+    _sparse_city_model(),
+], ids=["2x2-uniform", "2x2-exact-half", "1x3-zero-mass-pairs", "21x11-sparse"])
+def test_requests_decode_draws_as_the_inline_decode_did(model):
+    cum_p = np.cumsum(model.p.astype(float).ravel())
+    below_one = np.nextafter(1.0, 0.0)
+    u = np.concatenate([
+        cum_p, np.nextafter(cum_p, 0.0), np.nextafter(cum_p, 1.0),  # at and beside every running total
+        [0.0, below_one, min(cum_p[-1] + 1e-9, below_one)],  # the ends of [0, 1) and past the total mass
+        np.random.default_rng(5).random(500),
+    ])
+    u = u[np.argsort(np.random.default_rng(6).random(len(u)))].reshape(-1, 1)  # the samplers' (steps, runs) form
+    got, want = model.requests(u), _decode_inline(model, u)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()

@@ -77,6 +77,36 @@ def test_action_location_semantics():
         assert inst.action_location(none_slot, a) is None
 
 
+@pytest.mark.parametrize("shape", [(1, 1), (1, 3), (3, 1), (2, 2), (2, 3), (3, 3)])
+def test_location_table_is_the_action_definition(shape):
+    g = build_grid(*shape)
+    inst = MdpInstance(grid=g, m=1, c=1, model=uniform_request_model(g, 1 / g.n**2, weights=1))
+    assert inst.n_actions == 2 + max(len(g.neighbors(u)) for u in range(g.n))
+    assert inst.locations.shape == (inst.n_requests + 1, inst.n_actions)
+    assert not inst.locations.flags.writeable
+    for r in range(inst.n_requests + 1):
+        want = [None] * inst.n_actions  # reject, and every action of the none slot
+        if r < inst.n_requests:
+            u = r // g.n
+            nbrs = g.neighbors(u)
+            want[1:] = [u] + [nbrs[a - 2] if a - 2 < len(nbrs) else None for a in range(2, inst.n_actions)]
+        assert inst.locations[r].tolist() == [-1 if k is None else k for k in want]
+        assert [inst.action_location(r, a) for a in range(inst.n_actions)] == want
+
+
+def test_action_location_refuses_slots_and_names_no_location_off_the_action_range():
+    g = build_grid(3, 3)
+    inst = MdpInstance(grid=g, m=1, c=1, model=uniform_request_model(g, 1 / 81, weights=1))
+    centre = 4 * g.n + 0  # request (4, 0); the centre has every neighbor
+    assert [inst.action_location(centre, a) for a in range(inst.n_actions)] == [None, 4, 1, 5, 7, 3]
+    for action in (-1, -2, -3, -inst.n_actions, inst.n_actions, inst.n_actions + 1):
+        assert inst.action_location(centre, action) is None
+        assert inst.action_location(inst.n_requests, action) is None
+    for request in (-1, -inst.n_requests, inst.n_requests + 1):
+        with pytest.raises(ValueError, match="request slot"):
+            inst.action_location(request, 1)
+
+
 def test_request_probs_complete():
     inst = square_instance()
     q = inst.request_probs()

@@ -72,6 +72,17 @@ def test_only_csvblocks_imports_csv():
     assert importers == {"csvblocks.py"}
 
 
+def test_only_grid_walks_neighbours():
+    """One neighbor table: no module but grid calls the per-cell neighbor queries; the others read Grid.scan_table."""
+    queries = {"neighbors", "closed_neighborhood", "neighbor_toward"}
+    callers = set()
+    for path in sorted(Path(dispatchlab.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr in queries:
+                callers.add(path.name)
+    assert callers <= {"grid.py"}
+
+
 def test_cli_handlers_leave_the_output_protocol_to_the_runner():
     """Each cmd_* computes a Run from its options; only write_run makes --out and writes report and manifest."""
     tree = ast.parse(Path(cli.__file__).read_text())
