@@ -50,37 +50,19 @@ class TransitionMatrix:
     stay None for every other chain.
     """
 
-    def __init__(self, space: StateSpace, src, dst, val, policy: PolicySpec | None, exact: bool):
-        """Kernel from COO entries (row ``src``, column ``dst``, value ``val``), taken as given."""
+    def __init__(self, space: StateSpace, indptr, indices, data, policy: PolicySpec | None, exact: bool):
+        """Kernel from CSR arrays, columns sorted within each row, taken as given."""
         self.space = space
         self.policy = policy
         self.exact = exact
-        order = np.argsort(src * space.size + dst)
-        self.indices = dst[order]
-        self.data = val[order]
-        self.indptr = np.zeros(space.size + 1, dtype=np.int64)
-        np.cumsum(np.bincount(src, minlength=space.size), out=self.indptr[1:])
+        self.indptr = indptr
+        self.indices = indices
+        self.data = data
         self._csr: sp.csr_array | None = None
         self._csr_t: sp.csr_array | None = None
         self._classes: tuple | None = None
         self.orbit: np.ndarray | None = None
         self.reps: np.ndarray | None = None
-
-    @classmethod
-    def from_off_diagonal(cls, space: StateSpace, src, dst, val, policy: PolicySpec, exact: bool):
-        """Kernel from off-diagonal COO entries plus the mass-conserving diagonal.
-
-        Zero entries are dropped.  Each row's diagonal is one minus its
-        off-diagonal mass, summed in the order the entries are given.
-        """
-        keep = val != 0
-        if not keep.all():
-            src, dst, val = src[keep], dst[keep], val[keep]
-        _, one = _zero_one(exact)
-        diag = one - _row_totals(src, val, space.size, exact)
-        every = np.arange(space.size, dtype=np.int64)
-        return cls(space, np.concatenate([src, every]), np.concatenate([dst, every]),
-                   np.concatenate([val, diag]), policy, exact)
 
     @property
     def size(self) -> int:
@@ -138,46 +120,55 @@ def _row_totals(rows: np.ndarray, values: np.ndarray, size: int, exact: bool) ->
 
 
 def build_transition(space: StateSpace, model: RequestModel, policy: PolicySpec) -> TransitionMatrix:
-    """Exact chain of any policy, read off its policy table.
+    """Exact chain of any policy, read off its policy table, one block of source states at a time.
 
     Every one-move pair (x, y) via k -> v collects p[u, v] times the weight
     with which origin u is served from k in x, over the origins u in k's
     closed neighborhood in ascending order, as the definitional builder in
-    tests/oracles.py adds them request by request.  Each row's diagonal
-    sums the row's entries in the order that builder first reaches them:
-    by (first origin, v, slot).  The result equals that builder's entry for
-    entry.
+    tests/oracles.py adds them request by request.  Zero entries are
+    dropped.  Each row's diagonal is one minus the row's other entries,
+    summed in the order that builder first reaches them: by (first origin,
+    v, slot).  The result equals that builder's entry for entry.  Each
+    block of ``StateSpace.moves`` becomes its rows of the CSR arrays, with
+    int32 columns below 2^31 states.
     """
     grid = space.grid
-    n = grid.n
+    n, size = grid.n, space.size
     exact = model.exact and (policy.kind != "nadap" or isinstance(policy.alpha, Fraction))
     dtype = object if exact else float
-    loc, wgt = policy_table(space.as_array(), policy, grid)
+    one = _zero_one(exact)[1]
     scan = grid.scan_table()
     origins = np.sort(np.where(scan >= 0, scan, n), axis=1)
     origins[origins == n] = -1
     near = np.maximum(origins, 0)
-    # hits[b, k, j, s]: slot s of origin origins[k, j] serves from k in state b; at most one s does
-    hits = (origins >= 0)[:, :, None] & (loc[:, near] == np.arange(n)[:, None, None])
-    land = np.where(hits, wgt[:, near], 0).sum(axis=3).astype(dtype)
-    slot = hits.argmax(axis=3)
     p = model.p.astype(dtype)
-    per_state = len(loc) > 1  # else one entry per move k -> v, shared by every pair making it
-    none = np.empty(0, dtype=np.int64)
-    srcs, dsts, vals, keys = [none], [none], [np.empty(0, dtype=dtype)], [none]
-    for k, v, src, dst in space.move_blocks():
-        val, minor = _entries(p, land, slot, origins, src if per_state else 0, k, v)
-        srcs.append(src)
-        dsts.append(dst)
-        vals.append(np.broadcast_to(val, src.shape))
-        # (origin, v, slot) names one serving location k, so this key is unique within a row
-        keys.append(src * (n * n * SLOTS) + minor)
-    del loc, wgt, hits, land, slot  # state-sized tables; free them before the pairs are sorted
-    # a row's diagonal adds its entries in the order the definitional builder first reaches them
-    order = np.argsort(np.concatenate(keys))
-    src, dst, val = (np.concatenate(part)[order] for part in (srcs, dsts, vals))
-    del srcs, dsts, vals, keys, order  # pair-sized lists; free them before the kernel is assembled
-    tm = TransitionMatrix.from_off_diagonal(space, src, dst, val, policy, exact)
+    X = space.as_array()
+    cells = np.arange(n)
+    column = np.int32 if size < 2**31 else np.int64
+    widths, cols, vals = [], [], []
+    for rows, src, k, v, dst in space.moves():
+        loc, wgt = policy_table(X[rows], policy, grid)
+        # hits[b, k, j, s]: slot s of origin origins[k, j] serves from k in state b; at most one s does
+        hits = (origins >= 0)[:, :, None] & (loc[:, near] == cells[:, None, None])
+        land = np.where(hits, wgt[:, near], 0).sum(axis=3).astype(dtype)
+        slot = hits.argmax(axis=3)
+        if policy.kind == "nadap":  # one table row serves every state: one entry per move k -> v
+            val, minor = (table[k, v] for table in _entries(p, land, slot, origins, 0, cells[:, None], cells))
+        else:
+            val, minor = _entries(p, land, slot, origins, src - rows.start, k, v)
+        keep = val != 0
+        src, dst, val, minor = src[keep], dst[keep], val[keep], minor[keep]
+        ranks = np.arange(rows.start, rows.stop)
+        order = np.argsort(src * (n * n * SLOTS) + minor)
+        diag = one - _row_totals(src[order] - rows.start, val[order], len(ranks), exact)
+        src, dst, val = (np.concatenate(part) for part in ((src, ranks), (dst, ranks), (val, diag)))
+        order = np.argsort(src * size + dst)  # the block's rows in turn, columns ascending
+        widths.append(np.bincount(src - rows.start, minlength=len(ranks)))
+        cols.append(dst[order].astype(column))
+        vals.append(val[order])
+    indptr = np.zeros(size + 1, dtype=np.int64)
+    np.cumsum(np.concatenate(widths), out=indptr[1:])
+    tm = TransitionMatrix(space, indptr, np.concatenate(cols), np.concatenate(vals), policy, exact)
     if policy.kind == "nadap":
         tm.orbit, tm.reps = _symmetry_orbits(space, model)
     return tm
@@ -206,16 +197,17 @@ def _symmetry_orbits(space: StateSpace, model: RequestModel):
 
 
 def _entries(p, land, slot, origins, b, k, v):
-    """Kernel entries of move k -> v in states b, with a key ordering each row's entries.
+    """Kernel entries of moves k -> v in states b, with a key ordering each row's entries.
 
     An entry adds p[u, v] * land[b, k, j] over the origins u = origins[k, j]
     in ascending order; the key is (first origin, v, slot) of the first
     request-slot with a nonzero term.  Entries with no such term are zero
     and get dropped, so their key does not matter.
     """
-    terms = p[origins[k], v] * land[b, k]
+    terms = p[origins[k], v[..., None]] * land[b, k]
     first = (terms != 0).argmax(axis=-1)
     val = np.cumsum(terms, axis=-1)[..., -1]  # left to right, as the definitional builder adds
+    # (first origin, v, slot) names one serving location k, so this key is unique within a row
     return val, (origins[k, first] * len(p) + v) * SLOTS + slot[b, k, first]
 
 
@@ -245,9 +237,13 @@ class StationaryResult:
     iterations: int = 0  # power steps taken; 0 for elimination
 
 
-def _gth_solve(P: np.ndarray) -> np.ndarray:
-    """Stationary vector by state elimination (no subtractions, so no cancellation)."""
-    A = np.array(P, dtype=float)
+def _gth_solve(P) -> np.ndarray:
+    """Stationary vector by state elimination (no subtractions, so no cancellation).
+
+    ``P`` is a sparse kernel or an array; the elimination runs on the one
+    dense copy made here.
+    """
+    A = P.toarray() if hasattr(P, "toarray") else np.array(P, dtype=float)
     size = A.shape[0]
     for p in range(size, 1, -_GTH_BLOCK):
         k0 = max(p - _GTH_BLOCK, 1)
@@ -305,7 +301,7 @@ def stationary_distribution(
     P = tm.to_csr() if tm.orbit is None else _lumped_kernel(tm)
     size = P.shape[0]
     if size <= DENSE_SOLVE_LIMIT:
-        pi = _gth_solve(P.toarray())
+        pi = _gth_solve(P)
         method, iterations = "elimination", 0
     else:
         PT = tm.transposed() if tm.orbit is None else P.T.tocsr()
@@ -467,6 +463,25 @@ def _start_block(part: np.ndarray, size: int, pi: np.ndarray, dist: np.ndarray) 
     return block
 
 
+def _product_into(PT: sp.csr_array, E: np.ndarray, out: np.ndarray) -> None:
+    """Write PT @ E into ``out``, both C-ordered (size, columns) float blocks.
+
+    ``PT @ E`` runs scipy's csr_matvecs into a fresh zeroed block; this
+    runs the same kernel into the caller's, so the sums are the same bit
+    for bit.  csr_matvecs is private to scipy: where it is missing, the
+    product is ``@`` copied into ``out``.
+    """
+    if not (E.shape == out.shape == (PT.shape[1], E.shape[1]) and E.flags.c_contiguous and out.flags.c_contiguous):
+        raise ValueError("the product needs two C-ordered blocks of the kernel's size")
+    try:
+        from scipy.sparse._sparsetools import csr_matvecs
+    except ImportError:
+        out[...] = PT @ E
+        return
+    out.fill(0.0)
+    csr_matvecs(PT.shape[0], PT.shape[1], E.shape[1], PT.indptr, PT.indices, PT.data, E.ravel(), out.ravel())
+
+
 def mixing_analysis(
     tm: TransitionMatrix,
     pi: np.ndarray,
@@ -519,13 +534,15 @@ def mixing_analysis(
     parts = np.array_split(starts, max(1, min(_usable_cpus(), PT.nnz * cols // _SPLIT_WORK, cols // 2)))
     edges = np.cumsum([0] + [len(part) for part in parts])
     dist = np.empty(cols)
-    # blocks[g][y, j]: Pr[state y after t rounds from start parts[g][j]]
+    # blocks[g][y, j]: Pr[state y after t rounds from start parts[g][j]]; spare[g] is its next iterate
     blocks = [_start_block(part, size, pi, dist[lo:hi]) for part, lo, hi in zip(parts, edges, edges[1:])]
+    spare = [np.empty_like(block) for block in blocks]
 
     def step(g: int) -> None:
         # the dead iterate becomes the |E - pi| scratch; each column sums in the same order at any split
-        old = blocks[g]
-        blocks[g] = new = PT @ old
+        old, new = blocks[g], spare[g]
+        _product_into(PT, old, new)
+        blocks[g], spare[g] = new, old
         np.abs(np.subtract(new, pi[:, None], out=old), out=old).sum(axis=0, out=dist[edges[g]:edges[g + 1]])
 
     d_curve = [0.5 * float(dist.max())]

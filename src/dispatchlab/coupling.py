@@ -65,10 +65,11 @@ class CouplingReport:
         return max(0.0, math.log(self.diameter / eps) / (1.0 - float(self.worst_beta)))
 
 
-def _coupled_distance_totals(space: StateSpace, u: int, v: int, src: np.ndarray) -> np.ndarray:
+def _coupled_distance_totals(space: StateSpace, u, v, src: np.ndarray) -> np.ndarray:
     """Sum over all n^2 requests of each pair's count distance after one coupled round.
 
-    The pairs are x = src and y = x - e_u + e_v.  A self-trip, or a request
+    The pairs are x = src and y = x - e_u + e_v, with ``u`` and ``v``
+    locations or arrays aligned with ``src``.  A self-trip, or a request
     touching neither u nor v, sees the same counts in both copies: both
     move alike and the distance stays 2.  Of the at most 4n requests that
     touch u or v, any other than (u, v) and (v, u) moves at most one copy,
@@ -103,14 +104,8 @@ def verify_contraction(grid: Grid, m: int, c: int, eps: float = 0.01) -> Couplin
     n = grid.n
     q = n * n
     space = StateSpace(grid, m, c)
-    none = np.empty(0, dtype=np.int64)
-    xs, ys, ts = [none], [none], [none]
-    for u, v, src, dst in space.move_blocks():
-        xs.append(src)
-        ys.append(dst)
-        ts.append(_coupled_distance_totals(space, u, v, src))
-    order = np.argsort(np.concatenate(xs), kind="stable")  # blocks come in (u, v) order
-    x, y, totals = (np.concatenate(part)[order] for part in (xs, ys, ts))
+    blocks = [(src, dst, _coupled_distance_totals(space, u, v, src)) for _, src, u, v, dst in space.moves()]
+    x, y, totals = (np.concatenate(part) for part in zip(*blocks))
     target = 1 - Fraction(1, q)
     bad = totals > 2 * q - 2  # the ratio t / (2n^2) exceeds 1 - 1/n^2
     if bad.any():

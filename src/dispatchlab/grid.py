@@ -242,6 +242,11 @@ class RequestModel:
         u, v = np.nonzero(coef)
         return u, v, coef[u, v]
 
+    @functools.cached_property
+    def by_policy(self) -> dict:
+        """Tables a policy derives from this model alone, kept here by their users on first need."""
+        return {}
+
     def requests(self, draws) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The requests uniform ``draws`` name: (origin, -1 for none; destination; weight) arrays.
 

@@ -194,6 +194,22 @@ def policy_table(states: np.ndarray, policy: PolicySpec, grid: Grid) -> tuple[np
     return loc, np.ones(loc.shape, dtype=np.int64)
 
 
+def _nadap_requests(model: RequestModel, policy: PolicySpec) -> tuple:
+    """nadap's slots of each paying request, which no state changes, kept on the model.
+
+    For request r = (u, v) of ``model.paying`` and slot s: the probed
+    location clipped onto the grid, whether it is on the grid, whether it
+    is v, and the slot's weight.  A Fraction alpha keys its own exact weights.
+    """
+    key = (policy, type(policy.alpha))
+    if key not in model.by_policy:
+        loc, wgt = policy_table(None, policy, model.grid)  # nadap's table ignores the counts
+        u, v, _ = model.paying
+        L = loc[0, u]
+        model.by_policy[key] = np.maximum(L, 0), L >= 0, L == v[:, None], wgt[0, u]
+    return model.by_policy[key]
+
+
 def step_profit(states: np.ndarray, model: RequestModel, policy: PolicySpec, c: int) -> np.ndarray:
     """Expected one-round profit E[sum_r p_r w_r success_r] of every state, as floats.
 
@@ -206,23 +222,25 @@ def step_profit(states: np.ndarray, model: RequestModel, policy: PolicySpec, c: 
     summed exactly and rounded once.
     """
     states = np.asarray(states)
-    loc, wgt = policy_table(states, policy, model.grid)
     u, v, coef = model.paying
     coef = coef.astype(object if model.exact else float)
     out = np.zeros(len(states), dtype=coef.dtype)
-    chunk = max(1, _PROFIT_CHUNK // max(1, len(u) * loc.shape[2]))
+    if policy.kind == "nadap":
+        at, probed, same, W = _nadap_requests(model, policy)
+        slots = SLOTS
+    else:
+        loc, slots = policy_table(states, policy, model.grid)[0][:, :, 0], 1
+    chunk = max(1, _PROFIT_CHUNK // max(1, len(u) * slots))
     for a in range(0, len(states) if len(u) else 0, chunk):  # no paying request: every profit is 0
         X = states[a : a + chunk]
-        L, W = (loc, wgt) if len(loc) == 1 else (loc[a : a + chunk], wgt[a : a + chunk])
         room = (X < c).take(v, axis=1)
-        if L.shape[2] == 1:
+        if slots == 1:
             # rand and greedy: one slot of weight 1 holding an occupied location or -1,
             # so a term is coef where it serves
-            k = L[:, :, 0].take(u, axis=1)
+            k = loc[a : a + chunk].take(u, axis=1)
             prob = (k >= 0) & ((k == v) | room)
         else:
-            occupied = (L >= 0) & (X[np.arange(len(X))[:, None, None], np.maximum(L, 0)] >= 1)
-            serves = occupied.take(u, axis=1) & ((L.take(u, axis=1) == v[:, None]) | room[:, :, None])
-            prob = sum(np.where(serves[:, :, s], W[:, u, s], 0) for s in range(L.shape[2]))
+            serves = probed & (X[:, at] >= 1) & (same | room[:, :, None])
+            prob = sum(np.where(serves[:, :, s], W[:, s], 0) for s in range(SLOTS))
         out[a : a + chunk] = np.cumsum(coef * prob, axis=1)[:, -1]
     return out.astype(float)

@@ -18,6 +18,9 @@ from .grid import Grid
 #: Refuse to enumerate spaces larger than this by default.
 DEFAULT_STATE_CAP = 5_000_000
 
+#: Rough size of one block of ``StateSpace.moves``: its states times n^2 (u, v) cells.
+_MOVE_ELEMENTS = 1 << 16
+
 
 def format_state(counts: Sequence[int]) -> str:
     return ",".join(str(int(x)) for x in counts)
@@ -97,10 +100,17 @@ class StateSpace:
         self.check_counts(counts)
         return int(self._rank_rows(np.array([counts], dtype=np.int64))[0])
 
+    def _rank_terms(self, X: np.ndarray, rem: np.ndarray) -> np.ndarray:
+        """The terms R[i, rem_i, x_i] of the (rows, n) counts ``X``, one per location i.
+
+        With rem_i the drivers not placed before location i, a row's terms
+        sum to its rank.
+        """
+        return self._prefix()[np.arange(self.n), rem, X]
+
     def _rank_rows(self, X: np.ndarray) -> np.ndarray:
-        """Ranks of the (rows, n) counts ``X``: the sum of R[i, rem_i, x_i] over the locations i."""
-        rem = self.m - np.cumsum(X, axis=1, dtype=np.int64) + X
-        return self._prefix()[np.arange(self.n), rem, X].sum(axis=1)
+        """Ranks of the (rows, n) counts ``X``."""
+        return self._rank_terms(X, self.m - np.cumsum(X, axis=1, dtype=np.int64) + X).sum(axis=1)
 
     def as_array(self) -> np.ndarray:
         """Dense (size, n) int32 table of all states in rank order, cached.
@@ -158,17 +168,16 @@ class StateSpace:
 
         shift[1, s, i] (shift[0, s, i]) sums, over locations before i, the
         change in state s's rank terms when one more (one fewer) driver is
-        left to place there.
+        left to place there.  A term changes by at most ``size``, so the sums
+        fit int32 while n * size does.
         """
         if self._moves is None:
-            R = self._prefix()
             X = self.as_array()
-            cols = np.arange(self.n)
             rem = self.m - np.cumsum(X, axis=1, dtype=np.int64) + X
-            base = R[cols, rem, X]
-            shift = np.zeros((2, self.size, self.n + 1), dtype=np.int64)
-            np.cumsum(R[cols, rem - 1, X] - base, axis=1, out=shift[0, :, 1:])
-            np.cumsum(R[cols, rem + 1, X] - base, axis=1, out=shift[1, :, 1:])
+            base = self._rank_terms(X, rem)
+            shift = np.zeros((2, self.size, self.n + 1), dtype=np.int32 if self.n * self.size < 2**31 else np.int64)
+            for fwd in (0, 1):
+                np.cumsum(self._rank_terms(X, rem + 2 * fwd - 1) - base, axis=1, out=shift[fwd, :, 1:])
             self._moves = (rem, shift)
         return self._moves
 
@@ -188,7 +197,7 @@ class StateSpace:
         idx = np.asarray(idx, dtype=np.int64)
         xu, xv, ru, rv = X[idx, u], X[idx, v], rem[idx, u], rem[idx, v]
         fwd = np.asarray(u < v, dtype=np.int64)
-        between = shift[fwd, idx, np.maximum(u, v)] - shift[fwd, idx, np.minimum(u, v) + 1]
+        between = shift[fwd, idx, np.maximum(u, v)] - shift[fwd, idx, np.minimum(u, v) + 1].astype(np.int64)
         return (
             idx
             + R[u, ru - 1 + fwd, xu - 1] - R[u, ru, xu]
@@ -216,19 +225,22 @@ class StateSpace:
         ok.flags.writeable = nxt.flags.writeable = False
         return ok, nxt
 
-    def move_blocks(self) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
-        """Every ordered state pair one driver move apart, one move u -> v at a time.
+    def moves(self) -> Iterator[tuple[slice, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+        """Every ordered state pair one driver move apart, one block of consecutive source ranks at a time.
 
-        Moves come in (u, v) order over u != v; each yields (u, v, src, dst)
-        with ``src`` the ascending ranks of states holding a driver at u and
-        room at v, and ``dst`` their ranks after the move.  The move may
-        relocate a driver between any two distinct locations; grid adjacency
-        plays no role here.
+        Each block yields (rows, src, u, v, dst): ``rows`` the slice of
+        source ranks it covers, and one entry for every state in it that
+        holds a driver at u and has room at v (u != v), in (src, u, v)
+        order, ``dst`` being the rank after the move u -> v.  A block spans
+        about ``_MOVE_ELEMENTS`` (state, u, v) cells.  The move may relocate
+        a driver between any two distinct locations; grid adjacency plays no
+        role here.
         """
-        arr = self.as_array()
-        for u in range(self.n):
-            occupied = np.flatnonzero(arr[:, u] >= 1)
-            for v in range(self.n):
-                if v != u:
-                    src = occupied[arr[occupied, v] < self.c]
-                    yield u, v, src, self.move_ranks(src, u, v)
+        X = self.as_array()
+        step = max(1, _MOVE_ELEMENTS // self.n**2)
+        apart = ~np.eye(self.n, dtype=bool)
+        for lo in range(0, self.size, step):
+            B = X[lo : lo + step]
+            b, u, v = np.nonzero((B[:, :, None] >= 1) & (B[:, None, :] < self.c) & apart)
+            src = b + lo
+            yield slice(lo, lo + len(B)), src, u, v, self.move_ranks(src, u, v)

@@ -325,10 +325,12 @@ def limiting_objective_gamma(stationary: StationaryResult, model: RequestModel, 
 def kernel_from_rows(space: StateSpace, rows: Sequence[dict], policy: PolicySpec | None,
                      exact: bool) -> TransitionMatrix:
     """Kernel from per-state {destination rank: probability} mappings, taken as given."""
-    src = np.repeat(np.arange(len(rows), dtype=np.int64), [len(row) for row in rows])
-    dst = np.array([j for row in rows for j in row], dtype=np.int64)
-    val = np.array([p for row in rows for p in row.values()], dtype=object if exact else float)
-    return TransitionMatrix(space, src, dst, val, policy, exact)
+    rows = [sorted(row.items()) for row in rows]
+    indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum([len(row) for row in rows], out=indptr[1:])
+    indices = np.array([j for row in rows for j, _ in row], dtype=np.int64)
+    data = np.array([p for row in rows for _, p in row], dtype=object if exact else float)
+    return TransitionMatrix(space, indptr, indices, data, policy, exact)
 
 
 def kernel_rows(tm: TransitionMatrix) -> list[dict]:

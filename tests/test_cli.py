@@ -5,6 +5,8 @@ import dataclasses
 import datetime as dt
 import hashlib
 import json
+import sys
+import types
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -447,6 +449,20 @@ def test_exact_tables_are_pinned(tmp_path, policy):
     code, out = run([*args, "--policy", policy], tmp_path)
     assert code == 0
     assert {name: sha(out / name) for name in EXACT_DIGESTS[policy]} == EXACT_DIGESTS[policy]
+
+
+@pytest.mark.parametrize("policy", list(EXACT_DIGESTS))
+def test_mixing_keeps_its_bytes_without_scipys_private_product(tmp_path, policy, monkeypatch):
+    """Where scipy's csr_matvecs is gone, the sweep steps through ``@`` to the same bytes."""
+    args = ["exact", "--grid", "2x3", "--drivers", "3", "--capacity", "2", "--arrivals", "uniform:0.025"]
+    assert run([*args, "--policy", policy], tmp_path, "with")[0] == 0  # loads every scipy module the run needs
+    monkeypatch.setitem(sys.modules, "scipy.sparse._sparsetools", types.ModuleType("scipy.sparse._sparsetools"))
+    with pytest.raises(ImportError):
+        from scipy.sparse._sparsetools import csr_matvecs  # noqa: F401
+    code, out = run([*args, "--policy", policy], tmp_path, "without")
+    assert code == 0
+    want = EXACT_DIGESTS[policy]["mixing.csv"]
+    assert sha(tmp_path / "with" / "mixing.csv") == sha(out / "mixing.csv") == want
 
 
 def test_exact_finds_the_strong_components_once(tmp_path):

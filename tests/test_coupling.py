@@ -71,9 +71,11 @@ def test_contraction_worst_rate_on_two_by_two():
     assert report.worst_beta == Fraction(15, 16)
     assert report.target == Fraction(15, 16)
     assert report.diameter == 4
-    blocks = list(StateSpace(build_grid(2, 2), 2, 2).move_blocks())
-    assert report.pair_count == sum(len(src) for _, _, src, _ in blocks) == 48
+    blocks = list(StateSpace(build_grid(2, 2), 2, 2).moves())
+    assert report.pair_count == sum(len(src) for _, src, *_ in blocks) == 48
     assert len(report.x) == len(report.y) == 48
+    assert report.x.tolist() == [x for _, src, *_ in blocks for x in src.tolist()]
+    assert report.y.tolist() == [y for *_, dst in blocks for y in dst.tolist()]
     assert all(ratio <= report.target for _, ratio in report.shares().values())
     assert report.shares()[int(report.totals.max())][1] == report.worst_beta
     assert report.tau_bound(0.01) == pytest.approx(math.log(4 / 0.01) / (1 - 15 / 16))

@@ -6,7 +6,9 @@ deterministic; the blocked elimination solve is also checked on random
 chains across block edges and on the benchmark's 800-state chains.
 """
 
+import hashlib
 import threading
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 from unittest.mock import patch
@@ -91,17 +93,24 @@ def test_vectorized_rank_and_enumeration_match_scalar_rank(space):
 
 
 @FAST
-@given(spaces())
-def test_move_blocks_match_brute_force(space):
-    blocks = [(u, v, src.tolist(), dst.tolist()) for u, v, src, dst in space.move_blocks()]
+@given(spaces(), st.integers(1, 40))
+def test_moves_match_brute_force(space, per_block):
+    with patch("dispatchlab.states._MOVE_ELEMENTS", per_block * space.n**2):
+        blocks = list(space.moves())
+    assert [(rows.start, rows.stop) for rows, *_ in blocks] == [
+        (lo, min(lo + per_block, space.size)) for lo in range(0, space.size, per_block)
+    ]
+    for rows, src, *_ in blocks:
+        assert ((rows.start <= src) & (src < rows.stop)).all()
+    got = [pair for _, *block in blocks for pair in zip(*(part.tolist() for part in block))]
     expect = []
-    for u in range(space.n):
-        for v in range(space.n):
-            if u != v:
-                src = [ix for ix in range(space.size)
-                       if unrank(space, ix)[u] >= 1 and unrank(space, ix)[v] < space.c]
-                expect.append((u, v, src, [move_rank(space, unrank(space, ix), u, v) for ix in src]))
-    assert blocks == expect
+    for ix in range(space.size):
+        x = unrank(space, ix)
+        for u in range(space.n):
+            for v in range(space.n):
+                if u != v and x[u] >= 1 and x[v] < space.c:
+                    expect.append((ix, u, v, move_rank(space, x, u, v)))
+    assert got == expect
 
 
 @st.composite
@@ -142,9 +151,10 @@ def assert_builder_matches_oracle(space, seed, policy):
     fast = build_transition(space, model, policy)
     assert fast.exact
     assert same_transitions(fast, build_transition_from_policy(space, model, policy), tol=0)
-    # floats too: entries and diagonals are summed in the definitional order
+    # floats too: entries and diagonals are summed in the definitional order, here over blocks of five states
     model, policy = float_model(space.grid, seed), float_alpha(policy)
-    fast = build_transition(space, model, policy)
+    with patch("dispatchlab.states._MOVE_ELEMENTS", 5 * space.n**2):
+        fast = build_transition(space, model, policy)
     assert not fast.exact
     assert same_transitions(fast, build_transition_from_policy(space, model, policy), tol=0)
 
@@ -170,6 +180,67 @@ def test_rand_builder_matches_oracle_exactly(space, seed, phi):
 @example(LARGEST, 4, False)
 def test_greedy_builder_matches_oracle_exactly(space, seed, origin_first):
     assert_builder_matches_oracle(space, seed, PolicySpec("greedy", origin_first=origin_first))
+
+
+def kernel_digests(tm) -> tuple[str, str, str]:
+    """sha256 of ``indptr``, ``indices`` as int64 and ``data``: float bytes, or exact entries as text."""
+    data = " ".join(map(str, tm.data.tolist())).encode() if tm.exact else tm.data.tobytes()
+    return tuple(hashlib.sha256(a).hexdigest() for a in (tm.indptr.tobytes(), tm.indices.astype(np.int64).tobytes(), data))
+
+
+BENCH_INDPTR, BENCH_INDICES = (
+    "892d01fac12d67fc1b42e4e6d4bd6d1b36368fc1a6f5f07edd2cc6999afeb999",
+    "cd2a7ae775d583cfe6890f14ccf0340b81bf4e403f2d14afbaff6acbe018772a",
+)
+
+# The bench's chains (4x4, c=2, uniform:0.00390625) and an exact 2x3 chain (m=3, c=2,
+# p = 1/40, w = 1, nadap with alpha 3/4), recorded when the builder sorted every pair at once.
+KERNEL_DIGESTS = {
+    (3, "nadap:0.8"): (BENCH_INDPTR, BENCH_INDICES, "639b967f4447b1cbb801641f18c6e1b028dd25225cb5164fe784c15a2371f9a1"),
+    (3, "rand:NESW"): (BENCH_INDPTR, BENCH_INDICES, "368e102ae1af8850169bef4f7f6c0e4d2544597b1e4429d5b35f40ae15d7cb68"),
+    (3, "greedy"): (BENCH_INDPTR, BENCH_INDICES, "2933e74e0017d5c4dec83f1781b3d79a3d96254564288f619f1fdb389372bdb5"),
+    (4, "nadap:0.8"): (
+        "bd2dde63dd87546c7a73518d49725205c9498cff0703457edaf916d621ce8eb1",
+        "046dbbd91bd07eee83f720fee51e4294d6df6ba23f9cb8eec4bb5f3c746cf815",
+        "87e9e1c89d7b2a8971cab062a582386f72a3eb37ed35a9f994e1c75f50153c0e",
+    ),
+    (3, "exact 2x3"): (
+        "0f9df3b4ac04c85e9b50bc4a651d3ed9b958f07e051c468936240e8276347b12",
+        "b9d9216b134f607a7f2f26a689257ce11e7ff7e7186d09a3c0ae28885f32c362",
+        "f7865bda86b44aa379207e106a06963b9020aebceed6766aba5d7ab5e6637696",
+    ),
+}
+
+
+@pytest.mark.parametrize("m, label", list(KERNEL_DIGESTS))
+def test_kernel_arrays_are_pinned(m, label):
+    if label == "exact 2x3":
+        grid = build_grid(2, 3)
+        model, policy = uniform_request_model(grid, Fraction(1, 40), weights=Fraction(1)), PolicySpec("nadap", alpha=Fraction(3, 4))
+    else:
+        grid = build_grid(4, 4)
+        model, policy = uniform_request_model(grid, 0.00390625), parse_policy(label)
+    tm = build_transition(StateSpace(grid, m, 2), model, policy)
+    assert tm.indices.dtype == np.int32
+    assert kernel_digests(tm) == KERNEL_DIGESTS[m, label]
+
+
+def test_build_peak_memory_stays_near_the_kernel():
+    """The 5x5, m=3 greedy build (2,900 states) holds one block of pairs at a time.
+
+    Sorting every pair at once peaked at 7.2 times the kernel's 16 bytes an
+    entry; blocks of source states peak at 2.3 times.
+    """
+    grid = build_grid(5, 5)
+    space = StateSpace(grid, 3, 2)
+    tracemalloc.start()
+    try:
+        tm = build_transition(space, uniform_request_model(grid, 1 / 625, weights=1.0), PolicySpec("greedy"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert space.size == 2900
+    assert peak <= 3 * 16 * len(tm.data)
 
 
 @SLOW
@@ -211,16 +282,17 @@ def test_integer_coupling_totals_match_joint_law(space, offset):
     n = space.n
     model = uniform_request_model(space.grid, Fraction(1, n * n), weights=Fraction(1))
     arr = space.as_array()
+    src, u, v, dst = (np.concatenate(part) for part in zip(*(block[1:] for block in space.moves())))
+    totals = _coupled_distance_totals(space, u, v, src)
+    assert totals.shape == src.shape
     # one pair of every move, since each move has its own closed form
-    for u, v, src, dst in space.move_blocks():
-        totals = _coupled_distance_totals(space, u, v, src)
-        assert totals.shape == src.shape
-        if len(src):
-            i = offset % len(src)
-            x, y = arr[src[i]].tolist(), arr[dst[i]].tolist()
-            joint = coupled_step_distribution(x, y, model, space.c)
-            expected = sum(prob * pair_distance(xn, yn) for (xn, yn), prob in joint.items())
-            assert Fraction(int(totals[i]), n * n) == expected
+    for move in np.unique(u * n + v):
+        pick = np.flatnonzero(u * n + v == move)
+        i = pick[offset % len(pick)]
+        x, y = arr[src[i]].tolist(), arr[dst[i]].tolist()
+        joint = coupled_step_distribution(x, y, model, space.c)
+        expected = sum(prob * pair_distance(xn, yn) for (xn, yn), prob in joint.items())
+        assert Fraction(int(totals[i]), n * n) == expected
 
 
 def scalar_action_tables(instance):
@@ -351,20 +423,33 @@ def test_mixing_sweep_matches_row_block_loop_byte_for_byte(space, seed, policy, 
     assert (got.exhaustive, got.start_count) == (want.exhaustive, want.start_count)
 
 
-class FaultyKernel:
-    """A transposed kernel whose product fails on the caller's thread or on every worker, recording the blocks it stepped.
+def test_sweep_product_fills_the_callers_block_as_matmul_does():
+    space = StateSpace(build_grid(2, 3), 3, 2)
+    PT = build_transition(space, uniform_request_model(space.grid, 0.8 / 36), PolicySpec("greedy")).transposed()
+    E = np.random.default_rng(1).random((space.size, 3))
+    out = np.full_like(E, np.nan)
+    chain._product_into(PT, E, out)
+    assert out.tobytes() == (PT @ E).tobytes()
+    # the kernel writes through raw pointers: a block it cannot fill in place is refused
+    for block, into in ((E, np.asfortranarray(out)), (np.asfortranarray(E), out), (E[:, :2].copy(), out)):
+        with pytest.raises(ValueError, match="C-ordered blocks"):
+            chain._product_into(PT, block, into)
+
+
+class FaultyProduct:
+    """The sweep's product, failing on the caller's thread or on every worker, recording the blocks it stepped.
 
     A pool may hand one worker two groups in a round, so blocks, not threads, count the groups.
     """
 
-    def __init__(self, PT, on_caller: bool):
-        self.PT, self.nnz, self.on_caller, self.stepped = PT, PT.nnz, on_caller, set()
+    def __init__(self, product, on_caller: bool):
+        self.product, self.on_caller, self.stepped = product, on_caller, set()
 
-    def __matmul__(self, E):
+    def __call__(self, PT, E, out):
         self.stepped.add(id(E))
         if (threading.current_thread() is threading.main_thread()) == self.on_caller:
             raise ArithmeticError("injected fault")
-        return self.PT @ E
+        self.product(PT, E, out)
 
 
 @pytest.mark.parametrize("on_caller", [False, True])
@@ -373,8 +458,8 @@ def test_mixing_sweep_fault_reaches_the_caller_and_no_thread_outlives_it(groups,
     space = StateSpace(build_grid(2, 3), 3, 2)
     tm = build_transition(space, uniform_request_model(space.grid, 0.8 / 36), PolicySpec("greedy"))
     pi = gth_solve_scalar(tm.to_dense())
-    fault = FaultyKernel(tm.transposed(), on_caller)
-    monkeypatch.setattr(tm, "transposed", lambda: fault)
+    fault = FaultyProduct(chain._product_into, on_caller)
+    monkeypatch.setattr(chain, "_product_into", fault)
     threads = threading.active_count()
     with split_into(groups), pytest.raises(ArithmeticError, match="injected fault"):
         mixing_analysis(tm, pi, [0.01], t_max=50)

@@ -2,6 +2,7 @@
 
 import time
 from math import comb
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -108,10 +109,10 @@ def test_saturated_counts_rank_as_exact_counts():
                     assert ranks(space, X).tolist() == want
                     assert [space.rank(x) for x in X.tolist()] == want
                     assert [unrank(space, i) for i in range(size)] == [tuple(x) for x in X.tolist()]
-                    for u, v, src, dst in space.move_blocks():
+                    for _, src, u, v, dst in space.moves():
                         moved = X[src].copy()
-                        moved[:, u] -= 1
-                        moved[:, v] += 1
+                        moved[np.arange(len(src)), u] -= 1
+                        moved[np.arange(len(src)), v] += 1
                         assert dst.tolist() == [rank_by_table(table, x) for x in moved.tolist()]
 
 
@@ -158,18 +159,22 @@ def test_as_array_matches_unrank():
         assert tuple(arr[i]) == unrank(space, i)
 
 
-def test_move_blocks_differ_by_one_move():
+def test_moves_differ_by_one_move():
     space = StateSpace(build_grid(2, 2), 2, 2)
     pairs = []
-    for u, v, src, dst in space.move_blocks():
-        assert u != v and (np.diff(src) > 0).all()
-        for x_rank, y_rank in zip(src.tolist(), dst.tolist()):
+    with patch("dispatchlab.states._MOVE_ELEMENTS", 3 * 16):  # three states a block
+        blocks = list(space.moves())
+    assert [(rows.start, rows.stop) for rows, *_ in blocks] == [(0, 3), (3, 6), (6, 9), (9, 10)]
+    for rows, src, u, v, dst in blocks:
+        assert ((rows.start <= src) & (src < rows.stop)).all()
+        assert (u != v).all() and (np.diff((src * 4 + u) * 4 + v) > 0).all()  # (src, u, v) order
+        for x_rank, a, b, y_rank in zip(src.tolist(), u.tolist(), v.tolist(), dst.tolist()):
             x = np.array(unrank(space, x_rank))
             y = np.array(unrank(space, y_rank))
             diff = y - x
             assert diff.sum() == 0
             assert np.abs(diff).sum() == 2
-            assert diff[v] == 1 and diff[u] == -1
+            assert diff[b] == 1 and diff[a] == -1
             pairs.append((x_rank, y_rank))
     # every ordered pair at count-distance 2 appears exactly once
     assert len(set(pairs)) == len(pairs)

@@ -1,0 +1,84 @@
+"""Time and size the exact chain builder past the bench's 4x4 chains.
+
+Each case runs in a fresh Python process, so its peak RSS is its own:
+
+- 5x5, m=4, greedy (19,850 states): build
+- 5x5, m=5, greedy (110,630 states): build
+- 5x5, m=5, nadap:0.8 (110,630 states): build and stationary solve
+
+Arrivals are uniform, p = 1/n^2 on every ordered pair with weight 1, and
+c = 2.  Each case prints one JSON line: states, kernel entries (nnz),
+build and solve seconds, ``ru_maxrss`` in MB at the end of the case, and
+the build's tracemalloc peak in MB, with the kernel's size at 16 bytes an
+entry for scale.
+
+    PYTHONPATH=src python tools/exact_scale.py            # every case
+    PYTHONPATH=src python tools/exact_scale.py --case greedy-19850
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import resource
+import subprocess
+import sys
+import time
+import tracemalloc
+
+CASES = {
+    "greedy-19850": (4, "greedy", False),
+    "greedy-110630": (5, "greedy", False),
+    "nadap-110630": (5, "nadap:0.8", True),
+}
+
+
+def run_case(name: str) -> dict:
+    from dispatchlab.chain import build_transition, stationary_distribution
+    from dispatchlab.grid import build_grid, uniform_request_model
+    from dispatchlab.policies import parse_policy
+    from dispatchlab.states import StateSpace
+
+    m, label, solve = CASES[name]
+    grid = build_grid(5, 5)
+    model = uniform_request_model(grid, 1.0 / grid.n**2, weights=1.0)
+    policy = parse_policy(label)
+    space = StateSpace(grid, m, 2)
+    tracemalloc.start()
+    t0 = time.perf_counter()
+    tm = build_transition(space, model, policy)
+    build_s = time.perf_counter() - t0
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    out = {
+        "case": name,
+        "states": space.size,
+        "nnz": len(tm.data),
+        "build_s": round(build_s, 3),
+        "build_tracemalloc_peak_mb": round(peak / 2**20, 1),
+        "kernel_mb_at_16_bytes": round(16 * len(tm.data) / 2**20, 1),
+    }
+    if solve:
+        t0 = time.perf_counter()
+        res = stationary_distribution(tm)
+        out.update(solve_s=round(time.perf_counter() - t0, 3), method=res.method, iterations=res.iterations)
+    out["ru_maxrss_mb"] = round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
+    return out
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--case", choices=sorted(CASES), help="run one case in this process")
+    args = ap.parse_args()
+    if args.case:
+        print(json.dumps(run_case(args.case)), flush=True)
+        return
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for name in CASES:
+        subprocess.run([sys.executable, __file__, "--case", name], env=env, check=True)
+
+
+if __name__ == "__main__":
+    main()
