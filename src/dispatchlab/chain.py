@@ -41,8 +41,8 @@ class TransitionMatrix:
     Entries are stored once as CSR arrays (``indptr``, ``indices``,
     ``data``), columns sorted within each row.  ``data`` holds floats, or
     exact Fractions (object dtype) when ``exact`` is set.  The float CSR the
-    solvers use, its transpose and the strong components of its positive
-    entries are built on first request and cached.
+    solvers use, its transpose and its strong components are built on first
+    request and cached.
 
     ``orbit`` and ``reps`` are set by ``build_transition`` when the chain is
     invariant under the grid's symmetries: each state's orbit number, and
@@ -67,9 +67,6 @@ class TransitionMatrix:
     @property
     def size(self) -> int:
         return self.space.size
-
-    def _row_of_entry(self) -> np.ndarray:
-        return np.repeat(np.arange(self.size, dtype=np.int64), np.diff(self.indptr))
 
     def entry(self, x: int, y: int):
         a, b = self.indptr[x], self.indptr[x + 1]
@@ -101,7 +98,8 @@ class TransitionMatrix:
         return None if self.reps is None else len(self.reps)
 
     def row_sum_error(self) -> float:
-        totals = _row_totals(self._row_of_entry(), self.data, self.size, self.exact)
+        rows = np.repeat(np.arange(self.size), np.diff(self.indptr))
+        totals = _row_totals(rows, self.data, self.size, self.exact)
         return max((abs(float(t) - 1.0) for t in totals), default=0.0)
 
 
@@ -323,7 +321,7 @@ def stationary_distribution(
     if tm.orbit is not None:
         pi = (pi / np.bincount(tm.orbit))[tm.orbit]
     if method == "elimination":
-        residual = float(np.abs(tm.transposed() @ pi - pi).sum())
+        residual = float(np.abs(tm.to_csr().T @ pi - pi).sum())  # the CSC view sums as the transpose does
     return StationaryResult(
         space=tm.space,
         pi=pi,
@@ -351,25 +349,24 @@ def _lumped_kernel(tm: TransitionMatrix) -> sp.csr_array:
 # Structure checks
 
 
-def _components(tm: TransitionMatrix) -> tuple[int, np.ndarray, sp.csr_array]:
-    """Strongly connected classes of the positive-entry digraph: count, labels, pattern.
+def _components(tm: TransitionMatrix) -> tuple[int, np.ndarray]:
+    """Strongly connected classes of the kernel's digraph: count and labels.
 
-    Found once per kernel and cached on it, as its CSR is.  scipy is
-    imported on first use, since csgraph loads its linear algebra.
+    csgraph reads the kernel's own CSR.  Off the diagonal every entry of a
+    built kernel is positive, and a self-loop, zero or not, joins no two
+    states, so these are the classes of the positive entries.  Found once
+    per kernel and cached on it, as its CSR is.  scipy is imported on first
+    use, since csgraph loads its linear algebra.
     """
     if tm._classes is None:
-        import scipy.sparse as sp
         from scipy.sparse.csgraph import connected_components
 
-        on = tm.data != 0
-        rows, cols = tm._row_of_entry()[on], tm.indices[on]
-        pat = sp.csr_array((np.ones(len(rows), dtype=np.int8), (rows, cols)), shape=(tm.size, tm.size))
-        tm._classes = (*connected_components(pat, directed=True, connection="strong"), pat)
+        tm._classes = connected_components(tm.to_csr(), directed=True, connection="strong")
     return tm._classes
 
 
 def check_irreducible(tm: TransitionMatrix) -> bool:
-    """True when the positive-entry digraph is one strongly connected class."""
+    """True when the kernel's digraph is one strongly connected class."""
     return _components(tm)[0] == 1
 
 
@@ -377,28 +374,33 @@ def check_aperiodic(tm: TransitionMatrix) -> bool:
     """True when every communicating class has period 1.
 
     A positive self-loop settles a class; otherwise its period is the gcd
-    of level[a] + 1 - level[b] over its edges a -> b, with level the
-    breadth-first distance from one of its states.  One search covers
+    of level[a] + 1 - level[b] over its positive edges a -> b, with level
+    the breadth-first distance from one of its states.  One search covers
     every class: over within-class edges alone, each state's nearest root
-    is its own class's.  Single states with no transitions count as
-    aperiodic.
+    is its own class's.  Edges are read only from the rows of classes with
+    no positive self-loop, so a dispatch chain lists none.  Positivity is
+    read from ``tm.data``, an exact kernel's Fractions included.  Single
+    states with no positive transitions count as aperiodic.
     """
     import scipy.sparse as sp
     from scipy.sparse.csgraph import dijkstra
 
-    ncomp, labels, pat = _components(tm)
-    coo = pat.tocoo()
-    a, b = coo.row, coo.col
-    comp = labels[a]
+    ncomp, labels = _components(tm)
+    P = tm.to_csr()  # the positive pattern shares its index arrays
+    positive = sp.csr_array((tm.data > 0, P.indices, P.indptr), shape=P.shape)
     looped = np.zeros(ncomp, dtype=bool)
-    looped[comp[a == b]] = True
-    inner = np.flatnonzero((comp == labels[b]) & ~looped[comp])
+    looped[labels[positive.diagonal()]] = True
+    rows = np.flatnonzero(~looped[labels])  # the states of classes with no positive self-loop
+    part = positive[rows]
+    a, b = np.repeat(rows, np.diff(part.indptr)), part.indices
+    comp = labels[a]
+    inner = np.flatnonzero(part.data & (comp == labels[b]))
     inner = inner[np.argsort(comp[inner], kind="stable")]  # the edges of each class together
     a, b, comp = a[inner], b[inner], comp[inner]
     first = np.flatnonzero(np.diff(comp, prepend=-1))  # each class's first edge
     if not len(first):
         return True
-    edges = sp.csr_array((np.ones(len(a), dtype=np.int8), (a, b)), shape=pat.shape)
+    edges = sp.csr_array((np.ones(len(a), dtype=np.int8), (a, b)), shape=P.shape)
     level = dijkstra(edges, indices=a[first], unweighted=True, min_only=True)
     return not (np.gcd.reduceat((level[a] + 1 - level[b]).astype(np.int64), first) > 1).any()
 

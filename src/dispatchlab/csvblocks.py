@@ -335,20 +335,38 @@ def _places(layout: bytes, real: bool) -> tuple[list[int], list[int], int, bool]
     return at, [10 ** k for k in reversed(range(count))], 10 ** len(fraction), negative
 
 
-def _cast(texts: np.ndarray | list[str], dtype: np.dtype) -> np.ndarray:
+def _cast(texts: np.ndarray | list[str], dtype: np.dtype, refused: float | None = None) -> np.ndarray:
     """``int()`` or ``float()`` of every value, csv strings or a plain block's ``S`` array at once.
 
     ``S`` values are read by ``decimals``; those it leaves take numpy's
-    cast, which raises where ``int()``/``float()`` would.  An integer past
-    int64 raises ``OverflowError``.
+    cast, which raises where ``int()``/``float()`` would.  With ``refused``
+    None that ``ValueError`` is raised; else the values the cast took are
+    read one by one, ``refused`` standing for each that fails.  An integer
+    past int64 raises ``OverflowError``.
     """
+    read = int if dtype.kind == "i" else float
     if isinstance(texts, list):
-        return np.array([*map(int if dtype.kind == "i" else float, texts)], dtype)
-    value, odd = decimals(texts, dtype)
-    if odd.any():
+        value, odd, rest = np.empty(len(texts), dtype), slice(None), texts
+    else:
+        value, odd = decimals(texts, dtype)
+        rest = texts[odd]
+    try:
         with np.errstate(over="ignore"):  # "1e999" is inf, as float() gives it
-            value[odd] = texts[odd].astype(dtype)
+            value[odd] = [*map(read, rest)] if isinstance(rest, list) else rest.astype(dtype)
+    except ValueError:
+        if refused is None:
+            raise
+        out = np.full(len(rest), refused, dtype)
+        for i, text in enumerate(rest):
+            with suppress(ValueError):
+                out[i] = read(_text(text))
+        value[odd] = out
     return value
+
+
+def _text(field: bytes | str) -> str:
+    """A field as ``str``: float() strips str whitespace (``\\x1c``...) that it keeps in bytes."""
+    return field.decode("ascii") if isinstance(field, bytes) else field
 
 
 def _columns(path, chunk: PlainBlock | RowChunk, names: Sequence[str], where: Sequence[int],

@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .csvblocks import Columns, CsvBlocks, decimals, read_table, write_table
+from .csvblocks import Columns, CsvBlocks, _cast, _text, read_table, write_table
 from .errors import SchemaError
 from .grid import RequestModel, build_grid, distance_weights
 from .rng import RawDraws, stream
@@ -134,7 +134,9 @@ def _timestamps(texts: np.ndarray | Sequence[str]) -> np.ndarray:
     of its year's January 1 (``_JAN1``) plus the days before it in its
     year, which is what strptime gives for it; any other string
     (unpadded, ``T``-separated, out of range, with a NUL) goes to strptime
-    itself.
+    itself.  The digits are read here because numpy's ``datetime64[s]``
+    cast of an ``S19`` array segfaults on NumPy 2.4.6 when some 600 or more
+    stamps hold one that fails to parse (``2013-02-30 07:00:00``).
     """
     n = len(texts)
     if isinstance(texts, np.ndarray):
@@ -177,40 +179,6 @@ def _timestamps(texts: np.ndarray | Sequence[str]) -> np.ndarray:
     return out
 
 
-def _floats(texts: np.ndarray | Sequence[str]) -> np.ndarray:
-    """``float(text)`` of each field, NaN where it fails (such a row is skipped either way).
-
-    A plain block's ``S`` array is read by ``csvblocks.decimals``; the
-    values it leaves take numpy's cast, which is ``float()`` of each value.
-    """
-    if isinstance(texts, np.ndarray):
-        out, odd = decimals(texts, np.dtype(np.float64))
-        if odd.any():
-            out[odd] = _floats_cast(texts[odd])
-        return out
-    return _floats_cast(texts)
-
-
-def _floats_cast(texts: np.ndarray | Sequence[str]) -> np.ndarray:
-    """``_floats`` by numpy's cast or ``float()`` of the whole list, else value by value."""
-    try:
-        if isinstance(texts, np.ndarray):
-            with np.errstate(over="ignore"):  # "1e999" is inf, as float() gives it
-                return texts.astype(np.float64)
-        return np.fromiter(map(float, texts), np.float64, len(texts))
-    except ValueError:
-        out = np.full(len(texts), np.nan)
-        for i, text in enumerate(texts):
-            with suppress(ValueError):
-                out[i] = float(_text(text))
-        return out
-
-
-def _text(field: bytes | str) -> str:
-    """A field as ``str``: float() strips str whitespace (``\\x1c``...) that it keeps in bytes."""
-    return field.decode("ascii") if isinstance(field, bytes) else field
-
-
 def _trip_columns(ids: dict[str, int], cars, pickup, dropoff, *coords) -> tuple[tuple, int]:
     """One chunk's mapped fields as trip columns, and how many of its rows the row rule skips.
 
@@ -219,8 +187,8 @@ def _trip_columns(ids: dict[str, int], cars, pickup, dropoff, *coords) -> tuple[
     """
     # the two ends of each field pair are read in one pass
     pickup, dropoff = np.split(_timestamps(_pair(pickup, dropoff)), 2)
-    plat, dlat = np.split(_floats(_pair(coords[0], coords[2])), 2)
-    plon, dlon = np.split(_floats(_pair(coords[1], coords[3])), 2)
+    plat, dlat = np.split(_cast(_pair(coords[0], coords[2]), np.dtype(np.float64), np.nan), 2)
+    plon, dlon = np.split(_cast(_pair(coords[1], coords[3]), np.dtype(np.float64), np.nan), 2)
     coords = plat, plon, dlat, dlon
     keep = (dropoff >= pickup) & np.isfinite(coords).all(axis=0)
     if keep.all():

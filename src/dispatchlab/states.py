@@ -173,7 +173,7 @@ class StateSpace:
         """
         if self._moves is None:
             X = self.as_array()
-            rem = self.m - np.cumsum(X, axis=1, dtype=np.int64) + X
+            rem = self.m - np.cumsum(X, axis=1, dtype=np.int32) + X  # at most m
             base = self._rank_terms(X, rem)
             shift = np.zeros((2, self.size, self.n + 1), dtype=np.int32 if self.n * self.size < 2**31 else np.int64)
             for fwd in (0, 1):

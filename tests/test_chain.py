@@ -325,6 +325,20 @@ def test_periodic_permutation_chain_is_caught():
     assert check_aperiodic(frozen)
 
 
+def test_zero_diagonal_entries_are_no_self_loops():
+    """A stored zero on the diagonal neither settles a period nor makes a state periodic."""
+    space = StateSpace(build_grid(1, 2), m=1, c=1)
+    swap = kernel_from_rows(space, [{0: 0.0, 1: 1.0}, {0: 1.0, 1: 0.0}], None, False)
+    assert check_irreducible(swap)
+    assert not check_aperiodic(swap)
+    exact = kernel_from_rows(space, [{0: Fraction(0), 1: Fraction(1)}, {0: Fraction(1), 1: Fraction(0)}], None, True)
+    assert check_irreducible(exact) and not check_aperiodic(exact)
+    # state 0 keeps only a zero diagonal entry: no positive transition, so no period
+    stuck = kernel_from_rows(space, [{0: 0.0}, {0: 0.5, 1: 0.5}], None, False)
+    assert not check_irreducible(stuck)
+    assert check_aperiodic(stuck)
+
+
 def test_to_csr_holds_a_float_kernels_values_without_a_copy():
     space = StateSpace(build_grid(1, 2), m=1, c=1)
     rows = [{0: Fraction(1, 3), 1: Fraction(2, 3)}, {0: Fraction(1)}]

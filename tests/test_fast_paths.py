@@ -22,6 +22,7 @@ from dispatchlab import chain
 from dispatchlab.chain import (
     _gth_solve,
     build_transition,
+    check_aperiodic,
     check_irreducible,
     mixing_analysis,
     stationary_distribution,
@@ -241,6 +242,26 @@ def test_build_peak_memory_stays_near_the_kernel():
         tracemalloc.stop()
     assert space.size == 2900
     assert peak <= 3 * 16 * len(tm.data)
+
+
+def test_structure_checks_read_the_kernel_in_place():
+    """Irreducibility and period checks on the 5x5, m=3 greedy kernel (2,900 states) build no second kernel.
+
+    Building a pattern CSR and an int64 row index per entry peaked at 3.2
+    times the kernel's int32 columns and float64 values; reading its own
+    CSR peaks at 0.8 times, most of it ``to_csr``'s int64 column indices.
+    """
+    grid = build_grid(5, 5)
+    tm = build_transition(StateSpace(grid, 3, 2), uniform_request_model(grid, 1 / 625, weights=1.0),
+                          PolicySpec("greedy"))
+    tracemalloc.start()
+    try:
+        assert check_irreducible(tm) and check_aperiodic(tm)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tm.size == 2900 and tm.indices.dtype == np.int32
+    assert peak <= 1.5 * 12 * len(tm.data)
 
 
 @SLOW

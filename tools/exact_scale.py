@@ -6,11 +6,13 @@ Each case runs in a fresh Python process, so its peak RSS is its own:
 - 5x5, m=5, greedy (110,630 states): build
 - 5x5, m=5, nadap:0.8 (110,630 states): build and stationary solve
 
+After the build, every case also runs the structure checks
+(``check_irreducible`` and ``check_aperiodic``) on the fresh kernel.
 Arrivals are uniform, p = 1/n^2 on every ordered pair with weight 1, and
 c = 2.  Each case prints one JSON line: states, kernel entries (nnz),
-build and solve seconds, ``ru_maxrss`` in MB at the end of the case, and
-the build's tracemalloc peak in MB, with the kernel's size at 16 bytes an
-entry for scale.
+build, checks and solve seconds, ``ru_maxrss`` in MB at the end of the
+case, and the tracemalloc peaks of the build and of the checks in MB, with
+the kernel's size at 16 bytes an entry for scale.
 
     PYTHONPATH=src python tools/exact_scale.py            # every case
     PYTHONPATH=src python tools/exact_scale.py --case greedy-19850
@@ -34,30 +36,42 @@ CASES = {
 }
 
 
+def measured(call, *args):
+    """``call(*args)``, its seconds and its tracemalloc peak in bytes."""
+    tracemalloc.start()
+    try:
+        t0 = time.perf_counter()
+        result = call(*args)
+        seconds = time.perf_counter() - t0
+        return result, seconds, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def run_case(name: str) -> dict:
-    from dispatchlab.chain import build_transition, stationary_distribution
+    from dispatchlab.chain import build_transition, check_aperiodic, check_irreducible, stationary_distribution
     from dispatchlab.grid import build_grid, uniform_request_model
     from dispatchlab.policies import parse_policy
     from dispatchlab.states import StateSpace
+    from scipy.sparse import csgraph  # noqa: F401  (loaded here, so the checks' time and peak leave out its import)
 
     m, label, solve = CASES[name]
     grid = build_grid(5, 5)
     model = uniform_request_model(grid, 1.0 / grid.n**2, weights=1.0)
     policy = parse_policy(label)
     space = StateSpace(grid, m, 2)
-    tracemalloc.start()
-    t0 = time.perf_counter()
-    tm = build_transition(space, model, policy)
-    build_s = time.perf_counter() - t0
-    peak = tracemalloc.get_traced_memory()[1]
-    tracemalloc.stop()
+    tm, build_s, build_peak = measured(build_transition, space, model, policy)
+    checks, checks_s, checks_peak = measured(lambda: (check_irreducible(tm), check_aperiodic(tm)))
     out = {
         "case": name,
         "states": space.size,
         "nnz": len(tm.data),
         "build_s": round(build_s, 3),
-        "build_tracemalloc_peak_mb": round(peak / 2**20, 1),
+        "build_tracemalloc_peak_mb": round(build_peak / 2**20, 1),
         "kernel_mb_at_16_bytes": round(16 * len(tm.data) / 2**20, 1),
+        "checks": checks,
+        "checks_s": round(checks_s, 3),
+        "checks_tracemalloc_peak_mb": round(checks_peak / 2**20, 1),
     }
     if solve:
         t0 = time.perf_counter()
