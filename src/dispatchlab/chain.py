@@ -40,9 +40,9 @@ class TransitionMatrix:
 
     Entries are stored once as CSR arrays (``indptr``, ``indices``,
     ``data``), columns sorted within each row.  ``data`` holds floats, or
-    exact Fractions (object dtype) when ``exact`` is set.  The float CSR the
-    solvers use, its transpose and its strong components are built on first
-    request and cached.
+    exact Fractions (object dtype) when ``exact`` is set.  The float CSR
+    over those arrays and its strong components are cached on first use;
+    every forward step reads ``P.T``, the CSC view of that one CSR.
 
     ``orbit`` and ``reps`` are set by ``build_transition`` when the chain is
     invariant under the grid's symmetries: each state's orbit number, and
@@ -59,7 +59,6 @@ class TransitionMatrix:
         self.indices = indices
         self.data = data
         self._csr: sp.csr_array | None = None
-        self._csr_t: sp.csr_array | None = None
         self._classes: tuple | None = None
         self.orbit: np.ndarray | None = None
         self.reps: np.ndarray | None = None
@@ -79,19 +78,16 @@ class TransitionMatrix:
         return self.to_csr().toarray()
 
     def to_csr(self) -> sp.csr_array:
+        """The float kernel over the built ``indices`` and float ``data``, neither copied."""
         if self._csr is None:
             import scipy.sparse as sp  # on first use: fixture, ingest and simulate never load it
 
+            column = self.indices.dtype  # scipy widens both index arrays to the wider one's dtype
+            indptr = self.indptr.astype(column, copy=False) if len(self.data) <= np.iinfo(column).max else self.indptr
             self._csr = sp.csr_array(
-                (self.data.astype(float, copy=False), self.indices, self.indptr), shape=(self.size, self.size)
+                (self.data.astype(float, copy=False), self.indices, indptr), shape=(self.size, self.size)
             )
         return self._csr
-
-    def transposed(self) -> sp.csr_array:
-        """The float kernel's transpose as CSR, cached: ``PT @ x`` is ``x @ P`` bit for bit."""
-        if self._csr_t is None:
-            self._csr_t = self.to_csr().T.tocsr()
-        return self._csr_t
 
     @property
     def orbit_count(self) -> int | None:
@@ -302,7 +298,7 @@ def stationary_distribution(
         pi = _gth_solve(P)
         method, iterations = "elimination", 0
     else:
-        PT = tm.transposed() if tm.orbit is None else P.T.tocsr()
+        PT = P.T  # the CSC view: ``PT @ pi`` adds each entry's terms as ``pi @ P`` does
         pi = np.full(size, 1.0 / size)
         residual = math.inf
         for iterations in range(1, max_iter + 1):
@@ -321,7 +317,7 @@ def stationary_distribution(
     if tm.orbit is not None:
         pi = (pi / np.bincount(tm.orbit))[tm.orbit]
     if method == "elimination":
-        residual = float(np.abs(tm.to_csr().T @ pi - pi).sum())  # the CSC view sums as the transpose does
+        residual = float(np.abs(tm.to_csr().T @ pi - pi).sum())
     return StationaryResult(
         space=tm.space,
         pi=pi,
@@ -352,10 +348,11 @@ def _lumped_kernel(tm: TransitionMatrix) -> sp.csr_array:
 def _components(tm: TransitionMatrix) -> tuple[int, np.ndarray]:
     """Strongly connected classes of the kernel's digraph: count and labels.
 
-    csgraph reads the kernel's own CSR.  Off the diagonal every entry of a
-    built kernel is positive, and a self-loop, zero or not, joins no two
-    states, so these are the classes of the positive entries.  Found once
-    per kernel and cached on it, as its CSR is.  scipy is imported on first
+    csgraph reads the kernel's own CSR, whose index arrays are the built
+    ones, int32 columns included.  Off the diagonal every entry of a built
+    kernel is positive, and a self-loop, zero or not, joins no two states,
+    so these are the classes of the positive entries.  Found once per
+    kernel and cached on it, as its CSR is.  scipy is imported on first
     use, since csgraph loads its linear algebra.
     """
     if tm._classes is None:
@@ -465,23 +462,23 @@ def _start_block(part: np.ndarray, size: int, pi: np.ndarray, dist: np.ndarray) 
     return block
 
 
-def _product_into(PT: sp.csr_array, E: np.ndarray, out: np.ndarray) -> None:
-    """Write PT @ E into ``out``, both C-ordered (size, columns) float blocks.
+def _product_into(P: sp.csr_array, E: np.ndarray, out: np.ndarray) -> None:
+    """Write ``P.T @ E`` into ``out``, both C-ordered (size, columns) float blocks.
 
-    ``PT @ E`` runs scipy's csr_matvecs into a fresh zeroed block; this
-    runs the same kernel into the caller's, so the sums are the same bit
-    for bit.  csr_matvecs is private to scipy: where it is missing, the
-    product is ``@`` copied into ``out``.
+    ``P.T @ E`` runs scipy's csc_matvecs on P's own arrays into a fresh
+    zeroed block; this runs the same kernel into the caller's, so the sums
+    are the same bit for bit.  csc_matvecs is private to scipy: where it is
+    missing, the product is ``@`` copied into ``out``.
     """
-    if not (E.shape == out.shape == (PT.shape[1], E.shape[1]) and E.flags.c_contiguous and out.flags.c_contiguous):
+    if not (E.shape == out.shape == (P.shape[0], E.shape[1]) and E.flags.c_contiguous and out.flags.c_contiguous):
         raise ValueError("the product needs two C-ordered blocks of the kernel's size")
     try:
-        from scipy.sparse._sparsetools import csr_matvecs
+        from scipy.sparse._sparsetools import csc_matvecs
     except ImportError:
-        out[...] = PT @ E
+        out[...] = P.T @ E
         return
     out.fill(0.0)
-    csr_matvecs(PT.shape[0], PT.shape[1], E.shape[1], PT.indptr, PT.indices, PT.data, E.ravel(), out.ravel())
+    csc_matvecs(P.shape[1], P.shape[0], E.shape[1], P.indptr, P.indices, P.data, E.ravel(), out.ravel())
 
 
 def mixing_analysis(
@@ -494,17 +491,17 @@ def mixing_analysis(
 ) -> MixingReport:
     """Track the worst start's distance to stationary until every threshold is met.
 
-    All starts are propagated together (one column per start, stepped against
-    the transposed kernel).  From ``_SPLIT_WORK`` multiply-adds a round the
-    columns split into contiguous groups, one per usable CPU: each round
-    the calling thread steps the first group and a pool of one worker
-    fewer the rest.  A column's sums do not depend on its neighbours, so
-    every output is byte-identical at any group count.  Without a sample, a
-    chain with symmetry orbits steps one start per orbit, its least rank:
-    every start of an orbit is as far from pi as its representative.  Above
-    the exhaustive-size limit, which counts states, a start sample must be
-    supplied, and the curve is a lower bound flagged non-exhaustive.  A
-    sample is stepped as given.
+    All starts are propagated together (one column per start, stepped
+    through ``P.T``, the CSC view of the kernel's one CSR).  From
+    ``_SPLIT_WORK`` multiply-adds a round the columns split into contiguous
+    groups, one per usable CPU: each round the calling thread steps the
+    first group and a pool of one worker fewer the rest.  A column's sums
+    do not depend on its neighbours, so every output is byte-identical at
+    any group count.  Without a sample, a chain with symmetry orbits steps
+    one start per orbit, its least rank: every start of an orbit is as far
+    from pi as its representative.  Above the exhaustive-size limit, which
+    counts states, a start sample must be supplied, and the curve is a
+    lower bound flagged non-exhaustive.  A sample is stepped as given.
     """
     from concurrent.futures import ThreadPoolExecutor  # on first use: the CLI's import never loads it
 
@@ -529,11 +526,11 @@ def mixing_analysis(
             raise ValueError(f"start rank {outside[0]} is outside [0, {size})" if outside else "empty start sample")
         starts = np.asarray(sorted(set(ranks)))
         exhaustive = bool(len(starts) == size)
-    PT = tm.transposed()
+    P = tm.to_csr()
     # Contiguous column groups, one per thread.  A group keeps at least two columns:
     # numpy sums a lone column pairwise, where wider blocks and the oracle loop add row by row.
     cols = len(starts)
-    parts = np.array_split(starts, max(1, min(_usable_cpus(), PT.nnz * cols // _SPLIT_WORK, cols // 2)))
+    parts = np.array_split(starts, max(1, min(_usable_cpus(), P.nnz * cols // _SPLIT_WORK, cols // 2)))
     edges = np.cumsum([0] + [len(part) for part in parts])
     dist = np.empty(cols)
     # blocks[g][y, j]: Pr[state y after t rounds from start parts[g][j]]; spare[g] is its next iterate
@@ -543,7 +540,7 @@ def mixing_analysis(
     def step(g: int) -> None:
         # the dead iterate becomes the |E - pi| scratch; each column sums in the same order at any split
         old, new = blocks[g], spare[g]
-        _product_into(PT, old, new)
+        _product_into(P, old, new)
         blocks[g], spare[g] = new, old
         np.abs(np.subtract(new, pi[:, None], out=old), out=old).sum(axis=0, out=dist[edges[g]:edges[g + 1]])
 
@@ -676,7 +673,7 @@ def exact_error_curves(
         stationary = stationary_distribution(tm)
     esp = step_profit(space.as_array(), model, policy, space.c)
     limit = float(stationary.pi @ esp)
-    PT = tm.transposed()
+    PT = tm.to_csr().T
     mu = np.zeros(space.size)
     mu[space.rank(x0)] = 1.0
     w_t = np.empty(T)

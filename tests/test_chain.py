@@ -217,7 +217,7 @@ def test_stationary_reports_power_iterations():
 
 @pytest.mark.parametrize("label", ["greedy", "rand:NESW", "nadap:0.8"])
 def test_power_and_error_curves_step_the_transpose_as_x_at_p(monkeypatch, label):
-    """``PT @ x`` on the cached transpose gives the bytes of an ``x @ P`` loop.
+    """``P.T @ x`` on the CSC view of the kernel's CSR gives the bytes of an ``x @ P`` loop.
 
     nadap's orbit labels are dropped, so its full chain is iterated too.
     """

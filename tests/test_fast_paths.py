@@ -226,42 +226,76 @@ def test_kernel_arrays_are_pinned(m, label):
     assert kernel_digests(tm) == KERNEL_DIGESTS[m, label]
 
 
+def traced_peak(call, *args):
+    """``call(*args)`` and its tracemalloc peak in bytes."""
+    from scipy.sparse import csgraph  # noqa: F401  (loaded here, so the peak leaves out its import)
+
+    tracemalloc.start()
+    try:
+        result = call(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def greedy_5x5_kernel():
+    """The 5x5, m=3, c=2 greedy kernel under uniform arrivals: 2,900 states, 196,700 entries."""
+    grid = build_grid(5, 5)
+    return build_transition(StateSpace(grid, 3, 2), uniform_request_model(grid, 1 / 625, weights=1.0),
+                            PolicySpec("greedy"))
+
+
 def test_build_peak_memory_stays_near_the_kernel():
     """The 5x5, m=3 greedy build (2,900 states) holds one block of pairs at a time.
 
     Sorting every pair at once peaked at 7.2 times the kernel's 16 bytes an
     entry; blocks of source states peak at 2.3 times.
     """
-    grid = build_grid(5, 5)
-    space = StateSpace(grid, 3, 2)
-    tracemalloc.start()
-    try:
-        tm = build_transition(space, uniform_request_model(grid, 1 / 625, weights=1.0), PolicySpec("greedy"))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert space.size == 2900
+    tm, peak = traced_peak(greedy_5x5_kernel)
+    assert tm.size == 2900
     assert peak <= 3 * 16 * len(tm.data)
+
+
+def test_to_csr_wraps_the_built_arrays():
+    """The float CSR of the 5x5, m=3 greedy kernel shares its int32 columns and float values.
+
+    An int64 ``indptr`` made scipy widen the columns to an int64 copy, a
+    peak of 0.67 times the kernel's int32 columns and float64 values.
+    """
+    tm = greedy_5x5_kernel()
+    P, peak = traced_peak(tm.to_csr)
+    assert P.indices.dtype == np.int32
+    assert np.shares_memory(P.indices, tm.indices) and np.shares_memory(P.data, tm.data)
+    assert peak <= 0.05 * 12 * len(tm.data)
 
 
 def test_structure_checks_read_the_kernel_in_place():
     """Irreducibility and period checks on the 5x5, m=3 greedy kernel (2,900 states) build no second kernel.
 
     Building a pattern CSR and an int64 row index per entry peaked at 3.2
-    times the kernel's int32 columns and float64 values; reading its own
-    CSR peaks at 0.8 times, most of it ``to_csr``'s int64 column indices.
+    times the kernel's int32 columns and float64 values.  Reading its own
+    CSR peaked at 0.77 times while ``to_csr`` widened the columns to int64;
+    over the built columns it peaks at about 0.11 times.
     """
-    grid = build_grid(5, 5)
-    tm = build_transition(StateSpace(grid, 3, 2), uniform_request_model(grid, 1 / 625, weights=1.0),
-                          PolicySpec("greedy"))
-    tracemalloc.start()
-    try:
-        assert check_irreducible(tm) and check_aperiodic(tm)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    tm = greedy_5x5_kernel()
+    checks, peak = traced_peak(lambda: (check_irreducible(tm), check_aperiodic(tm)))
+    assert checks == (True, True)
     assert tm.size == 2900 and tm.indices.dtype == np.int32
-    assert peak <= 1.5 * 12 * len(tm.data)
+    assert peak <= 0.5 * 12 * len(tm.data)
+
+
+def test_power_solve_steps_the_kernel_in_place():
+    """Power iteration on the 5x5, m=3 greedy kernel reads the CSC view of its one CSR.
+
+    A cached int64 transpose with the CSR's int64 columns peaked at 2.8
+    times the kernel's int32 columns and float64 values; the view peaks at
+    about 0.8 times.
+    """
+    tm = greedy_5x5_kernel()
+    assert tm.size > chain.DENSE_SOLVE_LIMIT
+    res, peak = traced_peak(stationary_distribution, tm)
+    assert res.method == "power"
+    assert peak <= 1.25 * 12 * len(tm.data)
 
 
 @SLOW
@@ -444,17 +478,50 @@ def test_mixing_sweep_matches_row_block_loop_byte_for_byte(space, seed, policy, 
     assert (got.exhaustive, got.start_count) == (want.exhaustive, want.start_count)
 
 
+def assert_view_sums_as_the_transpose(P, seed: int) -> None:
+    """``P.T @ x`` and the sweep's product equal the transposed CSR's products byte for byte."""
+    rng = np.random.default_rng(seed)
+    x, E = rng.random(P.shape[0]), rng.random((P.shape[0], 3))
+    PT = P.T.tocsr()
+    out = np.full_like(E, np.nan)
+    chain._product_into(P, E, out)
+    assert (P.T @ x).tobytes() == (PT @ x).tobytes()
+    assert out.tobytes() == (PT @ E).tobytes()
+
+
+@pytest.mark.parametrize("m, label", [(3, "nadap:0.8"), (3, "rand:NESW"), (3, "greedy"), (4, "nadap:0.8")])
+def test_view_sums_as_the_transpose_on_bench_chains(m, label):
+    grid = build_grid(4, 4)
+    tm = build_transition(StateSpace(grid, m, 2), uniform_request_model(grid, 0.00390625), parse_policy(label))
+    assert_view_sums_as_the_transpose(tm.to_csr(), m)
+    if tm.orbit is not None:
+        assert_view_sums_as_the_transpose(chain._lumped_kernel(tm), m)
+
+
+@FAST
+@given(spaces(), st.integers(0, 2**16), policies())
+def test_view_sums_as_the_transpose_on_drawn_chains(space, seed, policy):
+    tm = build_transition(space, float_model(space.grid, seed), float_alpha(policy))
+    assert_view_sums_as_the_transpose(tm.to_csr(), seed)
+
+
+def test_view_sums_as_the_transpose_on_a_lumped_kernel():
+    tm = build_transition(LARGEST, invariant_model(LARGEST.grid, 3), PolicySpec("nadap", alpha=0.8))
+    assert tm.orbit is not None
+    assert_view_sums_as_the_transpose(chain._lumped_kernel(tm), 3)
+
+
 def test_sweep_product_fills_the_callers_block_as_matmul_does():
     space = StateSpace(build_grid(2, 3), 3, 2)
-    PT = build_transition(space, uniform_request_model(space.grid, 0.8 / 36), PolicySpec("greedy")).transposed()
+    P = build_transition(space, uniform_request_model(space.grid, 0.8 / 36), PolicySpec("greedy")).to_csr()
     E = np.random.default_rng(1).random((space.size, 3))
     out = np.full_like(E, np.nan)
-    chain._product_into(PT, E, out)
-    assert out.tobytes() == (PT @ E).tobytes()
+    chain._product_into(P, E, out)
+    assert out.tobytes() == (P.T @ E).tobytes() == (P.T.tocsr() @ E).tobytes()
     # the kernel writes through raw pointers: a block it cannot fill in place is refused
     for block, into in ((E, np.asfortranarray(out)), (np.asfortranarray(E), out), (E[:, :2].copy(), out)):
         with pytest.raises(ValueError, match="C-ordered blocks"):
-            chain._product_into(PT, block, into)
+            chain._product_into(P, block, into)
 
 
 class FaultyProduct:
@@ -466,11 +533,11 @@ class FaultyProduct:
     def __init__(self, product, on_caller: bool):
         self.product, self.on_caller, self.stepped = product, on_caller, set()
 
-    def __call__(self, PT, E, out):
+    def __call__(self, P, E, out):
         self.stepped.add(id(E))
         if (threading.current_thread() is threading.main_thread()) == self.on_caller:
             raise ArithmeticError("injected fault")
-        self.product(PT, E, out)
+        self.product(P, E, out)
 
 
 @pytest.mark.parametrize("on_caller", [False, True])

@@ -2,7 +2,6 @@
 
 from collections import Counter
 from fractions import Fraction
-from functools import partial
 
 import numpy as np
 import pytest
@@ -168,22 +167,23 @@ def test_serving_location_deterministic_policies():
 def test_nadap_coin_map_matches_probe_weights(shape):
     """The coin -> location map of nadap realizes nadap_probe_weights.
 
-    N evenly spaced midpoint coins land on each location (None included)
-    in the share its probe weight gives, up to the slice-edge rounding of
-    a few coins in N.
+    N evenly spaced midpoint coins land on each location (-1 for none) in
+    the share its probe weight gives, up to the slice-edge rounding of a
+    few coins in N.  The array map steps the coins; the test below ties it
+    to the scalar map.
     """
     N, tol = 240_000, 1e-4
     g = build_grid(*shape)
-    coins = [(i + 0.5) / N for i in range(N)]
-    state = [0] * g.n
+    coins = (np.arange(N) + 0.5) / N
     for alpha in (0.6, 0.8, 1.0):
         for boundary in ("renormalize", "lost"):
             policy = PolicySpec("nadap", alpha=alpha, boundary=boundary)
             for u in range(g.n):
-                hits = Counter(map(partial(serving_location, state, u, policy, g), coins))
+                locs, counts = np.unique(serving_locations(policy, g, None, u, coins), return_counts=True)
+                hits = Counter(dict(zip(locs.tolist(), counts.tolist())))
                 expected = Counter()
                 for loc, wgt in nadap_probe_weights(g, u, alpha, boundary):
-                    expected[loc] += wgt
+                    expected[-1 if loc is None else loc] += wgt
                 for loc in set(hits) | set(expected):
                     assert abs(hits[loc] / N - expected[loc]) <= tol, (alpha, boundary, u, loc)
 
