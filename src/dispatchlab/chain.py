@@ -211,20 +211,14 @@ def _entries(p, land, slot, origins, b, k, v):
 
 @dataclass
 class StationaryResult:
-    """Stationary distribution with its occupancy maps and solver diagnostics.
+    """Stationary distribution with its solver diagnostics.
 
-    gamma[u, v] is the stationary probability that a request (u, v) offered
-    to a driver at u is feasible: u holds a driver and, unless v == u (a
-    self-trip moves nobody), v is below capacity; the diagonal therefore
-    reduces to driver presence alone.  eta[u, v] keeps both of its clauses
-    literal: some location in the closed neighborhood of u holds a driver,
-    and v is below capacity.
+    ``gamma_map`` and ``eta_map`` read occupancy maps off ``pi`` where a
+    caller needs them.
     """
 
     space: StateSpace
     pi: np.ndarray
-    gamma: np.ndarray
-    eta: np.ndarray
     residual: float
     method: str
     policy: PolicySpec | None = None
@@ -258,7 +252,14 @@ def _gth_solve(P) -> np.ndarray:
 
 
 def gamma_map(space: StateSpace, pi: np.ndarray) -> np.ndarray:
-    """Service-feasibility map: gamma[u, v] = Pr[driver at u and (v == u or room at v)]."""
+    """Service-feasibility map: gamma[u, v] = Pr[driver at u and (v == u or room at v)].
+
+    gamma[u, v] is the probability under ``pi`` that a request (u, v)
+    offered to a driver at u is feasible: u holds a driver and, unless
+    v == u (a self-trip moves nobody), v is below capacity; the diagonal
+    therefore reduces to driver presence alone.  Three size x n float
+    arrays are made on the way.
+    """
     arr = space.as_array()
     occ = (arr >= 1).astype(float)
     room = (arr < space.c).astype(float)
@@ -268,7 +269,11 @@ def gamma_map(space: StateSpace, pi: np.ndarray) -> np.ndarray:
 
 
 def eta_map(space: StateSpace, pi: np.ndarray) -> np.ndarray:
-    """Neighborhood-availability map: eta[u, v] = Pr[driver within reach of u and room at v]."""
+    """Neighborhood-availability map: eta[u, v] = Pr[driver within reach of u and room at v].
+
+    Both clauses stay literal under ``pi``: some location in the closed
+    neighborhood of u holds a driver, and v is below capacity.
+    """
     n = space.n
     arr = space.as_array()
     reach = np.zeros((n + 1, n))  # reach[k, u]: k is u or its neighbor; row -1 takes the off-grid slots
@@ -321,8 +326,6 @@ def stationary_distribution(
     return StationaryResult(
         space=tm.space,
         pi=pi,
-        gamma=gamma_map(tm.space, pi),
-        eta=eta_map(tm.space, pi),
         residual=residual,
         method=method,
         policy=tm.policy,
@@ -406,38 +409,20 @@ def check_aperiodic(tm: TransitionMatrix) -> bool:
 # Mixing
 
 
-def tv_distance(mu, nu) -> float:
-    """Total variation distance: half the l1 distance between two distributions."""
-    mu = np.asarray(mu, dtype=float)
-    nu = np.asarray(nu, dtype=float)
-    if mu.shape != nu.shape:
-        raise ValueError(f"length mismatch: {mu.shape} vs {nu.shape}")
-    return 0.5 * float(np.abs(mu - nu).sum())
-
-
 @dataclass
 class MixingReport:
     """Worst-case distance-to-stationary curve and the thresholds it crosses.
 
     d_curve[t] = max over tracked starts of the total variation distance
-    after t rounds; tau[eps] is the first t with d(t) <= eps.  envelope,
-    when present, is a certified (C, beta) with d(t) <= C beta^t.
-    start_count counts the starts the maximum covers, every state when
-    exhaustive, even where only orbit representatives were stepped.
+    after t rounds; tau[eps] is the first t with d(t) <= eps.  start_count
+    counts the starts the maximum covers, every state when exhaustive,
+    even where only orbit representatives were stepped.
     """
 
     d_curve: np.ndarray
     tau: dict
-    envelope: tuple | None = None
     exhaustive: bool = True
     start_count: int = 0
-
-    def under_envelope(self) -> bool | None:
-        if self.envelope is None:
-            return None
-        C, beta = self.envelope
-        t = np.arange(len(self.d_curve))
-        return bool((self.d_curve <= C * beta**t + 1e-12).all())
 
 
 def _usable_cpus() -> int:
@@ -487,7 +472,6 @@ def mixing_analysis(
     epsilons: Sequence[float],
     t_max: int,
     start_ranks: Sequence[int] | None = None,
-    envelope: tuple | None = None,
 ) -> MixingReport:
     """Track the worst start's distance to stationary until every threshold is met.
 
@@ -502,6 +486,8 @@ def mixing_analysis(
     from pi as its representative.  Above the exhaustive-size limit, which
     counts states, a start sample must be supplied, and the curve is a
     lower bound flagged non-exhaustive.  A sample is stepped as given.
+    The report holds the curve, its thresholds and its starts; bounds on
+    the curve are checked by whoever holds them.
     """
     from concurrent.futures import ThreadPoolExecutor  # on first use: the CLI's import never loads it
 
@@ -571,8 +557,7 @@ def mixing_analysis(
             f"d({t_max}) = {curve[-1]:.3e} still above thresholds {missing}",
             d_curve=curve,
         )
-    return MixingReport(curve, tau, envelope=envelope, exhaustive=exhaustive,
-                        start_count=size if exhaustive else len(starts))
+    return MixingReport(curve, tau, exhaustive=exhaustive, start_count=size if exhaustive else len(starts))
 
 
 # ---------------------------------------------------------------------------
@@ -610,7 +595,7 @@ def uniform_availability(n: int, m: int):
 
 
 # ---------------------------------------------------------------------------
-# Uniform-case decay envelope and companions
+# Uniform-case bounds
 
 
 def uniform_decay_envelope(n: int, m: int) -> tuple[float, float]:

@@ -36,6 +36,7 @@ from .chain import (
     build_transition,
     check_aperiodic,
     check_irreducible,
+    gamma_map,
     limiting_objective,
     mixing_analysis,
     stationary_distribution,
@@ -398,16 +399,16 @@ def state_cells(space: StateSpace) -> np.ndarray:
 
 
 def mixing_outputs(options: dict, epsilons: list, tm, pi, n: int, m: int, start_ranks=None) -> tuple:
-    """A chain's mixing analysis, its mixing.csv table, and the tau and envelope keys of its report."""
-    envelope = uniform_decay_envelope(n, m) if options["arrivals"].startswith("uniform:") else None
-    mixing = mixing_analysis(tm, pi, epsilons, options["tmax"],
-                             start_ranks=start_ranks, envelope=envelope)
+    """A chain's mixing analysis, its mixing.csv table, and its report's tau and uniform-envelope keys."""
+    mixing = mixing_analysis(tm, pi, epsilons, options["tmax"], start_ranks=start_ranks)
     curve = mixing.d_curve
-    table = {"mixing.csv": (["t", "d_t"], Columns("%d,%.17g", (np.arange(len(curve)), curve)))}
+    rounds = np.arange(len(curve))
+    table = {"mixing.csv": (["t", "d_t"], Columns("%d,%.17g", (rounds, curve)))}
     keys = {"tau": {g17(e): t for e, t in sorted(mixing.tau.items())}}
-    if mixing.envelope is not None:
-        keys["envelope"] = {"C": mixing.envelope[0], "beta": mixing.envelope[1]}
-        keys["under_envelope"] = mixing.under_envelope()
+    if options["arrivals"].startswith("uniform:"):
+        C, beta = uniform_decay_envelope(n, m)
+        keys["envelope"] = {"C": C, "beta": beta}
+        keys["under_envelope"] = bool((curve <= C * beta**rounds + 1e-12).all())
     return mixing, table, keys
 
 
@@ -420,10 +421,11 @@ def cmd_exact(options) -> Run:
     objective = float(limiting_objective(stat, model, policy))
     irreducible = check_irreducible(tm)
     aperiodic = check_aperiodic(tm)
-    origin, dest = np.indices(stat.gamma.shape).reshape(2, -1)
+    gamma = gamma_map(space, stat.pi)
+    origin, dest = np.indices(gamma.shape).reshape(2, -1)
     tables = {
         "stationary.csv": (["state", "pi"], Columns("%s,%.17g", (state_cells(space), stat.pi))),
-        "gamma.csv": (["u", "v", "gamma"], Columns("%d,%d,%.17g", (origin, dest, stat.gamma.ravel()))),
+        "gamma.csv": (["u", "v", "gamma"], Columns("%d,%d,%.17g", (origin, dest, gamma.ravel()))),
     }
     report = {
         "states": space.size,

@@ -222,11 +222,6 @@ class RequestModel:
         return _total(self.p.ravel().tolist())
 
     @property
-    def w_max(self) -> float:
-        flat = self.w.ravel().tolist()
-        return max(flat) if flat else 0.0
-
-    @property
     def sum_w(self) -> Fraction | float:
         return _total(self.w.ravel().tolist())
 

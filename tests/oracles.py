@@ -19,7 +19,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from dispatchlab.chain import (MIXING_SIZE_LIMIT, MONOTONE_SLACK, MixingReport, OccupancyPairChain,
-                               StationaryResult, TransitionMatrix, _zero_one)
+                               StationaryResult, TransitionMatrix, _zero_one, gamma_map)
 from dispatchlab.errors import DispatchLabError, HorizonTooShortError, SchemaError, SizeLimitError
 from dispatchlab.grid import DIRECTIONS, Grid, RequestModel, build_grid, distance_weights, manhattan_distance
 from dispatchlab.ingest import (
@@ -302,7 +302,7 @@ def limiting_objective_gamma(stationary: StationaryResult, model: RequestModel, 
     adds p w times that over the requests, the off-grid probe mass left out.
     """
     grid = stationary.space.grid
-    gamma = stationary.gamma
+    gamma = gamma_map(stationary.space, stationary.pi)
     total = 0.0
     for u in range(grid.n):
         probes = nadap_probe_weights(grid, u, policy.alpha, policy.boundary)
@@ -432,7 +432,6 @@ def mixing_curve_loop(
     epsilons: Sequence[float],
     t_max: int,
     start_ranks: Sequence[int] | None = None,
-    envelope: tuple | None = None,
 ) -> MixingReport:
     """Track the worst start's distance to stationary until every threshold is met.
 
@@ -483,7 +482,7 @@ def mixing_curve_loop(
             f"d({t_max}) = {curve[-1]:.3e} still above thresholds {missing}",
             d_curve=curve,
         )
-    return MixingReport(curve, tau, envelope=envelope, exhaustive=exhaustive, start_count=len(starts))
+    return MixingReport(curve, tau, exhaustive=exhaustive, start_count=len(starts))
 
 
 def matrix_gap_series(chain: OccupancyPairChain, T: int) -> np.ndarray:

@@ -20,7 +20,6 @@ from dispatchlab.chain import (
     limiting_objective,
     mixing_analysis,
     stationary_distribution,
-    tv_distance,
     uniform_availability,
     uniform_average_gap_bound,
     uniform_closed_form_objective,
@@ -74,9 +73,27 @@ def test_toy_chain_stationary_and_maps():
     assert res.residual <= 1e-14
     assert res.method == "elimination"
     # gamma[u, u] is bare driver presence; off-diagonal adds room at v
-    assert np.allclose(res.gamma, [[0.5, 0.5], [0.5, 0.5]], atol=1e-14)
+    assert np.allclose(gamma_map(space, res.pi), [[0.5, 0.5], [0.5, 0.5]], atol=1e-14)
     # both cells are within reach of either cell, so eta reduces to room at v
-    assert np.allclose(res.eta, [[0.5, 0.5], [0.5, 0.5]], atol=1e-14)
+    assert np.allclose(eta_map(space, res.pi), [[0.5, 0.5], [0.5, 0.5]], atol=1e-14)
+
+
+def test_solves_and_sweeps_compute_no_occupancy_map(monkeypatch):
+    """The solve returns pi and the sweeps their curves; the occupancy maps are built only where asked."""
+
+    def refuse(*_args):
+        raise AssertionError("an occupancy map was built")
+
+    monkeypatch.setattr(chain, "gamma_map", refuse)
+    monkeypatch.setattr(chain, "eta_map", refuse)
+    g = build_grid(2, 2)
+    space = StateSpace(g, m=2, c=2)
+    model = uniform_request_model(g, 0.0625, weights=1)
+    policy = parse_policy("nadap:0.8")
+    tm = build_transition(space, model, policy)
+    res = stationary_distribution(tm)
+    mixing_analysis(tm, res.pi, [0.01], t_max=1000)
+    exact_error_curves(tm, model, policy, (2, 0, 0, 0), 20)
 
 
 def test_gamma_eta_maps_on_asymmetric_law():
@@ -428,12 +445,6 @@ def test_period_search_over_many_classes(periodic):
     assert check_aperiodic(tm) == (periodic is None)
 
 
-def test_tv_distance_basics():
-    assert tv_distance([1.0, 0.0], [0.0, 1.0]) == pytest.approx(1.0)
-    assert tv_distance([0.5, 0.5], [0.5, 0.5]) == 0.0
-    assert tv_distance([0.75, 0.25], [0.5, 0.5]) == pytest.approx(0.25)
-
-
 def test_mixing_curve_matches_toy_closed_form():
     _space, _model, tm = toy_two_cell_chain()
     res = stationary_distribution(tm)
@@ -480,10 +491,9 @@ def test_mixing_envelope_check():
     res = stationary_distribution(tm)
     env = uniform_decay_envelope(g.n, 2)
     assert env == (4.0, pytest.approx(np.exp(-1 / 16)))
-    report = mixing_analysis(tm, res.pi, [0.01], t_max=1000, envelope=env)
-    assert report.under_envelope() is True
-    none_report = mixing_analysis(tm, res.pi, [0.01], t_max=1000)
-    assert none_report.under_envelope() is None
+    report = mixing_analysis(tm, res.pi, [0.01], t_max=1000)
+    C, beta = env
+    assert (report.d_curve <= C * beta ** np.arange(len(report.d_curve)) + 1e-12).all()
     tau_bound = uniform_mixing_bound(g.n, 2, 0.01)
     assert tau_bound == pytest.approx(16 * np.log(400))
     assert report.tau[0.01] <= tau_bound

@@ -288,14 +288,16 @@ def test_power_solve_steps_the_kernel_in_place():
     """Power iteration on the 5x5, m=3 greedy kernel reads the CSC view of its one CSR.
 
     A cached int64 transpose with the CSR's int64 columns peaked at 2.8
-    times the kernel's int32 columns and float64 values; the view peaks at
-    about 0.8 times.
+    times the kernel's int32 columns and float64 values.  The view and the
+    iterates peak at about 0.05 times.  The solve builds no occupancy map:
+    ``gamma_map`` alone peaks at about 0.77 times, the size x n arrays it
+    makes on the way.
     """
     tm = greedy_5x5_kernel()
     assert tm.size > chain.DENSE_SOLVE_LIMIT
     res, peak = traced_peak(stationary_distribution, tm)
     assert res.method == "power"
-    assert peak <= 1.25 * 12 * len(tm.data)
+    assert peak <= 0.25 * 12 * len(tm.data)
 
 
 @SLOW

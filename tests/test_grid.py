@@ -137,7 +137,6 @@ def test_uniform_model_mass_and_weights():
     assert model.exact
     assert model.total_mass == 1
     assert model.sum_w == 16
-    assert model.w_max == 1
 
 
 def test_uniform_model_distance_weights_default():

@@ -7,14 +7,16 @@ Each case runs in a fresh Python process, so its peak RSS is its own:
 - 5x5, m=5, nadap:0.8 (110,630 states, solved on its 14,153 orbits)
 
 Every case builds the kernel, runs the structure checks
-(``check_irreducible`` and ``check_aperiodic``) on it, and solves for its
-stationary distribution.  Arrivals are uniform, p = 1/n^2 on every ordered
-pair with weight 1, and c = 2.  Each case prints one JSON line: states,
-kernel entries (nnz), build, checks and solve seconds, ``ru_maxrss`` in MB
-at the end of the case, the tracemalloc peaks of the build, the checks and
-the solve in MB, with the kernel's size at 16 bytes an entry for scale, the
-solve's method and power steps, and the first 16 hex digits of the sha256
-of pi's bytes, so two versions' answers can be compared.
+(``check_irreducible`` and ``check_aperiodic``) on it, solves for its
+stationary distribution, and reads ``gamma_map`` off pi, as ``exact`` does
+for gamma.csv.  Arrivals are uniform, p = 1/n^2 on every ordered pair with
+weight 1, and c = 2.  Each case prints one JSON line: states, kernel
+entries (nnz), build, checks, solve and gamma seconds, ``ru_maxrss`` in MB
+at the end of the case, the tracemalloc peaks of the build, the checks,
+the solve and the gamma map in MB, with the kernel's size at 16 bytes an
+entry for scale, the solve's method and power steps, and the first 16 hex
+digits of the sha256 of pi's bytes, so two versions' answers can be
+compared.
 
     PYTHONPATH=src python tools/exact_scale.py            # every case
     PYTHONPATH=src python tools/exact_scale.py --case greedy-19850
@@ -52,7 +54,8 @@ def measured(call, *args):
 
 
 def run_case(name: str) -> dict:
-    from dispatchlab.chain import build_transition, check_aperiodic, check_irreducible, stationary_distribution
+    from dispatchlab.chain import (build_transition, check_aperiodic, check_irreducible, gamma_map,
+                                   stationary_distribution)
     from dispatchlab.grid import build_grid, uniform_request_model
     from dispatchlab.policies import parse_policy
     from dispatchlab.states import StateSpace
@@ -66,6 +69,7 @@ def run_case(name: str) -> dict:
     tm, build_s, build_peak = measured(build_transition, space, model, policy)
     checks, checks_s, checks_peak = measured(lambda: (check_irreducible(tm), check_aperiodic(tm)))
     res, solve_s, solve_peak = measured(stationary_distribution, tm)
+    _gamma, gamma_s, gamma_peak = measured(gamma_map, space, res.pi)
     return {
         "case": name,
         "states": space.size,
@@ -78,6 +82,8 @@ def run_case(name: str) -> dict:
         "checks_tracemalloc_peak_mb": round(checks_peak / 2**20, 1),
         "solve_s": round(solve_s, 3),
         "solve_tracemalloc_peak_mb": round(solve_peak / 2**20, 1),
+        "gamma_s": round(gamma_s, 3),
+        "gamma_tracemalloc_peak_mb": round(gamma_peak / 2**20, 1),
         "method": res.method,
         "iterations": res.iterations,
         "pi_sha256": hashlib.sha256(res.pi.tobytes()).hexdigest()[:16],
