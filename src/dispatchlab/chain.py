@@ -40,9 +40,11 @@ class TransitionMatrix:
 
     Entries are stored once as CSR arrays (``indptr``, ``indices``,
     ``data``), columns sorted within each row.  ``data`` holds floats, or
-    exact Fractions (object dtype) when ``exact`` is set.  The float CSR
+    exact Fractions (object dtype, which ``exact`` reads).  The float CSR
     over those arrays and its strong components are cached on first use;
     every forward step reads ``P.T``, the CSC view of that one CSR.
+    ``space``, ``model`` and ``policy`` are those the chain was built from;
+    a hand-written kernel has None for model and policy, and no objective.
 
     ``orbit`` and ``reps`` are set by ``build_transition`` when the chain is
     invariant under the grid's symmetries: each state's orbit number, and
@@ -50,11 +52,11 @@ class TransitionMatrix:
     stay None for every other chain.
     """
 
-    def __init__(self, space: StateSpace, indptr, indices, data, policy: PolicySpec | None, exact: bool):
+    def __init__(self, space: StateSpace, indptr, indices, data, policy: PolicySpec | None, model: RequestModel | None):
         """Kernel from CSR arrays, columns sorted within each row, taken as given."""
         self.space = space
         self.policy = policy
-        self.exact = exact
+        self.model = model
         self.indptr = indptr
         self.indices = indices
         self.data = data
@@ -66,6 +68,10 @@ class TransitionMatrix:
     @property
     def size(self) -> int:
         return self.space.size
+
+    @property
+    def exact(self) -> bool:
+        return self.data.dtype == object
 
     def entry(self, x: int, y: int):
         a, b = self.indptr[x], self.indptr[x + 1]
@@ -162,7 +168,7 @@ def build_transition(space: StateSpace, model: RequestModel, policy: PolicySpec)
         vals.append(val[order])
     indptr = np.zeros(size + 1, dtype=np.int64)
     np.cumsum(np.concatenate(widths), out=indptr[1:])
-    tm = TransitionMatrix(space, indptr, np.concatenate(cols), np.concatenate(vals), policy, exact)
+    tm = TransitionMatrix(space, indptr, np.concatenate(cols), np.concatenate(vals), policy, model)
     if policy.kind == "nadap":
         tm.orbit, tm.reps = _symmetry_orbits(space, model)
     return tm
@@ -211,17 +217,15 @@ def _entries(p, land, slot, origins, b, k, v):
 
 @dataclass
 class StationaryResult:
-    """Stationary distribution with its solver diagnostics.
+    """Stationary distribution of a kernel with its solver diagnostics.
 
-    ``gamma_map`` and ``eta_map`` read occupancy maps off ``pi`` where a
-    caller needs them.
+    The kernel solved holds the space, model and policy; ``gamma_map``,
+    ``eta_map`` and ``limiting_objective`` read ``pi`` with it.
     """
 
-    space: StateSpace
     pi: np.ndarray
     residual: float
     method: str
-    policy: PolicySpec | None = None
     iterations: int = 0  # power steps taken; 0 for elimination
 
 
@@ -323,14 +327,7 @@ def stationary_distribution(
         pi = (pi / np.bincount(tm.orbit))[tm.orbit]
     if method == "elimination":
         residual = float(np.abs(tm.to_csr().T @ pi - pi).sum())
-    return StationaryResult(
-        space=tm.space,
-        pi=pi,
-        residual=residual,
-        method=method,
-        policy=tm.policy,
-        iterations=iterations,
-    )
+    return StationaryResult(pi=pi, residual=residual, method=method, iterations=iterations)
 
 
 def _lumped_kernel(tm: TransitionMatrix) -> sp.csr_array:
@@ -564,19 +561,16 @@ def mixing_analysis(
 # Per-state expected profit and limiting objectives
 
 
-def limiting_objective(stationary: StationaryResult, model: RequestModel, policy: PolicySpec):
-    """Long-run per-round profit under the stationary law of the policy's chain.
+def limiting_objective(tm: TransitionMatrix, pi: np.ndarray) -> float:
+    """Long-run per-round profit of the chain ``tm`` under its stationary law ``pi``.
 
-    ``pi @ step_profit`` for every policy; tests/oracles.py keeps nadap's
-    closed path through the gamma map as an independent check.
+    ``pi @ step_profit`` over the kernel's own space, model and policy, for
+    every policy; tests/oracles.py keeps nadap's closed path through the
+    gamma map as an independent check.  A hand-written kernel (model None)
+    has no objective.
     """
-    if stationary.policy is not None and stationary.policy.label() != policy.label():
-        raise ValueError(
-            f"stationary result was computed for {stationary.policy.label()}, not {policy.label()}"
-        )
-    space = stationary.space
-    esp = step_profit(space.as_array(), model, policy, space.c)
-    return float(stationary.pi @ esp)
+    space = tm.space
+    return float(pi @ step_profit(space.as_array(), tm.model, tm.policy, space.c))
 
 
 def uniform_closed_form_objective(n: int, m: int, p, sum_w):
@@ -637,27 +631,22 @@ class ExactCurves:
     delta_hat: np.ndarray
 
 
-def exact_error_curves(
-    tm: TransitionMatrix,
-    model: RequestModel,
-    policy: PolicySpec,
-    x0: Sequence[int],
-    T: int,
-    stationary: StationaryResult | None = None,
-) -> ExactCurves:
+def exact_error_curves(tm: TransitionMatrix, x0: Sequence[int], T: int, pi: np.ndarray | None = None) -> ExactCurves:
     """Propagate the start law T rounds and compare each round's profit to the limit.
 
-    Round t collects the expected profit of the state reached after t
+    Profits are those of the kernel's own model and policy; the limit
+    weighs them by its stationary law ``pi``, solved here when None.  Round
+    t collects the expected profit of the state reached after t
     transitions, so w_t[0] is the start state's own expected profit; the
     running average over rounds 0..T-1 gives the averaged gap.
     """
     if T < 1:
         raise ValueError("need at least one round")
     space = tm.space
-    if stationary is None:
-        stationary = stationary_distribution(tm)
-    esp = step_profit(space.as_array(), model, policy, space.c)
-    limit = float(stationary.pi @ esp)
+    if pi is None:
+        pi = stationary_distribution(tm).pi
+    esp = step_profit(space.as_array(), tm.model, tm.policy, space.c)
+    limit = float(pi @ esp)
     PT = tm.to_csr().T
     mu = np.zeros(space.size)
     mu[space.rank(x0)] = 1.0

@@ -7,13 +7,6 @@ and outputs, and an argv that replays the run exactly.  Numeric CSV cells
 use 17 significant digits so byte-level diffs are meaningful across
 platforms.  Configuration precedence is flags, then ``--config`` file
 (flat ``key=value`` lines, ``#`` comments), then built-in defaults.
-
-``--threads`` (default 1) is accepted and recorded but changes nothing:
-one process steps all runs of an ensemble at once and reduces them in run
-order, so there is no per-run loop to shard and no output depends on it.
-It does not govern the mixing sweep's threads, which
-``chain.mixing_analysis`` sizes from the usable CPUs, nor numpy's and
-scipy's BLAS threads.
 """
 
 from __future__ import annotations
@@ -313,7 +306,6 @@ def finish_run(
         "argv": list(argv),
         "rerun_argv": rerun,
         "seed": options.get("seed"),
-        "threads": options.get("threads"),
         "config": options,
         "inputs": {str(p): sha256_file(p) for p in (inputs or [])},
         "outputs": {name: sha256_file(outdir / name) for name in sorted(outputs)},
@@ -371,9 +363,6 @@ def add_common(spec: SubSpec) -> None:
     spec.add("--out", type=str, default="out", help="output directory (default: out)")
     spec.add("--format", type=str, default="json", choices=("json", "csv"),
              help="report format: json (default) or key,value csv")
-    spec.add("--threads", type=int, default=1,
-             help="recorded only: one process steps all runs at once and reduces them in run order; "
-                  "the mixing sweep and BLAS size their own threads")
     spec.parser.add_argument("--config", dest="config", default=None,
                              help="flat key=value config file; flags win over it")
 
@@ -398,7 +387,7 @@ def state_cells(space: StateSpace) -> np.ndarray:
     return np.array([quote(format_state(x)) for x in space.as_array().tolist()], dtype=object)
 
 
-def mixing_outputs(options: dict, epsilons: list, tm, pi, n: int, m: int, start_ranks=None) -> tuple:
+def mixing_outputs(options: dict, epsilons: list, tm, pi, start_ranks=None) -> tuple:
     """A chain's mixing analysis, its mixing.csv table, and its report's tau and uniform-envelope keys."""
     mixing = mixing_analysis(tm, pi, epsilons, options["tmax"], start_ranks=start_ranks)
     curve = mixing.d_curve
@@ -406,7 +395,7 @@ def mixing_outputs(options: dict, epsilons: list, tm, pi, n: int, m: int, start_
     table = {"mixing.csv": (["t", "d_t"], Columns("%d,%.17g", (rounds, curve)))}
     keys = {"tau": {g17(e): t for e, t in sorted(mixing.tau.items())}}
     if options["arrivals"].startswith("uniform:"):
-        C, beta = uniform_decay_envelope(n, m)
+        C, beta = uniform_decay_envelope(tm.space.n, tm.space.m)
         keys["envelope"] = {"C": C, "beta": beta}
         keys["under_envelope"] = bool((curve <= C * beta**rounds + 1e-12).all())
     return mixing, table, keys
@@ -418,7 +407,7 @@ def cmd_exact(options) -> Run:
     space = StateSpace(grid, m, c)
     tm = build_transition(space, model, policy)
     stat = stationary_distribution(tm)
-    objective = float(limiting_objective(stat, model, policy))
+    objective = limiting_objective(tm, stat.pi)
     irreducible = check_irreducible(tm)
     aperiodic = check_aperiodic(tm)
     gamma = gamma_map(space, stat.pi)
@@ -439,7 +428,7 @@ def cmd_exact(options) -> Run:
         "policy": policy.label(),
     }
     if space.size <= MIXING_SIZE_LIMIT:
-        _mixing, table, keys = mixing_outputs(options, epsilons, tm, stat.pi, grid.n, m)
+        _mixing, table, keys = mixing_outputs(options, epsilons, tm, stat.pi)
         tables.update(table)
         report.update(keys)
     else:
@@ -463,7 +452,7 @@ def cmd_mixing(options) -> Run:
             raise ValueError(f"--starts must lie in [1, {space.size}]")
         seed = resolve_seed(options)
         start_ranks = stream(seed, 7).choice(space.size, size=k, replace=False)
-    mixing, table, keys = mixing_outputs(options, epsilons, tm, stat.pi, grid.n, m, start_ranks)
+    mixing, table, keys = mixing_outputs(options, epsilons, tm, stat.pi, start_ranks)
     report = {
         "states": space.size,
         "exhaustive": mixing.exhaustive,
@@ -537,8 +526,8 @@ def cmd_simulate(options) -> Run:
         try:
             space = StateSpace(grid, m, c)
             if space.size <= MIXING_SIZE_LIMIT:
-                stat = stationary_distribution(build_transition(space, model, policy))
-                target = float(limiting_objective(stat, model, policy))
+                tm = build_transition(space, model, policy)
+                target = limiting_objective(tm, stationary_distribution(tm).pi)
                 target_note = "exact stationary objective"
         except DispatchLabError:
             pass

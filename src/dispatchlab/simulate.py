@@ -167,7 +167,6 @@ class ErrorSeries:
     standard deviations over runs divided by sqrt(runs).
     """
 
-    t: np.ndarray
     w_mean: np.ndarray
     w_stderr: np.ndarray
     obj_running: np.ndarray
@@ -405,7 +404,6 @@ def run_ensemble(config: SimConfig) -> ErrorSeries:
         obj_stderr = 0.0
     obj_running = np.cumsum(w_mean) / np.arange(1, T + 1)
     return ErrorSeries(
-        t=np.arange(T),
         w_mean=w_mean,
         w_stderr=w_stderr,
         obj_running=obj_running,

@@ -19,7 +19,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from dispatchlab.chain import (MIXING_SIZE_LIMIT, MONOTONE_SLACK, MixingReport, OccupancyPairChain,
-                               StationaryResult, TransitionMatrix, _zero_one, gamma_map)
+                               TransitionMatrix, _zero_one, gamma_map)
 from dispatchlab.errors import DispatchLabError, HorizonTooShortError, SchemaError, SizeLimitError
 from dispatchlab.grid import DIRECTIONS, Grid, RequestModel, build_grid, distance_weights, manhattan_distance
 from dispatchlab.ingest import (
@@ -294,15 +294,15 @@ def expected_step_profit(state: Sequence[int], model: RequestModel, policy: Poli
     return total
 
 
-def limiting_objective_gamma(stationary: StationaryResult, model: RequestModel, policy: PolicySpec) -> float:
-    """nadap's long-run per-round profit through the gamma map, request by request.
+def limiting_objective_gamma(tm: TransitionMatrix, pi: np.ndarray) -> float:
+    """nadap's long-run per-round profit of the chain ``tm`` through the gamma map, request by request.
 
     nadap's probe lands independently of the state, so a request (u, v) is
     served with probability sum_k probe(u, k) gamma[k, v]; the objective
     adds p w times that over the requests, the off-grid probe mass left out.
     """
-    grid = stationary.space.grid
-    gamma = gamma_map(stationary.space, stationary.pi)
+    model, policy, grid = tm.model, tm.policy, tm.space.grid
+    gamma = gamma_map(tm.space, pi)
     total = 0.0
     for u in range(grid.n):
         probes = nadap_probe_weights(grid, u, policy.alpha, policy.boundary)
@@ -323,14 +323,14 @@ def limiting_objective_gamma(stationary: StationaryResult, model: RequestModel, 
 
 
 def kernel_from_rows(space: StateSpace, rows: Sequence[dict], policy: PolicySpec | None,
-                     exact: bool) -> TransitionMatrix:
+                     exact: bool, model: RequestModel | None = None) -> TransitionMatrix:
     """Kernel from per-state {destination rank: probability} mappings, taken as given."""
     rows = [sorted(row.items()) for row in rows]
     indptr = np.zeros(len(rows) + 1, dtype=np.int64)
     np.cumsum([len(row) for row in rows], out=indptr[1:])
     indices = np.array([j for row in rows for j, _ in row], dtype=np.int64)
     data = np.array([p for row in rows for _, p in row], dtype=object if exact else float)
-    return TransitionMatrix(space, indptr, indices, data, policy, exact)
+    return TransitionMatrix(space, indptr, indices, data, policy, model)
 
 
 def kernel_rows(tm: TransitionMatrix) -> list[dict]:
@@ -385,7 +385,7 @@ def build_transition_from_policy(space: StateSpace, model: RequestModel, policy:
                     continue
                 iy = move_rank(space, x, k, v)
                 row[iy] = row.get(iy, zero) + pv
-    return kernel_from_rows(space, _finish_rows(space, off_rows, exact), policy, exact)
+    return kernel_from_rows(space, _finish_rows(space, off_rows, exact), policy, exact, model)
 
 
 def same_transitions(a: TransitionMatrix, b: TransitionMatrix, tol=0) -> bool:
@@ -659,7 +659,6 @@ def run_ensemble_scalar(config: SimConfig) -> ErrorSeries:
         obj_stderr = 0.0
     obj_running = np.cumsum(w_mean) / np.arange(1, T + 1)
     return ErrorSeries(
-        t=np.arange(T),
         w_mean=w_mean,
         w_stderr=w_stderr,
         obj_running=obj_running,

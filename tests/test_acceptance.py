@@ -20,9 +20,11 @@ import json
 import math
 import time
 from fractions import Fraction
+from unittest.mock import patch
 
 import numpy as np
 
+from dispatchlab import chain
 from dispatchlab.chain import (
     build_occupancy_pair_chain,
     build_transition,
@@ -88,7 +90,7 @@ def test_criterion_01_closed_form_limit():
     g, space, model = _square_uniform_instance()
     tm = build_transition(space, model, PolicySpec("nadap", alpha=0.8))
     res = stationary_distribution(tm)
-    obj = float(limiting_objective(res, model, parse_policy("nadap:0.8")))
+    obj = limiting_objective(tm, res.pi)
     pi_err = float(np.abs(res.pi - 1.0 / space.size).max())
     elapsed = time.perf_counter() - t0
     ok = (
@@ -233,13 +235,10 @@ def test_criterion_04b_pair_chain_reference_ratio():
 def test_criterion_05_profit_gap_envelopes():
     t0 = time.perf_counter()
     g, space, model = _square_uniform_instance()
-    spec = parse_policy("nadap:0.8")
     tm = build_transition(space, model, PolicySpec("nadap", alpha=0.8))
     res = stationary_distribution(tm)
     horizon = 10_001  # rounds 0..10^4 inclusive
-    curves = exact_error_curves(
-        tm, model, spec, initial_state_preset(g, 2, 2, "adversarial"), horizon, stationary=res
-    )
+    curves = exact_error_curves(tm, initial_state_preset(g, 2, 2, "adversarial"), horizon, pi=res.pi)
     n, m = g.n, 2
     sum_w = float(model.sum_w)
     # the true curves satisfy the bounds with wide margin; the 1e-12 slack
@@ -276,7 +275,7 @@ def test_criterion_06_monte_carlo_convergence():
 
     tm = build_transition(space, model, PolicySpec("nadap", alpha=0.8))
     res = stationary_distribution(tm)
-    curves = exact_error_curves(tm, model, spec, start, 10_000, stationary=res)
+    curves = exact_error_curves(tm, start, 10_000, pi=res.pi)
     # the exact curve is meaningful only above the double-precision floor it
     # parks at (~3e-16); fit the decay segment, cut three decades above that
     last = int(np.max(np.nonzero(curves.delta > 1e-12)[0]))
@@ -538,28 +537,40 @@ def test_criterion_10_manifest_rerun_byte_reproduction(tmp_path):
         "fixture": ["fixture", "--trips", "90", "--seed", "5"],
         "ingest": ["ingest", "--input", str(trips), "--segment", "morning", "--emit", "model"],
     }
-    failures = []
+    # the first run steps the mixing sweep as one column group; the rerun splits it over 4 threads
+    failures, groups = [], {}
     for name, argv in cases.items():
         first = tmp_path / f"{name}-t1"
-        if main(argv + ["--threads", "1", "--out", str(first)]) != 0:
+        with patch.object(chain, "_usable_cpus", lambda: 1):
+            code = main(argv + ["--out", str(first)])
+        if code != 0:
             failures.append((name, "first run failed"))
             continue
         manifest = json.loads((first / "manifest.json").read_text())
         rerun = list(manifest["rerun_argv"])
         second = tmp_path / f"{name}-t4"
         rerun[rerun.index("--out") + 1] = str(second)
-        rerun[rerun.index("--threads") + 1] = "4"
-        if main(rerun) != 0:
+        widths = []
+
+        def spy(P, E, out, product=chain._product_into):
+            widths.append(E.shape[1])
+            product(P, E, out)
+
+        with patch.multiple(chain, _usable_cpus=lambda: 4, _SPLIT_WORK=1, _product_into=spy):
+            code = main(rerun)
+        if code != 0:
             failures.append((name, "rerun failed"))
             continue
+        if widths:  # groups a round: each round steps every group once; mixing.csv holds t = 0..T
+            groups[name] = len(widths) // (len((second / "mixing.csv").read_text().splitlines()) - 2)
         for fname, digest in manifest["outputs"].items():
             if _sha(first / fname) != digest or _sha(second / fname) != digest:
                 failures.append((name, fname))
-    ok = not failures
+    ok = not failures and groups.get("mixing", 0) >= 2
     _verdict(
         "10",
         ok,
         f"{len(cases)} subcommands re-run from their manifests reproduce "
-        f"every output byte for byte across thread counts 1 and 4 "
-        f"(failures: {failures or 'none'})",
+        f"every output byte for byte with the mixing sweep on 1 thread and then "
+        f"split over 4 (rerun column groups: {groups}; failures: {failures or 'none'})",
     )

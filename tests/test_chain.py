@@ -66,6 +66,25 @@ def test_toy_chain_is_exactly_symmetric_random_walk():
     assert tm.row_sum_error() == 0
 
 
+def test_kernel_carries_its_model_and_reads_exactness_off_its_values():
+    """A built kernel holds the space, model and policy it came from; ``exact`` is its values' dtype."""
+    g = build_grid(2, 2)
+    space = StateSpace(g, m=2, c=2)
+    rational, floats = uniform_request_model(g, Fraction(1, 16), weights=1), uniform_request_model(g, 0.0625)
+    cases = ((rational, PolicySpec("nadap", alpha=Fraction(4, 5)), True),
+             (rational, parse_policy("nadap:0.8"), False),
+             (rational, parse_policy("greedy"), True),
+             (floats, parse_policy("greedy"), False))
+    for model, policy, exact in cases:
+        tm = build_transition(space, model, policy)
+        assert tm.space is space and tm.model is model and tm.policy is policy
+        assert tm.exact is exact and (tm.data.dtype == object) is exact
+        tm.data = tm.data.astype(float)
+        assert tm.exact is False
+    by_hand = kernel_from_rows(space, [{i: Fraction(1)} for i in range(space.size)], None, True)
+    assert by_hand.exact is True and by_hand.model is None and by_hand.policy is None
+
+
 def test_toy_chain_stationary_and_maps():
     space, _model, tm = toy_two_cell_chain()
     res = stationary_distribution(tm)
@@ -93,7 +112,7 @@ def test_solves_and_sweeps_compute_no_occupancy_map(monkeypatch):
     tm = build_transition(space, model, policy)
     res = stationary_distribution(tm)
     mixing_analysis(tm, res.pi, [0.01], t_max=1000)
-    exact_error_curves(tm, model, policy, (2, 0, 0, 0), 20)
+    exact_error_curves(tm, (2, 0, 0, 0), 20)
 
 
 def test_gamma_eta_maps_on_asymmetric_law():
@@ -188,7 +207,7 @@ def test_uniform_square_instance_has_uniform_stationary_law():
     res = stationary_distribution(tm)
     assert space.size == 10
     assert np.abs(res.pi - 0.1).max() < 1e-10
-    obj = limiting_objective(res, model, parse_policy("nadap:0.8"))
+    obj = limiting_objective(tm, res.pi)
     assert abs(obj - 0.4) < 1e-10
     closed = uniform_closed_form_objective(g.n, 2, 1 / 16, float(model.sum_w))
     assert abs(obj - closed) < 1e-10
@@ -254,7 +273,7 @@ def test_power_and_error_curves_step_the_transpose_as_x_at_p(monkeypatch, label)
         residual = float(np.abs(nxt - pi).sum())
         pi = nxt
     assert (res.method, res.pi.tobytes(), res.residual) == ("power", pi.tobytes(), residual)
-    curves = exact_error_curves(tm, model, policy, space.as_array()[0], 40, stationary=res)
+    curves = exact_error_curves(tm, space.as_array()[0], 40, pi=res.pi)
     esp = step_profit(space.as_array(), model, policy, space.c)
     mu = np.zeros(space.size)
     mu[0] = 1.0
@@ -290,18 +309,12 @@ def test_limiting_objective_routes_match_across_policies():
         space = StateSpace(g, m=m, c=c)
         model = uniform_request_model(g, rate, weights=1)
         policy = parse_policy(label)
-        res = stationary_distribution(build_transition(space, model, policy))
-        objective = limiting_objective(res, model, policy)
+        tm = build_transition(space, model, policy)
+        res = stationary_distribution(tm)
+        objective = limiting_objective(tm, res.pi)
         esp = step_profit(space.as_array(), model, policy, space.c)
         assert objective == float(res.pi @ esp), label
-        assert abs(limiting_objective_gamma(res, model, policy) - objective) < 1e-12, label
-
-
-def test_limiting_objective_rejects_policy_mismatch():
-    _space, model, tm = toy_two_cell_chain()
-    res = stationary_distribution(tm)
-    with pytest.raises(ValueError):
-        limiting_objective(res, model, parse_policy("rand:NESW"))
+        assert abs(limiting_objective_gamma(tm, res.pi) - objective) < 1e-12, label
 
 
 def test_esp_profile_matches_pointwise_profit():
@@ -547,7 +560,7 @@ def test_exact_error_curves_against_dense_propagation():
     res = stationary_distribution(tm)
     x0 = (2, 0, 0, 0)
     T = 60
-    curves = exact_error_curves(tm, model, policy, x0, T, stationary=res)
+    curves = exact_error_curves(tm, x0, T, pi=res.pi)
     assert len(curves.w_t) == T
     # oracle: propagate the start row against the dense kernel directly
     P = tm.to_dense()

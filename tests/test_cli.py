@@ -14,7 +14,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from dispatchlab import csvblocks
+from dispatchlab import chain, csvblocks
 from dispatchlab.cli import main, write_json, write_report
 from dispatchlab.grid import build_grid, uniform_request_model
 from oracles import (
@@ -167,18 +167,36 @@ def test_rerun_from_manifest_reproduces_bytes(tmp_path):
         assert sha(out1 / name) == digest, name
 
 
-def test_thread_count_recorded_but_output_invariant(tmp_path):
-    args = ["simulate", "--grid", "2x2", "--drivers", "2", "--capacity", "2",
-            "--arrivals", "uniform:0.0625", "--policy", "nadap:0.8",
-            "--rounds", "50", "--runs", "3", "--seed", "5"]
-    code, out1 = run(args + ["--threads", "1"], tmp_path, "t1")
-    assert code == 0
-    code, out4 = run(args + ["--threads", "4"], tmp_path, "t4")
-    assert code == 0
-    m1 = read_json(out1 / "manifest.json")
-    m4 = read_json(out4 / "manifest.json")
-    assert m1["threads"] == 1 and m4["threads"] == 4
-    assert m1["outputs"] == m4["outputs"]
+def test_mixing_outputs_do_not_depend_on_the_sweeps_threads(tmp_path):
+    """The mixing sweep steps one column group, then four on as many threads: the same bytes.
+
+    Its groups are the only threads a run steps, sized from the usable CPUs, so
+    no flag, config key or manifest entry names a thread count.
+    """
+    args = ["mixing", "--grid", "2x3", "--drivers", "3", "--capacity", "2",
+            "--arrivals", "uniform:0.02", "--policy", "greedy"]
+    groups, manifests = [], []
+    for cpus in (1, 4):
+        widths = []
+
+        def spy(P, E, out, product=chain._product_into):
+            widths.append(E.shape[1])
+            product(P, E, out)
+
+        with mock.patch.multiple(chain, _usable_cpus=lambda: cpus, _SPLIT_WORK=1, _product_into=spy):
+            code, out = run(args, tmp_path, f"cpus{cpus}")
+        assert code == 0
+        rounds = len(read_csv(out / "mixing.csv")) - 1  # rows t = 0..T
+        assert len(widths) % rounds == 0 and sum(widths) == rounds * 50  # each round steps all 50 starts
+        groups.append(len(widths) // rounds)
+        manifests.append(read_json(out / "manifest.json"))
+    assert groups[0] == 1 and groups[1] >= 2, groups
+    assert manifests[0]["outputs"] == manifests[1]["outputs"]
+    assert all("threads" not in m and "threads" not in m["config"] for m in manifests)
+    assert run(args + ["--threads", "1"], tmp_path, "flag")[0] == 2
+    config = tmp_path / "threads.conf"
+    config.write_text("threads=1\n")
+    assert run(args + ["--config", str(config)], tmp_path, "conf")[0] == 1
 
 
 def test_couple_subcommand(tmp_path):

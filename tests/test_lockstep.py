@@ -81,7 +81,7 @@ def float_model(grid, seed: int, mass: float) -> RequestModel:
 
 
 def assert_same_series(a, b):
-    for name in ("t", "w_mean", "w_stderr", "obj_running"):
+    for name in ("w_mean", "w_stderr", "obj_running"):
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
     assert (a.obj, a.obj_stderr, a.runs, a.estimator) == (b.obj, b.obj_stderr, b.runs, b.estimator)
 

@@ -1,6 +1,8 @@
 """The package surface: what dispatchlab exports, and that the test oracles stay out of it."""
 
 import ast
+import contextlib
+import io
 import os
 import subprocess
 import sys
@@ -136,3 +138,27 @@ def test_every_top_level_name_is_used():
     dead = {path.name: sorted(name for name in top_level_names(path) - used if not name.startswith("__"))
             for path in sorted(package.glob("*.py"))}
     assert {name: names for name, names in dead.items() if names} == {}
+
+
+def test_no_function_asks_for_what_its_kernel_knows():
+    """A kernel carries its space, model and policy: no function takes ``tm`` beside one of them or their sizes."""
+    known = {"space", "model", "policy", "grid", "n", "m", "c"}
+    askers = []
+    for path in sorted(Path(dispatchlab.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                args = node.args
+                params = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+                if "tm" in params and params & known:
+                    askers.append(f"{path.name}:{getattr(node, 'name', '<lambda>')}")
+    assert askers == []
+
+
+def test_readme_quick_start_prints_the_limit():
+    """README's first library quick-start block runs as written and prints the 2x2 nadap limit, 0.4."""
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    block = text.split("## Library quick start", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(block, "README.md", "exec"), {})
+    assert abs(float(out.getvalue()) - 0.4) <= 1e-12

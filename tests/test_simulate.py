@@ -92,7 +92,7 @@ def test_ensemble_is_deterministic_by_seed():
 
 def test_ensemble_aggregates_are_consistent():
     series = run_ensemble(make_config(runs=10, T=30))
-    assert series.t.tolist() == list(range(30))
+    assert len(series.w_mean) == len(series.w_stderr) == len(series.obj_running) == 30
     assert series.runs == 10
     expect_running = np.cumsum(series.w_mean) / np.arange(1, 31)
     assert np.abs(series.obj_running - expect_running).max() < 1e-12
@@ -114,7 +114,7 @@ def test_conditional_estimator_tracks_exact_curve():
     from dispatchlab.states import StateSpace
 
     tm = build_transition(StateSpace(g, space_m, 2), model, policy)
-    exact = exact_error_curves(tm, model, policy, (2, 0, 0, 0), T)
+    exact = exact_error_curves(tm, (2, 0, 0, 0), T)
     checkpoints = np.linspace(0, T - 1, 20, dtype=int)
     for t in checkpoints:
         slack = 3 * series.w_stderr[t] + 1e-12
@@ -236,7 +236,7 @@ def test_error_curves_validation():
     with pytest.raises(ValueError):
         error_curves(series, target=float("nan"))
     empty = ErrorSeries(
-        t=np.array([]), w_mean=np.array([]), w_stderr=np.array([]),
+        w_mean=np.array([]), w_stderr=np.array([]),
         obj_running=np.array([]), obj=0.0, obj_stderr=0.0, runs=1, estimator="realized",
     )
     with pytest.raises(ValueError):
@@ -245,7 +245,7 @@ def test_error_curves_validation():
 
 def test_constant_series_with_matching_target_has_zero_gap():
     series = ErrorSeries(
-        t=np.arange(5), w_mean=np.full(5, 0.3), w_stderr=np.zeros(5),
+        w_mean=np.full(5, 0.3), w_stderr=np.zeros(5),
         obj_running=np.full(5, 0.3), obj=0.3, obj_stderr=0.0, runs=1, estimator="conditional",
     )
     out = error_curves(series, target=0.3)
@@ -280,9 +280,8 @@ def test_fit_exponential_on_exact_toy_chain_gap():
     g = build_grid(1, 2)
     space = StateSpace(g, 1, 1)
     model = uniform_request_model(g, Fraction(1, 4), weights={(0, 1): 2})
-    policy = parse_policy("nadap:1.0")
     tm = build_transition(space, model, PolicySpec("nadap", alpha=Fraction(1)))
-    curves = exact_error_curves(tm, model, policy, (1, 0), 30)
+    curves = exact_error_curves(tm, (1, 0), 30)
     # closed form: delta(t) = (1/4) (1/2)^t
     t = np.arange(30)
     assert np.abs(curves.delta - 0.25 * 0.5**t).max() < 1e-14
